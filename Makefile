@@ -2,11 +2,12 @@
 # is the fuller pre-merge check and `race-short` its fast CI variant;
 # `chaos` is the fault-injection sweep of DESIGN.md §10 (fixed seed;
 # set CHAOS_SEED to explore other schedules); `chaos-fabric` is the
-# durability chaos pass of DESIGN.md §13 — kill the coordinator
-# mid-sweep, restart it over the journal, assert zero lost and zero
-# double-merged points; `fabric-smoke` builds the
-# real coordinator and server binaries, boots a three-process fleet, and
-# diffs a distributed sweep against the single-node driver (DESIGN.md
+# fleet chaos pass of DESIGN.md §13–§14 — kill the coordinator
+# mid-sweep and restart it over the journal, kill workers mid-sweep and
+# mid-batch, and check slot accounting through worker death and
+# shutdown: zero lost and zero double-merged points; `fabric-smoke`
+# builds the real coordinator and server binaries, boots a
+# three-process fleet, and diffs a distributed sweep against the single-node driver (DESIGN.md
 # §12); `serve` boots the experiment-serving daemon; `bench` regenerates the paper's headline
 # benchmarks; `bench-hotpath` compares the compiled fast engine against
 # the reference interpreter (see BENCH_hotpath.json and
@@ -42,7 +43,7 @@ chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run TestChaos -count=1 -v ./internal/server
 
 chaos-fabric:
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run TestChaosCoordinator -count=1 -v ./internal/fabric
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run 'TestChaos|TestSlot' -count=1 -v ./internal/fabric
 
 fabric-smoke:
 	FABRIC_SMOKE=1 $(GO) test -run TestFabricSmoke -count=1 -v .

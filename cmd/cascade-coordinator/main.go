@@ -1,9 +1,9 @@
 // Command cascade-coordinator is the distributed sweep fabric's control
 // plane: it accepts experiment jobs through the same versioned HTTP API
 // cascade-server speaks, decomposes sweeps into point-level work units,
-// shards them across a fleet of enlisted cascade-server workers by
-// consistent hashing, and merges the returned points into results
-// byte-identical to a single-node run.
+// hands them to enlisted cascade-server workers as their slots free up,
+// and merges the returned points into results byte-identical to a
+// single-node run.
 //
 // Usage:
 //
@@ -19,15 +19,16 @@
 //	POST /v1/jobs          submit a job; X-Tenant header keys quota admission
 //	GET  /v1/jobs/{id}     status + result; ?wait=10s blocks; with
 //	                       "Accept: application/x-ndjson" streams progress frames
-//	POST /v1/workers       worker enlistment / heartbeat {"name": ..., "url": ...}
-//	GET  /v1/workers       fleet membership
+//	POST /v1/workers       worker enlistment / heartbeat {"name": ..., "url": ..., "slots": N}
+//	GET  /v1/workers       fleet membership, with slots and busy per worker
 //	GET  /v1/cache/{key}   shared result-index probe
 //	GET  /metrics          fleet counters, one "name value" per line
 //
 // Start workers with `cascade-server -coordinator URL`; they enlist and
-// heartbeat on their own. A worker that goes silent past
-// -heartbeat-timeout is declared dead and its in-flight points are
-// retried on the survivors. Pointing -cache at the same directory as
+// heartbeat on their own, advertising their -workers bound as slots: the
+// coordinator never has more of a worker's leases in flight. A worker
+// that goes silent past -heartbeat-timeout is declared dead and its
+// in-flight points are retried on the survivors. Pointing -cache at the same directory as
 // the workers' caches turns disk into a fleet-wide shared result store.
 //
 // -journal points at a directory for the write-ahead journal that makes
@@ -86,9 +87,9 @@ func main() {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		lease      = flag.Duration("lease", 2*time.Minute, "point-dispatch lease (per-RPC deadline)")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 15*time.Second, "silence after which a worker is declared dead")
-		inflight   = flag.Int("inflight", 16, "concurrent lease dispatches per job")
+		inflight   = flag.Int("inflight", 16, "worker slots one job may hold at once (concurrent leases per job)")
 		attempts   = flag.Int("attempts", 8, "workers tried per point before the job fails")
-		batch      = flag.Int("batch", 0, "points per lease (0: adapt to measured RPC overhead vs point cost)")
+		batch      = flag.Int("batch", 1, "points per lease RPC (raise only for points costing about a dispatch RPC)")
 		quota      = flag.Int("quota", 0, "default per-tenant in-flight job quota (0: unlimited)")
 		quotasSpec = flag.String("quotas", "", `per-tenant quota overrides, e.g. "alice=2,bob=8"`)
 		faultsSpec = flag.String("faults", "", `fault-injection spec, e.g. "fabric.assign:n=1" (dev/testing)`)

@@ -187,12 +187,13 @@ func run(ctx context.Context, w io.Writer, opts serverOptions) error {
 		if advertise == "" {
 			advertise = "http://" + ln.Addr().String()
 		}
-		fmt.Fprintf(w, "cascade-server: enlisting with %s as %q (advertising %s)\n",
-			opts.coordinator, name, advertise)
+		fmt.Fprintf(w, "cascade-server: enlisting with %s as %q (advertising %s, %d slots)\n",
+			opts.coordinator, name, advertise, s.PointSlots())
 		go fabric.Enlist(ctx, fabric.EnlistConfig{
 			Coordinator: opts.coordinator,
 			Name:        name,
 			Advertise:   advertise,
+			Slots:       s.PointSlots(),
 			OnError: func(err error) {
 				fmt.Fprintf(w, "cascade-server: heartbeat: %v\n", err)
 			},

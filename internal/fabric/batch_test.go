@@ -15,52 +15,6 @@ import (
 	"repro/internal/server"
 )
 
-// TestBatchTunerSizing pins the adaptive lease-size policy: fixed
-// configuration wins outright, no timing means the seed size, negligible
-// RPC overhead collapses to single-point leases, and otherwise the size
-// keeps amortized overhead at or below a quarter of a point's cost,
-// clamped to maxAdaptiveBatch.
-func TestBatchTunerSizing(t *testing.T) {
-	var tn batchTuner
-	if got := tn.size(5); got != 5 {
-		t.Errorf("configured size ignored: got %d, want 5", got)
-	}
-	if got := tn.size(0); got != seedBatch {
-		t.Errorf("untrained tuner: got %d, want seed %d", got, seedBatch)
-	}
-
-	tn.observe(0, 10*time.Millisecond)
-	if got := tn.size(0); got != 1 {
-		t.Errorf("free RPC: got %d, want 1 (batching buys nothing)", got)
-	}
-
-	tn = batchTuner{}
-	tn.observe(5*time.Millisecond, 10*time.Millisecond)
-	if got := tn.size(0); got != 2 {
-		t.Errorf("R=5ms P=10ms: got %d, want ceil(4*5/10)=2", got)
-	}
-
-	tn = batchTuner{}
-	tn.observe(time.Second, time.Millisecond)
-	if got := tn.size(0); got != maxAdaptiveBatch {
-		t.Errorf("chatty link: got %d, want clamp at %d", got, maxAdaptiveBatch)
-	}
-
-	// observeStream with one frame cannot separate R from P and must not
-	// poison the estimates; with several frames the gaps carry P.
-	tn = batchTuner{}
-	start := time.Unix(0, 0)
-	tn.observeStream(start, start.Add(10*time.Millisecond), start.Add(10*time.Millisecond), 1)
-	if got := tn.size(0); got != seedBatch {
-		t.Errorf("single-frame stream trained an untrained tuner: size %d", got)
-	}
-	tn.observeStream(start, start.Add(25*time.Millisecond), start.Add(45*time.Millisecond), 3)
-	// per = 20ms/2 = 10ms, over = 25ms-10ms = 15ms, N = ceil(4*15/10) = 6.
-	if got := tn.size(0); got != 6 {
-		t.Errorf("streamed timing: got %d, want 6", got)
-	}
-}
-
 // TestBatchedStreamProgress pins the ?wait granularity satellite: even
 // with every point of a sweep riding one single lease, the streamed
 // ndjson progress frames advance points_done per completed point —

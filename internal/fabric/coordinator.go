@@ -1,21 +1,25 @@
 // Package fabric is the distributed sweep fabric: a coordinator that
 // accepts experiment jobs through the same versioned envelope API the
 // single-node server speaks, decomposes each sweep into point-level
-// work units (internal/experiments' decompositions), shards the points
-// across a fleet of cascade-server workers by consistent hashing, and
+// work units (internal/experiments' decompositions), pulls the points
+// onto a fleet of cascade-server workers as their slots free up, and
 // merges the returned point results into a response byte-identical to a
 // single-node run.
 //
 // Fleet mechanics:
 //
-//   - Workers enlist with POST /v1/workers and stay registered by
-//     heartbeating; a worker that misses its heartbeat window is
-//     declared dead, removed from the hash ring, and its in-flight
-//     points are retried on the survivors (fabric.points.retried).
+//   - Workers enlist with POST /v1/workers, advertising how many points
+//     they run at once (slots), and stay registered by heartbeating; a
+//     worker that misses its heartbeat window is declared dead, removed
+//     from the hash ring, and its in-flight points are retried on the
+//     survivors (fabric.points.retried).
+//   - Dispatch is slot-aware pull: a lease is cut only once some live
+//     worker has a free slot, and ships to that worker, so points flow
+//     to whoever frees up first (see runSharded).
 //   - A point dispatch is a lease bounded by the RPC deadline: a worker
 //     that dies mid-point fails the RPC, and the coordinator reassigns
-//     the point to the next candidate on the ring. Work is only ever
-//     lost to terminal experiment errors, never to worker death.
+//     the point to another worker's free slot. Work is only ever lost
+//     to terminal experiment errors, never to worker death.
 //   - Results are content-addressed end to end: the coordinator checks
 //     its own cache index before shipping a point (fabric.cache.hits),
 //     workers answer from their local cache when they can ("cached"
@@ -111,14 +115,15 @@ type Config struct {
 	// HeartbeatTimeout is how long a worker may go silent before it is
 	// declared dead. Default: 15s.
 	HeartbeatTimeout time.Duration
-	// MaxInflight bounds concurrent lease dispatches per job (each lease
-	// carries up to Batch points). Default: 16.
+	// MaxInflight bounds how many worker slots one job may hold at once,
+	// i.e. its concurrent lease dispatches (each lease carries up to
+	// Batch points). The fleet's advertised slots bound all jobs
+	// together. Default: 16.
 	MaxInflight int
 	// Batch bounds how many points one lease carries: a dispatch ships up
 	// to Batch points in one RPC and the worker streams per-point
-	// outcomes back. 1 disables batching. 0 — the default — adapts the
-	// size per lease from measured point cost vs. RPC overhead (see
-	// batch.go); fabric.batch.size gauges the current choice.
+	// outcomes back. Worth raising only for points cheap enough that the
+	// ~1ms dispatch RPC is a visible share of their cost. Default: 1.
 	Batch int
 	// MaxPointAttempts bounds how many workers one point is tried on
 	// before the job fails with the last transport error. Default: 8.
@@ -154,9 +159,6 @@ type Coordinator struct {
 	journal *journal.Journal
 	epoch   uint64
 
-	// tuner sizes batched leases when Config.Batch is adaptive.
-	tuner batchTuner
-
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 	wg        sync.WaitGroup // job runners + reaper
@@ -171,16 +173,26 @@ type Coordinator struct {
 	workers map[string]*workerRec
 	ring    *ring
 	tenants map[string]int // tenant → in-flight jobs
-	wake    chan struct{}  // closed+replaced when membership grows
+	// wake is closed and replaced whenever dispatch capacity may have
+	// grown: a slot released, a worker joined or revived, or a worker
+	// advertised more slots.
+	wake chan struct{}
 }
 
-// workerRec is one enlisted worker.
+// workerRec is one enlisted worker. Slots is its advertised point
+// capacity; Busy counts the leases the coordinator has in flight to it.
+// Dispatch never takes Busy past Slots.
 type workerRec struct {
 	Name     string    `json:"name"`
 	URL      string    `json:"url"`
 	LastSeen time.Time `json:"last_seen"`
 	Alive    bool      `json:"alive"`
+	Slots    int       `json:"slots"`
+	Busy     int       `json:"busy"`
 }
+
+// slot is one claimed unit of a worker's point capacity.
+type slot struct{ name, url string }
 
 // New builds a coordinator and starts its heartbeat reaper.
 func New(cfg Config) (*Coordinator, error) {
@@ -198,6 +210,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 16
+	}
+	if cfg.Batch <= 0 {
+		cfg.Batch = 1
 	}
 	if cfg.MaxPointAttempts <= 0 {
 		cfg.MaxPointAttempts = 8
@@ -351,13 +366,21 @@ func (c *Coordinator) Experiments() []experiments.Info {
 	return c.infos
 }
 
-// Register enlists (or re-enlists — registration doubles as the
-// heartbeat) a worker under a stable name at a base URL. A worker
-// changing URLs mid-life is treated as the same ring member at a new
-// address.
+// Register enlists a one-slot worker; see RegisterSlots.
 func (c *Coordinator) Register(name, url string) error {
+	return c.RegisterSlots(name, url, 1)
+}
+
+// RegisterSlots enlists (or re-enlists — registration doubles as the
+// heartbeat) a worker under a stable name at a base URL, able to run
+// slots points at once. A worker changing URLs or slot counts mid-life
+// is treated as the same ring member at a new address or capacity.
+func (c *Coordinator) RegisterSlots(name, url string, slots int) error {
 	if name == "" || url == "" {
 		return errors.New("worker registration needs name and url")
+	}
+	if slots < 1 {
+		return fmt.Errorf("worker %q advertises %d slots, want at least 1", name, slots)
 	}
 	c.metrics.Inc(mWorkersRegistered)
 	c.mu.Lock()
@@ -367,14 +390,18 @@ func (c *Coordinator) Register(name, url string) error {
 		w = &workerRec{Name: name}
 		c.workers[name] = w
 	}
-	revived := !w.Alive
+	revived, grew := !w.Alive, slots > w.Slots
 	w.URL = url
 	w.LastSeen = time.Now()
 	w.Alive = true
+	w.Slots = slots
 	if revived {
 		c.rebuildRingLocked()
+	}
+	if revived || grew {
 		c.wakeLocked()
 	}
+	c.slotGaugesLocked()
 	return nil
 }
 
@@ -428,7 +455,7 @@ func (c *Coordinator) reapOnce(now time.Time) {
 }
 
 // rebuildRingLocked rebuilds the hash ring from live members and
-// refreshes the alive gauge. Callers must hold c.mu.
+// refreshes the fleet gauges. Callers must hold c.mu.
 func (c *Coordinator) rebuildRingLocked() {
 	var names []string
 	for _, w := range c.workers {
@@ -439,17 +466,77 @@ func (c *Coordinator) rebuildRingLocked() {
 	sort.Strings(names)
 	c.ring = buildRing(names)
 	c.metrics.Set(mWorkersAlive, int64(len(names)))
+	c.slotGaugesLocked()
 }
 
-// wakeLocked signals dispatchers blocked on an empty fleet. Callers
-// must hold c.mu.
+// slotGaugesLocked refreshes the live fleet's slot gauges. Callers must
+// hold c.mu.
+func (c *Coordinator) slotGaugesLocked() {
+	var total, busy int64
+	for _, w := range c.workers {
+		if w.Alive {
+			total += int64(w.Slots)
+			busy += int64(w.Busy)
+		}
+	}
+	c.metrics.Set(mSlotsTotal, total)
+	c.metrics.Set(mSlotsBusy, busy)
+}
+
+// wakeLocked signals dispatchers waiting for capacity. Callers must
+// hold c.mu.
 func (c *Coordinator) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
 }
 
+// acquireSlot blocks until some live worker has a free slot, then claims
+// it. Among free workers the ring order for key breaks the tie, and
+// avoid — the worker a retry just failed on — is taken only when no
+// other worker is free. The wait is on c.wake, so it never polls; it
+// fails only when the run context dies.
+func (c *Coordinator) acquireSlot(key, avoid string) (slot, error) {
+	for {
+		if err := c.runCtx.Err(); err != nil {
+			return slot{}, err
+		}
+		c.mu.Lock()
+		var pick *workerRec // first free worker in ring order, avoid only as a last resort
+		for _, name := range c.ring.candidates(key) {
+			if w := c.workers[name]; w.Busy < w.Slots && (pick == nil || pick.Name == avoid) {
+				pick = w
+			}
+		}
+		if pick != nil {
+			pick.Busy++
+			c.slotGaugesLocked()
+			s := slot{name: pick.Name, url: pick.URL}
+			c.mu.Unlock()
+			return s, nil
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-c.runCtx.Done():
+		}
+	}
+}
+
+// releaseSlot returns a claimed slot and wakes waiting dispatchers. The
+// slot goes back to its worker whether or not the worker is still alive:
+// a dead worker's count drains as its failed RPCs return, so it comes
+// back with a clean slate if it re-registers.
+func (c *Coordinator) releaseSlot(s slot) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.workers[s.name].Busy--
+	c.slotGaugesLocked()
+	c.wakeLocked()
+}
+
 // candidates resolves a key's failover sequence to live worker URLs,
-// plus the channel a dispatcher waits on when the fleet is empty.
+// plus the channel a whole-job forward waits on when the fleet is empty.
 func (c *Coordinator) candidates(key string) (urls []string, wake <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

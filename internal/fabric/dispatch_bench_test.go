@@ -5,12 +5,11 @@ package fabric
 //
 //   BenchmarkPointDispatch  isolates per-point RPC overhead: a sweep of
 //     near-zero-cost synthetic points through one serialized
-//     coordinator→worker loop, at fixed lease sizes and under the
-//     adaptive tuner. batch1 ns/point ≈ R + P with P ~ 0, so it reads
-//     as the fixed dispatch cost a batch amortizes; the spread between
-//     batch1 and batch16 is the win ceiling, and break-even is where a
-//     real point's execution cost dwarfs R (size() caps amortized
-//     overhead at P/4).
+//     coordinator→worker loop, at fixed lease sizes. batch1 ns/point ≈
+//     R + P with P ~ 0, so it reads as the fixed dispatch cost a batch
+//     amortizes; the spread between batch1 and batch16 is the win
+//     ceiling, and -batch only pays where a real point's execution cost
+//     is within a few R.
 //
 //   BenchmarkWarmFleetSweep  is the tentpole's end-to-end claim: the
 //     prefix-heavy warmsweep experiment (per point, the shared prefix —
@@ -41,7 +40,7 @@ func BenchmarkPointDispatch(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		batch int
-	}{{"batch1", 1}, {"batch4", 4}, {"batch16", 16}, {"adaptive", 0}} {
+	}{{"batch1", 1}, {"batch4", 4}, {"batch16", 16}} {
 		b.Run(bc.name, func(b *testing.B) {
 			url, stop := newWorker(b, "")
 			defer stop()
@@ -97,7 +96,7 @@ func BenchmarkWarmFleetSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				c.Register("w", ts.URL)
+				c.RegisterSlots("w", ts.URL, s.PointSlots())
 				// A fractionally distinct scale per iteration keeps the point
 				// keys unique without changing the workload measurably.
 				p := server.JobParams{Scale: 0.01 + float64(dispatchSeq.Add(1))*1e-9}

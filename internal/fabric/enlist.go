@@ -49,6 +49,10 @@ type EnlistConfig struct {
 	// Advertise is the URL the coordinator should dispatch points to —
 	// this worker's own listen address as reachable from the coordinator.
 	Advertise string
+	// Slots is how many points this worker runs at once (a cascade-server
+	// advertises its point-admission bound, -workers). The coordinator
+	// never holds more of this worker's leases in flight. Zero means 1.
+	Slots int
 	// Interval between heartbeats. Zero means DefaultHeartbeatInterval.
 	Interval time.Duration
 	// Client used for heartbeat requests. Nil means a client with a
@@ -83,7 +87,7 @@ func Enlist(ctx context.Context, cfg EnlistConfig) error {
 		client = &http.Client{Timeout: cfg.Interval}
 	}
 
-	body, err := json.Marshal(workerRequest{Name: cfg.Name, URL: cfg.Advertise})
+	body, err := json.Marshal(workerRequest{Name: cfg.Name, URL: cfg.Advertise, Slots: cfg.Slots})
 	if err != nil {
 		return fmt.Errorf("fabric: marshal enlist request: %w", err)
 	}

@@ -301,16 +301,24 @@ func TestChaosWorkerDeathMidSweep(t *testing.T) {
 		t.Fatalf("conservation violated: assigned %d != completed %d + retried %d + failed %d", a, cmp, rt, f)
 	}
 
-	// The reaper must eventually declare A dead (its heartbeats stopped).
+	// The reaper must eventually declare A dead (its heartbeats stopped),
+	// leaving B the only live worker. On a loaded host B's 50ms heartbeats
+	// can miss the window and flap B dead and back, so wait for that
+	// settled state, not for the first death.
 	deadline = time.Now().Add(5 * time.Second)
-	for c.Metrics().Get(mWorkersDeaths) == 0 {
+	for {
+		a, _ := workerByName(c, "a")
+		if !a.Alive && c.Metrics().Get(mWorkersAlive) == 1 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("worker A was never declared dead")
+			t.Fatalf("worker A never declared dead with B alone alive: a.alive=%v workers.alive=%d",
+				a.Alive, c.Metrics().Get(mWorkersAlive))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := c.Metrics().Get(mWorkersAlive); got != 1 {
-		t.Fatalf("workers.alive = %d, want 1", got)
+	if c.Metrics().Get(mWorkersDeaths) == 0 {
+		t.Fatal("worker A's death was not counted in workers.deaths")
 	}
 }
 
@@ -488,10 +496,13 @@ func TestQuotaAdmission(t *testing.T) {
 	}
 
 	// The gold tenant's override admits two.
+	var goldIDs []string
 	for i, n := range []int{3, 4} {
-		if status, _ = httpSubmit(t, ts.URL, "gold", "fab-quota", server.JobParams{N: n}); status != http.StatusAccepted {
+		status, env = httpSubmit(t, ts.URL, "gold", "fab-quota", server.JobParams{N: n})
+		if status != http.StatusAccepted || env.Job == nil {
 			t.Fatalf("gold submit %d: status %d, want 202", i, status)
 		}
+		goldIDs = append(goldIDs, env.Job.ID)
 	}
 	if status, _ = httpSubmit(t, ts.URL, "gold", "fab-quota", server.JobParams{N: 5}); status != http.StatusTooManyRequests {
 		t.Fatalf("gold over-quota submit: status %d, want 429", status)
@@ -510,6 +521,12 @@ func TestQuotaAdmission(t *testing.T) {
 	status, env = httpSubmit(t, ts.URL, "t1", "fab-quota", server.JobParams{N: 1})
 	if status != http.StatusOK || env.Job == nil || !env.Job.Cached {
 		t.Fatalf("post-drain resubmit: status %d cached=%v, want 200 from cache", status, env.Job != nil && env.Job.Cached)
+	}
+	// Drain the gold jobs too before the worker stops: a job left in
+	// flight would retry its points against a dead worker and hold up
+	// the deferred Shutdown.
+	for _, id := range goldIDs {
+		awaitDone(t, c, id)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // client (or the cascade CLI) pointed at a coordinator instead of a
 // server needs zero changes. On top of it ride the fleet endpoints:
 //
-//	POST /v1/workers          enlist / heartbeat {"name": "...", "url": "..."}
-//	GET  /v1/workers          fleet membership
+//	POST /v1/workers          enlist / heartbeat {"name": "...", "url": "...", "slots": N}
+//	GET  /v1/workers          fleet membership, with each worker's slots and busy count
 //	GET  /v1/cache/{key}      shared result-index probe (raw bytes or 404)
 //
 // The coordinator speaks only the current API version: it postdates the
@@ -219,10 +219,13 @@ func (c *Coordinator) handleRepro(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// workerRequest is the POST /v1/workers body.
+// workerRequest is the POST /v1/workers body. Slots is how many points
+// the worker runs at once; absent or 0 (an older worker) means 1, and a
+// negative count is refused.
 type workerRequest struct {
-	Name string `json:"name"`
-	URL  string `json:"url"`
+	Name  string `json:"name"`
+	URL   string `json:"url"`
+	Slots int    `json:"slots,omitempty"`
 }
 
 // workersResponse is the fleet-membership wire shape. Epoch is the
@@ -245,7 +248,10 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	if err := c.Register(req.Name, req.URL); err != nil {
+	if req.Slots == 0 {
+		req.Slots = 1
+	}
+	if err := c.RegisterSlots(req.Name, req.URL, req.Slots); err != nil {
 		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 		return
 	}

@@ -282,40 +282,53 @@ func (c *Coordinator) runJob(j *fjob) {
 	c.mu.Unlock()
 }
 
-// runSharded runs a decomposed sweep: points are carved into batched
-// leases (size per batch.go), dispatched across the fleet by up to
-// MaxInflight concurrent dispatchers, and merged in index order with
-// the pool's lowest-index-error rule — when points fail, the job
-// reports the failure of the lowest-index one, independent of dispatch
-// interleaving.
+// runSharded runs a decomposed sweep by slot-aware pull dispatch, the
+// fleet form of a cascade handing the next chunk to whichever processor
+// is ready for it. Up to MaxInflight dispatchers each wait for a free
+// worker slot (acquireSlot), only then claim the next lease of Batch
+// points from the cursor, and ship it to the worker whose slot they
+// hold. A lease is never queued behind a busy worker, so the tail of
+// the sweep goes to whichever worker frees up first. Results merge in
+// index order with the pool's lowest-index-error rule — when points
+// fail, the job reports the failure of the lowest-index one,
+// independent of dispatch interleaving.
 func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte, error) {
 	j.pointsTotal.Store(int64(len(specs)))
 	results := make([]experiments.PointResult, len(specs))
 	errs := make([]error, len(specs))
-	var cursor int64
-	dispatchers := c.cfg.MaxInflight
-	if dispatchers > len(specs) {
-		dispatchers = len(specs)
+	keys := make([]string, len(specs))
+	for i := range specs {
+		key, err := canon.PointKey(specs[i])
+		if err != nil {
+			errs[i] = &fabricError{code: server.CodeBadRequest, err: err}
+		}
+		keys[i] = key
 	}
+	size := c.cfg.Batch
+	var cursor int64
+	dispatchers := min(c.cfg.MaxInflight, len(specs))
 	var wg sync.WaitGroup
 	for d := 0; d < dispatchers; d++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				// Lease size is re-read per lease, so the adaptive tuner's
-				// estimate from early leases shapes later ones mid-job.
-				size := c.tuner.size(c.cfg.Batch)
-				c.metrics.Set(mBatchSize, int64(size))
-				lo := int(atomic.AddInt64(&cursor, int64(size))) - size
-				if lo >= len(specs) {
+				// The next unclaimed point's key only orders ties between
+				// free workers; another dispatcher may claim it first.
+				next := int(atomic.LoadInt64(&cursor))
+				if next >= len(specs) {
 					return
 				}
-				hi := lo + size
-				if hi > len(specs) {
-					hi = len(specs)
+				s, err := c.acquireSlot(keys[next], "")
+				if err != nil {
+					return // the run context died; unclaimed points fail below
 				}
-				c.runLease(j, specs, results, errs, lo, hi)
+				lo := int(atomic.AddInt64(&cursor, int64(size))) - size
+				if lo >= len(specs) {
+					c.releaseSlot(s)
+					return
+				}
+				c.runLease(j, specs, keys, results, errs, lo, min(lo+size, len(specs)), s)
 			}
 		}()
 	}
@@ -335,6 +348,9 @@ func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte
 			return nil, fmt.Errorf("point %d: %w", i, e)
 		}
 	}
+	if atomic.LoadInt64(&cursor) < int64(len(specs)) {
+		return nil, c.runCtx.Err() // points left unclaimed when dispatch stopped
+	}
 	merged, err := experiments.MergePoints(j.experiment, j.params.RunConfig(), results)
 	if err != nil {
 		return nil, err
@@ -349,11 +365,13 @@ type leaseItem struct {
 	spec experiments.PointSpec
 }
 
-// runLease resolves specs[lo:hi] to results: the coordinator's own
-// index first, then batched dispatch along the first open point's ring
-// candidates until every point retires, its attempt budget runs out, or
-// its error is terminal. A retry re-ships only the unfinished remainder
-// — points whose outcomes arrived before a worker died are closed and
+// runLease resolves specs[lo:hi] to results on the worker slot held:
+// the coordinator's own index first, then batched dispatch until every
+// point retires, its attempt budget runs out, or its error is terminal.
+// After each RPC the slot goes back; a retry backs off without holding
+// one, then acquires a fresh slot — preferring a worker other than the
+// one that just failed — and re-ships only the unfinished remainder:
+// points whose outcomes arrived before a worker died are closed and
 // never re-dispatched.
 //
 // Every shipped point is bracketed by journal records exactly as
@@ -364,19 +382,22 @@ type leaseItem struct {
 // leases, a crash leaves nothing uncountable, and the conservation
 // identity (metrics.go) holds at any batch size. Cache-answered points
 // write no records at all: no lease was ever issued for them.
-func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, results []experiments.PointResult, errs []error, lo, hi int) {
+func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []string, results []experiments.PointResult, errs []error, lo, hi int, held slot) {
+	defer func() {
+		if held.name != "" {
+			c.releaseSlot(held)
+		}
+	}()
 	var todo []leaseItem
 	for idx := lo; idx < hi; idx++ {
+		if errs[idx] != nil {
+			continue // no content address (runSharded)
+		}
 		if err := c.runCtx.Err(); err != nil {
 			errs[idx] = err
 			continue
 		}
-		key, err := canon.PointKey(specs[idx])
-		if err != nil {
-			errs[idx] = &fabricError{code: server.CodeBadRequest, err: err}
-			continue
-		}
-		if val, ok := c.cache.Get(key); ok {
+		if val, ok := c.cache.Get(keys[idx]); ok {
 			var res experiments.PointResult
 			if jerr := json.Unmarshal(val, &res); jerr == nil {
 				c.metrics.Inc(mCacheHits)
@@ -385,35 +406,23 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, results [
 				continue
 			}
 		}
-		todo = append(todo, leaseItem{idx: idx, key: key, spec: specs[idx]})
+		todo = append(todo, leaseItem{idx: idx, key: keys[idx], spec: specs[idx]})
 	}
 
 	attempts := make(map[int]int, len(todo))
 	backoff := c.cfg.RetryBackoff
-	rot := 0
+	failed := "" // the worker the last attempt failed on
 	for len(todo) > 0 {
-		if err := c.runCtx.Err(); err != nil {
-			for _, it := range todo {
-				errs[it.idx] = err
-			}
-			return
-		}
-		urls, wake := c.candidates(todo[0].key)
-		if len(urls) == 0 {
-			select {
-			case <-wake:
-			case <-time.After(backoff):
-				backoff = nextBackoff(backoff)
-			case <-c.runCtx.Done():
+		if held.name == "" {
+			var err error
+			if held, err = c.acquireSlot(todo[0].key, failed); err != nil {
 				for _, it := range todo {
-					errs[it.idx] = c.runCtx.Err()
+					errs[it.idx] = err
 				}
 				return
 			}
-			continue
 		}
-		url := urls[rot%len(urls)]
-		rot++
+		url := held.url
 		c.metrics.Inc(mBatchesDispatched)
 		shipped := todo
 		for _, it := range shipped {
@@ -489,6 +498,9 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, results [
 		if len(todo) == 0 {
 			return
 		}
+		failed = held.name
+		c.releaseSlot(held)
+		held = slot{}
 		select {
 		case <-time.After(backoff):
 		case <-c.runCtx.Done():
@@ -576,7 +588,6 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", server.NDJSONContentType)
 	req.Header.Set(server.VersionHeader, server.APIVersion)
-	start := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("dispatch to %s: %w", workerURL, err)
@@ -607,12 +618,9 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 		return nil
 	}
 
-	// Streamed outcomes: one envelope frame per retired point. Frame
-	// arrival times feed the adaptive batch tuner — the gaps estimate
-	// point cost, the lead-in estimates RPC overhead.
+	// Streamed outcomes: one envelope frame per retired point.
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	var first, last time.Time
 	n := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -631,16 +639,10 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 			return fmt.Errorf("dispatch to %s: %s", workerURL, env.Error.Message)
 		}
 		for _, o := range env.Outcomes {
-			now := time.Now()
-			if first.IsZero() {
-				first = now
-			}
-			last = now
 			n++
 			onOutcome(o.Index, o)
 		}
 	}
-	c.tuner.observeStream(start, first, last, n)
 	if serr := sc.Err(); serr != nil {
 		return fmt.Errorf("dispatch to %s: stream died after %d outcomes: %w", workerURL, n, serr)
 	}
@@ -653,8 +655,8 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 func (c *Coordinator) forwardJob(j *fjob) ([]byte, error) {
 	backoff := c.cfg.RetryBackoff
 	var lastErr error = errNoWorkers
-	// As in runPoint: attempt advances only on a real dispatch, so an
-	// empty fleet never burns the budget.
+	// Attempt advances only on a real dispatch, so an empty fleet never
+	// burns the budget.
 	for attempt := 0; attempt < c.cfg.MaxPointAttempts; {
 		urls, wake := c.candidates(j.key)
 		if len(urls) == 0 {

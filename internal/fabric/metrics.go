@@ -38,9 +38,13 @@ const (
 	mPointsRetried   = "fabric.points.retried"   // dispatches lost to a dead/saturated worker and reassigned
 	mPointsFailed    = "fabric.points.failed"    // dispatches that failed terminally (experiment error)
 
-	// Batched-lease counters and gauges (see batch.go).
+	// Lease dispatch (see runSharded). Slots are the points the live
+	// fleet can run at once, as its workers advertise them; busy ones
+	// carry a lease in flight, so busy never exceeds total and a sweep
+	// that keeps busy below total is short of work, not of workers.
 	mBatchesDispatched = "fabric.batches.dispatched" // lease RPCs sent (any size)
-	mBatchSize         = "fabric.batch.size"         // gauge: points per lease chosen most recently
+	mSlotsTotal        = "fabric.slots.total"        // gauge: slots advertised by live workers
+	mSlotsBusy         = "fabric.slots.busy"         // gauge: live workers' slots holding a lease
 
 	// Cross-node cache counters — the observable proof that the fleet
 	// shares results instead of recomputing them.
@@ -84,5 +88,6 @@ func initMetrics(m *metrics.Synced) {
 	}
 	m.Set(mWorkersAlive, 0)
 	m.Set(mEpoch, 0)
-	m.Set(mBatchSize, 0)
+	m.Set(mSlotsTotal, 0)
+	m.Set(mSlotsBusy, 0)
 }

@@ -293,6 +293,12 @@ func (s *Server) Draining() bool {
 	return s.closed
 }
 
+// PointSlots returns how many points the server executes at once (its
+// Workers bound) — the capacity a fleet worker advertises as slots.
+func (s *Server) PointSlots() int {
+	return cap(s.pointSem)
+}
+
 // QueueDepth returns how many accepted jobs are waiting for a worker.
 func (s *Server) QueueDepth() int {
 	return len(s.queue)
