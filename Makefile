@@ -20,13 +20,16 @@
 # coordinator + worker pair (recorded in BENCH_fabric.json);
 # `bench-smoke` is the CI
 # keep-the-benchmarks-compiling pass: one iteration of the hot-path
-# benchmarks at short-mode scale, a smoke test rather than a measurement.
+# benchmarks at short-mode scale, a smoke test rather than a measurement;
+# `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
+# once at smoke size: every workload through the real CLI, server and
+# fleet binaries, each result checked against its golden hash (~25 s).
 
 GO ?= go
 SERVE_FLAGS ?= -cache .cascade-cache
 CHAOS_SEED ?=
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fmt
 
 tier1:
 	$(GO) build ./...
@@ -70,6 +73,9 @@ bench-fabric:
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkHotPathSequential|BenchmarkHotPathCascade' -benchtime 1x -short .
 	$(GO) test -run NONE -bench BenchmarkSnapshotChunkSweep -benchtime 1x -short ./internal/experiments/
+
+bench-e2e-smoke:
+	cd bench && $(GO) test -count=1 ./e2e
 
 fmt:
 	gofmt -w .

@@ -32,10 +32,18 @@ const (
 )
 
 func benchParams() wave5.Params {
+	return benchRunConfig().Params()
+}
+
+// benchRunConfig is the run configuration of the decomposed sweeps'
+// benchmarks: the benchmark scale and the paper's best chunk size.
+func benchRunConfig() experiments.RunConfig {
+	rc := experiments.DefaultRunConfig()
+	rc.Scale = benchScale
 	if testing.Short() {
-		return wave5.DefaultParams().Scaled(benchScaleShort)
+		rc.Scale = benchScaleShort
 	}
-	return wave5.DefaultParams().Scaled(benchScale)
+	return rc
 }
 
 // BenchmarkTable1 regenerates Table 1 (machine memory characteristics).
@@ -49,7 +57,7 @@ func BenchmarkTable1(b *testing.B) {
 // processor count for both helpers on both machines.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(context.Background(), benchParams(), cascade.DefaultChunkBytes)
+		res, err := experiments.Fig2(context.Background(), benchRunConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +128,7 @@ func BenchmarkFig5(b *testing.B) {
 // metrics are the best chunk size and its speedup per machine.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(context.Background(), benchParams())
+		res, err := experiments.Fig6(context.Background(), benchRunConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

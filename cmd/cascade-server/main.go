@@ -25,8 +25,9 @@
 // shutdown, receiving sharded sweep points on POST /v1/points. Both
 // -advertise and -name default to the bound listen address. With
 // -warm-prefixes the worker computes each sweep's shared prefix once,
-// parks the sealed machine snapshot in a bounded LRU (-prefix-cache-mb),
-// and forks it per point — byte-identical results, less repeated warmup.
+// parks it in a bounded LRU (-prefix-cache-mb), and runs every point of
+// the prefix group off it — byte-identical results, less repeated
+// warmup.
 //
 // Identical jobs are answered from the cache without re-simulating, and
 // concurrent identical submissions coalesce into one run. With -cache

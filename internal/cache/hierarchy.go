@@ -586,26 +586,22 @@ func (h *Hierarchy) accessLineTimed(l1Addr memsim.Addr, write bool) Result {
 	return Result{Cycles: cycles, Level: LevelMem, MissPenalty: cycles - h.L1.cfg.HitLatency}
 }
 
-// fillL1 installs an L1 line, propagating a dirty victim's state into L2
-// (which must contain the victim, by inclusion).
+// fillL1 installs an L1 line and hands a displaced line to the victim
+// buffer. L2 needs no update: every path that fills L1 in Modified state
+// has already made the enclosing L2 line Modified (a write miss fetches
+// it Modified, a write hit on a Shared L2 line upgrades it first, and a
+// read fill copies L2's own state), and a dirty L1 victim's L2 line is
+// Modified by the same invariant, so inclusion holds without a lookup.
+// CheckInclusion verifies both after every loop of the cascade
+// differential tests.
 func (h *Hierarchy) fillL1(l1Addr memsim.Addr, st State, prefetch bool) {
 	v := h.L1.Fill(l1Addr, st, prefetch)
-	if v.Valid && v.Modified {
-		vl2 := v.Addr.Line(h.L2.cfg.LineSize)
-		if !h.L2.SetState(vl2, Modified) {
-			panic(fmt.Sprintf("cache: inclusion violated: L1 victim %s absent from L2", v.Addr))
-		}
-	}
 	if v.Valid && h.victims != nil {
 		vst := Shared
 		if v.Modified {
 			vst = Modified
 		}
 		h.victims.insert(v.Addr, vst)
-	}
-	if st == Modified {
-		// Invariant: a Modified L1 line implies a Modified L2 line.
-		h.L2.SetState(l1Addr.Line(h.L2.cfg.LineSize), Modified)
 	}
 }
 

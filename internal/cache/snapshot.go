@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/memsim"
 )
@@ -293,6 +294,21 @@ func (st *HierarchyState) Occupancy() Occupancy {
 		}
 	}
 	return o
+}
+
+// MemBytes is the host memory the snapshot's sealed arrays occupy: one
+// record per cache line slot of each level, per TLB entry, and per
+// victim-buffer entry. Caches model presence and state only, so a slot
+// is a tag, a state, and an LRU stamp, never the line's data.
+func (st *HierarchyState) MemBytes() int64 {
+	n := int64(len(st.l1.sets)+len(st.l2.sets)) * int64(unsafe.Sizeof(line{}))
+	if st.tlb != nil {
+		n += int64(len(st.tlb.sets)) * int64(unsafe.Sizeof(tlbEntry{}))
+	}
+	if st.victims != nil {
+		n += int64(len(st.victims.entries)) * int64(unsafe.Sizeof(victimEntry{}))
+	}
+	return n
 }
 
 // ForEachL1Line calls f for every valid L1 line in the snapshot, in

@@ -43,28 +43,32 @@ func fastpathConfigs() []fastpathVariant {
 	}
 }
 
-// runMode is one execution mode of the differential matrix.
+// runMode is one execution mode of the differential matrix. run returns
+// the machine it simulated on, so the matrix can check its hierarchies'
+// invariants afterwards (nil when the mode builds machines of its own).
 type runMode struct {
 	name string
-	run  func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, error)
+	run  func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error)
 }
 
 func runModes(chunkBytes int) []runMode {
-	cascaded := func(h cascade.Helper) func(machine.Config, *memsim.Space, *loopir.Loop) (cascade.Result, error) {
-		return func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, error) {
-			m, err := machine.New(cfg)
+	cascaded := func(h cascade.Helper, par machine.Parallel, prior bool) func(machine.Config, *memsim.Space, *loopir.Loop) (cascade.Result, *machine.Machine, error) {
+		return func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
+			m, err := machine.New(cfg.WithParallel(par))
 			if err != nil {
-				return cascade.Result{}, err
+				return cascade.Result{}, nil, err
 			}
 			opts, err := cascade.NewOptions(
 				cascade.WithHelper(h),
 				cascade.WithSpace(space),
 				cascade.WithChunkBytes(chunkBytes),
+				cascade.WithPriorParallel(prior),
 			)
 			if err != nil {
-				return cascade.Result{}, err
+				return cascade.Result{}, nil, err
 			}
-			return cascade.Run(m, l, opts)
+			r, err := cascade.Run(m, l, opts)
+			return r, m, err
 		}
 	}
 	// The parallel-engine modes turn the machine's Parallel knob on and
@@ -72,54 +76,54 @@ func runModes(chunkBytes int) []runMode {
 	// the knob is inert (ParallelEnabled requires the fast engine), so
 	// these modes diff the parallel scheduler against the serial reference
 	// interpreter in one step.
-	parCascaded := func(h cascade.Helper) func(machine.Config, *memsim.Space, *loopir.Loop) (cascade.Result, error) {
-		return func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, error) {
-			m, err := machine.New(cfg.WithParallel(machine.ParallelOn))
-			if err != nil {
-				return cascade.Result{}, err
-			}
-			opts, err := cascade.NewOptions(
-				cascade.WithHelper(h),
-				cascade.WithSpace(space),
-				cascade.WithChunkBytes(chunkBytes),
-				cascade.WithPriorParallel(false),
-			)
-			if err != nil {
-				return cascade.Result{}, err
-			}
-			return cascade.Run(m, l, opts)
-		}
-	}
 	return []runMode{
-		{"sequential", func(cfg machine.Config, _ *memsim.Space, l *loopir.Loop) (cascade.Result, error) {
+		{"sequential", func(cfg machine.Config, _ *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
 			m, err := machine.New(cfg)
 			if err != nil {
-				return cascade.Result{}, err
+				return cascade.Result{}, nil, err
 			}
-			return cascade.RunSequential(m, l, true), nil
+			return cascade.RunSequential(m, l, true), m, nil
 		}},
-		{"cascade-prefetch", cascaded(cascade.HelperPrefetch)},
-		{"cascade-restructure", cascaded(cascade.HelperRestructure)},
-		{"cascade-prefetch-parallel", parCascaded(cascade.HelperPrefetch)},
-		{"cascade-restructure-parallel", parCascaded(cascade.HelperRestructure)},
-		{"parallel", func(cfg machine.Config, _ *memsim.Space, l *loopir.Loop) (cascade.Result, error) {
+		{"cascade-prefetch", cascaded(cascade.HelperPrefetch, machine.ParallelOff, true)},
+		{"cascade-restructure", cascaded(cascade.HelperRestructure, machine.ParallelOff, true)},
+		{"cascade-prefetch-parallel", cascaded(cascade.HelperPrefetch, machine.ParallelOn, false)},
+		{"cascade-restructure-parallel", cascaded(cascade.HelperRestructure, machine.ParallelOn, false)},
+		{"parallel", func(cfg machine.Config, _ *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
 			m, err := machine.New(cfg)
 			if err != nil {
-				return cascade.Result{}, err
+				return cascade.Result{}, nil, err
 			}
-			return cascade.RunParallel(m, l, false)
+			r, err := cascade.RunParallel(m, l, false)
+			return r, m, err
 		}},
-		{"unbounded", func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, error) {
+		{"unbounded", func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
 			opts, err := cascade.NewOptions(
 				cascade.WithHelper(cascade.HelperRestructure),
 				cascade.WithSpace(space),
 				cascade.WithChunkBytes(chunkBytes),
 			)
 			if err != nil {
-				return cascade.Result{}, err
+				return cascade.Result{}, nil, err
 			}
-			return cascade.RunUnbounded(cfg, l, opts)
+			r, err := cascade.RunUnbounded(cfg, l, opts)
+			return r, nil, err
 		}},
+	}
+}
+
+// checkInclusion asserts the hierarchy invariants the cache fill path
+// relies on without re-checking them (see cache.Hierarchy.fillL1): every
+// L1 line lies in an L2 line of every processor, and a Modified L1 line's
+// L2 line is Modified.
+func checkInclusion(t *testing.T, engine string, m *machine.Machine) {
+	t.Helper()
+	if m == nil {
+		return
+	}
+	for p := 0; p < m.Procs(); p++ {
+		if err := m.Proc(p).Hierarchy().CheckInclusion(); err != nil {
+			t.Errorf("%s engine, p%d: %v", engine, p, err)
+		}
 	}
 }
 
@@ -179,17 +183,19 @@ func TestFastPathEquivalence(t *testing.T) {
 				wFast := wave5.MustBuild(p)
 				wRef := wave5.MustBuild(p)
 				for li := range wFast.Loops {
-					fast, err := mode.run(v.fast(cfg), wFast.Space, wFast.Loops[li])
+					fast, mFast, err := mode.run(v.fast(cfg), wFast.Space, wFast.Loops[li])
 					if err != nil {
 						t.Fatalf("fast engine, loop %d: %v", li, err)
 					}
-					ref, err := mode.run(cfg.WithEngine(machine.EngineReference), wRef.Space, wRef.Loops[li])
+					ref, mRef, err := mode.run(cfg.WithEngine(machine.EngineReference), wRef.Space, wRef.Loops[li])
 					if err != nil {
 						t.Fatalf("reference engine, loop %d: %v", li, err)
 					}
 					if t.Failed() {
 						break
 					}
+					checkInclusion(t, "fast", mFast)
+					checkInclusion(t, "reference", mRef)
 					diffResults(t, fast, ref)
 					if t.Failed() {
 						t.Logf("first divergence in PARMVR loop %d (%s)", li, wFast.Loops[li].Name)
@@ -208,14 +214,16 @@ func TestFastPathEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", k.Name, err)
 					}
-					fast, err := mode.run(v.fast(cfg), spaceFast, loopFast)
+					fast, mFast, err := mode.run(v.fast(cfg), spaceFast, loopFast)
 					if err != nil {
 						t.Fatalf("%s fast engine: %v", k.Name, err)
 					}
-					ref, err := mode.run(cfg.WithEngine(machine.EngineReference), spaceRef, loopRef)
+					ref, mRef, err := mode.run(cfg.WithEngine(machine.EngineReference), spaceRef, loopRef)
 					if err != nil {
 						t.Fatalf("%s reference engine: %v", k.Name, err)
 					}
+					checkInclusion(t, "fast", mFast)
+					checkInclusion(t, "reference", mRef)
 					diffResults(t, fast, ref)
 					if t.Failed() {
 						t.Fatalf("first divergence in kernel %s", k.Name)

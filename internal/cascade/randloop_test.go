@@ -111,6 +111,10 @@ func randomLoop(seed int64) (*memsim.Space, *loopir.Loop) {
 	return s, l
 }
 
+// RandomLoop exposes randomLoop to the package's external tests, which
+// may import packages (wave5) that import this one.
+var RandomLoop = randomLoop
+
 // TestRandomLoopStrategyEquivalence is the strongest correctness property
 // in the repository: for structurally random loops, every cascaded
 // configuration (random helper, chunk size, jump-out, precompute,

@@ -136,10 +136,7 @@ func Run(m *machine.Machine, l *loopir.Loop, opts Options) (Result, error) {
 
 	timer := phaseTimer(m)
 	if !opts.KeepState {
-		m.ResetCaches()
-		if opts.PriorParallel {
-			distribute(m, l)
-		}
+		ColdStart(m, l, opts.PriorParallel)
 	}
 	m.ResetStats()
 

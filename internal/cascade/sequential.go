@@ -13,11 +13,22 @@ import (
 // modelling the preceding parallel section. Cache statistics in the
 // result cover only the loop itself.
 func RunSequential(m *machine.Machine, l *loopir.Loop, priorParallel bool) Result {
+	ColdStart(m, l, priorParallel)
+	return RunSequentialWarm(m, l)
+}
+
+// ColdStart puts m in the state every run of l that does not keep state
+// begins from: empty caches and zeroed statistics, then, when
+// priorParallel is set, l's data distributed dirty across the
+// processors' caches by the preceding parallel section. RunSequential and
+// Run (without KeepState) start this way; a driver that captures this
+// state once and loads it per run (machine.Capture) runs with KeepState
+// instead and gets the same result.
+func ColdStart(m *machine.Machine, l *loopir.Loop, priorParallel bool) {
 	m.ResetCaches()
 	if priorParallel {
 		distribute(m, l)
 	}
-	return RunSequentialWarm(m, l)
 }
 
 // RunSequentialWarm executes the loop on processor 0 without touching the

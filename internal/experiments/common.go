@@ -9,7 +9,9 @@ import (
 	"fmt"
 
 	"repro/internal/cascade"
+	"repro/internal/loopir"
 	"repro/internal/machine"
+	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/wave5"
 )
@@ -64,6 +66,18 @@ func (s Strategy) helper() cascade.Helper {
 // paper's jump-out refinement; the prior parallel section is modelled for
 // every strategy.
 func RunPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes int) ([]cascade.Result, error) {
+	return runPARMVR(cfg, p, strat, chunkBytes, func(m *machine.Machine, _ int, l *loopir.Loop) error {
+		cascade.ColdStart(m, l, true)
+		return nil
+	})
+}
+
+// runPARMVR runs one PARMVR call on a fresh machine and a private,
+// freshly built dataset. Before loop i runs, start puts the loop's start
+// state in place: a cold call's prior-parallel distribution, simulated
+// (RunPARMVR) or loaded from a prefix capture (runPARMVRPointWarm).
+func runPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes int,
+	start func(m *machine.Machine, i int, l *loopir.Loop) error) ([]cascade.Result, error) {
 	w, err := wave5.Build(p)
 	if err != nil {
 		return nil, err
@@ -73,27 +87,37 @@ func RunPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes in
 		return nil, err
 	}
 	results := make([]cascade.Result, 0, len(w.Loops))
-	for _, l := range w.Loops {
-		var r cascade.Result
-		if strat == Sequential {
-			r = cascade.RunSequential(m, l, true)
-		} else {
-			opts, oerr := cascade.NewOptions(
-				cascade.WithHelper(strat.helper()),
-				cascade.WithSpace(w.Space),
-				cascade.WithChunkBytes(chunkBytes),
-			)
-			if oerr != nil {
-				return nil, oerr
-			}
-			r, err = cascade.Run(m, l, opts)
-			if err != nil {
-				return nil, err
-			}
+	for i, l := range w.Loops {
+		if err := start(m, i, l); err != nil {
+			return nil, err
+		}
+		r, err := runPARMVRLoop(m, w.Space, l, strat, chunkBytes)
+		if err != nil {
+			return nil, err
 		}
 		results = append(results, r)
 	}
 	return results, nil
+}
+
+// runPARMVRLoop is the one per-loop body of every PARMVR driver: loop l
+// runs under strat on m's caches as they stand, which the caller has set
+// up (a cold call's start state, or the previous loop's and call's
+// residue in a steady-state call). Statistics cover the loop alone.
+func runPARMVRLoop(m *machine.Machine, space *memsim.Space, l *loopir.Loop, strat Strategy, chunkBytes int) (cascade.Result, error) {
+	if strat == Sequential {
+		return cascade.RunSequentialWarm(m, l), nil
+	}
+	opts, err := cascade.NewOptions(
+		cascade.WithHelper(strat.helper()),
+		cascade.WithSpace(space),
+		cascade.WithChunkBytes(chunkBytes),
+		cascade.WithKeepState(true), // the caller set the start state
+	)
+	if err != nil {
+		return cascade.Result{}, err
+	}
+	return cascade.Run(m, l, opts)
 }
 
 // RunPARMVRCall measures one call of PARMVR after warmupCalls prior calls
@@ -115,45 +139,14 @@ func RunPARMVRCall(cfg machine.Config, p wave5.Params, strat Strategy, chunkByte
 	if err != nil {
 		return nil, err
 	}
-	runCall := func() ([]cascade.Result, error) {
-		results := make([]cascade.Result, 0, len(w.Loops))
-		for _, l := range w.Loops {
-			var r cascade.Result
-			if strat == Sequential {
-				r = cascade.RunSequentialWarm(m, l)
-			} else {
-				opts, oerr := cascade.NewOptions(
-					cascade.WithHelper(strat.helper()),
-					cascade.WithSpace(w.Space),
-					cascade.WithChunkBytes(chunkBytes),
-					cascade.WithKeepState(true), // state carries over between loops/calls
-				)
-				if oerr != nil {
-					return nil, oerr
-				}
-				r, err = cascade.Run(m, l, opts)
-				if err != nil {
-					return nil, err
-				}
-			}
-			results = append(results, r)
-		}
-		return results, nil
-	}
 	// Initial distribution models the parallel phases around the calls.
-	var ranges []machine.AddrRange
-	for _, l := range w.Loops {
-		for _, ar := range l.AddrRanges() {
-			ranges = append(ranges, machine.AddrRange{Base: ar.Base, Bytes: ar.Bytes})
-		}
-	}
-	m.DistributeLines(ranges)
+	distributeDataset(m, w)
 	for c := 0; c < warmupCalls; c++ {
-		if _, err := runCall(); err != nil {
+		if _, err := runWarmPoint(m, w, WarmPoint{Strat: strat, ChunkBytes: chunkBytes}); err != nil {
 			return nil, err
 		}
 	}
-	return runCall()
+	return runWarmPoint(m, w, WarmPoint{Strat: strat, ChunkBytes: chunkBytes})
 }
 
 // MergeMetrics folds the per-loop metric snapshots of a multi-loop run

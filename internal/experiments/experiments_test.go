@@ -14,7 +14,15 @@ import (
 // testParams shrinks PARMVR enough for fast tests while keeping every
 // loop's structure (footprints still exceed the L1s).
 func testParams() wave5.Params {
-	return wave5.DefaultParams().Scaled(0.05)
+	return testRunConfig().Params()
+}
+
+// testRunConfig runs the decomposed sweeps at testParams' scale with the
+// paper's best chunk size.
+func testRunConfig() RunConfig {
+	rc := DefaultRunConfig()
+	rc.Scale = 0.05
+	return rc
 }
 
 func TestStrategyString(t *testing.T) {
@@ -79,7 +87,7 @@ func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig2 sweeps both machines at several processor counts")
 	}
-	res, err := Fig2(context.Background(), testParams(), cascade.DefaultChunkBytes)
+	res, err := Fig2(context.Background(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig6 sweeps the full chunk-size grid")
 	}
-	res, err := Fig6(context.Background(), testParams())
+	res, err := Fig6(context.Background(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

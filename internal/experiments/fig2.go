@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/wave5"
@@ -38,71 +37,15 @@ type Fig2Result struct {
 
 // Fig2 reproduces Figure 2: overall PARMVR speedup for 2..4 processors on
 // the Pentium Pro and 2..8 on the R10000, for both helper strategies,
-// with the paper's best 64KB chunks (pass cascade.DefaultChunkBytes).
-// Sweep points are independent simulations and run in parallel across the
-// host's cores.
-func Fig2(ctx context.Context, p wave5.Params, chunkBytes int) (*Fig2Result, error) {
-	res := &Fig2Result{
-		Params:     p,
-		ChunkBytes: chunkBytes,
-		Baselines:  make(map[string]int64),
-	}
-	machines := Machines()
-	bases := make([]int64, len(machines))
-	if err := parallelFor(ctx, len(machines), func(i int) error {
-		seq, err := RunPARMVR(machines[i], p, Sequential, chunkBytes)
-		if err != nil {
-			return err
-		}
-		bases[i] = TotalCycles(seq)
-		return nil
-	}); err != nil {
+// with rc.ChunkBytes chunks (the paper's best is cascade.DefaultChunkBytes)
+// on the dataset at rc.Scale. It runs the decomposed sweep (fig2Points,
+// RunDecomposed's pool and prefix cache, fig2Merge).
+func Fig2(ctx context.Context, rc RunConfig) (*Fig2Result, error) {
+	r, _, err := RunDecomposed(ctx, "fig2", rc)
+	if err != nil {
 		return nil, err
 	}
-	for i, cfg := range machines {
-		res.Baselines[cfg.Name] = bases[i]
-	}
-
-	type spec struct {
-		cfg   machine.Config
-		base  int64
-		strat Strategy
-		procs int
-	}
-	var specs []spec
-	for i, cfg := range machines {
-		for _, procs := range procSweep(cfg) {
-			for _, strat := range []Strategy{Prefetched, Restructured} {
-				specs = append(specs, spec{cfg, bases[i], strat, procs})
-			}
-		}
-	}
-	points := make([]Fig2Point, len(specs))
-	if err := parallelFor(ctx, len(specs), func(k int) error {
-		s := specs[k]
-		rr, err := RunPARMVR(s.cfg.WithProcs(s.procs), p, s.strat, chunkBytes)
-		if err != nil {
-			return err
-		}
-		var helperIters, totalIters int64
-		for _, r := range rr {
-			helperIters += int64(r.HelperIters)
-			totalIters += int64(r.TotalIters)
-		}
-		points[k] = Fig2Point{
-			Machine:          s.cfg.Name,
-			Strategy:         s.strat,
-			Procs:            s.procs,
-			Speedup:          float64(s.base) / float64(TotalCycles(rr)),
-			HelperCompletion: float64(helperIters) / float64(totalIters),
-			Metrics:          MergeMetrics(rr),
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res.Points = points
-	return res, nil
+	return r.(*Fig2Result), nil
 }
 
 // Speedup returns the recorded speedup for a configuration, or 0 if the

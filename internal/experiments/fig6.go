@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/wave5"
@@ -34,59 +33,14 @@ type Fig6Result struct {
 
 // Fig6 reproduces Figure 6: the effect of chunk size (4KB-2048KB) on
 // overall PARMVR speedup with four processors, for both helpers and both
-// machines. The sweep's independent simulations run in parallel across
-// the host's cores.
-func Fig6(ctx context.Context, p wave5.Params) (*Fig6Result, error) {
-	const procs = 4
-	res := &Fig6Result{Params: p, Procs: procs}
-
-	machines := Machines()
-	bases := make([]int64, len(machines))
-	if err := parallelFor(ctx, len(machines), func(i int) error {
-		seq, err := RunPARMVR(machines[i].WithProcs(procs), p, Sequential, 64*1024)
-		if err != nil {
-			return err
-		}
-		bases[i] = TotalCycles(seq)
-		return nil
-	}); err != nil {
+// machines, on the dataset at rc.Scale. It runs the decomposed sweep
+// (fig6Points, RunDecomposed's pool and prefix cache, fig6Merge).
+func Fig6(ctx context.Context, rc RunConfig) (*Fig6Result, error) {
+	r, _, err := RunDecomposed(ctx, "fig6", rc)
+	if err != nil {
 		return nil, err
 	}
-
-	type spec struct {
-		cfg   machine.Config
-		base  int64
-		strat Strategy
-		kb    int
-	}
-	var specs []spec
-	for i, cfg := range machines {
-		for _, kb := range Fig6ChunkSizesKB {
-			for _, strat := range []Strategy{Prefetched, Restructured} {
-				specs = append(specs, spec{cfg.WithProcs(procs), bases[i], strat, kb})
-			}
-		}
-	}
-	points := make([]Fig6Point, len(specs))
-	if err := parallelFor(ctx, len(specs), func(k int) error {
-		s := specs[k]
-		rr, err := RunPARMVR(s.cfg, p, s.strat, s.kb*1024)
-		if err != nil {
-			return err
-		}
-		points[k] = Fig6Point{
-			Machine:    s.cfg.Name,
-			Strategy:   s.strat,
-			ChunkBytes: s.kb * 1024,
-			Speedup:    float64(s.base) / float64(TotalCycles(rr)),
-			Metrics:    MergeMetrics(rr),
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res.Points = points
-	return res, nil
+	return r.(*Fig6Result), nil
 }
 
 // Speedup returns the sweep value for a configuration (0 if absent).

@@ -6,18 +6,19 @@ import (
 	"sort"
 
 	"repro/internal/cascade"
+	"repro/internal/loopir"
 	"repro/internal/machine"
 	"repro/internal/metrics"
-	"repro/internal/wave5"
 )
 
 // Point-level decomposition of the sweep drivers. A decomposable
 // experiment can be split into an ordered list of independent simulation
 // points — each fully described by a serializable PointSpec — run
 // anywhere (another goroutine, another process, another node), and
-// reassembled by a merge step into exactly the Renderable the monolithic
-// driver produces. The contract the fabric's byte-identity guarantee
-// rests on:
+// reassembled by a merge step into the experiment's Renderable. For the
+// decomposed sweeps (fig2, fig6, warmsweep) RunDecomposed is the
+// single-node driver; the fabric runs the same three phases across
+// processes. The contract the fabric's byte-identity guarantee rests on:
 //
 //   - Points(rc) is deterministic: same RunConfig, same specs, same order.
 //   - Run(ctx, spec) depends only on the spec (every knob that influences
@@ -25,12 +26,14 @@ import (
 //     result on every node — and content-addressing point results by the
 //     canonical hash of the spec is sound.
 //   - Merge(rc, results) consumes index-ordered results and performs the
-//     exact arithmetic of the monolithic driver, so the merged result's
-//     canonical JSON is byte-identical to a single-node run's.
+//     same arithmetic wherever it runs, so the merged result's canonical
+//     JSON is byte-identical to a single-node run's.
 //
-// The equivalence tests in points_test.go pin all three properties for
-// the built-in decompositions (fig2, fig6), including a JSON round-trip
-// of every PointResult to prove identity survives wire transport.
+// The golden tests in golden_test.go pin the merged bytes of every
+// built-in decomposition against hashes recorded before the monolithic
+// sweep drivers were retired, through RunDecomposed, the registry, the warm path with a
+// JSON round-trip of every spec and PointResult, and (fig2, fig6) the
+// reference engine.
 
 // PointSpec fully describes one simulation point of a decomposed sweep.
 // Every field that can influence the simulated result is here; the spec
@@ -90,8 +93,9 @@ type PointResult struct {
 // resolved PrefixSpec (ok=false for points with no shareable prefix);
 // RunWarm executes the point's tail off a built PrefixState, and MUST
 // produce byte-identical results to Run — the worker substitutes it
-// freely whenever a cached snapshot is at hand. Callers serialize
-// RunWarm invocations per state (PrefixCache holds the state lock).
+// freely whenever a cached prefix is at hand. RunWarm may be called
+// concurrently on one state; a decomposition whose points mutate shared
+// prefix state serializes them itself.
 type Decomposition struct {
 	Points func(rc RunConfig) []PointSpec
 	Run    func(ctx context.Context, ps PointSpec) (PointResult, error)
@@ -175,19 +179,26 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // RunDecomposed runs a decomposable experiment locally — decompose, run
 // every point through the experiment pool, merge — reporting point
 // progress through the context (see WithPointProgress). It returns
-// ok=false when the experiment has no decomposition. This is the
-// single-node twin of the fabric's distributed path: both funnel through
-// the same Run and Merge, which is what makes "byte-identical to a
-// single-node run" a testable statement rather than a hope.
+// ok=false when the experiment has no decomposition. Points with a warm
+// path run it over a PrefixCache the sweep owns, so each prefix group is
+// built once per sweep, exactly as on a -warm-prefixes worker. This is
+// the single-node twin of the fabric's distributed path and the only
+// driver of the decomposed sweeps: both funnel through the same Run,
+// RunWarm and Merge, which is what makes "byte-identical to a single-node
+// run" a testable statement rather than a hope.
 func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Renderable, bool, error) {
 	d, ok := decompositions[experiment]
 	if !ok {
 		return nil, false, nil
 	}
 	specs := d.Points(rc)
+	prefixes := NewPrefixCache(0)
 	results := make([]PointResult, len(specs))
 	if err := parallelFor(ctx, len(specs), func(i int) error {
-		r, err := d.Run(ctx, specs[i])
+		r, warm, err := prefixes.RunPoint(ctx, specs[i])
+		if !warm {
+			r, err = d.Run(ctx, specs[i])
+		}
 		if err != nil {
 			return err
 		}
@@ -237,103 +248,71 @@ func ParseStrategy(tok string) (Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy token %q", tok)
 }
 
-// runPARMVRPoint executes one PARMVR simulation described by a spec and
-// reduces it to the raw measurements every PARMVR merge consumes.
-func runPARMVRPoint(ps PointSpec) (PointResult, error) {
-	cfg, err := machineByName(ps.Machine)
-	if err != nil {
-		return PointResult{}, err
-	}
-	strat, err := ParseStrategy(ps.Strategy)
-	if err != nil {
-		return PointResult{}, err
-	}
-	rr, err := RunPARMVR(cfg.WithProcs(ps.Procs), wave5.DefaultParams().Scaled(ps.Scale), strat, ps.ChunkKB*1024)
-	if err != nil {
-		return PointResult{}, err
-	}
-	res := PointResult{Index: ps.Index, Cycles: TotalCycles(rr), Metrics: MergeMetrics(rr)}
+// parmvrResult reduces a PARMVR call's per-loop results to the raw
+// measurements every PARMVR merge consumes.
+func parmvrResult(index int, rr []cascade.Result) PointResult {
+	res := PointResult{Index: index, Cycles: TotalCycles(rr), Metrics: MergeMetrics(rr)}
 	for _, r := range rr {
 		res.HelperIters += int64(r.HelperIters)
 		res.TotalIters += int64(r.TotalIters)
 	}
-	return res, nil
+	return res
 }
 
-// parmvrPrefix declares a fig2/fig6 point's shared prefix: the dataset
-// build and machine construction, no distribution, no warm-up calls —
-// exactly the strategy-independent head of RunPARMVR. Fig6 points share
-// one prefix per machine (fixed procs, fixed scale); fig2's processor
-// sweep gets one per (machine, procs).
+// parmvrPrefix declares a fig2/fig6 point's shared prefix: the cold-call
+// prefix of its (machine, procs, scale), holding every loop's
+// prior-parallel start state — the strategy-independent part of
+// RunPARMVR. Fig6 points share one prefix per machine (fixed procs,
+// fixed scale); fig2's processor sweep gets one per (machine, procs).
 func parmvrPrefix(ps PointSpec) (PrefixSpec, bool) {
 	return PrefixSpec{Machine: ps.Machine, Procs: ps.Procs, Scale: ps.Scale}, true
 }
 
-// runPARMVRPointWarm is runPARMVRPoint off a shared prefix: the fork
-// replaces machine.New, the restored space replaces wave5.Build, and the
-// per-loop body is identical — cascade.Run resets caches per loop either
-// way, so the fork of the freshly-constructed machine is observably the
-// freshly-constructed machine.
-func runPARMVRPointWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
+// runPARMVRPoint is a fig2/fig6 point's cold path: the warm path off a
+// private, freshly built prefix, so warm and cold are byte-identical by
+// construction.
+func runPARMVRPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
+	spec, _ := parmvrPrefix(ps)
+	st, err := BuildPrefix(ctx, spec)
+	if err != nil {
+		return PointResult{}, err
+	}
+	return runPARMVRPointWarm(ctx, st, ps)
+}
+
+// runPARMVRPointWarm runs one fig2/fig6 point off a cold-call prefix:
+// RunPARMVR on the point's own machine and dataset, with each loop's
+// prior-parallel distribution loaded from the prefix's capture instead
+// of simulated. The state is only read, so points sharing it run
+// concurrently.
+func runPARMVRPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
 		return PointResult{}, err
 	}
-	m, err := st.fork()
+	rr, err := runPARMVR(st.cfg, st.p, strat, ps.ChunkKB*1024, func(m *machine.Machine, i int, _ *loopir.Loop) error {
+		return m.LoadCapture(st.starts[i])
+	})
 	if err != nil {
 		return PointResult{}, err
 	}
-	results := make([]cascade.Result, 0, len(st.w.Loops))
-	for _, l := range st.w.Loops {
-		var r cascade.Result
-		if strat == Sequential {
-			r = cascade.RunSequential(m, l, true)
-		} else {
-			opts, oerr := cascade.NewOptions(
-				cascade.WithHelper(strat.helper()),
-				cascade.WithSpace(st.w.Space),
-				cascade.WithChunkBytes(ps.ChunkKB*1024),
-			)
-			if oerr != nil {
-				return PointResult{}, oerr
-			}
-			r, err = cascade.Run(m, l, opts)
-			if err != nil {
-				return PointResult{}, err
-			}
-		}
-		results = append(results, r)
-	}
-	res := PointResult{Index: ps.Index, Cycles: TotalCycles(results), Metrics: MergeMetrics(results)}
-	for _, r := range results {
-		res.HelperIters += int64(r.HelperIters)
-		res.TotalIters += int64(r.TotalIters)
-	}
-	return res, nil
+	return parmvrResult(ps.Index, rr), nil
 }
 
 func init() {
 	RegisterDecomposition("fig2", Decomposition{
-		Points: fig2Points,
-		Run: func(ctx context.Context, ps PointSpec) (PointResult, error) {
-			return runPARMVRPoint(ps)
-		},
-		Merge:  fig2Merge,
-		Prefix: parmvrPrefix,
-		RunWarm: func(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
-			return runPARMVRPointWarm(st, ps)
-		},
+		Points:  fig2Points,
+		Run:     runPARMVRPoint,
+		Merge:   fig2Merge,
+		Prefix:  parmvrPrefix,
+		RunWarm: runPARMVRPointWarm,
 	})
 	RegisterDecomposition("fig6", Decomposition{
-		Points: fig6Points,
-		Run: func(ctx context.Context, ps PointSpec) (PointResult, error) {
-			return runPARMVRPoint(ps)
-		},
-		Merge:  fig6Merge,
-		Prefix: parmvrPrefix,
-		RunWarm: func(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
-			return runPARMVRPointWarm(st, ps)
-		},
+		Points:  fig6Points,
+		Run:     runPARMVRPoint,
+		Merge:   fig6Merge,
+		Prefix:  parmvrPrefix,
+		RunWarm: runPARMVRPointWarm,
 	})
 }
 

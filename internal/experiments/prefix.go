@@ -2,27 +2,31 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 
+	"repro/internal/cascade"
 	"repro/internal/machine"
 	"repro/internal/memsim"
 	"repro/internal/wave5"
 )
 
-// Worker-side prefix-snapshot reuse. Sweep points overwhelmingly share a
-// strategy-independent prefix — the same dataset build, the same machine
-// construction, the same warm-up calls — and differ only in the tail
-// (strategy, chunk size, processor count). A decomposition that declares
-// its points' prefixes lets a worker simulate each distinct prefix once,
-// park the sealed machine.Snapshot in a bounded LRU, and Fork per point:
-// O(points x full-run) becomes O(prefixes x prefix + points x tail).
+// Prefix reuse. Sweep points overwhelmingly share strategy-independent
+// work — the warm-up calls of a steady-state sweep, the prior-parallel
+// start state of every loop of a cold call — and differ only in the tail
+// (strategy, chunk size). A decomposition that declares its points'
+// prefixes lets a worker, or RunDecomposed, simulate each distinct prefix
+// once and park it in a bounded LRU: a sealed machine.Snapshot forked per
+// point, or one packed machine.Capture per loop loaded per point. O(points
+// x full-run) becomes O(prefixes x prefix + points x tail).
 //
 // The contract that keeps the fabric's byte-identity guarantee intact:
 // RunWarm(BuildPrefix(Prefix(ps)), ps) must produce exactly the bytes
 // Run(ps) produces, for every point that declares a prefix. The
 // decompositions here satisfy it by construction — the cold Run path is
 // literally BuildPrefix followed by RunWarm on a private state — and the
-// equivalence tests in prefix_test.go pin it.
+// equivalence tests in prefix_test.go and golden_test.go pin it.
 
 // PrefixSpec is the serializable resolved description of a shared sweep
 // prefix. Everything that determines the post-prefix machine state is a
@@ -34,36 +38,53 @@ type PrefixSpec struct {
 	Procs   int    `json:"procs"`
 	// Scale is the PARMVR dataset scale factor.
 	Scale float64 `json:"scale"`
-	// WarmupCalls sequential full-PARMVR calls run before the snapshot.
+	// WarmupCalls sequential full-PARMVR calls run before the snapshot of
+	// a warm prefix.
 	WarmupCalls int `json:"warmup_calls"`
-	// Distribute models the surrounding parallel phases by distributing
-	// the dataset's lines dirty across caches before the warm-up calls.
+	// Distribute selects the prefix kind. True is a warm prefix: the
+	// surrounding parallel phases distribute the whole dataset's lines
+	// dirty across caches, the warm-up calls run, and the machine is
+	// sealed in a copy-on-write snapshot. False is a cold-call prefix:
+	// for every PARMVR loop, the state that loop of a cold call starts
+	// from (caches reset, then the loop's own data distributed dirty by
+	// the parallel section before it), held as a packed capture.
 	Distribute bool `json:"distribute,omitempty"`
 }
 
-// PrefixState is a built prefix: the workload, the sealed machine
-// snapshot, and the space checkpoint every point forks from. Points
-// sharing one state must serialize (they restore and mutate the shared
-// Space); callers hold mu across RunWarm.
+// PrefixState is a built prefix. A warm prefix holds the workload, the
+// sealed machine snapshot and the space checkpoint every point forks
+// from; its points restore and mutate the one shared Space, so they
+// serialize on mu (warmsweepRunWarm holds it). A cold-call prefix holds
+// one immutable capture per loop and nothing a point writes: points load
+// the captures into their own machines over their own datasets, so any
+// number run concurrently without a lock.
 type PrefixState struct {
 	Spec PrefixSpec
 	Key  string
 
+	cfg machine.Config
+	p   wave5.Params
+	mem int64
+
+	// Warm prefixes.
 	mu   sync.Mutex
-	cfg  machine.Config
 	w    *wave5.PARMVR
 	snap *machine.Snapshot
 	ck   *memsim.SpaceState
-	mem  int64
+
+	// Cold-call prefixes: starts[i] is loop i's start state.
+	starts []*machine.Capture
 }
 
-// MemBytes estimates the host memory the state retains: the snapshot's
-// sealed component arrays plus the checkpointed address space.
+// MemBytes is the host memory the state retains: a warm prefix's sealed
+// snapshot arrays and checkpointed address space, or a cold-call prefix's
+// packed captures.
 func (st *PrefixState) MemBytes() int64 { return st.mem }
 
-// BuildPrefix simulates a prefix from scratch: dataset build, machine
-// construction, and — when the spec asks — data distribution plus the
-// warm-up calls, sealed with a snapshot and a space checkpoint.
+// BuildPrefix simulates a prefix from scratch: dataset build and machine
+// construction, then either every loop's cold-call start state, captured
+// (a cold-call prefix), or the data distribution plus the warm-up calls,
+// sealed with a snapshot and a space checkpoint (a warm prefix).
 func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	cfg, err := machineByName(spec.Machine)
 	if err != nil {
@@ -83,27 +104,37 @@ func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Distribute {
-		if err := runWarmPrefix(ctx, m, w, spec.WarmupCalls); err != nil {
-			return nil, err
+	st := &PrefixState{Spec: spec, Key: key, cfg: cfg, p: p}
+	if !spec.Distribute {
+		st.starts = make([]*machine.Capture, len(w.Loops))
+		for i, l := range w.Loops {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			cascade.ColdStart(m, l, true)
+			if st.starts[i], err = m.Capture(); err != nil {
+				return nil, err
+			}
+			st.mem += st.starts[i].MemBytes()
 		}
+		return st, nil
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
+	if err := runWarmPrefix(ctx, m, w, spec.WarmupCalls); err != nil {
 		return nil, err
 	}
-	mem := snap.MemBytes()
-	for _, a := range w.Space.Arrays() {
-		mem += int64(a.SizeBytes())
+	if st.snap, err = m.Snapshot(); err != nil {
+		return nil, err
 	}
-	return &PrefixState{
-		Spec: spec, Key: key, cfg: cfg, w: w,
-		snap: snap, ck: w.Space.Checkpoint(), mem: mem,
-	}, nil
+	st.w, st.ck = w, w.Space.Checkpoint()
+	st.mem = st.snap.MemBytes()
+	for _, a := range w.Space.Arrays() {
+		st.mem += int64(a.SizeBytes())
+	}
+	return st, nil
 }
 
-// fork rewinds the shared space to the checkpoint and builds a fresh
-// machine off the snapshot. Callers hold st.mu.
+// fork rewinds the shared space of a warm prefix to the checkpoint and
+// builds a fresh machine off the snapshot. Callers hold st.mu.
 func (st *PrefixState) fork() (*machine.Machine, error) {
 	m, err := st.snap.Fork()
 	if err != nil {
@@ -120,11 +151,11 @@ type PrefixCacheStats struct {
 	Bytes, MaxBytes         int64
 }
 
-// PrefixCache is the worker's bounded snapshot LRU: prefix key -> built
-// PrefixState, capped by estimated bytes. Concurrent requests for the
-// same key single-flight the build; an evicted state stays usable by
-// points already holding it (sealed snapshot arrays are immutable), the
-// cache merely drops its reference.
+// PrefixCache is the worker's bounded prefix LRU: prefix key -> built
+// PrefixState, capped by MemBytes. Concurrent requests for the same key
+// single-flight the build; an evicted state stays usable by points
+// already holding it (snapshots and captures are immutable), the cache
+// merely drops its reference.
 type PrefixCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -132,17 +163,23 @@ type PrefixCache struct {
 	entries map[string]*prefixEntry
 	order   []string // LRU order, least recent first
 	stats   PrefixCacheStats
+
+	// build simulates a missing prefix (BuildPrefix; tests substitute
+	// instrumented builds).
+	build func(context.Context, PrefixSpec) (*PrefixState, error)
 }
 
+// prefixEntry is one key's single-flight build. st and err are written
+// once, under the cache's mu, before done closes.
 type prefixEntry struct {
-	once sync.Once
+	done chan struct{}
 	st   *PrefixState
 	err  error
 }
 
-// DefaultPrefixCacheBytes is the default snapshot-LRU ceiling: a few
-// paper-scale prefixes (a PARMVR space is ~25 MB at scale 1.0, an 8-proc
-// R10000 snapshot ~33 MB).
+// DefaultPrefixCacheBytes is the default prefix-LRU ceiling: a few
+// paper-scale prefixes (a PARMVR space is ~25 MB at scale 1.0; cache
+// state is line records, well under 10 MB for an 8-proc R10000).
 const DefaultPrefixCacheBytes = 256 << 20
 
 // NewPrefixCache returns a cache bounded by maxBytes of estimated state
@@ -151,7 +188,7 @@ func NewPrefixCache(maxBytes int64) *PrefixCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPrefixCacheBytes
 	}
-	return &PrefixCache{max: maxBytes, entries: map[string]*prefixEntry{}}
+	return &PrefixCache{max: maxBytes, entries: map[string]*prefixEntry{}, build: BuildPrefix}
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -165,7 +202,11 @@ func (c *PrefixCache) Stats() PrefixCacheStats {
 }
 
 // state returns the built PrefixState for spec, building it on first use
-// (single-flight per key) and recording the LRU touch.
+// (single-flight per key) and recording the LRU touch. The build runs on
+// its own goroutine under a context detached from every caller's
+// cancellation, so a caller that gives up — its ctx cancelled or timed
+// out — stops waiting with its own ctx error while the build finishes
+// for the callers still waiting and for later ones.
 func (c *PrefixCache) state(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	cfg, err := machineByName(spec.Machine)
 	if err != nil {
@@ -179,29 +220,51 @@ func (c *PrefixCache) state(ctx context.Context, spec PrefixSpec) (*PrefixState,
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
-		e = &prefixEntry{}
+		e = &prefixEntry{done: make(chan struct{})}
 		c.entries[key] = e
 		c.stats.Misses++
+		go c.fill(context.WithoutCancel(ctx), key, spec, e)
 	} else {
 		c.stats.Hits++
 	}
 	c.touch(key)
 	c.mu.Unlock()
 
-	e.once.Do(func() {
-		e.st, e.err = BuildPrefix(ctx, spec)
-		if e.err != nil {
-			c.mu.Lock()
+	select {
+	case <-e.done:
+		return e.st, e.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// fill builds one entry's state and publishes it: a built state is
+// charged to the byte ceiling (unless the entry was evicted meanwhile), a
+// failed build leaves the cache so the next request retries. A panicking
+// build becomes the entry's error rather than killing the process.
+func (c *PrefixCache) fill(ctx context.Context, key string, spec PrefixSpec, e *prefixEntry) {
+	var st *PrefixState
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("prefix build panicked: %v\n%s", r, debug.Stack())
+			}
+		}()
+		st, err = c.build(ctx, spec)
+	}()
+	c.mu.Lock()
+	e.st, e.err = st, err
+	if c.entries[key] == e {
+		if err != nil {
 			c.drop(key)
-			c.mu.Unlock()
-			return
+		} else {
+			c.used += st.MemBytes()
+			c.evictLocked(key)
 		}
-		c.mu.Lock()
-		c.used += e.st.MemBytes()
-		c.evictLocked(key)
-		c.mu.Unlock()
-	})
-	return e.st, e.err
+	}
+	c.mu.Unlock()
+	close(e.done)
 }
 
 // touch moves key to the most-recent end of the LRU order (appending it
@@ -249,10 +312,11 @@ func (c *PrefixCache) evictLocked(keep string) {
 
 // RunPoint executes one spec through the warm path when its
 // decomposition declares a prefix for it: the prefix state is fetched
-// from (or built into) the cache and the point forks off it. ok is false
-// when the point has no warm path — the caller falls back to the cold
-// RunPoint. The per-state lock serializes points sharing one prefix;
-// distinct prefixes run concurrently.
+// from (or built into) the cache and the point runs its tail off it. ok
+// is false when the point has no warm path — the caller falls back to
+// the cold RunPoint. The cache takes no lock around RunWarm: a
+// decomposition whose points mutate shared prefix state serializes them
+// itself (warmsweep does).
 func (c *PrefixCache) RunPoint(ctx context.Context, ps PointSpec) (PointResult, bool, error) {
 	d, reg := decompositions[ps.Experiment]
 	if !reg || d.Prefix == nil || d.RunWarm == nil {
@@ -266,8 +330,6 @@ func (c *PrefixCache) RunPoint(ctx context.Context, ps PointSpec) (PointResult, 
 	if err != nil {
 		return PointResult{}, true, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	res, err := d.RunWarm(ctx, st, ps)
 	return res, true, err
 }

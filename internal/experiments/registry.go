@@ -158,10 +158,7 @@ func registry() []Experiment {
 		{
 			Name:        "fig2",
 			Description: "overall PARMVR speedup vs processor count (Figure 2)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("fig2: PARMVR processor sweep (scale %.2f)...", rc.Scale)
-				return Fig2(ctx, rc.Params(), rc.ChunkBytes)
-			},
+			Run:         decomposedExperiment("fig2", "PARMVR processor sweep"),
 		},
 		{
 			Name:        "fig3",
@@ -181,10 +178,7 @@ func registry() []Experiment {
 		{
 			Name:        "fig6",
 			Description: "effect of chunk size on PARMVR speedup (Figure 6)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("fig6: chunk-size sweep (scale %.2f)...", rc.Scale)
-				return Fig6(ctx, rc.Params())
-			},
+			Run:         decomposedExperiment("fig6", "chunk-size sweep"),
 		},
 		{
 			Name:        "fig7",
@@ -281,6 +275,16 @@ func Lookup(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// decomposedExperiment builds the run function of a decomposed sweep:
+// the one local driver, RunDecomposed.
+func decomposedExperiment(name, what string) func(context.Context, RunConfig) (Renderable, error) {
+	return func(ctx context.Context, rc RunConfig) (Renderable, error) {
+		rc.progress("%s: %s (scale %.2f)...", name, what, rc.Scale)
+		r, _, err := RunDecomposed(ctx, name, rc)
+		return r, err
+	}
 }
 
 // breakdownExperiment builds the run function for Figures 3, 4 and 5 —

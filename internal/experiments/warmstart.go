@@ -217,12 +217,15 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 
 // warmsweepRunWarm measures one warm point off a built prefix, exactly
 // as WarmSweep's loop body does: fork, rewind the space, run the
-// steady-state call, count the still-shared components.
+// steady-state call, count the still-shared components. The points of
+// one prefix share its Space, so they serialize on the state's lock.
 func warmsweepRunWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
 		return PointResult{}, err
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	m, err := st.fork()
 	if err != nil {
 		return PointResult{}, err
@@ -304,13 +307,7 @@ func init() {
 // phases around the calls distribute the data dirty across caches, then
 // the warm-up calls run sequentially.
 func runWarmPrefix(ctx context.Context, m *machine.Machine, w *wave5.PARMVR, warmupCalls int) error {
-	var ranges []machine.AddrRange
-	for _, l := range w.Loops {
-		for _, ar := range l.AddrRanges() {
-			ranges = append(ranges, machine.AddrRange{Base: ar.Base, Bytes: ar.Bytes})
-		}
-	}
-	m.DistributeLines(ranges)
+	distributeDataset(m, w)
 	for c := 0; c < warmupCalls; c++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -322,24 +319,24 @@ func runWarmPrefix(ctx context.Context, m *machine.Machine, w *wave5.PARMVR, war
 	return nil
 }
 
-// runWarmPoint runs one steady-state full-PARMVR call on a warm fork.
+// distributeDataset spreads every PARMVR loop's data dirty across m's
+// caches, as the parallel phases around a call leave it.
+func distributeDataset(m *machine.Machine, w *wave5.PARMVR) {
+	var ranges []machine.AddrRange
+	for _, l := range w.Loops {
+		for _, ar := range l.AddrRanges() {
+			ranges = append(ranges, machine.AddrRange{Base: ar.Base, Bytes: ar.Bytes})
+		}
+	}
+	m.DistributeLines(ranges)
+}
+
+// runWarmPoint runs one steady-state full-PARMVR call on m as its caches
+// stand.
 func runWarmPoint(m *machine.Machine, w *wave5.PARMVR, pt WarmPoint) ([]cascade.Result, error) {
 	results := make([]cascade.Result, 0, len(w.Loops))
 	for _, l := range w.Loops {
-		if pt.Strat == Sequential {
-			results = append(results, cascade.RunSequentialWarm(m, l))
-			continue
-		}
-		opts, err := cascade.NewOptions(
-			cascade.WithHelper(pt.Strat.helper()),
-			cascade.WithSpace(w.Space),
-			cascade.WithChunkBytes(pt.ChunkBytes),
-			cascade.WithKeepState(true), // the warm prefix is the state
-		)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cascade.Run(m, l, opts)
+		r, err := runPARMVRLoop(m, w.Space, l, pt.Strat, pt.ChunkBytes)
 		if err != nil {
 			return nil, err
 		}

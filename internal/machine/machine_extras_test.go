@@ -2,8 +2,10 @@ package machine
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/memsim"
 )
 
@@ -90,5 +92,57 @@ func TestValidateRejectsBadTLB(t *testing.T) {
 	cfg.TLB = cache.TLBConfig{Entries: 7, Assoc: 1, PageSize: 4096}
 	if err := cfg.Validate(); err == nil {
 		t.Error("bad TLB config accepted")
+	}
+}
+
+// TestSnapshotMemBytesCountsRecords pins Snapshot.MemBytes to the arrays
+// a snapshot holds: per processor, one 24-byte line record per L1 and L2
+// slot and one 24-byte entry per TLB slot, plus the bus shards. Caches
+// model presence, not data, so the figure is far below the cache sizes.
+func TestSnapshotMemBytesCountsRecords(t *testing.T) {
+	for _, cfg := range []Config{PentiumPro(4), R10000(8)} {
+		snap, err := MustNew(cfg).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := int64(cfg.L1.NumLines()+cfg.L2.NumLines()+cfg.TLB.Entries) * 24
+		want := int64(cfg.Procs)*per + int64(cfg.Procs)*int64(unsafe.Sizeof(coherence.Stats{}))
+		if got := snap.MemBytes(); got != want {
+			t.Errorf("%s/%d: MemBytes = %d, want %d", cfg.Name, cfg.Procs, got, want)
+		}
+		if dataBytes := int64(cfg.Procs) * int64(cfg.L1.Size+cfg.L2.Size); snap.MemBytes() >= dataBytes {
+			t.Errorf("%s/%d: MemBytes %d not below the cached data size %d", cfg.Name, cfg.Procs, snap.MemBytes(), dataBytes)
+		}
+	}
+}
+
+// TestCaptureHoldsValidLines pins Capture.MemBytes after a prior-parallel
+// distribution: every valid line costs its 24-byte record plus a 4-byte
+// slot index, and loading the capture reproduces the occupancy.
+func TestCaptureHoldsValidLines(t *testing.T) {
+	cfg := PentiumPro(4)
+	m := MustNew(cfg)
+	m.DistributeLines([]AddrRange{{Base: 0x100000, Bytes: 300 << 10}})
+	c, err := m.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var valid int64
+	for p := 0; p < m.Procs(); p++ {
+		valid += int64(m.Proc(p).Hierarchy().L1.ValidLines() + m.Proc(p).Hierarchy().L2.ValidLines())
+	}
+	want := valid*28 + int64(cfg.Procs*cfg.TLB.Entries)*24
+	if got := c.MemBytes(); got != want {
+		t.Errorf("Capture.MemBytes = %d, want %d", got, want)
+	}
+	fresh := MustNew(cfg)
+	if err := fresh.LoadCapture(c); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < cfg.Procs; p++ {
+		a, b := m.Proc(p).Hierarchy(), fresh.Proc(p).Hierarchy()
+		if a.L1.ValidLines() != b.L1.ValidLines() || a.L2.ValidLines() != b.L2.ValidLines() {
+			t.Errorf("p%d occupancy differs after load", p)
+		}
 	}
 }

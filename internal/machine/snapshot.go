@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -36,18 +37,17 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // registered sources, run-driver timers included).
 func (s *Snapshot) Metrics() metrics.Snapshot { return s.metrics }
 
-// MemBytes estimates the host memory retained by the snapshot's sealed
-// component state: every processor's cache data and tag arrays plus TLB
-// and victim-buffer entries, bounded by the configured geometries. It is
-// an upper-bound estimate for cache admission accounting (the snapshot
-// LRU's byte ceiling), not an exact measurement — sealed arrays are
-// shared copy-on-write with their machine, so the marginal cost of
-// keeping a snapshot is at most this figure.
+// MemBytes is the host memory the snapshot's sealed arrays occupy: every
+// processor's L1 and L2 slot records, TLB entries and victim-buffer
+// entries (see cache.HierarchyState.MemBytes), plus the bus shards.
+// Sealed arrays are shared copy-on-write with the machine they were taken
+// from, so this is the most that keeping the snapshot can cost.
 func (s *Snapshot) MemBytes() int64 {
-	// Data arrays dominate; tags, state words, and TLB/victim metadata
-	// are covered by the 2x factor.
-	per := int64(s.cfg.L1.Size+s.cfg.L2.Size) * 2
-	return int64(len(s.hiers)) * per
+	n := int64(len(s.bus)) * int64(unsafe.Sizeof(coherence.Stats{}))
+	for _, h := range s.hiers {
+		n += h.MemBytes()
+	}
+	return n
 }
 
 // Snapshot captures the machine's state. The machine keeps running
@@ -70,13 +70,13 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// forkCompatible checks that a machine built from cfg can adopt the
-// snapshot's component state. Simulation-speed knobs (Engine, Coalesce,
-// Parallel) and latency parameters may differ — they change how the tail
-// is simulated or charged, not the shape of the captured state — but the
-// structural fields must match.
-func (s *Snapshot) forkCompatible(cfg Config) error {
-	base := s.cfg
+// stateCompatible checks that a machine built from cfg can adopt the
+// component state of one built from base, from a snapshot or a capture.
+// Simulation-speed knobs (Engine, Coalesce, Parallel) and latency
+// parameters may differ — they change how the tail is simulated or
+// charged, not the shape of the captured state — but the structural
+// fields must match.
+func stateCompatible(base, cfg Config) error {
 	switch {
 	case cfg.Procs != base.Procs:
 		return fmt.Errorf("machine: fork changes processor count %d -> %d", base.Procs, cfg.Procs)
@@ -98,7 +98,7 @@ func (s *Snapshot) forkCompatible(cfg Config) error {
 // construction remain valid. The machine must be fork-compatible with
 // the snapshot.
 func (m *Machine) Restore(s *Snapshot) error {
-	if err := s.forkCompatible(m.cfg); err != nil {
+	if err := stateCompatible(s.cfg, m.cfg); err != nil {
 		return err
 	}
 	if m.bus.Isolated() {
@@ -128,7 +128,7 @@ func (s *Snapshot) Fork(opts ...Option) (*Machine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := s.forkCompatible(cfg); err != nil {
+	if err := stateCompatible(s.cfg, cfg); err != nil {
 		return nil, err
 	}
 	m, err := New(cfg)

@@ -97,10 +97,10 @@ type Config struct {
 	// disk cache at startup (cache.quarantine_purged counts removals).
 	// 0 means DefaultQuarantineTTL; negative disables the sweep.
 	QuarantineTTL time.Duration
-	// WarmPrefixes enables worker-side prefix-snapshot reuse for shipped
-	// points: a point whose decomposition declares a shared warm prefix
-	// executes against a sealed machine snapshot from a bounded LRU
-	// instead of rebuilding the sweep prefix. Byte-identical results
+	// WarmPrefixes enables worker-side prefix reuse for shipped points: a
+	// point whose decomposition declares a shared prefix executes off the
+	// built prefix state from a bounded LRU (a sealed machine snapshot or
+	// per-loop packed captures) instead of rebuilding the sweep prefix. Byte-identical results
 	// either way (the experiments layer pins the RunWarm contract) —
 	// purely a wall-clock optimization for prefix-heavy sweeps.
 	WarmPrefixes bool
