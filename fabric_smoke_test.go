@@ -3,9 +3,9 @@ package repro_test
 // Process-level smoke test for the distributed sweep fabric: builds the
 // real cascade-coordinator and cascade-server binaries, boots a
 // three-process fleet (one coordinator, two workers sharing a cache
-// directory), runs a small fig6 sweep end-to-end with progress
-// streaming, and diffs the merged result against the single-node
-// driver's bytes.
+// directory), runs a small fig6 sweep and a fig5 breakdown end-to-end
+// with progress streaming, and diffs each merged result against the
+// single-node driver's bytes.
 //
 // Gated behind FABRIC_SMOKE=1 (CI's fabric-smoke job, `make
 // fabric-smoke` locally): it compiles binaries and binds TCP ports,
@@ -171,83 +171,13 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// Submit a small real sweep and stream it to completion.
-	params := server.JobParams{Scale: 0.02}
-	body, _ := json.Marshal(map[string]interface{}{"experiment": "fig6", "params": params})
-	resp, err := http.Post(coordURL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var submitted server.Envelope
-	err = json.NewDecoder(resp.Body).Decode(&submitted)
-	resp.Body.Close()
-	if err != nil || submitted.Job == nil {
-		t.Fatalf("submit: err=%v env=%+v", err, submitted)
-	}
-
-	req, _ := http.NewRequest("GET", coordURL+"/v1/jobs/"+submitted.Job.ID+"?wait=120s", nil)
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var frames []server.Envelope
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var f server.Envelope
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
-		}
-		frames = append(frames, f)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) == 0 {
-		t.Fatal("no ndjson frames")
-	}
-	final := frames[len(frames)-1]
-	if final.Job == nil || final.Job.State != server.StateDone {
-		t.Fatalf("final frame: %+v", final)
-	}
-
-	// Diff the merged result against the single-node driver.
-	res, ok, err := experiments.RunDecomposed(context.Background(), "fig6",
-		params.WithDefaults().RunConfig())
-	if err != nil || !ok {
-		t.Fatalf("single-node fig6: ok=%v err=%v", ok, err)
-	}
-	want, err := server.RenderJSON(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotC, wantC bytes.Buffer
-	if err := json.Compact(&gotC, final.Result); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Compact(&wantC, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotC.Bytes(), wantC.Bytes()) {
-		t.Fatalf("fleet result differs from single-node run:\n got: %s\nwant: %s", gotC.Bytes(), wantC.Bytes())
-	}
-
-	// The cached merged result must also serve byte-identically (the
-	// indented cache rendering, straight off the shared index).
-	resp, err = http.Get(coordURL + "/v1/cache/" + final.Job.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(cached, want) {
-		t.Fatalf("shared cache index: status %d, identical=%v", resp.StatusCode, bytes.Equal(cached, want))
-	}
+	// Run a small real sweep and a per-loop breakdown through the fleet;
+	// each must match the single-node driver byte for byte.
+	fleetDiff(t, coordURL, "fig6", server.JobParams{Scale: 0.02})
+	fleetDiff(t, coordURL, "fig5", server.JobParams{Scale: 0.01})
 
 	// Fleet metrics: points flowed, and the conservation identity holds.
-	resp, err = http.Get(coordURL + "/metrics")
+	resp, err := http.Get(coordURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +198,8 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 		vals["fabric.points.retried"], vals["fabric.points.failed"]; a != c+r+f {
 		t.Fatalf("conservation violated: assigned %d != completed %d + retried %d + failed %d", a, c, r, f)
 	}
-	if vals["fabric.jobs.completed"] != 1 {
-		t.Fatalf("jobs.completed = %d, want 1", vals["fabric.jobs.completed"])
+	if vals["fabric.jobs.completed"] != 2 {
+		t.Fatalf("jobs.completed = %d, want 2", vals["fabric.jobs.completed"])
 	}
 	if batch > 0 && vals["fabric.batches.dispatched"] == 0 {
 		t.Fatalf("no batched leases dispatched; metrics:\n%s", metricsBody)
@@ -298,5 +228,84 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 		if warmPoints == 0 {
 			t.Fatal("warm-prefix fleet retired no points through the warm path")
 		}
+	}
+}
+
+// fleetDiff submits one job to the coordinator, streams it to
+// completion, and diffs the merged result against RunDecomposed, both
+// as returned and as served from the shared cache index.
+func fleetDiff(t *testing.T, coordURL, experiment string, params server.JobParams) {
+	t.Helper()
+	body, _ := json.Marshal(map[string]interface{}{"experiment": experiment, "params": params})
+	resp, err := http.Post(coordURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submitted server.Envelope
+	err = json.NewDecoder(resp.Body).Decode(&submitted)
+	resp.Body.Close()
+	if err != nil || submitted.Job == nil {
+		t.Fatalf("%s submit: err=%v env=%+v", experiment, err, submitted)
+	}
+
+	req, _ := http.NewRequest("GET", coordURL+"/v1/jobs/"+submitted.Job.ID+"?wait=120s", nil)
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var frames []server.Envelope
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		var f server.Envelope
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatalf("%s: bad frame %q: %v", experiment, sc.Text(), err)
+		}
+		frames = append(frames, f)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) == 0 {
+		t.Fatalf("%s: no ndjson frames", experiment)
+	}
+	final := frames[len(frames)-1]
+	if final.Job == nil || final.Job.State != server.StateDone {
+		t.Fatalf("%s final frame: %+v", experiment, final)
+	}
+
+	// Diff the merged result against the single-node driver.
+	res, ok, err := experiments.RunDecomposed(context.Background(), experiment,
+		params.WithDefaults().RunConfig())
+	if err != nil || !ok {
+		t.Fatalf("single-node %s: ok=%v err=%v", experiment, ok, err)
+	}
+	want, err := server.RenderJSON(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotC, wantC bytes.Buffer
+	if err := json.Compact(&gotC, final.Result); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&wantC, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotC.Bytes(), wantC.Bytes()) {
+		t.Fatalf("fleet %s result differs from single-node run:\n got: %s\nwant: %s", experiment, gotC.Bytes(), wantC.Bytes())
+	}
+
+	// The cached merged result must also serve byte-identically (the
+	// indented cache rendering, straight off the shared index).
+	resp, err = http.Get(coordURL + "/v1/cache/" + final.Job.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(cached, want) {
+		t.Fatalf("%s shared cache index: status %d, identical=%v", experiment, resp.StatusCode, bytes.Equal(cached, want))
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/machine"
@@ -34,19 +35,19 @@ type BreakdownResult struct {
 	Stats map[Strategy][]LoopStats
 }
 
+// breakdownProcs is the processor count of Figures 3, 4 and 5.
+const breakdownProcs = 4
+
 // LoopBreakdown measures the fifteen PARMVR loops under all three
 // strategies on the given machine, with the paper's Figure 3-5
 // configuration (4 processors, 64KB chunks, unless overridden by cfg and
 // chunkBytes). The paper presents "the 12th call out of 5000" —
-// deterministic workload construction plays that role here.
+// deterministic workload construction plays that role here. The
+// registry's fig3-5 run the same measurement as one decomposed point
+// per (machine, strategy).
 func LoopBreakdown(ctx context.Context, cfg machine.Config, p wave5.Params, chunkBytes int) (*BreakdownResult, error) {
-	out := &BreakdownResult{
-		Machine:    cfg.Name,
-		Procs:      cfg.Procs,
-		ChunkBytes: chunkBytes,
-		Params:     p,
-		Stats:      make(map[Strategy][]LoopStats),
-	}
+	out := newBreakdown(cfg.Name, cfg.Procs, chunkBytes, p)
+	names := wave5.MustBuild(p).LoopNames()
 	for _, strat := range Strategies {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -55,20 +56,103 @@ func LoopBreakdown(ctx context.Context, cfg machine.Config, p wave5.Params, chun
 		if err != nil {
 			return nil, err
 		}
-		names := wave5.MustBuild(p).LoopNames()
-		stats := make([]LoopStats, len(results))
-		for i, r := range results {
-			stats[i] = LoopStats{
-				Loop:     names[i],
-				Strategy: strat,
-				Cycles:   r.Cycles,
-				L1Misses: r.ExecL1.Misses,
-				L2Misses: r.ExecL2.Misses,
-			}
-		}
-		out.Stats[strat] = stats
+		out.add(strat, loopResults(names, results))
 	}
 	return out, nil
+}
+
+func newBreakdown(name string, procs, chunkBytes int, p wave5.Params) *BreakdownResult {
+	return &BreakdownResult{
+		Machine:    name,
+		Procs:      procs,
+		ChunkBytes: chunkBytes,
+		Params:     p,
+		Stats:      make(map[Strategy][]LoopStats),
+	}
+}
+
+// add records one strategy's per-loop measurements.
+func (b *BreakdownResult) add(strat Strategy, loops []LoopResult) {
+	stats := make([]LoopStats, len(loops))
+	for i, l := range loops {
+		stats[i] = LoopStats{
+			Loop:     l.Loop,
+			Strategy: strat,
+			Cycles:   l.Cycles,
+			L1Misses: l.L1.Misses,
+			L2Misses: l.L2.Misses,
+		}
+	}
+	b.Stats[strat] = stats
+}
+
+// breakdownPoints decomposes Figures 3-5: per machine, one 4-processor
+// PARMVR call per strategy. Each point shares fig6's cold-call prefix
+// for its machine.
+func breakdownPoints(fig string) func(rc RunConfig) []PointSpec {
+	return func(rc RunConfig) []PointSpec {
+		var specs []PointSpec
+		for _, cfg := range Machines() {
+			for _, strat := range Strategies {
+				specs = append(specs, PointSpec{
+					Experiment: fig, Index: len(specs), Machine: cfg.Name, Procs: breakdownProcs,
+					Strategy: strat.Token(), ChunkKB: rc.ChunkBytes / 1024, Scale: rc.Scale,
+				})
+			}
+		}
+		return specs
+	}
+}
+
+// runBreakdownPointWarm is a fig3-5 point's warm path: the PARMVR call
+// of a fig6 point, reported per loop as well.
+func runBreakdownPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	rr, err := runPARMVRWarm(st, ps)
+	if err != nil {
+		return PointResult{}, err
+	}
+	res := parmvrResult(ps.Index, rr)
+	res.Loops = loopResults(st.names, rr)
+	return res, nil
+}
+
+// breakdownMerge rebuilds one figure's Group of per-machine breakdowns.
+func breakdownMerge(fig int) func(rc RunConfig, results []PointResult) (Renderable, error) {
+	return func(rc RunConfig, results []PointResult) (Renderable, error) {
+		machines := Machines()
+		if len(results) != len(machines)*len(Strategies) {
+			return nil, fmt.Errorf("fig%d merge: %d results, want %d", fig, len(results), len(machines)*len(Strategies))
+		}
+		var g Group
+		k := 0
+		for _, cfg := range machines {
+			b := newBreakdown(cfg.Name, breakdownProcs, rc.ChunkBytes, rc.Params())
+			for _, strat := range Strategies {
+				// The renderers index every strategy's rows by the
+				// sequential row's loop index.
+				if n := len(results[k].Loops); n != wave5.NumLoops {
+					return nil, fmt.Errorf("fig%d merge: point %d reports %d loops, want %d", fig, k, n, wave5.NumLoops)
+				}
+				b.add(strat, results[k].Loops)
+				k++
+			}
+			g = append(g, breakdownView{b, fig})
+		}
+		return g, nil
+	}
+}
+
+func init() {
+	for _, fig := range []int{3, 4, 5} {
+		name := fmt.Sprintf("fig%d", fig)
+		RegisterDecomposition(name, Decomposition{
+			Points:  breakdownPoints(name),
+			Run:     coldRun(parmvrPrefix, runBreakdownPointWarm),
+			Merge:   breakdownMerge(fig),
+			Prefix:  parmvrPrefix,
+			RunWarm: runBreakdownPointWarm,
+		})
+	}
 }
 
 // renderMetric writes one per-loop table with the given title and metric

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/cascade"
@@ -29,39 +30,104 @@ type ConflictResult struct {
 }
 
 // ConflictAnalysis runs the PARMVR loops sequentially with miss
-// classification enabled and returns per-loop, per-level classes.
+// classification enabled and returns per-loop, per-level classes. The
+// registry's conflicts runs the same measurement as one decomposed point
+// per machine.
 func ConflictAnalysis(ctx context.Context, cfg machine.Config, p wave5.Params) (*ConflictResult, error) {
-	w, err := wave5.Build(p)
+	loops, _, err := classifyLoops(ctx, cfg, p)
 	if err != nil {
 		return nil, err
+	}
+	return conflictResult(cfg.Name, loops), nil
+}
+
+// classifyLoops runs every PARMVR loop sequentially on a fresh machine
+// with miss classification enabled, returning each loop's measurements
+// and results.
+func classifyLoops(ctx context.Context, cfg machine.Config, p wave5.Params) ([]LoopResult, []cascade.Result, error) {
+	w, err := wave5.Build(p)
+	if err != nil {
+		return nil, nil, err
 	}
 	m, err := machine.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.EnableClassification()
-	out := &ConflictResult{Machine: cfg.Name}
+	rr := make([]cascade.Result, 0, len(w.Loops))
 	for _, l := range w.Loops {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// RunSequential resets caches (and therefore stats) at entry, so
 		// the post-run counters cover exactly this loop. The simulated
 		// prior parallel section touches every line first, so compulsory
 		// counts stay near zero — as they would on the real application,
 		// where the data was produced by earlier phases.
-		cascade.RunSequential(m, l, true)
-		l1, l2 := m.L1Stats(), m.L2Stats()
-		out.L1 = append(out.L1, LoopMissClasses{
-			Loop: l.Name, Misses: l1.Misses,
-			Compulsory: l1.Compulsory, Capacity: l1.Capacity, Conflict: l1.Conflict,
-		})
-		out.L2 = append(out.L2, LoopMissClasses{
-			Loop: l.Name, Misses: l2.Misses,
-			Compulsory: l2.Compulsory, Capacity: l2.Capacity, Conflict: l2.Conflict,
+		rr = append(rr, cascade.RunSequential(m, l, true))
+	}
+	return loopResults(w.LoopNames(), rr), rr, nil
+}
+
+// conflictResult rebuilds one machine's classification from its loops.
+func conflictResult(name string, loops []LoopResult) *ConflictResult {
+	out := &ConflictResult{Machine: name}
+	classes := func(loop string, m LoopMisses) LoopMissClasses {
+		return LoopMissClasses{Loop: loop, Misses: m.Misses,
+			Compulsory: m.Compulsory, Capacity: m.Capacity, Conflict: m.Conflict}
+	}
+	for _, l := range loops {
+		out.L1 = append(out.L1, classes(l.Loop, l.L1))
+		out.L2 = append(out.L2, classes(l.Loop, l.L2))
+	}
+	return out
+}
+
+// conflictsPoints decomposes the classification: one sequential point
+// per machine, at its full processor count. Classification runs each
+// loop's prior-parallel distribution itself, so the points declare no
+// prefix.
+func conflictsPoints(rc RunConfig) []PointSpec {
+	var specs []PointSpec
+	for _, cfg := range Machines() {
+		specs = append(specs, PointSpec{
+			Experiment: "conflicts", Index: len(specs), Machine: cfg.Name, Procs: cfg.Procs,
+			Strategy: Sequential.Token(), Scale: rc.Scale,
 		})
 	}
-	return out, nil
+	return specs
+}
+
+func runConflictsPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
+	cfg, err := machineByName(ps.Machine)
+	if err != nil {
+		return PointResult{}, err
+	}
+	loops, rr, err := classifyLoops(ctx, cfg.WithProcs(ps.Procs), wave5.DefaultParams().Scaled(ps.Scale))
+	if err != nil {
+		return PointResult{}, err
+	}
+	return PointResult{Index: ps.Index, Cycles: TotalCycles(rr), Metrics: MergeMetrics(rr), Loops: loops}, nil
+}
+
+func conflictsMerge(rc RunConfig, results []PointResult) (Renderable, error) {
+	machines := Machines()
+	if len(results) != len(machines) {
+		return nil, fmt.Errorf("conflicts merge: %d results, want %d", len(results), len(machines))
+	}
+	var g Group
+	for i, cfg := range machines {
+		g = append(g, conflictResult(cfg.Name, results[i].Loops))
+	}
+	return g, nil
+}
+
+func init() {
+	RegisterDecomposition("conflicts", Decomposition{
+		Points: conflictsPoints,
+		Run:    runConflictsPoint,
+		Merge:  conflictsMerge,
+	})
 }
 
 // Totals sums a level's classes.

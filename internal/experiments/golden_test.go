@@ -16,8 +16,8 @@ import (
 // testdata/golden.json maps "<experiment> scale=<s>" to the SHA-256 of the
 // experiment's result rendered as `cascade-sim -json` prints it (indented,
 // trailing newline), at the default chunk budget. The hashes were recorded
-// from the monolithic sweep drivers the decomposed ones replaced; every
-// path that produces these results must keep producing these bytes.
+// from the serial drivers the decompositions replaced; every path that
+// produces these results must keep producing these bytes.
 var goldenScales = []float64{0.01, 0.02}
 
 func loadGolden(t *testing.T) map[string]string {
@@ -46,17 +46,18 @@ func checkGolden(t *testing.T, golden map[string]string, key, path string, r Ren
 	}
 }
 
-// TestGoldenDecomposed pins the decomposed sweeps' bytes through every
-// local path: RunDecomposed (with point progress reported to the end),
-// the registry's run function (what cascade-sim and the server's
+// TestGoldenDecomposed pins every decomposed experiment's bytes through
+// every local path: RunDecomposed (with point progress reported to the
+// end), the registry's run function (what cascade-sim and the server's
 // whole-job path call), and the warm path over a fresh PrefixCache with
-// the fabric's JSON round-trip on every spec and result.
+// the fabric's JSON round-trip on every spec and result (points without
+// a warm path take the cold one, as on a worker).
 func TestGoldenDecomposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweeps")
 	}
 	golden := loadGolden(t)
-	for _, name := range []string{"fig2", "fig6", "warmsweep"} {
+	for _, name := range DecomposableExperiments() {
 		exp, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)

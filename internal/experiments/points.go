@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/cascade"
 	"repro/internal/loopir"
 	"repro/internal/machine"
@@ -16,9 +17,9 @@ import (
 // points — each fully described by a serializable PointSpec — run
 // anywhere (another goroutine, another process, another node), and
 // reassembled by a merge step into the experiment's Renderable. For the
-// decomposed sweeps (fig2, fig6, warmsweep) RunDecomposed is the
-// single-node driver; the fabric runs the same three phases across
-// processes. The contract the fabric's byte-identity guarantee rests on:
+// decomposed experiments (fig2-fig6, conflicts, warmsweep) RunDecomposed
+// is the single-node driver; the fabric runs the same three phases
+// across processes. The contract the fabric's byte-identity guarantee rests on:
 //
 //   - Points(rc) is deterministic: same RunConfig, same specs, same order.
 //   - Run(ctx, spec) depends only on the spec (every knob that influences
@@ -30,10 +31,10 @@ import (
 //     JSON is byte-identical to a single-node run's.
 //
 // The golden tests in golden_test.go pin the merged bytes of every
-// built-in decomposition against hashes recorded before the monolithic
-// sweep drivers were retired, through RunDecomposed, the registry, the warm path with a
-// JSON round-trip of every spec and PointResult, and (fig2, fig6) the
-// reference engine.
+// built-in decomposition against hashes recorded from the serial drivers
+// the decompositions replaced, through RunDecomposed, the registry, the
+// warm path with a JSON round-trip of every spec and PointResult, and
+// (fig2, fig6) the reference engine.
 
 // PointSpec fully describes one simulation point of a decomposed sweep.
 // Every field that can influence the simulated result is here; the spec
@@ -82,6 +83,39 @@ type PointResult struct {
 	// still shared with its prefix snapshot after the measured call
 	// (warmsweep rows report it; cold sweeps omit it).
 	Shared int `json:"shared_components,omitempty"`
+	// Loops holds one entry per PARMVR loop for the merges that report
+	// per loop (fig3-5, conflicts); whole-call sweeps omit it.
+	Loops []LoopResult `json:"loops,omitempty"`
+}
+
+// LoopResult is one loop's raw measurements within a point: its cycles
+// and the misses its execution phases observed at each cache level.
+type LoopResult struct {
+	Loop   string     `json:"loop"`
+	Cycles int64      `json:"cycles"`
+	L1     LoopMisses `json:"l1"`
+	L2     LoopMisses `json:"l2"`
+}
+
+// LoopMisses is one cache level's miss count, with its classification
+// when the run classified misses (conflicts).
+type LoopMisses struct {
+	Misses     int64 `json:"misses"`
+	Compulsory int64 `json:"compulsory,omitempty"`
+	Capacity   int64 `json:"capacity,omitempty"`
+	Conflict   int64 `json:"conflict,omitempty"`
+}
+
+// loopResults pairs each loop's name with its measurements.
+func loopResults(names []string, rr []cascade.Result) []LoopResult {
+	misses := func(s cache.Stats) LoopMisses {
+		return LoopMisses{Misses: s.Misses, Compulsory: s.Compulsory, Capacity: s.Capacity, Conflict: s.Conflict}
+	}
+	out := make([]LoopResult, len(rr))
+	for i, r := range rr {
+		out[i] = LoopResult{Loop: names[i], Cycles: r.Cycles, L1: misses(r.ExecL1), L2: misses(r.ExecL2)}
+	}
+	return out
 }
 
 // Decomposition is a sweep driver split into its three distributable
@@ -93,9 +127,8 @@ type PointResult struct {
 // resolved PrefixSpec (ok=false for points with no shareable prefix);
 // RunWarm executes the point's tail off a built PrefixState, and MUST
 // produce byte-identical results to Run — the worker substitutes it
-// freely whenever a cached prefix is at hand. RunWarm may be called
-// concurrently on one state; a decomposition whose points mutate shared
-// prefix state serializes them itself.
+// freely whenever a cached prefix is at hand. RunWarm is called
+// concurrently on one state and must only read it.
 type Decomposition struct {
 	Points func(rc RunConfig) []PointSpec
 	Run    func(ctx context.Context, ps PointSpec) (PointResult, error)
@@ -181,20 +214,24 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // progress through the context (see WithPointProgress). It returns
 // ok=false when the experiment has no decomposition. Points with a warm
 // path run it over a PrefixCache the sweep owns, so each prefix group is
-// built once per sweep, exactly as on a -warm-prefixes worker. This is
+// built once per sweep, exactly as on a -warm-prefixes worker; points
+// are dispatched round-robin across prefix groups, so the pool builds
+// distinct prefixes side by side rather than waiting on one. This is
 // the single-node twin of the fabric's distributed path and the only
-// driver of the decomposed sweeps: both funnel through the same Run,
-// RunWarm and Merge, which is what makes "byte-identical to a single-node
-// run" a testable statement rather than a hope.
+// driver of the decomposed experiments: both funnel through the same
+// Run, RunWarm and Merge, which is what makes "byte-identical to a
+// single-node run" a testable statement rather than a hope.
 func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Renderable, bool, error) {
 	d, ok := decompositions[experiment]
 	if !ok {
 		return nil, false, nil
 	}
 	specs := d.Points(rc)
+	order := prefixInterleaved(d, specs)
 	prefixes := NewPrefixCache(0)
 	results := make([]PointResult, len(specs))
-	if err := parallelFor(ctx, len(specs), func(i int) error {
+	if err := parallelFor(ctx, len(specs), func(k int) error {
+		i := order[k]
 		r, warm, err := prefixes.RunPoint(ctx, specs[i])
 		if !warm {
 			r, err = d.Run(ctx, specs[i])
@@ -209,6 +246,40 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 	}
 	r, err := d.Merge(rc, results)
 	return r, true, err
+}
+
+// prefixInterleaved returns the spec indices in round-robin order over
+// their prefix groups (first point of each group in order of first
+// appearance, then every group's second, ...); points without a prefix
+// form one group of their own each.
+func prefixInterleaved(d Decomposition, specs []PointSpec) []int {
+	var groups [][]int
+	at := map[PrefixSpec]int{}
+	for i, ps := range specs {
+		g := len(groups)
+		if d.Prefix != nil {
+			if spec, ok := d.Prefix(ps); ok {
+				if seen, dup := at[spec]; dup {
+					g = seen
+				} else {
+					at[spec] = g
+				}
+			}
+		}
+		if g == len(groups) {
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	order := make([]int, 0, len(specs))
+	for round := 0; len(order) < len(specs); round++ {
+		for _, g := range groups {
+			if round < len(g) {
+				order = append(order, g[round])
+			}
+		}
+	}
+	return order
 }
 
 // machineByName resolves a preset name against Machines(), so a point
@@ -259,40 +330,50 @@ func parmvrResult(index int, rr []cascade.Result) PointResult {
 	return res
 }
 
-// parmvrPrefix declares a fig2/fig6 point's shared prefix: the cold-call
-// prefix of its (machine, procs, scale), holding every loop's
+// parmvrPrefix declares a fig2-fig6 point's shared prefix: the
+// cold-call prefix of its (machine, procs, scale), holding every loop's
 // prior-parallel start state — the strategy-independent part of
-// RunPARMVR. Fig6 points share one prefix per machine (fixed procs,
-// fixed scale); fig2's processor sweep gets one per (machine, procs).
+// RunPARMVR. Fig6 and fig3-5 points share one prefix per machine (4
+// procs, fixed scale); fig2's processor sweep gets one per (machine,
+// procs).
 func parmvrPrefix(ps PointSpec) (PrefixSpec, bool) {
 	return PrefixSpec{Machine: ps.Machine, Procs: ps.Procs, Scale: ps.Scale}, true
 }
 
-// runPARMVRPoint is a fig2/fig6 point's cold path: the warm path off a
-// private, freshly built prefix, so warm and cold are byte-identical by
-// construction.
-func runPARMVRPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
-	spec, _ := parmvrPrefix(ps)
-	st, err := BuildPrefix(ctx, spec)
-	if err != nil {
-		return PointResult{}, err
+// coldRun makes a decomposition's cold path out of its warm path: the
+// warm path off a private, freshly built prefix, so warm and cold are
+// byte-identical by construction.
+func coldRun(prefix func(PointSpec) (PrefixSpec, bool),
+	warm func(context.Context, *PrefixState, PointSpec) (PointResult, error)) func(context.Context, PointSpec) (PointResult, error) {
+	return func(ctx context.Context, ps PointSpec) (PointResult, error) {
+		spec, _ := prefix(ps)
+		st, err := BuildPrefix(ctx, spec)
+		if err != nil {
+			return PointResult{}, err
+		}
+		return warm(ctx, st, ps)
 	}
-	return runPARMVRPointWarm(ctx, st, ps)
 }
 
-// runPARMVRPointWarm runs one fig2/fig6 point off a cold-call prefix:
+// runPARMVRWarm runs a point's PARMVR call off a cold-call prefix:
 // RunPARMVR on the point's own machine and dataset, with each loop's
 // prior-parallel distribution loaded from the prefix's capture instead
 // of simulated. The state is only read, so points sharing it run
 // concurrently.
-func runPARMVRPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+func runPARMVRWarm(st *PrefixState, ps PointSpec) ([]cascade.Result, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
-		return PointResult{}, err
+		return nil, err
 	}
-	rr, err := runPARMVR(st.cfg, st.p, strat, ps.ChunkKB*1024, func(m *machine.Machine, i int, _ *loopir.Loop) error {
+	return runPARMVR(st.cfg, st.p, strat, ps.ChunkKB*1024, func(m *machine.Machine, i int, _ *loopir.Loop) error {
 		return m.LoadCapture(st.starts[i])
 	})
+}
+
+// runPARMVRPointWarm is a fig2/fig6 point's warm path: the whole call's
+// raw measurements.
+func runPARMVRPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	rr, err := runPARMVRWarm(st, ps)
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -302,14 +383,14 @@ func runPARMVRPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (Point
 func init() {
 	RegisterDecomposition("fig2", Decomposition{
 		Points:  fig2Points,
-		Run:     runPARMVRPoint,
+		Run:     coldRun(parmvrPrefix, runPARMVRPointWarm),
 		Merge:   fig2Merge,
 		Prefix:  parmvrPrefix,
 		RunWarm: runPARMVRPointWarm,
 	})
 	RegisterDecomposition("fig6", Decomposition{
 		Points:  fig6Points,
-		Run:     runPARMVRPoint,
+		Run:     coldRun(parmvrPrefix, runPARMVRPointWarm),
 		Merge:   fig6Merge,
 		Prefix:  parmvrPrefix,
 		RunWarm: runPARMVRPointWarm,

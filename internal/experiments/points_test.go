@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/wave5"
 )
 
 // renderIndented marshals exactly as the serving layer renders results
@@ -141,5 +142,61 @@ func TestStrategyTokens(t *testing.T) {
 	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Error("ParseStrategy accepted a bogus token")
+	}
+}
+
+// TestPrefixInterleaved pins RunDecomposed's dispatch order: a
+// permutation of the point indices that visits prefix groups round-robin,
+// so the first points dispatched start distinct prefix builds, and that
+// keeps the decomposition's order for points without a prefix.
+func TestPrefixInterleaved(t *testing.T) {
+	rc := DefaultRunConfig()
+	for _, name := range DecomposableExperiments() {
+		d := decompositions[name]
+		specs := d.Points(rc)
+		order := prefixInterleaved(d, specs)
+		seen := make([]bool, len(specs))
+		for _, i := range order {
+			if i < 0 || i >= len(specs) || seen[i] {
+				t.Fatalf("%s: order %v is not a permutation of %d points", name, order, len(specs))
+			}
+			seen[i] = true
+		}
+		if len(order) != len(specs) {
+			t.Fatalf("%s: order has %d of %d points", name, len(order), len(specs))
+		}
+		if d.Prefix == nil {
+			for k, i := range order {
+				if i != k {
+					t.Errorf("%s: prefix-free points reordered: %v", name, order)
+					break
+				}
+			}
+			continue
+		}
+		first, _ := d.Prefix(specs[order[0]])
+		second, _ := d.Prefix(specs[order[1]])
+		if first == second {
+			t.Errorf("%s: first two dispatched points share prefix %+v", name, first)
+		}
+	}
+}
+
+// TestBreakdownMergeRejectsShortLoops pins that a fig3-5 merge refuses a
+// point result (from a worker, over the wire) whose per-loop rows do not
+// cover every loop, rather than rendering a table that indexes past them.
+func TestBreakdownMergeRejectsShortLoops(t *testing.T) {
+	rc := DefaultRunConfig()
+	specs, _ := Decompose("fig3", rc)
+	results := make([]PointResult, len(specs))
+	for i := range results {
+		results[i] = PointResult{Index: i, Loops: make([]LoopResult, wave5.NumLoops)}
+	}
+	if _, err := MergePoints("fig3", rc, results); err != nil {
+		t.Fatalf("complete results: %v", err)
+	}
+	results[1].Loops = results[1].Loops[:3]
+	if _, err := MergePoints("fig3", rc, results); err == nil {
+		t.Error("merge accepted a point with 3 of 15 loops")
 	}
 }

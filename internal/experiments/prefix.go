@@ -51,13 +51,13 @@ type PrefixSpec struct {
 	Distribute bool `json:"distribute,omitempty"`
 }
 
-// PrefixState is a built prefix. A warm prefix holds the workload, the
-// sealed machine snapshot and the space checkpoint every point forks
-// from; its points restore and mutate the one shared Space, so they
-// serialize on mu (warmsweepRunWarm holds it). A cold-call prefix holds
-// one immutable capture per loop and nothing a point writes: points load
-// the captures into their own machines over their own datasets, so any
-// number run concurrently without a lock.
+// PrefixState is a built prefix, immutable once built: any number of
+// points run off one state concurrently, without a lock. A warm prefix
+// holds the sealed machine snapshot and the space checkpoint every point
+// forks from; each point builds its own dataset and loads the checkpoint
+// into it (memsim.Space.LoadState). A cold-call prefix holds one capture
+// per loop, which points load into their own machines over their own
+// datasets.
 type PrefixState struct {
 	Spec PrefixSpec
 	Key  string
@@ -67,13 +67,13 @@ type PrefixState struct {
 	mem int64
 
 	// Warm prefixes.
-	mu   sync.Mutex
-	w    *wave5.PARMVR
 	snap *machine.Snapshot
 	ck   *memsim.SpaceState
 
-	// Cold-call prefixes: starts[i] is loop i's start state.
+	// Cold-call prefixes: starts[i] is the start state of the loop
+	// named names[i].
 	starts []*machine.Capture
+	names  []string
 }
 
 // MemBytes is the host memory the state retains: a warm prefix's sealed
@@ -107,6 +107,7 @@ func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	st := &PrefixState{Spec: spec, Key: key, cfg: cfg, p: p}
 	if !spec.Distribute {
 		st.starts = make([]*machine.Capture, len(w.Loops))
+		st.names = w.LoopNames()
 		for i, l := range w.Loops {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -125,7 +126,7 @@ func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	if st.snap, err = m.Snapshot(); err != nil {
 		return nil, err
 	}
-	st.w, st.ck = w, w.Space.Checkpoint()
+	st.ck = w.Space.Checkpoint()
 	st.mem = st.snap.MemBytes()
 	for _, a := range w.Space.Arrays() {
 		st.mem += int64(a.SizeBytes())
@@ -133,15 +134,23 @@ func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	return st, nil
 }
 
-// fork rewinds the shared space of a warm prefix to the checkpoint and
-// builds a fresh machine off the snapshot. Callers hold st.mu.
-func (st *PrefixState) fork() (*machine.Machine, error) {
+// fork gives a warm point its own machine and dataset at the prefix's
+// end: a fork of the sealed snapshot, and a freshly built dataset
+// holding the checkpointed values copy-on-write. Nothing the point
+// writes reaches the state.
+func (st *PrefixState) fork() (*machine.Machine, *wave5.PARMVR, error) {
+	w, err := wave5.Build(st.p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := w.Space.LoadState(st.ck); err != nil {
+		return nil, nil, err
+	}
 	m, err := st.snap.Fork()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	st.w.Space.RestoreState(st.ck)
-	return m, nil
+	return m, w, nil
 }
 
 // PrefixCacheStats is a point-in-time summary of a PrefixCache.
@@ -314,9 +323,8 @@ func (c *PrefixCache) evictLocked(keep string) {
 // decomposition declares a prefix for it: the prefix state is fetched
 // from (or built into) the cache and the point runs its tail off it. ok
 // is false when the point has no warm path — the caller falls back to
-// the cold RunPoint. The cache takes no lock around RunWarm: a
-// decomposition whose points mutate shared prefix state serializes them
-// itself (warmsweep does).
+// the cold RunPoint. Points sharing a state run concurrently: RunWarm
+// only reads it.
 func (c *PrefixCache) RunPoint(ctx context.Context, ps PointSpec) (PointResult, bool, error) {
 	d, reg := decompositions[ps.Experiment]
 	if !reg || d.Prefix == nil || d.RunWarm == nil {

@@ -15,7 +15,8 @@ import (
 
 // warmOverWire runs every point of a decomposed experiment through the
 // warm path — PrefixCache fetch, then RunWarm — with the fabric's JSON
-// round-trip on both spec and result, then merges. The byte comparison
+// round-trip on both spec and result, then merges. Points of an
+// experiment without a warm path run cold, as a worker runs them. The byte comparison
 // against a cold driver is the warm fleet's core guarantee:
 // prefix reuse is a wall-clock optimization, never an observable one.
 func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string, rc RunConfig) Renderable {
@@ -39,7 +40,9 @@ func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string
 			return err
 		}
 		if !warm {
-			t.Errorf("%s point %d took the cold path", name, i)
+			if WarmRunnable(name) {
+				t.Errorf("%s point %d took the cold path", name, i)
+			}
 			r, err = RunPoint(ctx, spec)
 			if err != nil {
 				return err
@@ -70,10 +73,10 @@ func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string
 }
 
 // TestWarmsweepDecomposedMatchesDriver pins three-way identity for the
-// most prefix-heavy sweep in the registry: the monolithic WarmSweep
-// driver, the cold decomposed path (each point builds a private prefix),
-// and the warm path (every point forked off one cached snapshot per
-// machine) must render byte-identical results.
+// most prefix-heavy sweep in the registry: a snapshot-free per-point
+// driver (freshWarmsweep), the cold decomposed path (each point builds a
+// private prefix), and the warm path (every point forked off one cached
+// prefix per machine) must render byte-identical results.
 func TestWarmsweepDecomposedMatchesDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
@@ -82,18 +85,12 @@ func TestWarmsweepDecomposedMatchesDriver(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Scale = 0.02
 
-	driver, err := perMachine(func(i int) (Renderable, error) {
-		return WarmSweep(ctx, Machines()[i], rc.Params(),
-			DefaultWarmupCalls, DefaultWarmPoints(rc.ChunkBytes))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderIndented(t, driver)
+	want := renderIndented(t, freshWarmsweep(t, rc))
 
 	specs, _ := Decompose("warmsweep", rc)
 	results := make([]PointResult, len(specs))
 	for i, ps := range specs {
+		var err error
 		if results[i], err = RunPoint(ctx, ps); err != nil {
 			t.Fatal(err)
 		}

@@ -163,17 +163,17 @@ func registry() []Experiment {
 		{
 			Name:        "fig3",
 			Description: "per-loop execution time by strategy (Figure 3)",
-			Run:         breakdownExperiment(3),
+			Run:         decomposedExperiment("fig3", "per-loop breakdown"),
 		},
 		{
 			Name:        "fig4",
 			Description: "per-loop L2 misses by strategy (Figure 4)",
-			Run:         breakdownExperiment(4),
+			Run:         decomposedExperiment("fig4", "per-loop breakdown"),
 		},
 		{
 			Name:        "fig5",
 			Description: "per-loop L1 misses by strategy (Figure 5)",
-			Run:         breakdownExperiment(5),
+			Run:         decomposedExperiment("fig5", "per-loop breakdown"),
 		},
 		{
 			Name:        "fig6",
@@ -191,23 +191,12 @@ func registry() []Experiment {
 		{
 			Name:        "warmsweep",
 			Description: "warm-start sweep: every point forked from one shared warm prefix",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("warmsweep: fork-from-prefix strategy/chunk sweep (scale %.2f)...", rc.Scale)
-				return perMachine(func(i int) (Renderable, error) {
-					return WarmSweep(ctx, Machines()[i], rc.Params(),
-						DefaultWarmupCalls, DefaultWarmPoints(rc.ChunkBytes))
-				})
-			},
+			Run:         decomposedExperiment("warmsweep", "fork-from-prefix strategy/chunk sweep"),
 		},
 		{
 			Name:        "conflicts",
 			Description: "sequential miss classification per loop (§3.3's conflict claim)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("conflicts: sequential miss classification (scale %.2f)...", rc.Scale)
-				return perMachine(func(i int) (Renderable, error) {
-					return ConflictAnalysis(ctx, Machines()[i], rc.Params())
-				})
-			},
+			Run:         decomposedExperiment("conflicts", "sequential miss classification"),
 		},
 		{
 			Name:        "amdahl",
@@ -277,28 +266,13 @@ func Lookup(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// decomposedExperiment builds the run function of a decomposed sweep:
-// the one local driver, RunDecomposed.
+// decomposedExperiment builds the run function of a decomposed
+// experiment: the one local driver, RunDecomposed.
 func decomposedExperiment(name, what string) func(context.Context, RunConfig) (Renderable, error) {
 	return func(ctx context.Context, rc RunConfig) (Renderable, error) {
 		rc.progress("%s: %s (scale %.2f)...", name, what, rc.Scale)
 		r, _, err := RunDecomposed(ctx, name, rc)
 		return r, err
-	}
-}
-
-// breakdownExperiment builds the run function for Figures 3, 4 and 5 —
-// three views of the shared per-loop breakdown, measured per machine.
-func breakdownExperiment(fig int) func(context.Context, RunConfig) (Renderable, error) {
-	return func(ctx context.Context, rc RunConfig) (Renderable, error) {
-		rc.progress("fig%d: per-loop breakdown (scale %.2f)...", fig, rc.Scale)
-		return perMachine(func(i int) (Renderable, error) {
-			b, err := LoopBreakdown(ctx, Machines()[i].WithProcs(4), rc.Params(), rc.ChunkBytes)
-			if err != nil {
-				return nil, err
-			}
-			return breakdownView{b, fig}, nil
-		})
 	}
 }
 

@@ -99,90 +99,12 @@ func prefixKeyOf(cfg machine.Config, p wave5.Params, warmupCalls int, distribute
 
 // PrefixKey content-addresses a warm-sweep prefix: the machine
 // configuration, the dataset parameters, and the warm-up call count
-// (distribution included — WarmSweep always models the surrounding
+// (distribution included — a warm sweep always models the surrounding
 // parallel phases). Two sweeps with equal prefix keys may share one
 // snapshot — the prefix is strategy-independent (sequential calls), so
 // every tail is reachable from it.
 func PrefixKey(cfg machine.Config, p wave5.Params, warmupCalls int) (string, error) {
 	return prefixKeyOf(cfg, p, warmupCalls, true)
-}
-
-// WarmSweep measures every point against one shared warm prefix. The
-// prefix — data distribution plus warmupCalls sequential full-PARMVR
-// calls — is simulated once; the machine is then snapshotted
-// (copy-on-write) and every point runs on a fork with the address space
-// rewound to the snapshot instant. Each point's measured call is a
-// steady-state call (KeepState), exactly what a fresh machine running
-// the same prefix under that point's knobs would have measured — the
-// differential tests assert bit-identity.
-//
-// The prefix uses sequential calls deliberately: they touch the same
-// arrays every strategy's call does, so one prefix serves strategy AND
-// chunk-size divergence, which is what makes the fork amortization pay.
-func WarmSweep(ctx context.Context, cfg machine.Config, p wave5.Params, warmupCalls int, points []WarmPoint) (*WarmSweepResult, error) {
-	if warmupCalls < 0 {
-		return nil, fmt.Errorf("warmsweep: warmupCalls = %d", warmupCalls)
-	}
-	w, err := wave5.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key, err := PrefixKey(cfg, p, warmupCalls)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := runWarmPrefix(ctx, m, w, warmupCalls); err != nil {
-		return nil, err
-	}
-
-	snap, err := m.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	spaceCk := w.Space.Checkpoint()
-
-	res := &WarmSweepResult{
-		Machine:     cfg.Name,
-		Procs:       cfg.Procs,
-		WarmupCalls: warmupCalls,
-		PrefixKey:   key,
-	}
-	var base int64
-	for _, pt := range points {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fork, err := snap.Fork()
-		if err != nil {
-			return nil, err
-		}
-		w.Space.RestoreState(spaceCk)
-		results, err := runWarmPoint(fork, w, pt)
-		if err != nil {
-			return nil, err
-		}
-		cycles := TotalCycles(results)
-		if pt.Strat == Sequential && base == 0 {
-			base = cycles
-		}
-		res.Rows = append(res.Rows, WarmRow{
-			Point:   pt,
-			Cycles:  cycles,
-			Shared:  len(fork.SharedComponents()),
-			Metrics: MergeMetrics(results),
-		})
-	}
-	if base > 0 {
-		for i := range res.Rows {
-			res.Rows[i].Speedup = float64(base) / float64(res.Rows[i].Cycles)
-		}
-	}
-	return res, nil
 }
 
 // warmsweepPoints decomposes the warm sweep: per machine, every default
@@ -207,7 +129,9 @@ func warmsweepPoints(rc RunConfig) []PointSpec {
 // warmsweepPrefix declares a warm point's shared prefix: dataset build,
 // machine construction, data distribution, and the warm-up calls — the
 // most prefix-heavy decomposition in the registry, which is exactly why
-// worker-side snapshot reuse pays here.
+// worker-side snapshot reuse pays here. The warm-up calls are sequential
+// deliberately: they touch the same arrays every strategy's call does,
+// so one prefix serves strategy and chunk-size divergence alike.
 func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 	return PrefixSpec{
 		Machine: ps.Machine, Procs: ps.Procs, Scale: ps.Scale,
@@ -215,22 +139,21 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 	}, true
 }
 
-// warmsweepRunWarm measures one warm point off a built prefix, exactly
-// as WarmSweep's loop body does: fork, rewind the space, run the
-// steady-state call, count the still-shared components. The points of
-// one prefix share its Space, so they serialize on the state's lock.
-func warmsweepRunWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
+// warmsweepRunWarm measures one warm point off a built prefix: fork the
+// snapshot onto a private dataset holding the checkpointed values, run
+// the steady-state call, count the still-shared components. Each point
+// has its own machine and dataset, so the points of one prefix run
+// concurrently.
+func warmsweepRunWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
 		return PointResult{}, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	m, err := st.fork()
+	m, w, err := st.fork()
 	if err != nil {
 		return PointResult{}, err
 	}
-	results, err := runWarmPoint(m, st.w, WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes})
+	results, err := runWarmPoint(m, w, WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes})
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -240,9 +163,8 @@ func warmsweepRunWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	}, nil
 }
 
-// warmsweepMerge rebuilds the Group of per-machine WarmSweepResults with
-// WarmSweep's exact arithmetic: rows in point order, Speedup from the
-// first sequential row's cycles.
+// warmsweepMerge rebuilds the Group of per-machine WarmSweepResults:
+// rows in point order, Speedup from the first sequential row's cycles.
 func warmsweepMerge(rc RunConfig, results []PointResult) (Renderable, error) {
 	machines := Machines()
 	points := DefaultWarmPoints(rc.ChunkBytes)
@@ -283,23 +205,11 @@ func warmsweepMerge(rc RunConfig, results []PointResult) (Renderable, error) {
 
 func init() {
 	RegisterDecomposition("warmsweep", Decomposition{
-		Points: warmsweepPoints,
-		// The cold path IS the warm path off a private, freshly built
-		// prefix — warm/cold byte-identity by construction; what the
-		// snapshot cache changes is only how often the prefix is built.
-		Run: func(ctx context.Context, ps PointSpec) (PointResult, error) {
-			spec, _ := warmsweepPrefix(ps)
-			st, err := BuildPrefix(ctx, spec)
-			if err != nil {
-				return PointResult{}, err
-			}
-			return warmsweepRunWarm(st, ps)
-		},
-		Merge:  warmsweepMerge,
-		Prefix: warmsweepPrefix,
-		RunWarm: func(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
-			return warmsweepRunWarm(st, ps)
-		},
+		Points:  warmsweepPoints,
+		Run:     coldRun(warmsweepPrefix, warmsweepRunWarm),
+		Merge:   warmsweepMerge,
+		Prefix:  warmsweepPrefix,
+		RunWarm: warmsweepRunWarm,
 	})
 }
 

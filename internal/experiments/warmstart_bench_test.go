@@ -30,14 +30,26 @@ func benchWarmPoints() []WarmPoint {
 	return pts
 }
 
-// benchWarmParams follows the repo bench convention: short mode (the CI
+// benchWarmScale follows the repo bench convention: short mode (the CI
 // bench-smoke job) shrinks the dataset — there the point is keeping the
 // benchmark paths compiling and running, not producing numbers.
-func benchWarmParams() wave5.Params {
+func benchWarmScale() float64 {
 	if testing.Short() {
-		return wave5.DefaultParams().Scaled(0.01)
+		return 0.01
 	}
-	return wave5.DefaultParams().Scaled(0.05)
+	return 0.05
+}
+
+// warmSweep runs points the way the warm path does: one warm prefix
+// built, then every point forked off it onto its own dataset.
+func warmSweep(b *testing.B, cfg machine.Config, scale float64, points []WarmPoint) {
+	b.Helper()
+	st := buildWarmPrefix(b, cfg, scale, DefaultWarmupCalls)
+	for i, pt := range points {
+		if _, err := warmsweepRunWarm(context.Background(), st, warmSpec(i, cfg, scale, DefaultWarmupCalls, pt)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // freshSweepPoint measures one point the expensive way: a fresh machine
@@ -68,7 +80,8 @@ func freshSweepPoint(b *testing.B, cfg machine.Config, p wave5.Params, warmupCal
 // the warm variant's prefix cost is amortized across all nine points.
 func BenchmarkSnapshotChunkSweep(b *testing.B) {
 	cfg := machine.PentiumPro(4)
-	p := benchWarmParams()
+	scale := benchWarmScale()
+	p := wave5.DefaultParams().Scaled(scale)
 	points := benchWarmPoints()
 
 	b.Run("fresh", func(b *testing.B) {
@@ -80,9 +93,7 @@ func BenchmarkSnapshotChunkSweep(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := WarmSweep(context.Background(), cfg, p, DefaultWarmupCalls, points); err != nil {
-				b.Fatal(err)
-			}
+			warmSweep(b, cfg, scale, points)
 		}
 	})
 }
@@ -93,7 +104,8 @@ func BenchmarkSnapshotChunkSweep(b *testing.B) {
 // only (a fork cannot change the processor count), so its ceiling is
 // lower than the chunk sweep's — this benchmark records that honestly.
 func BenchmarkSnapshotProcSweep(b *testing.B) {
-	p := benchWarmParams()
+	scale := benchWarmScale()
+	p := wave5.DefaultParams().Scaled(scale)
 	procs := []int{2, 3, 4}
 	points := []WarmPoint{
 		{Strat: Sequential},
@@ -113,9 +125,7 @@ func BenchmarkSnapshotProcSweep(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, np := range procs {
-				if _, err := WarmSweep(context.Background(), machine.PentiumPro(np), p, DefaultWarmupCalls, points); err != nil {
-					b.Fatal(err)
-				}
+				warmSweep(b, machine.PentiumPro(np), scale, points)
 			}
 		}
 	})

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cascade"
@@ -10,10 +13,12 @@ import (
 	"repro/internal/wave5"
 )
 
-// warmTestParams shrinks the dataset so the differential finishes fast
+// warmTestScale shrinks the dataset so the differential finishes fast
 // while every loop still has several chunks.
+const warmTestScale = 0.02
+
 func warmTestParams() wave5.Params {
-	return wave5.DefaultParams().Scaled(0.02)
+	return wave5.DefaultParams().Scaled(warmTestScale)
 }
 
 // runWarmPointFresh measures a point the expensive way: a fresh machine
@@ -22,53 +27,168 @@ func warmTestParams() wave5.Params {
 // warm sweep's forked rows must match bit for bit.
 func runWarmPointFresh(t *testing.T, cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) []cascade.Result {
 	t.Helper()
-	w, err := wave5.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runWarmPrefix(context.Background(), m, w, warmupCalls); err != nil {
-		t.Fatal(err)
-	}
-	results, err := runWarmPoint(m, w, pt)
+	results, _, err := freshWarmPoint(cfg, p, warmupCalls, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return results
 }
 
-// TestWarmSweepBitIdentical is the sweep-level differential: every row of
-// a warm-started sweep equals a fresh machine running the same prefix and
-// point from scratch — cycles and full metrics snapshot.
+// freshWarmPoint is runWarmPointFresh, also returning how many machine
+// components the measured call left unwritten. The machine is never
+// forked or restored: it is sealed (Snapshot, discarded) right before
+// the measured call only so that SharedComponents can report what the
+// call wrote, which is what a warm fork's Shared count reports.
+func freshWarmPoint(cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) ([]cascade.Result, int, error) {
+	w, err := wave5.Build(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := machine.New(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := runWarmPrefix(context.Background(), m, w, warmupCalls); err != nil {
+		return nil, 0, err
+	}
+	if _, err := m.Snapshot(); err != nil {
+		return nil, 0, err
+	}
+	results, err := runWarmPoint(m, w, pt)
+	return results, len(m.SharedComponents()), err
+}
+
+// freshWarmsweep is the warmsweep reference driver: every point of the
+// decomposition measured by freshWarmPoint — no prefix, no fork, no
+// checkpoint — and merged by the decomposition's own Merge.
+func freshWarmsweep(t *testing.T, rc RunConfig) Renderable {
+	t.Helper()
+	specs, _ := Decompose("warmsweep", rc)
+	results := make([]PointResult, len(specs))
+	if err := parallelFor(context.Background(), len(specs), func(i int) error {
+		ps := specs[i]
+		cfg, err := machineByName(ps.Machine)
+		if err != nil {
+			return err
+		}
+		strat, err := ParseStrategy(ps.Strategy)
+		if err != nil {
+			return err
+		}
+		rr, shared, err := freshWarmPoint(cfg.WithProcs(ps.Procs), rc.Params(), ps.Warmup,
+			WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes})
+		if err != nil {
+			return err
+		}
+		results[i] = PointResult{Index: i, Cycles: TotalCycles(rr), Metrics: MergeMetrics(rr), Shared: shared}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergePoints("warmsweep", rc, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// warmSpec is the warmsweep point spec of pt on cfg.
+func warmSpec(index int, cfg machine.Config, scale float64, warmupCalls int, pt WarmPoint) PointSpec {
+	return PointSpec{
+		Experiment: "warmsweep", Index: index, Machine: cfg.Name, Procs: cfg.Procs,
+		Strategy: pt.Strat.Token(), ChunkBytes: pt.ChunkBytes, Scale: scale, Warmup: warmupCalls,
+	}
+}
+
+// buildWarmPrefix builds the warm prefix the points of warmSpec(_, cfg,
+// scale, warmupCalls, _) share.
+func buildWarmPrefix(tb testing.TB, cfg machine.Config, scale float64, warmupCalls int) *PrefixState {
+	tb.Helper()
+	spec, _ := warmsweepPrefix(warmSpec(0, cfg, scale, warmupCalls, WarmPoint{}))
+	st, err := BuildPrefix(context.Background(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// TestWarmSweepBitIdentical is the sweep-level differential: every point
+// forked off one built warm prefix equals a fresh machine running the
+// same prefix and point from scratch — cycles and full metrics snapshot.
 func TestWarmSweepBitIdentical(t *testing.T) {
 	cfg := machine.PentiumPro(3)
 	p := warmTestParams()
 	points := DefaultWarmPoints(16 * 1024)
 
-	res, err := WarmSweep(context.Background(), cfg, p, 1, points)
-	if err != nil {
-		t.Fatal(err)
+	st := buildWarmPrefix(t, cfg, warmTestScale, 1)
+	if key, err := PrefixKey(cfg, p, 1); err != nil || st.Key != key {
+		t.Errorf("prefix key %q, PrefixKey %q (%v)", st.Key, key, err)
 	}
-	if len(res.Rows) != len(points) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(points))
-	}
-	for i, row := range res.Rows {
-		fresh := runWarmPointFresh(t, cfg, p, 1, points[i])
+	for i, pt := range points {
+		row, err := warmsweepRunWarm(context.Background(), st, warmSpec(i, cfg, warmTestScale, 1, pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := runWarmPointFresh(t, cfg, p, 1, pt)
 		if got, want := row.Cycles, TotalCycles(fresh); got != want {
-			t.Errorf("point %+v: warm cycles %d != fresh %d", points[i], got, want)
+			t.Errorf("point %+v: warm cycles %d != fresh %d", pt, got, want)
 		}
 		if !reflect.DeepEqual(row.Metrics, MergeMetrics(fresh)) {
-			t.Errorf("point %+v: warm metrics differ from fresh", points[i])
+			t.Errorf("point %+v: warm metrics differ from fresh", pt)
 		}
 	}
-	if res.Rows[0].Speedup != 1.0 {
-		t.Errorf("sequential row speedup = %v, want 1.0", res.Rows[0].Speedup)
+}
+
+// TestWarmPointsConcurrent pins that warm points need no lock: every
+// warmsweep point of one PrefixState, run from four goroutines at once
+// (each over all points, in rotated orders), serializes to exactly the
+// bytes a serial run of the same points produces. Kept cheap enough for
+// the -short race run.
+func TestWarmPointsConcurrent(t *testing.T) {
+	const scale, goroutines = 0.01, 4
+	ctx := context.Background()
+	cfg := Machines()[0]
+	points := DefaultWarmPoints(DefaultRunConfig().ChunkBytes)
+	st := buildWarmPrefix(t, cfg, scale, DefaultWarmupCalls)
+
+	want := make([][]byte, len(points))
+	for i, pt := range points {
+		r, err := warmsweepRunWarm(ctx, st, warmSpec(i, cfg, scale, DefaultWarmupCalls, pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.PrefixKey == "" {
-		t.Error("empty prefix key")
+
+	got := make([][][]byte, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		got[g] = make([][]byte, len(points))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range points {
+				i := (k + g) % len(points)
+				r, err := warmsweepRunWarm(ctx, st, warmSpec(i, cfg, scale, DefaultWarmupCalls, points[i]))
+				if err == nil {
+					got[g][i], err = json.Marshal(r)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range points {
+			if !bytes.Equal(got[g][i], want[i]) {
+				t.Errorf("goroutine %d, point %d: concurrent result differs from serial", g, i)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,12 @@ import "fmt"
 // repeatedly rewinding a space to the same checkpoint — one rewind per
 // sweep point — is also O(arrays) per rewind for every array the
 // previous point did not write.
+//
+// LoadState gives the same copy-on-write aliasing to a different space
+// of identical layout — another build of the same dataset — so one
+// checkpoint can seed any number of private spaces, each on its own
+// goroutine, without any of them writing through to the checkpoint or
+// to each other.
 
 // own gives the array private backing storage. Every mutating method
 // calls it first, so sealed checkpoint values are never written through.
@@ -96,4 +102,31 @@ func (s *Space) RestoreState(st *SpaceState) {
 		a.data = st.sealed[i]
 		a.cow = true
 	}
+}
+
+// LoadState makes s hold the values of a checkpoint taken on another
+// space of identical layout: every array aliases the checkpoint's sealed
+// values copy-on-write, and the allocation cursor moves to the
+// checkpoint's. s must have exactly the checkpointed allocations' layout
+// — the same array count, and per array the same name, base address,
+// length and element size — or LoadState returns an error and leaves s
+// unchanged. The checkpoint is only read, so distinct spaces may load
+// one checkpoint concurrently.
+func (s *Space) LoadState(st *SpaceState) error {
+	if len(s.arrays) != len(st.arrays) {
+		return fmt.Errorf("memsim: LoadState: space has %d arrays, checkpoint covers %d", len(s.arrays), len(st.arrays))
+	}
+	for i, a := range s.arrays {
+		c := st.arrays[i]
+		if a.name != c.name || a.base != c.base || a.elem != c.elem || len(a.data) != len(st.sealed[i]) {
+			return fmt.Errorf("memsim: LoadState: array %d is %s, checkpoint holds %s[%d]x%dB@%s",
+				i, a, c.name, len(st.sealed[i]), c.elem, c.base)
+		}
+	}
+	s.next = st.next
+	for i, a := range s.arrays {
+		a.data = st.sealed[i]
+		a.cow = true
+	}
+	return nil
 }
