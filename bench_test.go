@@ -68,60 +68,46 @@ func BenchmarkFig2(b *testing.B) {
 	}
 }
 
-// breakdown runs the shared Figure 3/4/5 measurement for one machine.
-func breakdown(b *testing.B, cfg machine.Config) *experiments.BreakdownResult {
+// breakdowns runs the shared Figure 3/4/5 measurement on both machines
+// and reports one metric per machine.
+func breakdowns(b *testing.B, unit string, metric func(*experiments.BreakdownResult) float64) {
 	b.Helper()
-	res, err := experiments.LoopBreakdown(context.Background(), cfg.WithProcs(4), benchParams(), cascade.DefaultChunkBytes)
-	if err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.Breakdowns(context.Background(), benchRunConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			b.ReportMetric(metric(r), unit+"-"+r.Machine)
+		}
 	}
-	return res
 }
 
 // BenchmarkFig3 regenerates Figure 3: per-loop execution cycles. The
 // reported metric is the total restructured-vs-sequential cycle ratio.
 func BenchmarkFig3(b *testing.B) {
-	for _, cfg := range experiments.Machines() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := breakdown(b, cfg)
-				cyc := func(s experiments.LoopStats) int64 { return s.Cycles }
-				seq := res.Totals(experiments.Sequential, cyc)
-				restr := res.Totals(experiments.Restructured, cyc)
-				b.ReportMetric(float64(seq)/float64(restr), "xoverall")
-			}
-		})
-	}
+	breakdowns(b, "xoverall", func(res *experiments.BreakdownResult) float64 {
+		cyc := func(s experiments.LoopStats) int64 { return s.Cycles }
+		return float64(res.Totals(experiments.Sequential, cyc)) / float64(res.Totals(experiments.Restructured, cyc))
+	})
 }
 
 // BenchmarkFig4 regenerates Figure 4: per-loop L2 misses; the metric is
 // the percentage of execution-phase L2 misses eliminated by restructuring
 // (the paper reports 93-94% on the Pentium Pro, 47% on the R10000).
 func BenchmarkFig4(b *testing.B) {
-	for _, cfg := range experiments.Machines() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := breakdown(b, cfg)
-				b.ReportMetric(100*res.MissReduction(experiments.Restructured), "%L2-eliminated")
-			}
-		})
-	}
+	breakdowns(b, "%L2-eliminated", func(res *experiments.BreakdownResult) float64 {
+		return 100 * res.MissReduction(experiments.Restructured)
+	})
 }
 
 // BenchmarkFig5 regenerates Figure 5: per-loop L1 data-cache misses; the
 // metric is the percentage of execution-phase L1 misses eliminated.
 func BenchmarkFig5(b *testing.B) {
-	for _, cfg := range experiments.Machines() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := breakdown(b, cfg)
-				l1 := func(s experiments.LoopStats) int64 { return s.L1Misses }
-				seq := res.Totals(experiments.Sequential, l1)
-				restr := res.Totals(experiments.Restructured, l1)
-				b.ReportMetric(100*(1-float64(restr)/float64(seq)), "%L1-eliminated")
-			}
-		})
-	}
+	breakdowns(b, "%L1-eliminated", func(res *experiments.BreakdownResult) float64 {
+		l1 := func(s experiments.LoopStats) int64 { return s.L1Misses }
+		return 100 * (1 - float64(res.Totals(experiments.Restructured, l1))/float64(res.Totals(experiments.Sequential, l1)))
+	})
 }
 
 // BenchmarkFig6 regenerates Figure 6: speedup versus chunk size; the

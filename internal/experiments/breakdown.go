@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/wave5"
 )
@@ -35,28 +34,19 @@ type BreakdownResult struct {
 	Stats map[Strategy][]LoopStats
 }
 
-// breakdownProcs is the processor count of Figures 3, 4 and 5.
-const breakdownProcs = 4
-
-// LoopBreakdown measures the fifteen PARMVR loops under all three
-// strategies on the given machine, with the paper's Figure 3-5
-// configuration (4 processors, 64KB chunks, unless overridden by cfg and
-// chunkBytes). The paper presents "the 12th call out of 5000" —
-// deterministic workload construction plays that role here. The
-// registry's fig3-5 run the same measurement as one decomposed point
-// per (machine, strategy).
-func LoopBreakdown(ctx context.Context, cfg machine.Config, p wave5.Params, chunkBytes int) (*BreakdownResult, error) {
-	out := newBreakdown(cfg.Name, cfg.Procs, chunkBytes, p)
-	names := wave5.MustBuild(p).LoopNames()
-	for _, strat := range Strategies {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		results, err := RunPARMVR(cfg, p, strat, chunkBytes)
-		if err != nil {
-			return nil, err
-		}
-		out.add(strat, loopResults(names, results))
+// Breakdowns runs the measurement Figures 3, 4 and 5 share — the
+// fifteen PARMVR loops under all three strategies, 4 processors, the
+// paper's "12th call out of 5000" played by deterministic workload
+// construction — through RunDecomposed, and returns one breakdown per
+// machine in Machines() order.
+func Breakdowns(ctx context.Context, rc RunConfig) ([]*BreakdownResult, error) {
+	r, _, err := RunDecomposed(ctx, "fig3", rc)
+	if err != nil {
+		return nil, err
+	}
+	var out []*BreakdownResult
+	for _, v := range r.(Group) {
+		out = append(out, v.(breakdownView).BreakdownResult)
 	}
 	return out, nil
 }
@@ -95,7 +85,7 @@ func breakdownPoints(fig string) func(rc RunConfig) []PointSpec {
 		for _, cfg := range Machines() {
 			for _, strat := range Strategies {
 				specs = append(specs, PointSpec{
-					Experiment: fig, Index: len(specs), Machine: cfg.Name, Procs: breakdownProcs,
+					Experiment: fig, Index: len(specs), Machine: cfg.Name, Procs: studyProcs,
 					Strategy: strat.Token(), ChunkKB: rc.ChunkBytes / 1024, Scale: rc.Scale,
 				})
 			}
@@ -126,7 +116,7 @@ func breakdownMerge(fig int) func(rc RunConfig, results []PointResult) (Renderab
 		var g Group
 		k := 0
 		for _, cfg := range machines {
-			b := newBreakdown(cfg.Name, breakdownProcs, rc.ChunkBytes, rc.Params())
+			b := newBreakdown(cfg.Name, studyProcs, rc.ChunkBytes, rc.Params())
 			for _, strat := range Strategies {
 				// The renderers index every strategy's rows by the
 				// sequential row's loop index.

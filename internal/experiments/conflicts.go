@@ -29,18 +29,6 @@ type ConflictResult struct {
 	L1, L2  []LoopMissClasses
 }
 
-// ConflictAnalysis runs the PARMVR loops sequentially with miss
-// classification enabled and returns per-loop, per-level classes. The
-// registry's conflicts runs the same measurement as one decomposed point
-// per machine.
-func ConflictAnalysis(ctx context.Context, cfg machine.Config, p wave5.Params) (*ConflictResult, error) {
-	loops, _, err := classifyLoops(ctx, cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	return conflictResult(cfg.Name, loops), nil
-}
-
 // classifyLoops runs every PARMVR loop sequentially on a fresh machine
 // with miss classification enabled, returning each loop's measurements
 // and results.

@@ -10,11 +10,25 @@ import (
 	"repro/internal/wave5"
 )
 
-func TestConflictAnalysisPartition(t *testing.T) {
-	c, err := ConflictAnalysis(context.Background(), machine.R10000(4), testParams())
+// conflictAnalysis runs the registry's conflicts decomposition and
+// returns the named machine's classification.
+func conflictAnalysis(t *testing.T, machineName string) *ConflictResult {
+	t.Helper()
+	r, _, err := RunDecomposed(context.Background(), "conflicts", testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, v := range r.(Group) {
+		if c := v.(*ConflictResult); c.Machine == machineName {
+			return c
+		}
+	}
+	t.Fatalf("conflicts has no %s result", machineName)
+	return nil
+}
+
+func TestConflictAnalysisPartition(t *testing.T) {
+	c := conflictAnalysis(t, "R10000")
 	for _, rows := range [][]LoopMissClasses{c.L1, c.L2} {
 		for _, r := range rows {
 			if !r.partitionHolds() {
@@ -33,10 +47,7 @@ func TestConflictAnalysisFindsCombineConflicts(t *testing.T) {
 	// R10000 L2 its misses must be conflict-dominated, and it must be the
 	// dominant source of L2 conflict misses overall — the model mechanism
 	// behind the paper's associativity observation.
-	c, err := ConflictAnalysis(context.Background(), machine.R10000(4), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := conflictAnalysis(t, "R10000")
 	var combine LoopMissClasses
 	for _, r := range c.L2 {
 		if r.Loop == "combine_t2" {
@@ -50,10 +61,7 @@ func TestConflictAnalysisFindsCombineConflicts(t *testing.T) {
 		t.Errorf("combine_t2 L2 misses not conflict-dominated: %+v", combine)
 	}
 	// The Pentium Pro's 4-way L2 absorbs those conflicts.
-	cp, err := ConflictAnalysis(context.Background(), machine.PentiumPro(4), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := conflictAnalysis(t, "PentiumPro")
 	var combinePP LoopMissClasses
 	for _, r := range cp.L2 {
 		if r.Loop == "combine_t2" {
@@ -67,10 +75,7 @@ func TestConflictAnalysisFindsCombineConflicts(t *testing.T) {
 }
 
 func TestConflictAnalysisRender(t *testing.T) {
-	c, err := ConflictAnalysis(context.Background(), machine.PentiumPro(2), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := conflictAnalysis(t, "PentiumPro")
 	var b strings.Builder
 	c.Render(&b)
 	for _, want := range []string{"L1", "L2", "TOTAL", "Conflict", "combine_t2"} {

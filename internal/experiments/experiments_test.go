@@ -127,9 +127,18 @@ func TestFig2Shape(t *testing.T) {
 // execution-phase cache misses dramatically and no loop slows down
 // catastrophically.
 func TestBreakdownShape(t *testing.T) {
-	b, err := LoopBreakdown(context.Background(), machine.PentiumPro(4), testParams(), cascade.DefaultChunkBytes)
+	bs, err := Breakdowns(context.Background(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	var b *BreakdownResult
+	for _, r := range bs {
+		if r.Machine == "PentiumPro" {
+			b = r
+		}
+	}
+	if b == nil || b.Procs != 4 {
+		t.Fatalf("no 4-processor PentiumPro breakdown in %d results", len(bs))
 	}
 	if len(b.Stats[Sequential]) != wave5.NumLoops {
 		t.Fatalf("loops = %d", len(b.Stats[Sequential]))

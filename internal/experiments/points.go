@@ -214,9 +214,7 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // progress through the context (see WithPointProgress). It returns
 // ok=false when the experiment has no decomposition. Points with a warm
 // path run it over a PrefixCache the sweep owns, so each prefix group is
-// built once per sweep, exactly as on a -warm-prefixes worker; points
-// are dispatched round-robin across prefix groups, so the pool builds
-// distinct prefixes side by side rather than waiting on one. This is
+// built once per sweep, exactly as on a -warm-prefixes worker. This is
 // the single-node twin of the fabric's distributed path and the only
 // driver of the decomposed experiments: both funnel through the same
 // Run, RunWarm and Merge, which is what makes "byte-identical to a
@@ -227,11 +225,9 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 		return nil, false, nil
 	}
 	specs := d.Points(rc)
-	order := prefixInterleaved(d, specs)
 	prefixes := NewPrefixCache(0)
 	results := make([]PointResult, len(specs))
-	if err := parallelFor(ctx, len(specs), func(k int) error {
-		i := order[k]
+	if err := parallelFor(ctx, len(specs), func(i int) error {
 		r, warm, err := prefixes.RunPoint(ctx, specs[i])
 		if !warm {
 			r, err = d.Run(ctx, specs[i])
@@ -246,40 +242,6 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 	}
 	r, err := d.Merge(rc, results)
 	return r, true, err
-}
-
-// prefixInterleaved returns the spec indices in round-robin order over
-// their prefix groups (first point of each group in order of first
-// appearance, then every group's second, ...); points without a prefix
-// form one group of their own each.
-func prefixInterleaved(d Decomposition, specs []PointSpec) []int {
-	var groups [][]int
-	at := map[PrefixSpec]int{}
-	for i, ps := range specs {
-		g := len(groups)
-		if d.Prefix != nil {
-			if spec, ok := d.Prefix(ps); ok {
-				if seen, dup := at[spec]; dup {
-					g = seen
-				} else {
-					at[spec] = g
-				}
-			}
-		}
-		if g == len(groups) {
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	order := make([]int, 0, len(specs))
-	for round := 0; len(order) < len(specs); round++ {
-		for _, g := range groups {
-			if round < len(g) {
-				order = append(order, g[round])
-			}
-		}
-	}
-	return order
 }
 
 // machineByName resolves a preset name against Machines(), so a point
@@ -461,15 +423,19 @@ func fig2Merge(rc RunConfig, results []PointResult) (Renderable, error) {
 	return res, nil
 }
 
+// studyProcs is the processor count of Figures 3 to 6. Because fig3-5
+// and fig6 points agree on it, they share one cold-call prefix per
+// machine (parmvrPrefix).
+const studyProcs = 4
+
 // fig6Points mirrors Fig6: one 4-processor sequential baseline per
 // machine at the driver's fixed 64KB chunk parameter, then the
 // (machine × chunk size × strategy) sweep in loop order.
 func fig6Points(rc RunConfig) []PointSpec {
-	const procs = 4
 	var specs []PointSpec
 	for _, cfg := range Machines() {
 		specs = append(specs, PointSpec{
-			Experiment: "fig6", Index: len(specs), Machine: cfg.Name, Procs: procs,
+			Experiment: "fig6", Index: len(specs), Machine: cfg.Name, Procs: studyProcs,
 			Strategy: Sequential.Token(), ChunkKB: 64, Scale: rc.Scale,
 		})
 	}
@@ -477,7 +443,7 @@ func fig6Points(rc RunConfig) []PointSpec {
 		for _, kb := range Fig6ChunkSizesKB {
 			for _, strat := range []Strategy{Prefetched, Restructured} {
 				specs = append(specs, PointSpec{
-					Experiment: "fig6", Index: len(specs), Machine: cfg.Name, Procs: procs,
+					Experiment: "fig6", Index: len(specs), Machine: cfg.Name, Procs: studyProcs,
 					Strategy: strat.Token(), ChunkKB: kb, Scale: rc.Scale,
 				})
 			}
@@ -492,7 +458,7 @@ func fig6Merge(rc RunConfig, results []PointResult) (Renderable, error) {
 	if len(results) != len(fig6Points(rc)) {
 		return nil, fmt.Errorf("fig6 merge: %d results, want %d", len(results), len(fig6Points(rc)))
 	}
-	res := &Fig6Result{Params: rc.Params(), Procs: 4}
+	res := &Fig6Result{Params: rc.Params(), Procs: studyProcs}
 	bases := make(map[string]int64, len(machines))
 	for i, cfg := range machines {
 		bases[cfg.Name] = results[i].Cycles

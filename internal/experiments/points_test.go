@@ -145,43 +145,6 @@ func TestStrategyTokens(t *testing.T) {
 	}
 }
 
-// TestPrefixInterleaved pins RunDecomposed's dispatch order: a
-// permutation of the point indices that visits prefix groups round-robin,
-// so the first points dispatched start distinct prefix builds, and that
-// keeps the decomposition's order for points without a prefix.
-func TestPrefixInterleaved(t *testing.T) {
-	rc := DefaultRunConfig()
-	for _, name := range DecomposableExperiments() {
-		d := decompositions[name]
-		specs := d.Points(rc)
-		order := prefixInterleaved(d, specs)
-		seen := make([]bool, len(specs))
-		for _, i := range order {
-			if i < 0 || i >= len(specs) || seen[i] {
-				t.Fatalf("%s: order %v is not a permutation of %d points", name, order, len(specs))
-			}
-			seen[i] = true
-		}
-		if len(order) != len(specs) {
-			t.Fatalf("%s: order has %d of %d points", name, len(order), len(specs))
-		}
-		if d.Prefix == nil {
-			for k, i := range order {
-				if i != k {
-					t.Errorf("%s: prefix-free points reordered: %v", name, order)
-					break
-				}
-			}
-			continue
-		}
-		first, _ := d.Prefix(specs[order[0]])
-		second, _ := d.Prefix(specs[order[1]])
-		if first == second {
-			t.Errorf("%s: first two dispatched points share prefix %+v", name, first)
-		}
-	}
-}
-
 // TestBreakdownMergeRejectsShortLoops pins that a fig3-5 merge refuses a
 // point result (from a worker, over the wire) whose per-loop rows do not
 // cover every loop, rather than rendering a table that indexes past them.
