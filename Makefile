@@ -37,7 +37,7 @@ tier1:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 90m ./...
 
 race-short:
 	$(GO) test -race -short ./...

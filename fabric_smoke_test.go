@@ -3,9 +3,9 @@ package repro_test
 // Process-level smoke test for the distributed sweep fabric: builds the
 // real cascade-coordinator and cascade-server binaries, boots a
 // three-process fleet (one coordinator, two workers sharing a cache
-// directory), runs a small fig6 sweep and a fig5 breakdown end-to-end
-// with progress streaming, and diffs each merged result against the
-// single-node driver's bytes.
+// directory), runs a small fig6 sweep, a fig5 breakdown and a warmsweep
+// end-to-end with progress streaming, and diffs each merged result
+// against the single-node driver's bytes.
 //
 // Gated behind FABRIC_SMOKE=1 (CI's fabric-smoke job, `make
 // fabric-smoke` locally): it compiles binaries and binds TCP ports,
@@ -171,64 +171,71 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// Run a small real sweep and a per-loop breakdown through the fleet;
-	// each must match the single-node driver byte for byte.
+	// Run a small real sweep, a per-loop breakdown and a warm-prefix
+	// sweep through the fleet; each must match the single-node driver
+	// byte for byte.
 	fleetDiff(t, coordURL, "fig6", server.JobParams{Scale: 0.02})
 	fleetDiff(t, coordURL, "fig5", server.JobParams{Scale: 0.01})
+	missesBefore := workerSum(t, workerURLs, "prefix.misses")
+	fleetDiff(t, coordURL, "warmsweep", server.JobParams{Scale: 0.01})
+	// warmsweep has two prefix groups; prefix-affine dispatch builds each
+	// about once, where spec-order dispatch built both on both workers.
+	if misses := workerSum(t, workerURLs, "prefix.misses") - missesBefore; warm && misses > 3 {
+		t.Fatalf("warmsweep built %d prefixes across the workers, want at most 3", misses)
+	}
 
 	// Fleet metrics: points flowed, and the conservation identity holds.
-	resp, err := http.Get(coordURL + "/metrics")
+	vals := scrapeMetrics(t, coordURL)
+	if vals["fabric.points.completed"] == 0 {
+		t.Fatalf("no points completed; metrics: %v", vals)
+	}
+	if a, c, r, f := vals["fabric.points.assigned"], vals["fabric.points.completed"],
+		vals["fabric.points.retried"], vals["fabric.points.failed"]; a != c+r+f {
+		t.Fatalf("conservation violated: assigned %d != completed %d + retried %d + failed %d", a, c, r, f)
+	}
+	if vals["fabric.jobs.completed"] != 3 {
+		t.Fatalf("jobs.completed = %d, want 3", vals["fabric.jobs.completed"])
+	}
+	if batch > 0 && vals["fabric.batches.dispatched"] == 0 {
+		t.Fatalf("no batched leases dispatched; metrics: %v", vals)
+	}
+
+	// With warm prefixes on, at least one worker must have retired points
+	// through the snapshot-fork path (points.warm) — byte identity above
+	// proves it changed nothing.
+	if warm && workerSum(t, workerURLs, "points.warm") == 0 {
+		t.Fatal("warm-prefix fleet retired no points through the warm path")
+	}
+}
+
+// scrapeMetrics reads a daemon's integer metrics from GET /metrics.
+func scrapeMetrics(t *testing.T, baseURL string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	metricsBody, _ := io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	vals := map[string]int{}
-	for _, line := range strings.Split(string(metricsBody), "\n") {
+	for _, line := range strings.Split(string(body), "\n") {
 		var name string
 		var v int
 		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil {
 			vals[name] = v
 		}
 	}
-	if vals["fabric.points.completed"] == 0 {
-		t.Fatalf("no points completed; metrics:\n%s", metricsBody)
-	}
-	if a, c, r, f := vals["fabric.points.assigned"], vals["fabric.points.completed"],
-		vals["fabric.points.retried"], vals["fabric.points.failed"]; a != c+r+f {
-		t.Fatalf("conservation violated: assigned %d != completed %d + retried %d + failed %d", a, c, r, f)
-	}
-	if vals["fabric.jobs.completed"] != 2 {
-		t.Fatalf("jobs.completed = %d, want 2", vals["fabric.jobs.completed"])
-	}
-	if batch > 0 && vals["fabric.batches.dispatched"] == 0 {
-		t.Fatalf("no batched leases dispatched; metrics:\n%s", metricsBody)
-	}
+	return vals
+}
 
-	// With warm prefixes on, at least one worker must have retired points
-	// through the snapshot-fork path (points.warm) — byte identity above
-	// proves it changed nothing.
-	if warm {
-		warmPoints := 0
-		for _, wu := range workerURLs {
-			resp, err := http.Get(wu + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			for _, line := range strings.Split(string(wb), "\n") {
-				var name string
-				var v int
-				if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil && name == "points.warm" {
-					warmPoints += v
-				}
-			}
-		}
-		if warmPoints == 0 {
-			t.Fatal("warm-prefix fleet retired no points through the warm path")
-		}
+// workerSum totals one metric over the fleet's workers.
+func workerSum(t *testing.T, workerURLs []string, metric string) int {
+	t.Helper()
+	sum := 0
+	for _, u := range workerURLs {
+		sum += scrapeMetrics(t, u)[metric]
 	}
+	return sum
 }
 
 // fleetDiff submits one job to the coordinator, streams it to

@@ -214,7 +214,10 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // progress through the context (see WithPointProgress). It returns
 // ok=false when the experiment has no decomposition. Points with a warm
 // path run it over a PrefixCache the sweep owns, so each prefix group is
-// built once per sweep, exactly as on a -warm-prefixes worker. This is
+// built once per sweep, exactly as on a -warm-prefixes worker. The pool
+// takes its points from a PointQueue, as the fleet does, so a lane runs
+// a point of a built prefix or starts a new one before it waits on
+// another lane's build. This is
 // the single-node twin of the fabric's distributed path and the only
 // driver of the decomposed experiments: both funnel through the same
 // Run, RunWarm and Merge, which is what makes "byte-identical to a
@@ -227,7 +230,7 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 	specs := d.Points(rc)
 	prefixes := NewPrefixCache(0)
 	results := make([]PointResult, len(specs))
-	if err := parallelFor(ctx, len(specs), func(i int) error {
+	if err := runPool(ctx, len(specs), NewPointQueue(specs), func(i int) error {
 		r, warm, err := prefixes.RunPoint(ctx, specs[i])
 		if !warm {
 			r, err = d.Run(ctx, specs[i])

@@ -48,16 +48,16 @@ func DefaultJobWorkers() int {
 }
 
 // parallelFor runs fn(i) for every i in [0, n) across up to
-// runtime.GOMAXPROCS(0) workers. Every index's work must be independent —
-// experiment sweeps are: each point builds its own workload and machine —
-// and results must be written to distinct, pre-allocated slots so the
-// output order is deterministic regardless of scheduling.
+// runtime.GOMAXPROCS(0) workers, in ascending order. Every index's work
+// must be independent — experiment sweeps are: each point builds its own
+// workload and machine — and results must be written to distinct,
+// pre-allocated slots so the output order is deterministic regardless of
+// scheduling.
 //
-// On failure the sweep stops promptly: no new index is dispatched once an
-// error is recorded, and already-queued indices above the failing one are
-// skipped. Indices below a recorded failure still run, so the returned
-// error is always the one with the lowest failing index — deterministic,
-// not dependent on completion order.
+// On failure the sweep stops promptly: no index above a recorded
+// failure is handed out. Indices below it still run, so the returned
+// error is always the one with the lowest failing index —
+// deterministic, not dependent on completion order.
 //
 // Cancelling ctx also stops the sweep promptly: no new index is
 // dispatched, in-flight points finish (a point's work is not
@@ -76,81 +76,54 @@ func DefaultJobWorkers() int {
 // peak memory scales with the worker count; sweeps at full PARMVR scale
 // hold tens of megabytes per worker.
 func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var completed atomic.Int64
-	finish := func() {
-		ReportPointProgress(ctx, int(completed.Add(1)), n)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := runPoint(i, fn); err != nil {
-				return err
-			}
-			finish()
-		}
-		return nil
-	}
+	// Specs of no experiment declare no prefix, so the queue hands the
+	// indices out in ascending order.
+	return runPool(ctx, n, NewPointQueue(make([]PointSpec, n)), fn)
+}
+
+// poolHolder names the local pool in a PointQueue: its workers share
+// one PrefixCache, so they are one holder.
+const poolHolder = "pool"
+
+// runPool runs fn over the n indices of q, one at a time, on up to
+// runtime.GOMAXPROCS(0) workers (one of them the caller's goroutine),
+// with parallelFor's failure, cancellation, panic and progress rules.
+func runPool(ctx context.Context, n int, q *PointQueue, fn func(i int) error) error {
 	var (
-		wg       sync.WaitGroup
-		next     = make(chan int)
-		mu       sync.Mutex
-		firstIdx = n // sentinel: no error recorded yet
-		firstErr error
+		completed atomic.Int64
+		mu        sync.Mutex
+		firstIdx  = n // sentinel: no error recorded yet
+		firstErr  error
 	)
-	record := func(i int, e error) {
-		if e == nil {
-			return
+	work := func() {
+		for ctx.Err() == nil {
+			lease := q.Next(poolHolder, 1)
+			if lease == nil {
+				return
+			}
+			i := lease[0]
+			if err := runPoint(i, fn); err != nil {
+				q.Fail(i)
+				mu.Lock()
+				if i < firstIdx {
+					firstIdx, firstErr = i, err
+				}
+				mu.Unlock()
+			} else {
+				q.Done(poolHolder, i)
+			}
+			ReportPointProgress(ctx, int(completed.Add(1)), n)
 		}
-		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, e
-		}
-		mu.Unlock()
 	}
-	// skip reports whether index i is moot: an error at a lower index is
-	// already recorded. Indices below the recorded failure still run (one
-	// of them may fail too, and the lowest failing index must win).
-	skip := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return i > firstIdx
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstIdx < n
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if skip(i) {
-					continue
-				}
-				record(i, runPoint(i, fn))
-				finish()
-			}
+			work()
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		if failed() || ctx.Err() != nil {
-			break // cancel: don't dispatch points that will be thrown away
-		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,4 +195,78 @@ func TestChaosWorkerDeathMidBatch(t *testing.T) {
 			t.Errorf("remainder point %d executed %d times, want 1 or 2", i, got)
 		}
 	}
+}
+
+// FuzzShipBatch feeds shipBatch arbitrary worker replies, served both as
+// a plain envelope and as an ndjson stream. Decoding must never panic,
+// never deliver an outcome for a position outside the batch, never
+// deliver two for one position (a lease closed twice), and so never
+// deliver more outcomes than points shipped. The seeds are the frames a
+// worker sends in the batch tests above, plus refusals, per-point
+// errors, duplicate and out-of-range positions, and a torn stream.
+func FuzzShipBatch(f *testing.F) {
+	frame := func(outcomes ...server.PointOutcome) []byte {
+		b, _ := json.Marshal(server.Envelope{Outcomes: outcomes})
+		return append(b, '\n')
+	}
+	ok := func(i int) server.PointOutcome {
+		return server.PointOutcome{Index: i, Point: &experiments.PointResult{Index: i, Cycles: int64(1000 + i*7)}}
+	}
+	refusal, _ := json.Marshal(server.Envelope{Error: &server.APIError{
+		Code: server.CodeQueueFull, Message: "point admission saturated"}})
+	stream := bytes.Join([][]byte{frame(ok(0)), frame(ok(1)), frame(ok(2))}, nil)
+	for _, seed := range [][]byte{
+		stream,
+		frame(ok(0), ok(1), ok(2)),
+		frame(ok(0), server.PointOutcome{Index: 1, Error: &server.APIError{
+			Code: server.CodeBadRequest, Message: "missing point spec"}}),
+		refusal,
+		frame(ok(0), ok(0), ok(3), ok(-1)),
+		stream[:len(stream)-7],
+	} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+
+	var mu sync.Mutex
+	var reply []byte
+	var ndjson bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		body, nd := reply, ndjson
+		mu.Unlock()
+		if nd {
+			w.Header().Set("Content-Type", server.NDJSONContentType)
+		} else {
+			w.Header().Set("Content-Type", "application/json")
+		}
+		w.Write(body)
+	}))
+	defer ts.Close()
+	c, err := New(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	items := make([]leaseItem, 3)
+	for i := range items {
+		items[i] = leaseItem{idx: i, key: fmt.Sprintf("%064d", i),
+			spec: experiments.PointSpec{Experiment: "fuzz", Index: i}}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, nd bool) {
+		mu.Lock()
+		reply, ndjson = body, nd
+		mu.Unlock()
+		closed := make([]bool, len(items))
+		_ = c.shipBatch(ts.URL, items, func(pos int, o server.PointOutcome) {
+			if pos < 0 || pos >= len(items) {
+				t.Fatalf("outcome delivered for position %d of a %d-point batch", pos, len(items))
+			}
+			if closed[pos] {
+				t.Fatalf("position %d closed twice", pos)
+			}
+			closed[pos] = true
+		})
+	})
 }

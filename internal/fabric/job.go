@@ -285,55 +285,54 @@ func (c *Coordinator) runJob(j *fjob) {
 // runSharded runs a decomposed sweep by slot-aware pull dispatch, the
 // fleet form of a cascade handing the next chunk to whichever processor
 // is ready for it. Up to MaxInflight dispatchers each wait for a free
-// worker slot (acquireSlot), only then claim the next lease of Batch
-// points from the cursor, and ship it to the worker whose slot they
-// hold. A lease is never queued behind a busy worker, so the tail of
-// the sweep goes to whichever worker frees up first. Results merge in
-// index order with the pool's lowest-index-error rule — when points
-// fail, the job reports the failure of the lowest-index one,
-// independent of dispatch interleaving.
+// worker slot (acquireSlot), only then claim a lease of up to Batch
+// points of one prefix group from the sweep's PointQueue — preferring a
+// group whose prefix that worker already holds or is building — and
+// ship it to the worker whose slot they hold. A lease is never queued
+// behind a busy worker, so the tail of the sweep goes to whichever
+// worker frees up first. Results merge in index order with the pool's
+// lowest-index-error rule: once a point fails, the queue hands out no
+// higher index, and the job reports the failure of the lowest-index
+// one, independent of dispatch interleaving.
 func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte, error) {
 	j.pointsTotal.Store(int64(len(specs)))
-	results := make([]experiments.PointResult, len(specs))
-	errs := make([]error, len(specs))
-	keys := make([]string, len(specs))
+	sw := &sweep{
+		j:       j,
+		q:       experiments.NewPointQueue(specs),
+		specs:   specs,
+		keys:    make([]string, len(specs)),
+		results: make([]experiments.PointResult, len(specs)),
+		errs:    make([]error, len(specs)),
+	}
 	for i := range specs {
 		key, err := canon.PointKey(specs[i])
 		if err != nil {
-			errs[i] = &fabricError{code: server.CodeBadRequest, err: err}
+			sw.fail(i, &fabricError{code: server.CodeBadRequest, err: err})
 		}
-		keys[i] = key
+		sw.keys[i] = key
 	}
-	size := c.cfg.Batch
-	var cursor int64
 	dispatchers := min(c.cfg.MaxInflight, len(specs))
 	var wg sync.WaitGroup
 	for d := 0; d < dispatchers; d++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				// The next unclaimed point's key only orders ties between
-				// free workers; another dispatcher may claim it first.
-				next := int(atomic.LoadInt64(&cursor))
-				if next >= len(specs) {
-					return
-				}
-				s, err := c.acquireSlot(keys[next], "")
+			for sw.q.Unclaimed() > 0 {
+				s, err := c.acquireSlot(j.key, "")
 				if err != nil {
 					return // the run context died; unclaimed points fail below
 				}
-				lo := int(atomic.AddInt64(&cursor, int64(size))) - size
-				if lo >= len(specs) {
+				lease := sw.q.Next(s.name, c.cfg.Batch)
+				if lease == nil {
 					c.releaseSlot(s)
 					return
 				}
-				c.runLease(j, specs, keys, results, errs, lo, min(lo+size, len(specs)), s)
+				c.runLease(sw, lease, s)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, e := range errs {
+	for i, e := range sw.errs {
 		if e != nil {
 			// Record the failing point for the repro bundle before the job
 			// turns terminal: the spec pins the exact point, the detail and
@@ -348,14 +347,33 @@ func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte
 			return nil, fmt.Errorf("point %d: %w", i, e)
 		}
 	}
-	if atomic.LoadInt64(&cursor) < int64(len(specs)) {
+	if sw.q.Unclaimed() > 0 {
 		return nil, c.runCtx.Err() // points left unclaimed when dispatch stopped
 	}
-	merged, err := experiments.MergePoints(j.experiment, j.params.RunConfig(), results)
+	merged, err := experiments.MergePoints(j.experiment, j.params.RunConfig(), sw.results)
 	if err != nil {
 		return nil, err
 	}
 	return server.RenderJSON(merged)
+}
+
+// sweep is one sharded job's dispatch state, shared by its dispatchers.
+// Keys are set before dispatch starts; each index's result and error
+// are written only by the lease that holds the index.
+type sweep struct {
+	j       *fjob
+	q       *experiments.PointQueue
+	specs   []experiments.PointSpec
+	keys    []string
+	results []experiments.PointResult
+	errs    []error
+}
+
+// fail records point idx's terminal error; the queue stops handing out
+// higher indices.
+func (sw *sweep) fail(idx int, err error) {
+	sw.errs[idx] = err
+	sw.q.Fail(idx)
 }
 
 // leaseItem is one point riding a batched lease.
@@ -365,7 +383,7 @@ type leaseItem struct {
 	spec experiments.PointSpec
 }
 
-// runLease resolves specs[lo:hi] to results on the worker slot held:
+// runLease resolves the lease's points to results on the worker slot held:
 // the coordinator's own index first, then batched dispatch until every
 // point retires, its attempt budget runs out, or its error is terminal.
 // After each RPC the slot goes back; a retry backs off without holding
@@ -382,31 +400,29 @@ type leaseItem struct {
 // leases, a crash leaves nothing uncountable, and the conservation
 // identity (metrics.go) holds at any batch size. Cache-answered points
 // write no records at all: no lease was ever issued for them.
-func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []string, results []experiments.PointResult, errs []error, lo, hi int, held slot) {
+func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
+	j := sw.j
 	defer func() {
 		if held.name != "" {
 			c.releaseSlot(held)
 		}
 	}()
 	var todo []leaseItem
-	for idx := lo; idx < hi; idx++ {
-		if errs[idx] != nil {
-			continue // no content address (runSharded)
-		}
+	for _, idx := range lease {
 		if err := c.runCtx.Err(); err != nil {
-			errs[idx] = err
+			sw.fail(idx, err)
 			continue
 		}
-		if val, ok := c.cache.Get(keys[idx]); ok {
+		if val, ok := c.cache.Get(sw.keys[idx]); ok {
 			var res experiments.PointResult
 			if jerr := json.Unmarshal(val, &res); jerr == nil {
 				c.metrics.Inc(mCacheHits)
-				results[idx] = res
+				sw.results[idx] = res
 				j.pointsDone.Add(1)
 				continue
 			}
 		}
-		todo = append(todo, leaseItem{idx: idx, key: keys[idx], spec: specs[idx]})
+		todo = append(todo, leaseItem{idx: idx, key: sw.keys[idx], spec: sw.specs[idx]})
 	}
 
 	attempts := make(map[int]int, len(todo))
@@ -417,12 +433,12 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []st
 			var err error
 			if held, err = c.acquireSlot(todo[0].key, failed); err != nil {
 				for _, it := range todo {
-					errs[it.idx] = err
+					sw.fail(it.idx, err)
 				}
 				return
 			}
 		}
-		url := held.url
+		url, holder := held.url, held.name
 		c.metrics.Inc(mBatchesDispatched)
 		shipped := todo
 		for _, it := range shipped {
@@ -436,15 +452,15 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []st
 		// remainder, journaled retried and re-shipped.
 		done := make(map[int]bool, len(shipped))
 		err := c.shipBatch(url, shipped, func(pos int, o server.PointOutcome) {
-			if pos < 0 || pos >= len(shipped) || done[shipped[pos].idx] {
-				return
-			}
 			it := shipped[pos]
 			switch {
 			case o.Error == nil && o.Point != nil:
 				done[it.idx] = true
-				results[it.idx] = *o.Point
+				sw.results[it.idx] = *o.Point
 				c.completePoint(j, it, *o.Point, o.Cached)
+				if !o.Cached {
+					sw.q.Done(holder, it.idx) // the worker holds the point's prefix now
+				}
 			case o.Error != nil && terminalCode(o.Error.Code):
 				done[it.idx] = true
 				ferr := &fabricError{code: o.Error.Code, detail: o.Error.Message,
@@ -452,7 +468,7 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []st
 				c.metrics.Inc(mPointsFailed)
 				c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.id,
 					Index: it.idx, Error: ferr.Error(), Code: o.Error.Code})
-				errs[it.idx] = ferr
+				sw.fail(it.idx, ferr)
 				// A malformed or shed outcome (non-terminal error, or a frame
 				// with neither result nor error) leaves the lease open; the
 				// remainder pass below retries it.
@@ -472,7 +488,7 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []st
 					c.metrics.Inc(mPointsFailed)
 					c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.id,
 						Index: it.idx, Error: err.Error(), Code: fe.code})
-					errs[it.idx] = err
+					sw.fail(it.idx, err)
 				}
 			}
 		}
@@ -488,8 +504,8 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []st
 				if cause == nil {
 					cause = errors.New("worker shed the point")
 				}
-				errs[it.idx] = fmt.Errorf("point %s undeliverable after %d attempts: %w",
-					it.key[:12], attempts[it.idx], cause)
+				sw.fail(it.idx, fmt.Errorf("point %s undeliverable after %d attempts: %w",
+					it.key[:12], attempts[it.idx], cause))
 				continue
 			}
 			rest = append(rest, it)
@@ -505,7 +521,7 @@ func (c *Coordinator) runLease(j *fjob, specs []experiments.PointSpec, keys []st
 		case <-time.After(backoff):
 		case <-c.runCtx.Done():
 			for _, it := range todo {
-				errs[it.idx] = c.runCtx.Err()
+				sw.fail(it.idx, c.runCtx.Err())
 			}
 			return
 		}
@@ -564,7 +580,11 @@ func terminalCode(code string) bool {
 // a plain single-envelope reply with outcomes is accepted too).
 // onOutcome fires once per received outcome, in arrival order, while
 // the stream is still open — this is what advances job progress and
-// closes leases point by point. The returned error is a *fabricError
+// closes leases point by point. Only the first outcome for each shipped
+// position is delivered: one naming a position outside the batch, or
+// one already answered, is dropped, so a confused or hostile worker can
+// neither close a lease twice nor deliver more outcomes than were
+// shipped. The returned error is a *fabricError
 // carrying the worker's typed code when the worker answered with one,
 // or an untyped transport error when it did not; either way, outcomes
 // already delivered stand — only the remainder is the caller's to
@@ -593,6 +613,13 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 		return fmt.Errorf("dispatch to %s: %w", workerURL, err)
 	}
 	defer resp.Body.Close()
+	seen := make([]bool, len(items))
+	deliver := func(o server.PointOutcome) {
+		if o.Index >= 0 && o.Index < len(items) && !seen[o.Index] {
+			seen[o.Index] = true
+			onOutcome(o.Index, o)
+		}
+	}
 
 	if !strings.Contains(resp.Header.Get("Content-Type"), server.NDJSONContentType) {
 		// Single-envelope reply: a refusal (shedding, draining, bad
@@ -613,7 +640,7 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 				err: fmt.Errorf("worker %s: %s", workerURL, msg)}
 		}
 		for _, o := range env.Outcomes {
-			onOutcome(o.Index, o)
+			deliver(o)
 		}
 		return nil
 	}
@@ -640,7 +667,7 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 		}
 		for _, o := range env.Outcomes {
 			n++
-			onOutcome(o.Index, o)
+			deliver(o)
 		}
 	}
 	if serr := sc.Err(); serr != nil {
