@@ -25,9 +25,11 @@
 // shutdown, receiving sharded sweep points on POST /v1/points. Both
 // -advertise and -name default to the bound listen address. With
 // -warm-prefixes the worker computes each sweep's shared prefix once,
-// parks it in a bounded LRU (-prefix-cache-mb), and runs every point of
-// the prefix group off it — byte-identical results, less repeated
-// warmup.
+// parks it in its prefix cache, and runs every point of the prefix
+// group off it — byte-identical results, less repeated warmup. Local
+// jobs always share that cache: one bounded LRU (-prefix-cache-mb) that
+// lives as long as the daemon, so a job reuses the prefixes and
+// memoized PARMVR calls of the jobs before it.
 //
 // Identical jobs are answered from the cache without re-simulating, and
 // concurrent identical submissions coalesce into one run. With -cache
@@ -99,7 +101,7 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", server.DefaultJobTimeout, "default per-job execution deadline (0 disables)")
 		coordinator = flag.String("coordinator", "", "enlist as a fabric worker with this coordinator URL")
 		warmPrefix  = flag.Bool("warm-prefixes", false, "reuse sealed prefix snapshots across sweep points (fabric worker warm path)")
-		prefixMB    = flag.Int("prefix-cache-mb", 0, "warm-prefix snapshot LRU ceiling in MiB (0: default)")
+		prefixMB    = flag.Int("prefix-cache-mb", 0, "prefix cache ceiling in MiB, prefixes and their memoized calls (0: default)")
 		advertise   = flag.String("advertise", "", "URL the coordinator dispatches to (default: the bound listen address)")
 		workerName  = flag.String("name", "", "worker name within the fleet (default: the bound listen address)")
 		faultsSpec  = flag.String("faults", "", `fault-injection spec, e.g. "exp.panic:p=0.1;cache.write:n=3" (dev/testing)`)

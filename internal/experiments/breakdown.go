@@ -96,13 +96,12 @@ func breakdownPoints(fig string) func(rc RunConfig) []PointSpec {
 
 // runBreakdownPointWarm is a fig3-5 point's warm path: the PARMVR call
 // of a fig6 point, reported per loop as well.
-func runBreakdownPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
-	rr, err := runPARMVRWarm(st, ps)
+func runBreakdownPointWarm(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	res, err := runPARMVRCall(ctx, st, ps)
 	if err != nil {
 		return PointResult{}, err
 	}
-	res := parmvrResult(ps.Index, rr)
-	res.Loops = loopResults(st.names, rr)
+	res.Index = ps.Index
 	return res, nil
 }
 

@@ -29,6 +29,10 @@ import (
 // out, while lower ones still are — so the lowest failing index is
 // found and reported wherever the sweep runs. Affinity is per queue,
 // hence per job: a holder's prefixes from earlier jobs are unknown here.
+// The holder's PrefixCache outlives the queue, though: a server's local
+// Holder keeps its cache for the life of the process, so a group this
+// queue ranks as unstarted may still find its prefix, and its memoized
+// calls, built by an earlier job.
 
 // PointQueue owns a decomposed sweep's dispatch order. It is safe for
 // concurrent use.

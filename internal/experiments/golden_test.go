@@ -22,7 +22,17 @@ var goldenScales = []float64{0.01, 0.02}
 
 func loadGolden(t *testing.T) map[string]string {
 	t.Helper()
-	b, err := os.ReadFile("testdata/golden.json")
+	return loadGoldenFile(t, "testdata/golden.json")
+}
+
+// loadGoldenFile reads a golden hash file. Besides golden.json,
+// testdata/golden_whole.json holds the hashes of experiments without a
+// decomposition (quickstart, table1) at scale 0.01, recorded from
+// `cascade-sim -json` before a server job could run beside another
+// job's tail.
+func loadGoldenFile(t *testing.T, path string) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +102,25 @@ func TestGoldenDecomposed(t *testing.T) {
 			warm := warmOverWire(t, context.Background(), NewPrefixCache(0), name, rc)
 			checkGolden(t, golden, key, "PrefixCache over the wire", warm)
 		}
+	}
+}
+
+// TestGoldenWhole pins the bytes of quickstart and table1, the
+// experiments without a decomposition, through the registry.
+func TestGoldenWhole(t *testing.T) {
+	golden := loadGoldenFile(t, "testdata/golden_whole.json")
+	for _, name := range []string{"quickstart", "table1"} {
+		exp, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		rc := DefaultRunConfig()
+		rc.Scale = 0.01
+		r, err := exp.Run(context.Background(), rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, golden, fmt.Sprintf("%s scale=%g", name, rc.Scale), "registry", r)
 	}
 }
 

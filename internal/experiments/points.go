@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/cascade"
@@ -104,6 +105,21 @@ type LoopMisses struct {
 	Compulsory int64 `json:"compulsory,omitempty"`
 	Capacity   int64 `json:"capacity,omitempty"`
 	Conflict   int64 `json:"conflict,omitempty"`
+}
+
+// memBytes estimates the host memory a stored result holds: the struct,
+// each metric's name and value with its map slot, and each per-loop row
+// with its name.
+func (r PointResult) memBytes() int64 {
+	const mapSlot = 16 // bucket share of one map entry: tophash, overflow, load factor
+	n := int64(unsafe.Sizeof(r))
+	for name := range r.Metrics {
+		n += int64(unsafe.Sizeof(name)+unsafe.Sizeof(int64(0))) + mapSlot + int64(len(name))
+	}
+	for _, l := range r.Loops {
+		n += int64(unsafe.Sizeof(l)) + int64(len(l.Loop))
+	}
+	return n
 }
 
 // loopResults pairs each loop's name with its measurements.
@@ -213,8 +229,9 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // every point through the experiment pool, merge — reporting point
 // progress through the context (see WithPointProgress). It returns
 // ok=false when the experiment has no decomposition. Points with a warm
-// path run it over a PrefixCache the sweep owns, so each prefix group is
-// built once per sweep, exactly as on a -warm-prefixes worker. The pool
+// path run it over the PrefixCache of ctx's Holder (see WithHolder), or
+// else over one the sweep owns, so each prefix group is built once per
+// holder or per sweep, exactly as on a -warm-prefixes worker. The pool
 // takes its points from a PointQueue, as the fleet does, so a lane runs
 // a point of a built prefix or starts a new one before it waits on
 // another lane's build. This is
@@ -229,6 +246,9 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 	}
 	specs := d.Points(rc)
 	prefixes := NewPrefixCache(0)
+	if h := holderOf(ctx); h != nil {
+		prefixes = h.prefixes
+	}
 	results := make([]PointResult, len(specs))
 	if err := runPool(ctx, len(specs), NewPointQueue(specs), func(i int) error {
 		r, warm, err := prefixes.RunPoint(ctx, specs[i])
@@ -335,14 +355,32 @@ func runPARMVRWarm(st *PrefixState, ps PointSpec) ([]cascade.Result, error) {
 	})
 }
 
+// runPARMVRCall is a point's PARMVR call off a cold-call prefix,
+// memoized on the state: fig2 and fig6 points and fig3-5 points that
+// agree on strategy and chunk budget share one simulation. The result
+// holds the call's raw measurements and its per-loop rows; the caller
+// sets the index and keeps what its merge reads.
+func runPARMVRCall(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	return st.memoCall(ctx, parmvrCall{ps.Strategy, ps.ChunkKB}, func() (PointResult, error) {
+		rr, err := runPARMVRWarm(st, ps)
+		if err != nil {
+			return PointResult{}, err
+		}
+		res := parmvrResult(0, rr)
+		res.Loops = loopResults(st.names, rr)
+		return res, nil
+	})
+}
+
 // runPARMVRPointWarm is a fig2/fig6 point's warm path: the whole call's
 // raw measurements.
-func runPARMVRPointWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
-	rr, err := runPARMVRWarm(st, ps)
+func runPARMVRPointWarm(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	res, err := runPARMVRCall(ctx, st, ps)
 	if err != nil {
 		return PointResult{}, err
 	}
-	return parmvrResult(ps.Index, rr), nil
+	res.Index, res.Loops = ps.Index, nil
+	return res, nil
 }
 
 func init() {

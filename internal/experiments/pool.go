@@ -33,12 +33,79 @@ func ReportPointProgress(ctx context.Context, done, total int) {
 	}
 }
 
-// DefaultJobWorkers is the bounded concurrency at which the serving
-// layer (internal/server) executes experiment jobs: half the scheduler's
-// processors, at least one. Each job's sweep already fans out across
-// GOMAXPROCS via parallelFor below, so running every queued job at full
-// width would oversubscribe the machine; halving keeps one job's sweep
-// and the next job's warm-up overlapped without thrashing.
+// queueDrainedKey carries a sweep-drained notifier in a context (see
+// WithQueueDrained).
+type queueDrainedKey struct{}
+
+// WithQueueDrained returns a context carrying fn. A sweep run through
+// parallelFor or RunDecomposed calls fn once its queue has handed out
+// its last point, or has stopped handing points out after a failure or
+// cancellation; its tail points may still be running. The serving layer
+// starts its next job there. An experiment with several sweep phases
+// calls fn once per phase. fn must be safe for concurrent calls.
+func WithQueueDrained(ctx context.Context, fn func()) context.Context {
+	return context.WithValue(ctx, queueDrainedKey{}, fn)
+}
+
+// holderKey carries a Holder in a context (see WithHolder).
+type holderKey struct{}
+
+// Holder is a long-lived owner of local sweeps, such as a server. It
+// has one PrefixCache that outlives every sweep run under it, so a
+// sweep reuses the prefixes, and the memoized PARMVR calls, of the
+// sweeps before it. It also has a budget of lanes that the pools of all
+// its sweeps draw on, one lane per running point, so sweeps that
+// overlap still run at most that many points at once.
+type Holder struct {
+	prefixes *PrefixCache
+	lanes    chan struct{}
+}
+
+// NewHolder returns a holder over prefixes with a budget of lanes
+// points (at least one).
+func NewHolder(prefixes *PrefixCache, lanes int) *Holder {
+	return &Holder{prefixes: prefixes, lanes: make(chan struct{}, max(lanes, 1))}
+}
+
+// WithHolder returns a context whose sweeps run under h.
+func WithHolder(ctx context.Context, h *Holder) context.Context {
+	return context.WithValue(ctx, holderKey{}, h)
+}
+
+// holderOf returns ctx's holder, or nil.
+func holderOf(ctx context.Context) *Holder {
+	h, _ := ctx.Value(holderKey{}).(*Holder)
+	return h
+}
+
+// acquire takes one lane, or returns false when ctx ends first. A nil
+// holder has no budget.
+func (h *Holder) acquire(ctx context.Context) bool {
+	if h == nil {
+		return true
+	}
+	select {
+	case h.lanes <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// release returns a lane taken by acquire.
+func (h *Holder) release() {
+	if h != nil {
+		<-h.lanes
+	}
+}
+
+// DefaultJobWorkers is the number of job workers the serving layer
+// (internal/server) runs: half the scheduler's processors, at least
+// one. A job's sweep already fans out across GOMAXPROCS lanes, and a
+// worker starts its next job as soon as the running job's queue has
+// handed out its last point, so one worker keeps the lanes busy through
+// a job's tail and merge. The server's Holder caps local points at
+// GOMAXPROCS however many jobs overlap.
 func DefaultJobWorkers() int {
 	w := runtime.GOMAXPROCS(0) / 2
 	if w < 1 {
@@ -88,18 +155,38 @@ const poolHolder = "pool"
 // runPool runs fn over the n indices of q, one at a time, on up to
 // runtime.GOMAXPROCS(0) workers (one of them the caller's goroutine),
 // with parallelFor's failure, cancellation, panic and progress rules.
+// Under a Holder (WithHolder) each point first takes one of its lanes.
+// Pools must not nest under a holder: a point holding a lane would wait
+// on its inner pool's lanes.
 func runPool(ctx context.Context, n int, q *PointQueue, fn func(i int) error) error {
 	var (
 		completed atomic.Int64
 		mu        sync.Mutex
 		firstIdx  = n // sentinel: no error recorded yet
 		firstErr  error
+		drained   sync.Once
 	)
+	h := holderOf(ctx)
+	notifyDrained := func() {
+		drained.Do(func() {
+			if fn, ok := ctx.Value(queueDrainedKey{}).(func()); ok && fn != nil {
+				fn()
+			}
+		})
+	}
 	work := func() {
 		for ctx.Err() == nil {
+			if !h.acquire(ctx) {
+				return
+			}
 			lease := q.Next(poolHolder, 1)
 			if lease == nil {
+				h.release()
+				notifyDrained()
 				return
+			}
+			if q.Unclaimed() == 0 {
+				notifyDrained()
 			}
 			i := lease[0]
 			if err := runPoint(i, fn); err != nil {
@@ -112,6 +199,7 @@ func runPool(ctx context.Context, n int, q *PointQueue, fn func(i int) error) er
 			} else {
 				q.Done(poolHolder, i)
 			}
+			h.release()
 			ReportPointProgress(ctx, int(completed.Add(1)), n)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cascade"
 	"repro/internal/machine"
@@ -19,7 +20,10 @@ import (
 // prefixes lets a worker, or RunDecomposed, simulate each distinct prefix
 // once and park it in a bounded LRU: a sealed machine.Snapshot forked per
 // point, or one packed machine.Capture per loop loaded per point. O(points
-// x full-run) becomes O(prefixes x prefix + points x tail).
+// x full-run) becomes O(prefixes x prefix + points x tail). A cached
+// cold-call prefix also memoizes the PARMVR calls run off it (memoCall),
+// so points of different sweeps that make the same call share one
+// simulation; a server's cache lives as long as the process (Holder).
 //
 // The contract that keeps the fabric's byte-identity guarantee intact:
 // RunWarm(BuildPrefix(Prefix(ps)), ps) must produce exactly the bytes
@@ -74,12 +78,102 @@ type PrefixState struct {
 	// named names[i].
 	starts []*machine.Capture
 	names  []string
+
+	// The PrefixCache that built the state and its key there; nil for a
+	// private state. The cache's mu guards calls, the memo of PARMVR
+	// calls run off the state (see memoCall), whose stored results hold
+	// callMem bytes.
+	cache    *PrefixCache
+	cacheKey string
+	calls    map[parmvrCall]*callFlight
+	callMem  atomic.Int64
 }
 
 // MemBytes is the host memory the state retains: a warm prefix's sealed
 // snapshot arrays and checkpointed address space, or a cold-call prefix's
-// packed captures.
-func (st *PrefixState) MemBytes() int64 { return st.mem }
+// packed captures, plus the results its call memo stores.
+func (st *PrefixState) MemBytes() int64 { return st.mem + st.callMem.Load() }
+
+// parmvrCall names one PARMVR call off a cold-call prefix. The prefix
+// fixes machine, processor count and scale, so a strategy and a chunk
+// budget name the rest of the call.
+type parmvrCall struct {
+	strategy string
+	chunkKB  int
+}
+
+// callFlight is one memoized call's single flight. res and err are
+// written once, before done closes.
+type callFlight struct {
+	done chan struct{}
+	res  PointResult
+	err  error
+}
+
+// memoCall returns the outcome of call k off st, running run at most
+// once per call for as long as st lives: concurrent callers wait on the
+// first one's flight, and later ones get its stored result. A failed
+// run is never stored, so the next caller runs it again. A panicking
+// run is not stored either: its waiters get the panic as their error,
+// and the panic goes on up the runner's own stack. A private state
+// memoizes nothing.
+func (st *PrefixState) memoCall(ctx context.Context, k parmvrCall, run func() (PointResult, error)) (PointResult, error) {
+	c := st.cache
+	if c == nil {
+		return run()
+	}
+	c.mu.Lock()
+	if f, ok := st.calls[k]; ok {
+		c.stats.CallHits++
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+			return f.res, f.err
+		case <-ctx.Done():
+			return PointResult{}, ctx.Err()
+		}
+	}
+	f := &callFlight{done: make(chan struct{})}
+	if st.calls == nil {
+		st.calls = map[parmvrCall]*callFlight{}
+	}
+	st.calls[k] = f
+	c.stats.CallMisses++
+	c.mu.Unlock()
+
+	settled := false
+	defer func() {
+		if !settled {
+			r := recover()
+			f.err = fmt.Errorf("PARMVR call panicked: %v\n%s", r, debug.Stack())
+			c.settle(st, k, f)
+			panic(r)
+		}
+	}()
+	f.res, f.err = run()
+	settled = true
+	c.settle(st, k, f)
+	return f.res, f.err
+}
+
+// settle publishes a finished flight and wakes its waiters. A failed
+// flight leaves the memo; a stored one is charged to the byte ceiling
+// while st is still the cached state of its key.
+func (c *PrefixCache) settle(st *PrefixState, k parmvrCall, f *callFlight) {
+	c.mu.Lock()
+	if f.err != nil {
+		delete(st.calls, k)
+	} else {
+		n := f.res.memBytes()
+		st.callMem.Add(n)
+		if e := c.entries[st.cacheKey]; e != nil && e.st == st {
+			c.used += n
+			c.evictLocked(st.cacheKey)
+		}
+	}
+	c.mu.Unlock()
+	close(f.done)
+}
 
 // BuildPrefix simulates a prefix from scratch: dataset build and machine
 // construction, then either every loop's cold-call start state, captured
@@ -153,18 +247,21 @@ func (st *PrefixState) fork() (*machine.Machine, *wave5.PARMVR, error) {
 	return m, w, nil
 }
 
-// PrefixCacheStats is a point-in-time summary of a PrefixCache.
+// PrefixCacheStats is a point-in-time summary of a PrefixCache. Hits
+// and Misses count prefix lookups; CallHits and CallMisses count PARMVR
+// calls served from, and run into, the cached states' call memos.
 type PrefixCacheStats struct {
 	Hits, Misses, Evictions int64
+	CallHits, CallMisses    int64
 	Entries                 int
 	Bytes, MaxBytes         int64
 }
 
-// PrefixCache is the worker's bounded prefix LRU: prefix key -> built
-// PrefixState, capped by MemBytes. Concurrent requests for the same key
-// single-flight the build; an evicted state stays usable by points
-// already holding it (snapshots and captures are immutable), the cache
-// merely drops its reference.
+// PrefixCache is a holder's bounded prefix LRU: prefix key -> built
+// PrefixState, capped by MemBytes, which counts the states' call memos
+// too. Concurrent requests for the same key single-flight the build; an
+// evicted state stays usable by points already holding it (snapshots
+// and captures are immutable), the cache merely drops its reference.
 type PrefixCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -264,6 +361,9 @@ func (c *PrefixCache) fill(ctx context.Context, key string, spec PrefixSpec, e *
 	}()
 	c.mu.Lock()
 	e.st, e.err = st, err
+	if err == nil {
+		st.cache, st.cacheKey = c, key
+	}
 	if c.entries[key] == e {
 		if err != nil {
 			c.drop(key)

@@ -268,13 +268,13 @@ func (s *Server) SubmitResume(ref CheckpointRef) (JobView, error) {
 		params:     parent.params,
 		key:        key,
 		from:       &refCopy,
-		state:      StateQueued,
 		created:    time.Now(),
 		done:       make(chan struct{}),
 	}
 	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
+	s.setStateLocked(j, StateQueued)
 	if val, ok := s.cache.Get(key); ok {
 		j.cached = true
 		s.finishLocked(j, val, nil)
@@ -283,8 +283,8 @@ func (s *Server) SubmitResume(ref CheckpointRef) (JobView, error) {
 		s.mu.Unlock()
 		return v, nil
 	}
-	j.state = StateRunning
 	j.started = time.Now()
+	s.setStateLocked(j, StateRunning)
 	s.mu.Unlock()
 
 	// Resumes run synchronously on the request goroutine: the shared

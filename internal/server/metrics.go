@@ -34,20 +34,22 @@ const (
 	mPointsBatches     = "points.batches"      // batched leases admitted (one per batch, any size)
 	mPointsWarm        = "points.warm"         // points executed through the warm-prefix path
 
-	// Warm-prefix snapshot LRU gauges (mirrors of
-	// experiments.PrefixCacheStats; zero when -warm-prefixes is off).
-	mPrefixHits      = "prefix.hits"
-	mPrefixMisses    = "prefix.misses"
-	mPrefixEvictions = "prefix.evictions"
-	mPrefixEntries   = "prefix.entries"
-	mPrefixBytes     = "prefix.bytes"
+	// Prefix-cache gauges (mirrors of experiments.PrefixCacheStats, for
+	// local jobs and, with -warm-prefixes, shipped points).
+	mPrefixHits       = "prefix.hits"
+	mPrefixMisses     = "prefix.misses"
+	mPrefixCallHits   = "prefix.calls.hits"   // PARMVR calls served from a prefix's memo
+	mPrefixCallMisses = "prefix.calls.misses" // PARMVR calls simulated and memoized
+	mPrefixEvictions  = "prefix.evictions"
+	mPrefixEntries    = "prefix.entries"
+	mPrefixBytes      = "prefix.bytes"
 
 	// Checkpoint-stream counters.
 	mCkptCaptured = "checkpoints.captured" // streams captured by a fresh simulation
 	mCkptReused   = "checkpoints.reused"   // stream requests answered by an existing stream
 
 	// Failure-model counters (see DESIGN.md §10).
-	mWorkerRestarts    = "workers.restarts"    // worker goroutines respawned after a panic escaped a job
+	mWorkerRestarts    = "workers.restarts"    // panics that escaped a job's own containment (the job still fails)
 	mCacheWriteRetries = "cache.write_retries" // cache.Put attempts retried after a transient failure
 
 	// Per-phase job timers (wall time, nanoseconds).
@@ -82,7 +84,8 @@ func initMetrics(m *metrics.Synced) {
 	}
 	m.Set(mQueueDepth, 0)
 	m.Set(mQueuePeak, 0)
-	for _, name := range []string{mPrefixHits, mPrefixMisses, mPrefixEvictions, mPrefixEntries, mPrefixBytes} {
+	for _, name := range []string{mPrefixHits, mPrefixMisses, mPrefixCallHits, mPrefixCallMisses,
+		mPrefixEvictions, mPrefixEntries, mPrefixBytes} {
 		m.Set(name, 0)
 	}
 }

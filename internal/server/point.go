@@ -328,7 +328,7 @@ func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.Point
 		<-ctx.Done() // a point that never finishes until cancelled
 		return res, ctx.Err()
 	}
-	if s.prefixCache != nil {
+	if s.warmPrefixes {
 		// Warm path: points whose decomposition declares a shared prefix
 		// fork a cached machine snapshot instead of rebuilding the sweep
 		// prefix. Byte-identical to the cold path by the experiments
@@ -358,16 +358,16 @@ func (s *Server) PointDeadline() time.Duration {
 	return s.jobTimeout
 }
 
-// publishPrefixStats mirrors the warm-prefix snapshot LRU's counters
-// into the metrics registry, so /metrics exposes hit rates and the
-// memory held by parked snapshots.
+// publishPrefixStats mirrors the prefix cache's counters into the
+// metrics registry, so /metrics exposes hit rates, the memoized calls
+// and the memory held by parked prefixes. Local jobs publish when they
+// finish, shipped points after each warm point.
 func (s *Server) publishPrefixStats() {
-	if s.prefixCache == nil {
-		return
-	}
 	st := s.prefixCache.Stats()
 	s.metrics.Set(mPrefixHits, st.Hits)
 	s.metrics.Set(mPrefixMisses, st.Misses)
+	s.metrics.Set(mPrefixCallHits, st.CallHits)
+	s.metrics.Set(mPrefixCallMisses, st.CallMisses)
 	s.metrics.Set(mPrefixEvictions, st.Evictions)
 	s.metrics.Set(mPrefixEntries, int64(st.Entries))
 	s.metrics.Set(mPrefixBytes, st.Bytes)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -61,22 +62,22 @@ func (s *Server) Submit(experiment string, p JobParams) (JobView, error) {
 		return JobView{}, ErrShuttingDown
 	}
 	// Counted only once a submission is accepted (a job record exists),
-	// so jobs.submitted = jobs.completed + jobs.failed + in-flight jobs
-	// holds at every instant; shutdown rejections count only in
-	// jobs.rejected.
+	// so jobs.submitted = jobs.completed + jobs.failed + queued + running
+	// holds at every instant (checkConservationLocked); shutdown
+	// rejections count only in jobs.rejected.
 	s.metrics.Inc(mJobsSubmitted)
 	j := &job{
 		id:         fmt.Sprintf("j%d", s.nextID),
 		experiment: e.Name,
 		params:     p,
 		key:        key,
-		state:      StateQueued,
 		created:    time.Now(),
 		done:       make(chan struct{}),
 	}
 	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
+	s.setStateLocked(j, StateQueued)
 
 	if leader, ok := s.inflight[key]; ok {
 		j.coalesced = true
@@ -167,52 +168,68 @@ func (s *Server) follow(j, leader *job) {
 	}
 }
 
-// worker drains the job queue until it is closed and empty. The pool
-// self-heals: a panic that escapes a job (runJob already converts
-// experiment panics into job failures, so this is the last resort for
-// bookkeeping bugs) respawns a replacement worker before this one
-// exits, and the escaped job is still moved to a terminal state.
+// worker drains the job queue until it is closed and empty. Each job
+// runs on a goroutine of its own, and the worker takes the next job as
+// soon as the running job's sweep has handed out its last point (the
+// overlap rule): the next job's points then fill the lanes that the
+// tail, merge, render and cache write would leave idle, and the
+// holder's lane budget keeps local points at or below GOMAXPROCS. At
+// most two jobs are in flight per worker: before taking a third, the
+// worker waits for the older one to finish. A job that runs no sweep
+// finishes before its worker moves on.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	var cur *job
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.Inc(mWorkerRestarts)
-			if cur != nil {
-				s.mu.Lock()
-				delete(s.inflight, cur.key)
-				if cur.state == StateQueued || cur.state == StateRunning {
-					s.finishLocked(cur, nil, fmt.Errorf("worker panicked: %v", r))
-				}
-				s.mu.Unlock()
-			}
-			s.wg.Add(1) // before Done (deferred later = runs first): never strands Shutdown's Wait
-			go s.worker()
-		}
-	}()
+	var tail *job // the previous job, perhaps still in its tail
 	for j := range s.queue {
-		cur = j
 		s.metrics.Set(mQueueDepth, int64(len(s.queue)))
-		s.runJob(j)
-		cur = nil
+		drained := make(chan struct{})
+		var once sync.Once
+		s.wg.Add(1)
+		go s.runJob(j, func() { once.Do(func() { close(drained) }) })
+		select {
+		case <-drained:
+		case <-j.done:
+		}
+		if tail != nil {
+			<-tail.done
+		}
+		tail = j
 	}
 }
 
-// runJob executes one leader job: run the experiment under the server's
-// run context (bounded by the job's deadline), render the result to
-// JSON, store it in the cache, and finish the job (waking any
-// followers). Every failure mode is absorbed here:
+// runJob executes one leader job on its own goroutine: run the
+// experiment under the server's run context and holder (bounded by the
+// job's deadline), render the result to JSON, store it in the cache,
+// and finish the job (waking any followers). drained is called once the
+// job's sweep has handed out its last point. Every failure mode is
+// absorbed here:
 //
 //   - a panic anywhere in execution fails only this job, with the stack
 //     in its error (jobs.panics);
 //   - the per-job deadline cancels the experiment's context so a stuck
 //     sweep cannot pin the worker forever (jobs.timeouts);
 //   - a cache write failure degrades: the computed result is served and
-//     the job succeeds (cache.write_errors counts the loss).
-func (s *Server) runJob(j *job) {
+//     the job succeeds (cache.write_errors counts the loss);
+//   - a panic that escapes all of that (a bookkeeping bug) still moves
+//     the job to a terminal state (workers.restarts).
+func (s *Server) runJob(j *job, drained func()) {
+	defer s.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.Inc(mWorkerRestarts)
+			s.mu.Lock()
+			if s.inflight[j.key] == j {
+				delete(s.inflight, j.key)
+			}
+			if j.state == StateQueued || j.state == StateRunning {
+				s.finishLocked(j, nil, fmt.Errorf("worker panicked: %v", r))
+			}
+			s.mu.Unlock()
+		}
+	}()
 	s.mu.Lock()
-	j.state = StateRunning
 	j.started = time.Now()
+	s.setStateLocked(j, StateRunning)
 	s.mu.Unlock()
 	s.metrics.Add(mTimeQueued, j.started.Sub(j.created).Nanoseconds())
 	s.metrics.Inc(mJobsExecuted)
@@ -221,6 +238,7 @@ func (s *Server) runJob(j *job) {
 		j.pointsDone.Store(int64(done))
 		j.pointsTotal.Store(int64(total))
 	})
+	ctx = experiments.WithQueueDrained(experiments.WithHolder(ctx, s.holder), drained)
 	timeout := time.Duration(j.params.TimeoutMS) * time.Millisecond
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -228,6 +246,7 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	val, err := s.execute(ctx, j)
+	s.publishPrefixStats()
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && s.runCtx.Err() == nil {
 		s.metrics.Inc(mJobsTimeouts)
 		err = fmt.Errorf("job exceeded its %v deadline: %w", timeout, err)
@@ -311,16 +330,45 @@ func (s *Server) storeResult(ctx context.Context, key string, val []byte) error 
 func (s *Server) finishLocked(j *job, val []byte, err error) {
 	j.finished = time.Now()
 	if err != nil {
-		j.state = StateFailed
 		j.errMsg = err.Error()
 		j.errCode = errorCode(err)
 		s.metrics.Inc(mJobsFailed)
+		s.setStateLocked(j, StateFailed)
 	} else {
-		j.state = StateDone
 		j.result = val
 		s.metrics.Inc(mJobsCompleted)
+		s.setStateLocked(j, StateDone)
 	}
 	close(j.done)
+}
+
+// setStateLocked moves j to state to, keeping the per-state job counts,
+// and checks the conservation identity. A terminal move is counted in
+// jobs.completed or jobs.failed first. Callers hold the server mutex.
+func (s *Server) setStateLocked(j *job, to State) {
+	if j.state != "" {
+		s.jobStates[j.state]--
+	}
+	j.state = to
+	s.jobStates[to]++
+	s.checkConservationLocked()
+}
+
+// checkConservationLocked checks jobs.submitted = jobs.completed +
+// jobs.failed + queued + running, the identity every transition keeps.
+// The first violation marks the server unconserved, which /healthz
+// reports as degraded, and logs the counters. Callers hold the server
+// mutex.
+func (s *Server) checkConservationLocked() {
+	submitted := s.metrics.Value(mJobsSubmitted)
+	completed, failed := s.metrics.Value(mJobsCompleted), s.metrics.Value(mJobsFailed)
+	queued, running := s.jobStates[StateQueued], s.jobStates[StateRunning]
+	if submitted == completed+failed+int64(queued+running) || s.unconserved.Load() {
+		return
+	}
+	s.unconserved.Store(true)
+	s.logf("server: job conservation violated: jobs.submitted=%d jobs.completed=%d jobs.failed=%d queued=%d running=%d",
+		submitted, completed, failed, queued, running)
 }
 
 // RenderJSON renders an experiment result exactly as cascade-sim's -json

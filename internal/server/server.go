@@ -34,7 +34,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,9 +61,13 @@ const shutdownRetryAfter = 5 * time.Second
 // registry from a memory-only cache with experiments.DefaultJobWorkers
 // workers.
 type Config struct {
-	// Workers bounds how many jobs execute concurrently (each job's
-	// sweep additionally parallelizes internally via the experiment
-	// pool). Default: experiments.DefaultJobWorkers().
+	// Workers is how many job workers take jobs off the queue; a worker
+	// starts its next job once the running job's sweep has handed out
+	// its last point, so up to two jobs per worker are in flight. Each
+	// job's sweep parallelizes internally on the server's lanes
+	// (GOMAXPROCS of them, shared by every local job). Workers is also
+	// the number of shipped points run at once (PointSlots). Default:
+	// experiments.DefaultJobWorkers().
 	Workers int
 	// QueueDepth bounds how many accepted jobs may wait for a worker;
 	// submissions beyond it are rejected with ErrQueueFull. Default: 64.
@@ -99,14 +105,16 @@ type Config struct {
 	QuarantineTTL time.Duration
 	// WarmPrefixes enables worker-side prefix reuse for shipped points: a
 	// point whose decomposition declares a shared prefix executes off the
-	// built prefix state from a bounded LRU (a sealed machine snapshot or
-	// per-loop packed captures) instead of rebuilding the sweep prefix. Byte-identical results
-	// either way (the experiments layer pins the RunWarm contract) —
-	// purely a wall-clock optimization for prefix-heavy sweeps.
+	// built prefix state from the server's prefix cache (a sealed machine
+	// snapshot or per-loop packed captures) instead of rebuilding the
+	// sweep prefix. Byte-identical results either way (the experiments
+	// layer pins the RunWarm contract) — purely a wall-clock
+	// optimization for prefix-heavy sweeps. Local jobs always run off
+	// the cache.
 	WarmPrefixes bool
-	// PrefixCacheBytes bounds the warm-prefix snapshot LRU by estimated
-	// retained bytes; 0 uses experiments.DefaultPrefixCacheBytes. Only
-	// meaningful with WarmPrefixes.
+	// PrefixCacheBytes bounds the server's prefix cache (prefix states
+	// and their memoized PARMVR calls) by estimated retained bytes; 0
+	// uses experiments.DefaultPrefixCacheBytes.
 	PrefixCacheBytes int64
 }
 
@@ -122,7 +130,12 @@ type Server struct {
 	faultSpec    string
 	faultSeed    int64
 	progressTick time.Duration
-	prefixCache  *experiments.PrefixCache // nil unless Config.WarmPrefixes
+	warmPrefixes bool
+	// The server's one local holder: a prefix cache that lives as long
+	// as the process, serving every local job (and shipped points under
+	// WarmPrefixes), and the lane budget every local job's pool draws on.
+	prefixCache *experiments.PrefixCache
+	holder      *experiments.Holder
 
 	runCtx    context.Context
 	cancelRun context.CancelFunc
@@ -143,6 +156,13 @@ type Server struct {
 	jobs     map[string]*job
 	order    []*job
 	inflight map[string]*job // cache key → queued/running leader
+
+	// Runtime conservation (checkConservationLocked): jobs per state,
+	// guarded by mu; unconserved latches the first violation for
+	// /healthz; logf reports it.
+	jobStates   map[State]int
+	unconserved atomic.Bool
+	logf        func(format string, args ...any)
 
 	// Checkpoint streams (in-memory only — they hold live copy-on-write
 	// machine and space state; see checkpoints.go).
@@ -203,13 +223,15 @@ func New(cfg Config) (*Server, error) {
 		pointAdmitMax: cfg.Workers + cfg.QueueDepth,
 		jobs:          make(map[string]*job),
 		inflight:      make(map[string]*job),
+		jobStates:     make(map[State]int),
+		logf:          log.Printf,
 		ckByKey:       make(map[string]*checkpointStream),
 		ckByJob:       make(map[string]*checkpointStream),
 		nextID:        1,
+		warmPrefixes:  cfg.WarmPrefixes,
+		prefixCache:   experiments.NewPrefixCache(cfg.PrefixCacheBytes),
 	}
-	if cfg.WarmPrefixes {
-		s.prefixCache = experiments.NewPrefixCache(cfg.PrefixCacheBytes)
-	}
+	s.holder = experiments.NewHolder(s.prefixCache, runtime.GOMAXPROCS(0))
 	for _, e := range cfg.Experiments {
 		if _, dup := s.exps[e.Name]; dup {
 			cancel()
@@ -308,14 +330,16 @@ func (s *Server) QueueDepth() int {
 //
 //	ok        200  serving normally
 //	degraded  200  serving, but the disk cache is erroring (results
-//	               are still computed and served memory-only)
+//	               are still computed and served memory-only), or the
+//	               job counters stopped adding up (see
+//	               checkConservationLocked)
 //	draining  503  shutdown begun: stop routing new traffic here
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
 	switch {
 	case s.Draining():
 		status, code = "draining", http.StatusServiceUnavailable
-	case !s.cache.Healthy():
+	case !s.cache.Healthy() || s.unconserved.Load():
 		status = "degraded"
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -471,6 +472,9 @@ func assertConservation(t *testing.T, s *Server) {
 	if sub != comp+fail {
 		t.Errorf("counter conservation violated: submitted %d != completed %d + failed %d", sub, comp, fail)
 	}
+	if s.unconserved.Load() {
+		t.Error("the runtime conservation check fired on some job transition")
+	}
 }
 
 // TestServerFollowerAdoptsLeaderPanic pins the coalesced-follower error
@@ -641,6 +645,51 @@ func TestServerCounterConservation(t *testing.T) {
 		t.Errorf("jobs.submitted = %d, want 5", got)
 	}
 	assertConservation(t, s)
+}
+
+// TestServerConservationViolationDegrades forces a violation of the
+// runtime job-conservation check — a submission counted that no job
+// record backs — and pins that the next transition catches it: /healthz
+// turns degraded and the counters are logged.
+func TestServerConservationViolationDegrades(t *testing.T) {
+	s, err := New(Config{Workers: 1, Experiments: []experiments.Experiment{echoExperiment("good")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	var mu sync.Mutex
+	var logged []string
+	s.logf = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	v, err := s.Submit("good", JobParams{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, s, v.ID)
+	if body, _ := healthz(t, ts.URL); body != "ok" {
+		t.Fatalf("healthz before the violation = %q, want ok", body)
+	}
+
+	s.metrics.Inc(mJobsSubmitted) // a submission with no job record
+	v, err = s.Submit("good", JobParams{N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, s, v.ID)
+	if body, _ := healthz(t, ts.URL); body != "degraded" {
+		t.Errorf("healthz after the violation = %q, want degraded", body)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 1 || !strings.Contains(logged[0], "jobs.submitted=3 jobs.completed=1 jobs.failed=0 queued=1 running=0") {
+		t.Errorf("logged %q, want one line with the counters at the violation", logged)
+	}
 }
 
 // TestServerHealthzDraining pins the readiness half of /healthz: while

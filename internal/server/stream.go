@@ -74,11 +74,15 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, wa
 			s.mu.Lock()
 			frame := Envelope{Job: ptr(j.view(false))}
 			s.mu.Unlock()
-			frame.Progress = j.progress()
-			if writeFrame(w, flusher, frame) != nil {
-				return // client hung up; the job runs on regardless
+			if st := frame.Job.State; st != StateDone && st != StateFailed {
+				frame.Progress = j.progress()
+				if writeFrame(w, flusher, frame) != nil {
+					return // client hung up; the job runs on regardless
+				}
+				continue
 			}
-			continue
+			// The job finished as the tick fired: only the final frame
+			// may carry a terminal state.
 		}
 		break
 	}
