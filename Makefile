@@ -10,8 +10,9 @@
 # three-process fleet, and diffs a distributed sweep against the single-node driver (DESIGN.md
 # §12); `serve` boots the experiment-serving daemon; `bench` regenerates the paper's headline
 # benchmarks; `bench-hotpath` compares the compiled fast engine against
-# the reference interpreter (see BENCH_hotpath.json and
-# BENCH_coalesce.json for recorded runs); `bench-parallel` measures the
+# the reference interpreter (see BENCH_hotpath.json for recorded runs;
+# BENCH_coalesce.json is the historical record of the run-coalescing
+# mechanism, since deleted); `bench-parallel` measures the
 # host-parallel engine against the serial driver on the same workloads
 # (recorded in BENCH_parallel.json); `bench-snapshot` measures
 # copy-on-write warm-started sweeps against fresh per-point prefixes

@@ -16,18 +16,13 @@ import (
 // records representative numbers.
 
 // hotPathEngines names the engine variants for sub-benchmarks: the fast
-// engine as configured by default (run coalescing on), the fast engine
-// with coalescing disabled (isolating the coalescing gain), and the
-// reference interpreter.
+// engine as configured by default and the reference interpreter.
 var hotPathEngines = []struct {
 	name string
 	cfg  func(machine.Config) machine.Config
 }{
 	{"fast", func(c machine.Config) machine.Config {
 		return c.WithEngine(machine.EngineFast)
-	}},
-	{"fast-nocoalesce", func(c machine.Config) machine.Config {
-		return c.WithEngine(machine.EngineFast).WithCoalesce(machine.CoalesceOff)
 	}},
 	{"reference", func(c machine.Config) machine.Config {
 		return c.WithEngine(machine.EngineReference)
@@ -62,11 +57,9 @@ func BenchmarkHotPathSequential(b *testing.B) {
 }
 
 // BenchmarkHotPathDense runs the gallery triad — three unit-stride
-// streams placed to avoid set conflicts — the best case for run
-// coalescing: nearly every iteration is line-resident, so fast vs
-// fast-nocoalesce isolates the coalescing mechanism's headroom on a
-// workload that actually has runs (PARMVR mostly does not; see
-// BENCH_coalesce.json).
+// streams placed to avoid set conflicts — so nearly every access is a
+// same-line L1 hit: the per-access cost of the fast engine's hit path,
+// where PARMVR (BenchmarkHotPathSequential) mixes in its conflict misses.
 func BenchmarkHotPathDense(b *testing.B) {
 	const n = 1 << 16
 	var triad gallery.Kernel

@@ -165,24 +165,6 @@ func (c *Cache) touchFast(ln *line) {
 	}
 }
 
-// touchRun retires n further demand hits on a line in one step, with the
-// exact aggregate bookkeeping of n touchFast calls: n accesses, n hits, n
-// LRU ticks, and the line left at the newest tick. Intermediate LRU
-// positions are unobservable — no lookup happens between the coalesced
-// hits — so only the final state matters, and it is identical. Callers
-// must not use it while classification is enabled: the shadow observes
-// per-access touch order, which the hierarchy's legality predicate
-// (CoalesceActive) accounts for.
-func (c *Cache) touchRun(ln *line, n int64) {
-	if c.cow {
-		panic("cache: touchRun through a pointer into sealed storage")
-	}
-	c.stats.Accesses += n
-	c.stats.Hits += n
-	c.tick += uint64(n)
-	ln.lru = c.tick
-}
-
 // Probe reports the line's state without touching LRU order or statistics.
 // The address must be line-aligned.
 func (c *Cache) Probe(lineAddr memsim.Addr) State {

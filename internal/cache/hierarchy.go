@@ -127,17 +127,6 @@ type Hierarchy struct {
 	// switch it on for EngineFast configurations.
 	FastPath bool
 
-	// Coalesce enables run coalescing: AccessRun may retire the tail of a
-	// line-resident access run with analytic stat/latency deltas instead
-	// of walking the state machine per access, and VerifyRun/RetireRun
-	// expose the same legality predicate to the compiled runner's window
-	// coalescing. Like FastPath, the retired bookkeeping is observably
-	// identical to the per-access path — it only ever applies to accesses
-	// the full path would have served as pure L1+TLB hits; see DESIGN.md
-	// §4.2 for the invariants. Off by default; machines switch it on for
-	// EngineFast configurations unless the Coalesce knob says otherwise.
-	Coalesce bool
-
 	victims *victimBuffer
 
 	// memo is the same-line hint table: a small direct-mapped cache over
@@ -337,192 +326,6 @@ func (h *Hierarchy) memoize(first memsim.Addr) {
 	}
 	m.ln = ln
 	m.line = first
-}
-
-// AccessRun performs count demand accesses of size bytes each, starting
-// at addr and advancing strideBytes per access (strideBytes may be zero
-// or negative), as one consecutive stream with nothing interleaved. It is
-// observably identical to count individual Access calls: the first access
-// of every L1 line the run touches performs the full state-machine walk
-// (TLB, L1/L2 lookup, fill, victim selection, coherence probe), and the
-// remaining same-line accesses — which that walk proves are pure L1+TLB
-// hits — are retired with analytic stat and latency deltas. Whenever the
-// legality predicate fails (spanning access, insufficient coherence
-// state, missing translation, classification shadow attached, Coalesce
-// off), the run falls back to per-access walks, so the entry point is
-// always safe to use on a consecutive stream.
-//
-// The returned Result aggregates the run: summed cycles and miss
-// penalties, deepest level touched. Callers feeding an overlap model with
-// MaxOutstanding > 1 must not merge runs containing misses this way (the
-// merge changes the per-access penalty grouping); the fast engine only
-// emits AccessRun on machines that retire demand misses serially.
-func (h *Hierarchy) AccessRun(addr memsim.Addr, size, count, strideBytes int, write bool) Result {
-	var agg Result
-	for k := 0; k < count; {
-		a := memsim.Addr(int64(addr) + int64(k)*int64(strideBytes))
-		r := h.Access(a, size, write)
-		agg.Cycles += r.Cycles
-		agg.MissPenalty += r.MissPenalty
-		if r.Level > agg.Level {
-			agg.Level = r.Level
-		}
-		k++
-		n := sameLineRun(a, size, strideBytes, count-k, h.L1.cfg.LineSize)
-		if n == 0 || !h.Coalesce || h.L1.classify != nil {
-			continue
-		}
-		ln, e, ok := h.runHit(a.Line(h.L1.cfg.LineSize), write)
-		if !ok {
-			// Could not prove the tail consists of pure hits (e.g. the
-			// walk above left the line Shared under a write upgrade path
-			// that a future change reroutes): keep walking per access.
-			continue
-		}
-		h.L1.touchRun(ln, int64(n))
-		if h.TLB != nil {
-			h.TLB.touchRun(e, int64(n))
-		}
-		agg.Cycles += int64(n) * h.L1.cfg.HitLatency
-		k += n
-	}
-	return agg
-}
-
-// sameLineRun returns how many of the next avail accesses (size bytes,
-// advancing strideBytes each) stay within the L1 line of the
-// just-completed access at a. A spanning access (size crossing the line
-// boundary) yields zero — spans take the full multi-line path.
-func sameLineRun(a memsim.Addr, size, strideBytes, avail, lineSize int) int {
-	if avail <= 0 {
-		return 0
-	}
-	off := a.Offset(lineSize)
-	if off+size > lineSize {
-		return 0
-	}
-	var n int
-	switch {
-	case strideBytes == 0:
-		return avail
-	case strideBytes > 0:
-		n = (lineSize - off - size) / strideBytes
-	default:
-		n = off / -strideBytes
-	}
-	if n > avail {
-		n = avail
-	}
-	return n
-}
-
-// RunToken is a verified claim, produced by BeginRun, that a particular
-// single-line access is currently a pure L1 (and TLB) hit: it carries
-// direct pointers to the L1 slot and TLB slot that would serve the hit.
-// The claim stays true for as long as the hierarchy performs nothing but
-// retired hits — hits fill nothing, evict nothing, and refill nothing —
-// so a caller may hold several tokens from consecutive BeginRun calls
-// and retire against all of them. Any other hierarchy operation (a
-// demand access, prefetch, coherence event, or reset) invalidates
-// outstanding tokens; callers must discard them and re-verify.
-type RunToken struct {
-	ln *line
-	e  *tlbEntry
-}
-
-// BeginRun is the legality predicate of run coalescing: it reports
-// whether a demand access of size bytes at addr is provably a pure L1
-// (and TLB) hit, i.e. whether RetireToken may retire repetitions of it
-// analytically. The proof requires the access to stay within one L1 line
-// whose slot currently holds the line in a sufficient state — any valid
-// state for a read, Modified for a write (a Shared-line write needs a
-// coherence upgrade, which is not a pure hit) — and, when a TLB is
-// modelled, the page to be resident. Any intervening coherence event,
-// eviction, or TLB refill makes the predicate fail, which is the
-// fallback rule: the caller must then perform the accesses individually.
-func (h *Hierarchy) BeginRun(addr memsim.Addr, size int, write bool) (RunToken, bool) {
-	if !h.Coalesce || h.L1.classify != nil || size <= 0 {
-		return RunToken{}, false
-	}
-	first := addr.Line(h.L1.cfg.LineSize)
-	if (addr + memsim.Addr(size) - 1).Line(h.L1.cfg.LineSize) != first {
-		return RunToken{}, false
-	}
-	ln, e, ok := h.runHit(first, write)
-	if !ok {
-		return RunToken{}, false
-	}
-	return RunToken{ln: ln, e: e}, true
-}
-
-// VerifyRun is BeginRun as a bare predicate, for callers (and tests)
-// that only need the legality answer.
-func (h *Hierarchy) VerifyRun(addr memsim.Addr, size int, write bool) bool {
-	_, ok := h.BeginRun(addr, size, write)
-	return ok
-}
-
-// RetireToken retires count guaranteed-hit accesses against a token with
-// the exact aggregate bookkeeping of count individual hit walks (each
-// costs the L1 hit latency; the caller accumulates timing, exactly as it
-// accumulates per-access Results). The token must come from BeginRun
-// with no intervening hierarchy operation other than other retirements —
-// see RunToken; the differential tests in internal/cascade hold the fast
-// engine to bit-identical metrics against the per-access reference
-// engine, which is what makes the unchecked form safe to keep fast.
-func (h *Hierarchy) RetireToken(t RunToken, count int64) {
-	h.L1.touchRun(t.ln, count)
-	if t.e != nil {
-		h.TLB.touchRun(t.e, count)
-	}
-}
-
-// RetireRun is the checked, address-based form of RetireToken: it
-// re-establishes the legality predicate and panics on violation rather
-// than silently diverging from the reference engine.
-func (h *Hierarchy) RetireRun(addr memsim.Addr, size int, count int64, write bool) Result {
-	if count <= 0 {
-		return Result{}
-	}
-	t, ok := h.BeginRun(addr, size, write)
-	if !ok {
-		panic(fmt.Sprintf("cache: RetireRun(%s, %d, %d, %t) without a verified run", addr, size, count, write))
-	}
-	h.RetireToken(t, count)
-	return Result{Cycles: count * h.L1.cfg.HitLatency, Level: LevelL1}
-}
-
-// CoalesceActive reports whether analytic run retirement is currently
-// legal on this hierarchy: the Coalesce knob is on and no
-// miss-classification shadow is attached (the shadow observes per-access
-// touch order, which retirement elides).
-func (h *Hierarchy) CoalesceActive() bool {
-	return h.Coalesce && h.L1.classify == nil
-}
-
-// runHit locates the L1 slot and TLB slot that would serve a same-line
-// hit at line address first, or ok=false when residency, state, or
-// translation cannot be proved. It consults the same-line hint table
-// first (verified, exactly like Access's fast path) and falls back to
-// full searches, so it works with or without FastPath memoization.
-func (h *Hierarchy) runHit(first memsim.Addr, write bool) (ln *line, e *tlbEntry, ok bool) {
-	m := &h.memo[fastIdx(first)]
-	ln = m.ln
-	if ln == nil || m.line != first || ln.tag != first || ln.state == Invalid {
-		ln = h.L1.linePtr(first)
-	}
-	if ln == nil || ln.state == Invalid || (write && ln.state != Modified) {
-		return nil, nil, false
-	}
-	if h.TLB != nil {
-		page := first >> h.TLB.setShift
-		if m.tlb != nil && m.page == page && m.tlb.valid && m.tlb.page == page {
-			e = m.tlb
-		} else if e = h.TLB.entryPtr(first); e == nil {
-			return nil, nil, false
-		}
-	}
-	return ln, e, true
 }
 
 // accessLine handles a single L1-line-aligned demand access.

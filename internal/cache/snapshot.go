@@ -19,7 +19,7 @@ import (
 //
 // The pointer-hint discipline is the load-bearing invariant here. The
 // fast paths hold raw pointers into the backing arrays (Cache.last, the
-// TLB hint table, the hierarchy's same-line memo, RunTokens) and mutate
+// TLB hint table, the hierarchy's same-line memo) and mutate
 // through them without a lookup. A pointer into a sealed array would
 // write through the seal, corrupting every snapshot sharing it. Two
 // rules prevent that:
@@ -31,13 +31,11 @@ import (
 //  2. sealing clears the component's pointer hints (last, hints, memo),
 //     so pointers predating the seal cannot be used after it.
 //
-// touchFast/touchRun assert the invariant: they are only reachable via
-// pointers from rule 1, so observing cow there is a bug.
+// touchFast asserts the invariant: it is only reachable via pointers
+// from rule 1, so observing cow there is a bug.
 //
-// Snapshots must be taken at quiescent points: no outstanding RunTokens
-// (token lifetimes are window-scoped in the interpreter, so any chunk
-// boundary qualifies) and no classification shadow attached (the shadow
-// holds per-access history that sealing cannot capture cheaply).
+// Snapshots must be taken with no classification shadow attached (the
+// shadow holds per-access history that sealing cannot capture cheaply).
 
 // own gives the cache private backing storage and drops pointer hints.
 func (c *Cache) own() {

@@ -221,18 +221,5 @@ func (t *TLB) touchFast(e *tlbEntry) {
 	e.lru = t.tick
 }
 
-// touchRun retires n further translation hits on a memoized entry in one
-// step — the aggregate bookkeeping of n touchFast calls (n accesses, n
-// ticks, entry left at the newest tick). As with Cache.touchRun, the
-// intermediate LRU positions are unobservable between coalesced hits.
-func (t *TLB) touchRun(e *tlbEntry, n int64) {
-	if t.cow {
-		panic("cache: TLB touchRun through a pointer into sealed storage")
-	}
-	t.stats.Accesses += n
-	t.tick += uint64(n)
-	e.lru = t.tick
-}
-
 // Reach returns the bytes of address space the TLB can map.
 func (t *TLB) Reach() int { return t.cfg.Entries * t.cfg.PageSize }

@@ -14,9 +14,8 @@ import (
 // state (copy-on-write), the address space's values and allocation
 // cursor (also copy-on-write), and the run driver's own progress — the
 // cascade timeline, the partial Result, and which chunk runs next.
-// Chunk boundaries are the run's quiescent points: no coalesced access
-// run is in flight and the bus is snooping, so the machine snapshot's
-// preconditions hold by construction.
+// Chunk boundaries are the run's quiescent points: the bus is snooping,
+// so the machine snapshot's preconditions hold by construction.
 //
 // A checkpoint is immutable and supports two consumers:
 //

@@ -13,33 +13,24 @@ import (
 	"repro/internal/wave5"
 )
 
-// fastpathVariant is one configuration point of the differential matrix:
-// the base machine plus a transform applied to the fast-engine twin only
-// (the reference twin never coalesces, so knobs that exist only on the
-// fast side — like CoalesceOff — go through the transform).
+// fastpathVariant is one machine configuration of the differential
+// matrix; each runs once per engine.
 type fastpathVariant struct {
 	name string
 	cfg  machine.Config
-	fast func(machine.Config) machine.Config
 }
 
 // fastpathConfigs returns both paper machines at reduced processor counts
 // (enough to exercise coherence and the cascade timeline without making
-// the differential sweep slow), plus a victim-buffer variant (runs must
-// stay legal while a victim buffer shuffles lines below the L1) and a
-// coalescing-off variant (the compiled fast path alone, run batching
-// disabled, must still match the interpreter).
+// the differential sweep slow), plus a victim-buffer variant (the fast
+// path must stay exact while a victim buffer shuffles lines below the
+// L1).
 func fastpathConfigs() []fastpathVariant {
-	fast := func(cfg machine.Config) machine.Config { return cfg.WithEngine(machine.EngineFast) }
 	victim := machine.PentiumPro(4).WithVictim(16, 2)
 	return []fastpathVariant{
-		{machine.PentiumPro(4).Name, machine.PentiumPro(4), fast},
-		{machine.R10000(4).Name, machine.R10000(4), fast},
-		{victim.Name + "-victim", victim, fast},
-		{machine.PentiumPro(4).Name + "-nocoalesce", machine.PentiumPro(4),
-			func(cfg machine.Config) machine.Config {
-				return cfg.WithEngine(machine.EngineFast).WithCoalesce(machine.CoalesceOff)
-			}},
+		{machine.PentiumPro(4).Name, machine.PentiumPro(4)},
+		{machine.R10000(4).Name, machine.R10000(4)},
+		{victim.Name + "-victim", victim},
 	}
 }
 
@@ -163,13 +154,12 @@ func diffResults(t *testing.T, fast, ref cascade.Result) {
 }
 
 // TestFastPathEquivalence is the tentpole's differential test: the
-// compiled-plan engine plus the hierarchy's same-line fast path and run
-// coalescing must be observably identical to the reference interpreter
-// with full lookups — bit-identical metric snapshots and cycle counts —
-// on the PARMVR loops and every gallery kernel, under all run modes
-// (including coherence-active multi-processor cascades), on both
-// machines, with the victim buffer on and off, and with coalescing
-// force-disabled.
+// compiled-plan engine plus the hierarchy's same-line fast path must be
+// observably identical to the reference interpreter with full lookups —
+// bit-identical metric snapshots and cycle counts — on the PARMVR loops
+// and every gallery kernel, under all run modes (including
+// coherence-active multi-processor cascades), on both machines, with the
+// victim buffer on and off.
 func TestFastPathEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: the equivalence matrix covers every kernel, mode, and machine")
@@ -183,7 +173,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				wFast := wave5.MustBuild(p)
 				wRef := wave5.MustBuild(p)
 				for li := range wFast.Loops {
-					fast, mFast, err := mode.run(v.fast(cfg), wFast.Space, wFast.Loops[li])
+					fast, mFast, err := mode.run(cfg.WithEngine(machine.EngineFast), wFast.Space, wFast.Loops[li])
 					if err != nil {
 						t.Fatalf("fast engine, loop %d: %v", li, err)
 					}
@@ -214,7 +204,7 @@ func TestFastPathEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", k.Name, err)
 					}
-					fast, mFast, err := mode.run(v.fast(cfg), spaceFast, loopFast)
+					fast, mFast, err := mode.run(cfg.WithEngine(machine.EngineFast), spaceFast, loopFast)
 					if err != nil {
 						t.Fatalf("%s fast engine: %v", k.Name, err)
 					}

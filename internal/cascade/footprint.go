@@ -14,10 +14,8 @@ import (
 // the right way (reads may share lines, writes may share nothing) cannot
 // interact through the coherence protocol, so the engine may simulate them
 // concurrently with the bus in isolated operation and still produce
-// bit-identical results. The analysis is the run-coalescing legality
-// predicate's static twin: where coalescing proves a *run* of accesses
-// cannot change hierarchy state observably, the footprint proves a *chunk*
-// of iterations cannot probe another processor's hierarchy at all.
+// bit-identical results: the footprint proves a *chunk* of iterations
+// cannot probe another processor's hierarchy at all.
 
 // span is a half-open byte range [lo, hi) of simulated address space,
 // aligned outward to L2-line (coherence-granularity) boundaries.

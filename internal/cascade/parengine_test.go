@@ -135,7 +135,7 @@ func TestParallelEngineEngagesAndMatchesSerial(t *testing.T) {
 			if got[1] != 0 {
 				t.Errorf("%s: expected full admission, got %d solo chunks", label, got[1])
 			}
-			coalesceDiff(t, label, par, ser)
+			resultDiff(t, label, par, ser)
 			if eq, idx := lPar.Writes[0].Array.Equal(lSer.Writes[0].Array.Snapshot()); !eq {
 				t.Errorf("%s: outputs diverge at element %d", label, idx)
 			}
@@ -220,7 +220,7 @@ func TestParallelEnginePrefetchBoundarySnapping(t *testing.T) {
 		if got[1] != 0 {
 			t.Errorf("%s: expected full admission, got %d solo chunks", label, got[1])
 		}
-		coalesceDiff(t, label, par, ser)
+		resultDiff(t, label, par, ser)
 		if eq, idx := lPar.Writes[0].Array.Equal(lSer.Writes[0].Array.Snapshot()); !eq {
 			t.Errorf("%s: outputs diverge at element %d", label, idx)
 		}
@@ -265,7 +265,7 @@ func TestParallelEngineSoloFallback(t *testing.T) {
 	if got[1] == 0 {
 		t.Errorf("expected solo fallbacks for conflicting chunks, got admitted=%d solo=%d", got[0], got[1])
 	}
-	coalesceDiff(t, "accum", par, ser)
+	resultDiff(t, "accum", par, ser)
 	if eq, idx := lPar.Writes[0].Array.Equal(lSer.Writes[0].Array.Snapshot()); !eq {
 		t.Errorf("outputs diverge at element %d", idx)
 	}
@@ -423,7 +423,7 @@ func TestParallelEngineCoherenceForcing(t *testing.T) {
 	if got[1] == 0 {
 		t.Errorf("boundary-sharing chunks were all admitted (admitted=%d); conflicts went undetected", got[0])
 	}
-	coalesceDiff(t, "coherence-forcing", par, ser)
+	resultDiff(t, "coherence-forcing", par, ser)
 	if serBus, parBus := mSer.Bus().Stats(), mPar.Bus().Stats(); serBus != parBus {
 		t.Errorf("bus stats diverge:\nserial   %+v\nparallel %+v", serBus, parBus)
 	}

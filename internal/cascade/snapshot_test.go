@@ -13,8 +13,7 @@ import (
 // The snapshot/fork differential suite: a run continued from a forked
 // machine (and a rewound address space) must be bit-identical — Result,
 // every metric, every array value — to the same run performed fresh,
-// with every engine knob (coalescing, host-parallel simulation) in every
-// position. These tests are the tentpole's correctness bar.
+// with the host-parallel engine knob in both positions. These tests are the tentpole's correctness bar.
 
 // tailSpec is one divergent tail forked off a shared prefix.
 type tailSpec struct {
@@ -22,7 +21,6 @@ type tailSpec struct {
 	chunk     int
 	helper    Helper
 	keepState bool
-	coalesce  machine.Coalesce
 	parallel  machine.Parallel
 }
 
@@ -31,7 +29,6 @@ func forkTails() []tailSpec {
 		{name: "warm-prefetch-64k", chunk: 64 << 10, helper: HelperPrefetch, keepState: true},
 		{name: "warm-prefetch-8k", chunk: 8 << 10, helper: HelperPrefetch, keepState: true},
 		{name: "warm-restructure-16k", chunk: 16 << 10, helper: HelperRestructure, keepState: true},
-		{name: "warm-coalesce-off", chunk: 32 << 10, helper: HelperPrefetch, keepState: true, coalesce: machine.CoalesceOff},
 		{name: "replay-parallel-on", chunk: 4 << 10, helper: HelperPrefetch, parallel: machine.ParallelOn},
 		{name: "replay-parallel-off", chunk: 4 << 10, helper: HelperPrefetch},
 		{name: "replay-restructure-parallel", chunk: 8 << 10, helper: HelperRestructure, parallel: machine.ParallelOn},
@@ -63,7 +60,7 @@ func TestForkDifferential(t *testing.T) {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
 			// Warm path: fork from the snapshot, rewind the space, run the tail.
-			fork, err := snap.Fork(machine.WithCoalesce(spec.coalesce), machine.WithParallel(spec.parallel))
+			fork, err := snap.Fork(machine.WithParallel(spec.parallel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,11 +75,11 @@ func TestForkDifferential(t *testing.T) {
 
 			// Fresh path: identical prefix + identical tail, no snapshot.
 			sFresh, lFresh := randomLoop(seed)
-			mFresh := machine.MustNew(cfg.WithCoalesce(spec.coalesce).WithParallel(spec.parallel))
+			mFresh := machine.MustNew(cfg.WithParallel(spec.parallel))
 			// The prefix must be simulated under the *base* knobs the warm
-			// prefix used — but Coalesce/Parallel cannot change simulated
-			// results (asserted by PR 5/6 differentials), so running it
-			// under the tail's knobs reaches the same machine state.
+			// prefix used — but Parallel cannot change simulated results
+			// (asserted by the parallel-engine differentials), so running
+			// it under the tail's knobs reaches the same machine state.
 			pf := Options{Helper: HelperPrefetch, ChunkBytes: 16 << 10, JumpOut: true, Space: sFresh, PriorParallel: true}
 			if _, err := Run(mFresh, lFresh, pf); err != nil {
 				t.Fatal(err)
@@ -264,10 +261,6 @@ func TestRandomForkDifferential(t *testing.T) {
 			JumpOut:    rng.Intn(4) != 0,
 			KeepState:  true,
 		}
-		knobs := []machine.Option{}
-		if rng.Intn(2) == 0 {
-			knobs = append(knobs, machine.WithCoalesce(machine.CoalesceOff))
-		}
 
 		// Warm twin.
 		sW, lW := randomLoop(int64(seed))
@@ -281,7 +274,7 @@ func TestRandomForkDifferential(t *testing.T) {
 			t.Fatalf("seed %d snapshot: %v", seed, err)
 		}
 		spaceCk := sW.Checkpoint()
-		fork, err := snap.Fork(knobs...)
+		fork, err := snap.Fork()
 		if err != nil {
 			t.Fatalf("seed %d fork: %v", seed, err)
 		}
@@ -296,7 +289,7 @@ func TestRandomForkDifferential(t *testing.T) {
 
 		// Fresh twin.
 		sF, lF := randomLoop(int64(seed))
-		mF := machine.MustNew(cfg, knobs...)
+		mF := machine.MustNew(cfg)
 		pfF := pf
 		pfF.Space = sF
 		if _, err := Run(mF, lF, pfF); err != nil {
@@ -333,7 +326,7 @@ func TestForkRejectsShapeChanges(t *testing.T) {
 	if _, err := snap.Fork(machine.WithProcs(4)); err == nil {
 		t.Error("Fork accepted a processor-count change")
 	}
-	if _, err := snap.Fork(machine.WithCoalesce(machine.CoalesceOff), machine.WithParallel(machine.ParallelOn)); err != nil {
+	if _, err := snap.Fork(machine.WithParallel(machine.ParallelOn)); err != nil {
 		t.Errorf("Fork rejected speed-knob changes: %v", err)
 	}
 	// Snapshot must refuse while classification shadows are attached.

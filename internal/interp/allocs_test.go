@@ -92,54 +92,3 @@ func TestFastPathZeroAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestCoalescedZeroAllocs extends the allocation guard to the run-
-// coalesced hot path. allocGuardLoop's indirect references disqualify it
-// from coalescing, so this uses the purely affine coherence-guard loop —
-// verified to compile to a coalescing plan — and demands that windowed
-// execution (bound computation, run verification, token retirement)
-// stays allocation-free after one warm-up pass grows the token slice.
-func TestCoalescedZeroAllocs(t *testing.T) {
-	const n = 1024
-	space, l := coherenceGuardLoop(n)
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := machine.New(machine.PentiumPro(1).WithEngine(machine.EngineFast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(m.Proc(0))
-	p := r.planFor(l)
-	if p == nil || !p.runOK || p.maxTail < coalesceMinTail {
-		t.Fatal("guard loop does not coalesce; the test would measure the uncoalesced path")
-	}
-	if !m.Proc(0).Hierarchy().CoalesceActive() {
-		t.Fatal("coalescing inactive on the fast engine's hierarchy")
-	}
-	buf := NewSeqBuf(space, "seqbuf", 8*n)
-
-	cases := []struct {
-		name string
-		run  func()
-	}{
-		{"exec", func() { r.ExecIters(l, 0, n) }},
-		{"shadow", func() { r.ShadowIters(l, 0, n, Unlimited) }},
-		{"restructure", func() {
-			buf.Reset()
-			r.RestructureIters(l, 0, n, buf, Unlimited, false)
-		}},
-		{"execFromBuffer", func() {
-			buf.Reset()
-			r.RestructureIters(l, 0, n, buf, Unlimited, false)
-			r.ExecFromBuffer(l, 0, n, n, buf, false)
-		}},
-	}
-	for _, c := range cases {
-		c.run() // warm-up: compile the plan, grow scratch and token slices
-		if avg := testing.AllocsPerRun(10, c.run); avg != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state pass, want 0", c.name, avg)
-		}
-	}
-}

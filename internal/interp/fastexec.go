@@ -62,9 +62,6 @@ func (r *Runner) planIter(p *plan, l *loopir.Loop, i int) int64 {
 
 // execPlan is the compiled ExecIters body.
 func (r *Runner) execPlan(p *plan, l *loopir.Loop, lo, hi int) int64 {
-	if r.coalesceOK(p) {
-		return r.execPlanRuns(p, l, lo, hi)
-	}
 	var cycles int64
 	for i := lo; i < hi; i++ {
 		cycles += r.planIter(p, l, i) + l.PreCycles + l.FinalCycles
@@ -74,9 +71,6 @@ func (r *Runner) execPlan(p *plan, l *loopir.Loop, lo, hi int) int64 {
 
 // shadowPlan is the compiled ShadowIters body.
 func (r *Runner) shadowPlan(p *plan, lo, hi int, budget int64) (done int, cycles int64) {
-	if r.coalesceOK(p) {
-		return r.shadowPlanRuns(p, lo, hi, budget)
-	}
 	for i := lo; i < hi; i++ {
 		if budget != Unlimited && cycles >= budget {
 			return i - lo, cycles
@@ -104,9 +98,6 @@ func (r *Runner) shadowPlan(p *plan, lo, hi int, budget int64) (done int, cycles
 
 // restructurePlan is the compiled RestructureIters body.
 func (r *Runner) restructurePlan(p *plan, l *loopir.Loop, lo, hi int, buf *SeqBuf, budget int64, precompute bool) (done int, cycles int64) {
-	if r.coalesceOK(p) {
-		return r.restructurePlanRuns(p, l, lo, hi, buf, budget, precompute)
-	}
 	for i := lo; i < hi; i++ {
 		if budget != Unlimited && cycles >= budget {
 			return i - lo, cycles
@@ -164,9 +155,6 @@ func (r *Runner) resolveBuffered(p *plan, s, i int, buf *SeqBuf, pos *int) int {
 
 // execBufferPlan is the compiled ExecFromBuffer body.
 func (r *Runner) execBufferPlan(p *plan, l *loopir.Loop, lo, hi, buffered int, buf *SeqBuf, precompute bool) int64 {
-	if r.coalesceOK(p) {
-		return r.execBufferPlanRuns(p, l, lo, hi, buffered, buf, precompute)
-	}
 	if buffered > hi-lo {
 		buffered = hi - lo
 	}

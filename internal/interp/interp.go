@@ -38,22 +38,6 @@ type Runner struct {
 	plan     *plan
 	planLoop *loopir.Loop
 
-	// Run-coalescing state: coalesce resolves the machine's Coalesce
-	// knob, hitLat caches the L1 hit latency (the per-access cost of a
-	// retired tail access — every coalesced access is an L1 hit, and an
-	// all-hit group's overlap cost is its serial sum for any
-	// MaxOutstanding).
-	coalesce bool
-	hitLat   int64
-	// toks holds the verified stream tokens of the window currently being
-	// coalesced, in intra-iteration reference order (scratch, reused).
-	toks []cache.RunToken
-	// vfails counts consecutive window-verification failures of the run
-	// currently executing (reset at the start of every windowed run-mode
-	// call and on every verified window); past coalesceGiveUp the runner
-	// backs off to periodic retries.
-	vfails int
-
 	// Per-runner instances of the bound loop's value closures. A loop's
 	// shared Pre/Final instances may reuse internal scratch (see
 	// loopir.Loop.NewPre), so a runner that may execute concurrently with
@@ -102,8 +86,6 @@ func New(proc *machine.Processor) *Runner {
 		pf:       cfg.CompilerPrefetch,
 		line:     cfg.L1.LineSize,
 		compiled: cfg.Engine == machine.EngineFast,
-		coalesce: cfg.CoalesceEnabled(),
-		hitLat:   cfg.L1.HitLatency,
 	}
 }
 
@@ -126,7 +108,7 @@ func (r *Runner) beginIter() {
 // It implements the compiler's prefetch wind-down: software-pipelined
 // prefetch streams stop issuing once the target lies beyond the data the
 // remaining iterations of this call will touch, so a chunk's prefetches
-// never escape the chunk's own footprint (DESIGN.md §4.3 relies on this
+// never escape the chunk's own footprint (DESIGN.md §4.2 relies on this
 // for cross-chunk disjointness).
 func (r *Runner) timed(arr *memsim.Array, idx int, write bool, strideElems int, strideKnown bool, left int) {
 	addr := arr.Addr(idx)

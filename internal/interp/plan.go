@@ -48,35 +48,6 @@ type planRef struct {
 // of the loop it is currently executing.
 type plan struct {
 	ro, rw, wr []planRef
-
-	// Run-coalescing classification, decided once at compile time.
-	//
-	// runOK marks a plan whose references are all affine: every stream's
-	// per-iteration address advance is statically known, so the number of
-	// consecutive iterations that stay on each reference's current L1
-	// line is computable (runLen) and the runner may coalesce window
-	// tails. Indirect references are excluded — a gather's runs are
-	// data-dependent, and detecting them per-window costs more than it
-	// saves on the paper's sparse workloads.
-	runOK bool
-	// hasNeg marks a plan with at least one negative-stride reference.
-	// A negative-stride stream walks its lines from high offset to low,
-	// so the compiler-prefetch fire condition (offset < |stride|) can
-	// trigger mid-window; the runner disables coalescing for such plans
-	// whenever prefetching is on, since retired tails issue no
-	// prefetches.
-	hasNeg bool
-	// nRefs is the total reference count, the per-iteration access count
-	// of a coalesced tail (every tail access is an L1 hit).
-	nRefs int
-	// maxTail is the largest tail count the arithmetic window bound can
-	// ever report for this plan (computed by computeMaxTail; the stream
-	// offset pattern is periodic in the iteration number, so the best
-	// phase is decidable statically). Plans whose geometry never yields a
-	// window worth coalescing — e.g. stencils, whose phase-shifted
-	// streams pin every window to a single tail — are rejected up front,
-	// making their windowed overhead exactly zero.
-	maxTail int
 }
 
 // rwwr returns the slot'th reference of the concatenated RW+Writes
@@ -156,16 +127,6 @@ func compilePlan(l *loopir.Loop) *plan {
 
 	nRO, nRW := len(l.RO), len(l.RW)
 	p := &plan{ro: refs[:nRO:nRO], rw: refs[nRO : nRO+nRW : nRO+nRW], wr: refs[nRO+nRW:]}
-	p.nRefs = total
-	p.runOK = true
-	for j := range refs {
-		if refs[j].tbl != nil {
-			p.runOK = false
-		}
-		if refs[j].scale < 0 {
-			p.hasNeg = true
-		}
-	}
 
 	// dupPush links live in the RW+Writes scope only (the restructuring
 	// helper packs index values after the RO stream; RO table loads do
@@ -184,42 +145,6 @@ func compilePlan(l *loopir.Loop) *plan {
 	return p
 }
 
-// computeMaxTail fills p.maxTail for the given L1 line size. Every
-// stream's line offset is periodic in the iteration number with a period
-// dividing the line size (strides and element sizes are byte counts, and
-// the line size is a power of two), so sampling one full period of
-// iteration phases visits every offset configuration the loop can
-// present. The per-phase bound mirrors lineBound exactly — including its
-// rejection of line-entry accesses — so maxTail is a tight upper bound
-// on what homeRuns can return.
-func (p *plan) computeMaxTail(line int) {
-	p.maxTail = 0
-	if !p.runOK {
-		return
-	}
-	groups := [3][]planRef{p.ro, p.rw, p.wr}
-	for c := 0; c < line; c++ {
-		w := line
-		for _, g := range groups {
-			for j := range g {
-				ref := &g[j]
-				size := ref.arr.ElemSize()
-				off := ref.arr.Addr(ref.scale*c + ref.off).Offset(line)
-				n := lineBound(off, size, ref.scale*size, line, w)
-				if n < w {
-					w = n
-				}
-			}
-			if w == 0 {
-				break
-			}
-		}
-		if w > p.maxTail {
-			p.maxTail = w
-		}
-	}
-}
-
 // planFor returns the compiled plan for l, compiling and caching it on
 // first use, or nil when the runner is in reference mode or the loop is
 // not statically compilable.
@@ -230,9 +155,6 @@ func (r *Runner) planFor(l *loopir.Loop) *plan {
 	if r.planLoop != l {
 		r.planLoop = l
 		r.plan = compilePlan(l)
-		if r.plan != nil {
-			r.plan.computeMaxTail(r.line)
-		}
 	}
 	return r.plan
 }

@@ -124,13 +124,23 @@ func Build(s *Spec) (*memsim.Space, *loopir.Loop, error) {
 		if elem == 0 {
 			elem = 8
 		}
+		if !memsim.IsPow2(elem) {
+			return nil, nil, fmt.Errorf("loopspec: %s: array %s: elem %d is not a power of two", s.Name, a.Name, elem)
+		}
 		var arr *memsim.Array
-		if a.Congruence != nil {
-			arr = space.AllocAt(a.Name, a.Len, elem, a.Congruence.Offset, a.Congruence.Modulus)
+		if c := a.Congruence; c != nil {
+			if !memsim.IsPow2(c.Modulus) || c.Offset < 0 || c.Offset >= c.Modulus {
+				return nil, nil, fmt.Errorf("loopspec: %s: array %s: congruence %d mod %d (want a power-of-two modulus and 0 <= offset < modulus)",
+					s.Name, a.Name, c.Offset, c.Modulus)
+			}
+			arr = space.AllocAt(a.Name, a.Len, elem, c.Offset, c.Modulus)
 		} else {
 			align := a.Align
 			if align == 0 {
 				align = elem
+			}
+			if !memsim.IsPow2(align) || align < elem {
+				return nil, nil, fmt.Errorf("loopspec: %s: array %s: align %d is not a power of two >= elem %d", s.Name, a.Name, align, elem)
 			}
 			arr = space.Alloc(a.Name, a.Len, elem, align)
 		}
@@ -164,6 +174,11 @@ func Build(s *Spec) (*memsim.Space, *loopir.Loop, error) {
 			tbl, ok := arrays[r.Index.Table]
 			if !ok {
 				return loopir.Ref{}, fmt.Errorf("loopspec: %s: unknown index table %q", s.Name, r.Index.Table)
+			}
+			for k := 0; k < tbl.Len(); k++ {
+				if v := tbl.Load(k); float64(int(v)) != v {
+					return loopir.Ref{}, fmt.Errorf("loopspec: %s: index table %s element %d = %v is not an integer", s.Name, tbl.Name(), k, v)
+				}
 			}
 			ix = loopir.Indirect{Tbl: tbl, Entry: aff}
 		}

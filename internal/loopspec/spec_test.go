@@ -227,6 +227,11 @@ func TestBuildErrors(t *testing.T) {
 		{"bad final expr", func(s *Spec) { s.Final.Exprs = []string{"zz"} }, "unknown variable"},
 		{"zero-len array", func(s *Spec) { s.Arrays[0].Len = 0 }, "len 0"},
 		{"iters beyond arrays", func(s *Spec) { s.Iters = 100000 }, "out of"},
+		{"elem not pow2", func(s *Spec) { s.Arrays[0].Elem = 3 }, "elem 3"},
+		{"align below elem", func(s *Spec) { s.Arrays[0].Align = 4 }, "align 4"},
+		{"zero modulus", func(s *Spec) { s.Arrays[2].Congruence.Modulus = 0 }, "congruence 0 mod 0"},
+		{"offset past modulus", func(s *Spec) { s.Arrays[2].Congruence.Offset = 4096 }, "congruence 4096 mod 4096"},
+		{"fractional table", func(s *Spec) { s.Arrays[1].Init = "i / 2" }, "not an integer"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

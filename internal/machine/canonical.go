@@ -18,21 +18,11 @@ import (
 // differential tests in internal/cascade assert this), so a result
 // computed on either engine may satisfy a request for the other.
 //
-// The Coalesce knob is normalized the same way unless it is CoalesceOff:
-// Auto and On both mean "the engine may coalesce", and coalescing — like
-// the engine choice — cannot change simulated results. Off is kept
-// distinct because the knob exists to diagnose suspected coalescing bugs,
-// and a diagnostic no-coalescing run must never be answered from a cache
-// entry computed with coalescing on. Eliding the normalized value (rather
-// than encoding it) also keeps every pre-knob cache key valid: a config
-// that does not exercise the knob serializes to exactly the bytes it did
-// before the knob existed, which the golden-key tests in internal/server
-// pin down.
-//
-// The Parallel knob is elided when off for the same reason, but with the
-// opposite polarity to Coalesce: ParallelOff is the default serial
-// behaviour every existing key was computed under, so off disappears
-// (keeping pre-knob golden keys valid) while ParallelOn is kept distinct
+// The Parallel knob is elided when off: ParallelOff is the default
+// serial behaviour every existing key was computed under, so off
+// disappears (a config that does not exercise the knob serializes to
+// exactly the bytes it did before the knob existed, which the golden-key
+// tests in internal/server pin down) while ParallelOn is kept distinct
 // so a diagnostic serial run is never answered from a parallel-computed
 // entry, nor vice versa.
 func (c Config) CanonicalBytes() ([]byte, error) {
@@ -40,9 +30,6 @@ func (c Config) CanonicalBytes() ([]byte, error) {
 	m, err := canon.Map(c)
 	if err != nil {
 		return nil, err
-	}
-	if c.Coalesce != CoalesceOff {
-		delete(m, "Coalesce")
 	}
 	if c.Parallel == ParallelOff {
 		delete(m, "Parallel")

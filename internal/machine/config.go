@@ -56,47 +56,10 @@ func (e Engine) String() string {
 	}
 }
 
-// Coalesce selects whether the fast engine may retire same-line access
-// runs analytically (cache.Hierarchy.AccessRun and the compiled runner's
-// window coalescing) instead of walking the cache state machine once per
-// access. Like Engine, the knob cannot change simulated results — the
-// differential tests in internal/cascade assert bit-identical metrics
-// with coalescing on and off — it exists so a suspected coalescing bug
-// can be ruled out with one configuration change, and so such diagnostic
-// runs get distinct result-cache keys (see CanonicalBytes).
-type Coalesce int
-
-const (
-	// CoalesceAuto (the zero value) enables run coalescing whenever the
-	// fast engine is selected. The reference engine never coalesces.
-	CoalesceAuto Coalesce = iota
-	// CoalesceOn is an explicit CoalesceAuto: coalescing rides on the
-	// fast engine's compiled plans, so it cannot be forced onto the
-	// reference interpreter.
-	CoalesceOn
-	// CoalesceOff disables run coalescing even on the fast engine; every
-	// access walks the state machine individually.
-	CoalesceOff
-)
-
-// String implements fmt.Stringer.
-func (c Coalesce) String() string {
-	switch c {
-	case CoalesceAuto:
-		return "auto"
-	case CoalesceOn:
-		return "on"
-	case CoalesceOff:
-		return "off"
-	default:
-		return fmt.Sprintf("Coalesce(%d)", int(c))
-	}
-}
-
 // Parallel selects whether the fast engine may simulate the machine's
-// processors on concurrent host goroutines. Like Engine and Coalesce,
-// the knob cannot change simulated results: the parallel scheduler only
-// admits a chunk to concurrent execution when it can prove the chunk's
+// processors on concurrent host goroutines. Like Engine, the knob cannot
+// change simulated results: the parallel scheduler only admits a chunk
+// to concurrent execution when it can prove the chunk's
 // cache/bus behaviour is independent of everything else in flight (see
 // internal/cascade), and falls back to the exact serial path otherwise.
 // The differential tests in internal/cascade assert bit-identical
@@ -138,15 +101,10 @@ type Config struct {
 	// results, only wall-clock speed. The zero value is EngineFast.
 	Engine Engine
 
-	// Coalesce controls the fast engine's run coalescing; the zero value
-	// (CoalesceAuto) enables it. Like Engine it cannot affect simulated
-	// results, only wall-clock speed.
-	Coalesce Coalesce
-
 	// Parallel controls whether the fast engine may run the simulated
 	// processors on concurrent host goroutines; the zero value
-	// (ParallelOff) keeps simulation serial. Like Engine and Coalesce it
-	// cannot affect simulated results, only wall-clock speed.
+	// (ParallelOff) keeps simulation serial. Like Engine it cannot
+	// affect simulated results, only wall-clock speed.
 	Parallel Parallel
 
 	L1, L2     cache.Config
@@ -237,9 +195,6 @@ func (c Config) Validate() error {
 	if c.Engine != EngineFast && c.Engine != EngineReference {
 		return fmt.Errorf("machine %s: unknown engine %d", c.Name, int(c.Engine))
 	}
-	if c.Coalesce != CoalesceAuto && c.Coalesce != CoalesceOn && c.Coalesce != CoalesceOff {
-		return fmt.Errorf("machine %s: unknown coalesce mode %d", c.Name, int(c.Coalesce))
-	}
 	if c.Parallel != ParallelOff && c.Parallel != ParallelOn {
 		return fmt.Errorf("machine %s: unknown parallel mode %d", c.Name, int(c.Parallel))
 	}
@@ -247,20 +202,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine %s: negative checkpoint cadence %d", c.Name, c.CheckpointEvery)
 	}
 	return nil
-}
-
-// CoalesceEnabled resolves the Coalesce knob against the engine choice:
-// run coalescing is active on the fast engine unless explicitly disabled,
-// and never on the reference engine.
-func (c Config) CoalesceEnabled() bool {
-	return c.Engine == EngineFast && c.Coalesce != CoalesceOff
-}
-
-// WithCoalesce returns a copy of the configuration with the given run-
-// coalescing mode (used by the differential coalescing tests).
-func (c Config) WithCoalesce(mode Coalesce) Config {
-	c.Coalesce = mode
-	return c
 }
 
 // ParallelEnabled resolves the Parallel knob against the engine choice:

@@ -38,7 +38,6 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 		h := cache.NewHierarchy(cfg.L1, cfg.L2, bus.Port(i))
 		h.StoreBuffered = cfg.StoreBuffered
 		h.FastPath = cfg.Engine == EngineFast
-		h.Coalesce = cfg.CoalesceEnabled()
 		h.TLB = cache.NewTLB(cfg.TLB)
 		if cfg.VictimEntries > 0 {
 			h.EnableVictimBuffer(cfg.VictimEntries, cfg.VictimLatency)
@@ -190,9 +189,9 @@ type Processor struct {
 // SetObserver installs (or, with nil, removes) an access observer.
 func (p *Processor) SetObserver(o AccessObserver) { p.observer = o }
 
-// Observed reports whether an access observer is installed. Coalesced
-// execution paths retire accesses without surfacing them individually, so
-// they must stay off while anything wants to see every access.
+// Observed reports whether an access observer is installed. The parallel
+// scheduler keeps observed runs serial, so the observer sees every access
+// in one order.
 func (p *Processor) Observed() bool { return p.observer != nil }
 
 // ID returns the processor's index.

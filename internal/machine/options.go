@@ -17,9 +17,6 @@ type Option func(*Config)
 // WithEngine selects the simulation engine.
 func WithEngine(e Engine) Option { return func(c *Config) { c.Engine = e } }
 
-// WithCoalesce selects the run-coalescing mode.
-func WithCoalesce(mode Coalesce) Option { return func(c *Config) { c.Coalesce = mode } }
-
 // WithParallel selects the host-parallel simulation mode.
 func WithParallel(mode Parallel) Option { return func(c *Config) { c.Parallel = mode } }
 

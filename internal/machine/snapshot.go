@@ -16,9 +16,8 @@ import (
 // from it are both O(components); a fork pays to copy only the
 // components its tail actually writes (see internal/cache/snapshot.go).
 //
-// Snapshots must be taken at quiescent points: no in-flight coalesced
-// access runs (any chunk boundary qualifies) and the bus out of the
-// parallel scheduler's isolated mode. The metrics capture includes run-
+// Snapshots must be taken at quiescent points: any chunk boundary, with
+// the bus out of the parallel scheduler's isolated mode. The metrics capture includes run-
 // driver counters and phase timers, so a resumed run can seed its timers
 // with the prefix's cycles and the PR 1 conservation identities keep
 // holding across the fork boundary: prefix metrics + tail deltas equal a
@@ -72,7 +71,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 
 // stateCompatible checks that a machine built from cfg can adopt the
 // component state of one built from base, from a snapshot or a capture.
-// Simulation-speed knobs (Engine, Coalesce, Parallel) and latency
+// Simulation-speed knobs (Engine, Parallel) and latency
 // parameters may differ — they change how the tail is simulated or
 // charged, not the shape of the captured state — but the structural
 // fields must match.
@@ -116,7 +115,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 // Fork builds a fresh machine whose caches, TLBs, victim buffers, and
 // bus counters start exactly where the snapshot left them, sharing the
 // snapshot's storage copy-on-write until first write. Options adjust the
-// fork's configuration (engine, coalescing, parallelism, checkpoint
+// fork's configuration (engine, parallelism, checkpoint
 // cadence, latencies); structural fields must stay fork-compatible.
 //
 // A fork's fast-path hints (line memos, TLB hint table) start empty

@@ -122,8 +122,6 @@ func (s *Server) streamFor(jobID string) *checkpointStream {
 // run exactly — and the stream is stored under its content address:
 // a second job with the same key, or the same job with the same cadence,
 // reuses it without simulating.
-//
-// Checkpoint endpoints speak only the current envelope format.
 func (s *Server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) {
 	j, err := s.checkpointJob(r.PathValue("id"))
 	if err != nil {

@@ -14,12 +14,6 @@ import (
 // and errors are typed objects instead of bare strings.
 const APIVersion = "2025-06"
 
-// LegacyAPIVersion selects the original wire format — unwrapped JobView
-// bodies, {"jobs": ...} listings, and {"error": "<message>"} errors — for
-// clients that predate the envelope. Request it with the Accept-Version
-// header; the golden tests in envelope_test.go pin its exact shapes.
-const LegacyAPIVersion = "2024-01"
-
 // VersionHeader is the request header that selects the wire format.
 const VersionHeader = "Accept-Version"
 
@@ -88,17 +82,13 @@ type Progress struct {
 	PointsTotal int `json:"points_total"`
 }
 
-// requestVersion resolves a request's wire format. An absent header means
-// the current version; an unknown one is a client error.
-func requestVersion(r *http.Request) (string, error) {
-	switch v := r.Header.Get(VersionHeader); v {
-	case "", APIVersion:
-		return APIVersion, nil
-	case LegacyAPIVersion:
-		return LegacyAPIVersion, nil
-	default:
-		return "", fmt.Errorf("unknown %s %q (known: %s, %s)", VersionHeader, v, APIVersion, LegacyAPIVersion)
+// requestVersion checks a request's wire format. An absent header means
+// the current version; any other version is a client error.
+func requestVersion(r *http.Request) error {
+	if v := r.Header.Get(VersionHeader); v != "" && v != APIVersion {
+		return fmt.Errorf("unknown %s %q (known: %s)", VersionHeader, v, APIVersion)
 	}
+	return nil
 }
 
 // writeEnvelope stamps the version and writes the envelope.
@@ -126,13 +116,6 @@ func jobEnvelope(v JobView) Envelope {
 		env.Error = &APIError{Code: code, Message: v.Error}
 	}
 	return env
-}
-
-// legacyView strips the fields the legacy format never had.
-func legacyView(v JobView) JobView {
-	v.ErrorCode = ""
-	v.From = nil
-	return v
 }
 
 // codedError attaches a typed API code to an error. errorCode unwraps it

@@ -51,11 +51,14 @@ func keysOf(m map[string]interface{}) []string {
 	return out
 }
 
-// TestLegacyGoldenShapes pins the 2024-01 wire format exactly: unwrapped
-// job bodies with the original field set, {"jobs"}/{"experiments"}
-// listings, and {"error": "<message>"} errors — no api_version, no typed
-// codes, no envelope. A legacy client must never see a new field.
-func TestLegacyGoldenShapes(t *testing.T) {
+// legacyAPIVersion is the pre-envelope wire format the server once
+// served; it is now an unknown version like any other.
+const legacyAPIVersion = "2024-01"
+
+// TestLegacyVersionRejected pins the removal of the 2024-01 wire format:
+// every /v1 endpoint answers a request naming it with a 400 bad_request
+// envelope error, before doing any work.
+func TestLegacyVersionRejected(t *testing.T) {
 	s, err := New(Config{Workers: 1, Experiments: []experiments.Experiment{echoExperiment("good")}})
 	if err != nil {
 		t.Fatal(err)
@@ -64,59 +67,42 @@ func TestLegacyGoldenShapes(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Submit (202) — unwrapped JobView, original fields only.
-	sub, code := doJSON(t, "POST", ts.URL+"/v1/jobs", LegacyAPIVersion, `{"experiment": "good"}`)
+	sub, code := doJSON(t, "POST", ts.URL+"/v1/jobs", "", `{"experiment": "good"}`)
 	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("legacy submit: status %d", code)
+		t.Fatalf("submit: status %d", code)
 	}
-	for _, k := range keysOf(sub) {
-		switch k {
-		case "id", "experiment", "params", "key", "state", "cached",
-			"coalesced", "error", "created", "started", "finished", "result":
-		default:
-			t.Errorf("legacy submit body has non-legacy field %q", k)
+	id := sub["job"].(map[string]interface{})["id"].(string)
+
+	for _, tc := range []struct{ method, path, body string }{
+		{"GET", "/v1/experiments", ""},
+		{"POST", "/v1/jobs", `{"experiment": "good"}`},
+		{"GET", "/v1/jobs", ""},
+		{"GET", "/v1/jobs/" + id, ""},
+		{"GET", "/v1/jobs/" + id + "?wait=10s", ""},
+		{"GET", "/v1/jobs/absent", ""},
+		{"GET", "/v1/jobs/" + id + "/repro", ""},
+		{"POST", "/v1/points", `{"point": {"experiment": "good"}}`},
+		{"POST", "/v1/jobs/" + id + "/checkpoints", `{}`},
+		{"GET", "/v1/jobs/" + id + "/checkpoints", ""},
+		{"GET", "/v1/jobs/" + id + "/checkpoints/0", ""},
+	} {
+		m, code := doJSON(t, tc.method, ts.URL+tc.path, legacyAPIVersion, tc.body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", tc.method, tc.path, code)
+		}
+		e, ok := m["error"].(map[string]interface{})
+		if !ok || e["code"] != CodeBadRequest || !strings.Contains(e["message"].(string), legacyAPIVersion) {
+			t.Errorf("%s %s: error = %v, want code %q naming %s", tc.method, tc.path, m["error"], CodeBadRequest, legacyAPIVersion)
+		}
+		if m["api_version"] != APIVersion {
+			t.Errorf("%s %s: api_version = %v, want %s", tc.method, tc.path, m["api_version"], APIVersion)
 		}
 	}
-	if _, has := sub["api_version"]; has {
-		t.Error("legacy submit body carries api_version")
+	if got := s.Metrics().Get(mJobsSubmitted); got != 1 {
+		t.Errorf("jobs.submitted = %d, want 1 (a refused request submitted work)", got)
 	}
-	id := sub["id"].(string)
-
-	// Completed job GET — still unwrapped, result embedded in the job.
-	done, code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+id+"?wait=10s", LegacyAPIVersion, "")
-	if code != http.StatusOK {
-		t.Fatalf("legacy job GET: status %d", code)
-	}
-	if done["state"] != string(StateDone) {
-		t.Fatalf("legacy job state = %v, want done", done["state"])
-	}
-	if _, has := done["result"]; !has {
-		t.Error("legacy job body lacks the embedded result")
-	}
-	if _, has := done["error_code"]; has {
-		t.Error("legacy job body carries error_code")
-	}
-
-	// Listings — the original one-field wrappers.
-	list, _ := doJSON(t, "GET", ts.URL+"/v1/jobs", LegacyAPIVersion, "")
-	if got := keysOf(list); len(got) != 1 || got[0] != "jobs" {
-		t.Errorf("legacy job listing keys = %v, want [jobs]", got)
-	}
-	disc, _ := doJSON(t, "GET", ts.URL+"/v1/experiments", LegacyAPIVersion, "")
-	if got := keysOf(disc); len(got) != 1 || got[0] != "experiments" {
-		t.Errorf("legacy experiments keys = %v, want [experiments]", got)
-	}
-
-	// Errors — the bare {"error": "<message>"} object.
-	eb, code := doJSON(t, "GET", ts.URL+"/v1/jobs/absent", LegacyAPIVersion, "")
-	if code != http.StatusNotFound {
-		t.Errorf("legacy 404: status %d", code)
-	}
-	if got := keysOf(eb); len(got) != 1 || got[0] != "error" {
-		t.Errorf("legacy error keys = %v, want [error]", got)
-	}
-	if _, isString := eb["error"].(string); !isString {
-		t.Errorf("legacy error is %T, want a plain string", eb["error"])
+	if got := s.Metrics().Get(mPointsExecuted); got != 0 {
+		t.Errorf("points.executed = %d, want 0 (a refused request executed work)", got)
 	}
 }
 
@@ -356,7 +342,7 @@ func TestCheckpointEndpoints(t *testing.T) {
 		{"GET", "/v1/jobs/" + id + "/checkpoints/x", "", "", http.StatusBadRequest, CodeBadRequest},
 		{"POST", "/v1/jobs", `{"from_checkpoint": {"job": "absent", "k": 0}}`, "", http.StatusNotFound, CodeNotFound},
 		{"POST", "/v1/jobs", `{"experiment": "quickstart", "from_checkpoint": {"job": "` + id + `", "k": 0}}`, "", http.StatusBadRequest, CodeBadRequest},
-		{"POST", "/v1/jobs", `{"from_checkpoint": {"job": "` + id + `", "k": 0}}`, LegacyAPIVersion, http.StatusBadRequest, CodeBadRequest},
+		{"POST", "/v1/jobs", `{"from_checkpoint": {"job": "` + id + `", "k": 0}}`, legacyAPIVersion, http.StatusBadRequest, CodeBadRequest},
 	} {
 		m, code := doJSON(t, tc.method, ts.URL+tc.path, tc.version, tc.body)
 		if code != tc.wantStatus {

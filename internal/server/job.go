@@ -62,9 +62,7 @@ func (j *job) progress() *Progress {
 	return &Progress{PointsDone: int(j.pointsDone.Load()), PointsTotal: int(total)}
 }
 
-// JobView is a job's client-facing JSON form. ErrorCode and
-// FromCheckpoint are current-version additions; the legacy wire format
-// strips them (see legacyView).
+// JobView is a job's client-facing JSON form.
 type JobView struct {
 	ID         string          `json:"id"`
 	Experiment string          `json:"experiment"`

@@ -211,45 +211,6 @@ func TestJobKeyIgnoresTimeout(t *testing.T) {
 	}
 }
 
-// TestPointKeyCoalesceCanonicalization pins the run-coalescing knob's
-// cache semantics: coalescing is an engine-internal batching that cannot
-// change observable results, so CoalesceAuto (the zero value) and
-// CoalesceOn hash identically to configs predating the knob — the golden
-// key proves old cache entries stay addressable. CoalesceOff is kept
-// distinguishable as the escape hatch for diagnosing a suspected
-// coalescing bug: its results are equally valid, but forcing it must not
-// be silently satisfied from a coalesced run's cache entry.
-func TestPointKeyCoalesceCanonicalization(t *testing.T) {
-	base, err := PointKey(machine.PentiumPro(4), defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != goldenPointKey {
-		t.Fatalf("base key drifted from golden: %s", base)
-	}
-	auto, err := PointKey(machine.PentiumPro(4).WithCoalesce(machine.CoalesceAuto), defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto != base {
-		t.Error("CoalesceAuto hashes differently from the pre-knob golden key")
-	}
-	on, err := PointKey(machine.PentiumPro(4).WithCoalesce(machine.CoalesceOn), defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on != base {
-		t.Error("CoalesceOn hashes differently from the pre-knob golden key")
-	}
-	off, err := PointKey(machine.PentiumPro(4).WithCoalesce(machine.CoalesceOff), defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off == base {
-		t.Error("CoalesceOff hashes identically to the default; the diagnostic escape hatch is not cache-distinguishable")
-	}
-}
-
 // Golden checkpoint-derived keys: the (prefix, tail) composition must be
 // stable for the same reason the point and job keys must — streams and
 // resume results are shared across jobs by these addresses.

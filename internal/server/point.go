@@ -62,16 +62,6 @@ type pointRequestItem struct {
 const pointRetryAfter = "1"
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	ver, err := requestVersion(r)
-	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if ver == LegacyAPIVersion {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("point execution requires %s %s", VersionHeader, APIVersion))
-		return
-	}
 	var req pointRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

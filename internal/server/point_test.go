@@ -157,7 +157,7 @@ func TestPointEndpointRejections(t *testing.T) {
 	}
 
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/points", bytes.NewReader([]byte(`{}`)))
-	req.Header.Set(VersionHeader, LegacyAPIVersion)
+	req.Header.Set(VersionHeader, legacyAPIVersion)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

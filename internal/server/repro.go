@@ -152,11 +152,6 @@ func (s *Server) Repro(id string) (*ReproBundle, error) {
 // document (not an envelope) so `curl ... > bundle.json` produces
 // exactly what `cascade-sim -repro` consumes.
 func (s *Server) handleRepro(w http.ResponseWriter, r *http.Request) {
-	if ver, err := requestVersion(r); err != nil || ver == LegacyAPIVersion {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("repro bundles require %s %s", VersionHeader, APIVersion))
-		return
-	}
 	b, err := s.Repro(r.PathValue("id"))
 	if err != nil {
 		writeCodedError(w, err)

@@ -128,7 +128,7 @@ func TestServerReproRefusals(t *testing.T) {
 	}
 	check("/v1/jobs/nope/repro", "", http.StatusNotFound, CodeNotFound)
 	check("/v1/jobs/"+v.ID+"/repro", "", http.StatusBadRequest, CodeBadRequest)
-	check("/v1/jobs/"+v.ID+"/repro", LegacyAPIVersion, http.StatusBadRequest, CodeBadRequest)
+	check("/v1/jobs/"+v.ID+"/repro", legacyAPIVersion, http.StatusBadRequest, CodeBadRequest)
 }
 
 // TestRunReproTamperedPoint pins the anti-footgun: a bundle whose

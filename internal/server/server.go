@@ -3,8 +3,7 @@
 // experiments.Registry, runs them on a bounded worker pool, memoizes
 // results in a content-addressed cache, and exposes live metrics.
 //
-// API (every response is a versioned Envelope — see envelope.go; the
-// pre-envelope wire format is served under "Accept-Version: 2024-01"):
+// API (every response is a versioned Envelope — see envelope.go):
 //
 //	GET  /v1/experiments                registry metadata (names, descriptions, defaults)
 //	POST /v1/jobs                       submit {"experiment": "...", "params": {...}}
@@ -293,15 +292,26 @@ func (s *Server) Metrics() metrics.Snapshot {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/repro", s.handleRepro)
-	mux.HandleFunc("POST /v1/points", s.handlePoint)
-	mux.HandleFunc("POST /v1/jobs/{id}/checkpoints", s.handleCheckpointCreate)
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoints", s.handleCheckpointList)
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoints/{k}", s.handleCheckpointGet)
+	// Every /v1 route speaks the one envelope format and refuses any
+	// other Accept-Version before doing work.
+	v1 := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if err := requestVersion(r); err != nil {
+				writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+				return
+			}
+			h(w, r)
+		})
+	}
+	v1("GET /v1/experiments", s.handleExperiments)
+	v1("POST /v1/jobs", s.handleSubmit)
+	v1("GET /v1/jobs", s.handleJobs)
+	v1("GET /v1/jobs/{id}", s.handleJob)
+	v1("GET /v1/jobs/{id}/repro", s.handleRepro)
+	v1("POST /v1/points", s.handlePoint)
+	v1("POST /v1/jobs/{id}/checkpoints", s.handleCheckpointCreate)
+	v1("GET /v1/jobs/{id}/checkpoints", s.handleCheckpointList)
+	v1("GET /v1/jobs/{id}/checkpoints/{k}", s.handleCheckpointGet)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
@@ -348,15 +358,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	ver, err := requestVersion(r)
-	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if ver == LegacyAPIVersion {
-		writeJSON(w, http.StatusOK, map[string]interface{}{"experiments": s.infos})
-		return
-	}
 	writeEnvelope(w, http.StatusOK, Envelope{Experiments: s.infos})
 }
 
@@ -369,65 +370,45 @@ type submitRequest struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ver, err := requestVersion(r)
-	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
 	var req submitRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeSubmitError(w, ver, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if req.FromCheckpoint != nil {
-		s.handleSubmitResume(w, ver, req)
+		s.handleSubmitResume(w, req)
 		return
 	}
 	v, err := s.Submit(req.Experiment, req.Params)
 	switch {
 	case errors.Is(err, ErrUnknownExperiment):
-		s.writeSubmitError(w, ver, http.StatusNotFound, CodeNotFound, err)
+		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound, err.Error())
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding, not a bare error: Retry-After tells well-behaved
 		// clients to back off, and the queue depth in the body tells them
 		// how bad it is.
 		w.Header().Set("Retry-After", "1")
 		depth := s.QueueDepth()
-		if ver == LegacyAPIVersion {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-				"error":       err.Error(),
-				"queue_depth": depth,
-			})
-			return
-		}
 		writeEnvelope(w, http.StatusServiceUnavailable, Envelope{
 			Error:      &APIError{Code: CodeQueueFull, Message: err.Error()},
 			QueueDepth: &depth,
 		})
 	case errors.Is(err, ErrShuttingDown):
 		w.Header().Set("Retry-After", strconv.Itoa(int(shutdownRetryAfter/time.Second)))
-		s.writeSubmitError(w, ver, http.StatusServiceUnavailable, CodeShuttingDown, err)
+		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
 	case err != nil:
-		s.writeSubmitError(w, ver, http.StatusBadRequest, CodeBadRequest, err)
+		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 	case v.State == StateDone:
-		s.writeJob(w, ver, http.StatusOK, v) // served from cache at submit time
+		writeEnvelope(w, http.StatusOK, jobEnvelope(v)) // served from cache at submit time
 	default:
-		s.writeJob(w, ver, http.StatusAccepted, v)
+		writeEnvelope(w, http.StatusAccepted, jobEnvelope(v))
 	}
 }
 
 // handleSubmitResume serves the from_checkpoint form of POST /v1/jobs.
-// Checkpoint references are a current-API feature: legacy-version
-// requests are refused rather than answered in a shape that never
-// existed.
-func (s *Server) handleSubmitResume(w http.ResponseWriter, ver string, req submitRequest) {
-	if ver == LegacyAPIVersion {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("from_checkpoint requires %s %s", VersionHeader, APIVersion))
-		return
-	}
+func (s *Server) handleSubmitResume(w http.ResponseWriter, req submitRequest) {
 	if req.Experiment != "" {
 		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			"experiment and from_checkpoint are mutually exclusive")
@@ -447,49 +428,27 @@ func (s *Server) handleSubmitResume(w http.ResponseWriter, ver string, req submi
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	ver, err := requestVersion(r)
-	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	jobs := s.Jobs()
-	if ver == LegacyAPIVersion {
-		for i := range jobs {
-			jobs[i] = legacyView(jobs[i])
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": jobs})
-		return
-	}
-	writeEnvelope(w, http.StatusOK, Envelope{Jobs: jobs})
+	writeEnvelope(w, http.StatusOK, Envelope{Jobs: s.Jobs()})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	ver, verErr := requestVersion(r)
-	if verErr != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, verErr.Error())
-		return
-	}
 	id := r.PathValue("id")
 	var wait time.Duration
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
-			s.writeSubmitError(w, ver, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad wait duration %q", raw))
+			writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad wait duration %q", raw))
 			return
 		}
 		wait = d
 	}
-	if ver == APIVersion && wantsNDJSON(r) {
+	if wantsNDJSON(r) {
 		s.streamJob(w, r, id, wait)
 		return
 	}
 	v, ok := s.Await(id, wait, r.Context().Done())
 	if !ok {
-		s.writeSubmitError(w, ver, http.StatusNotFound, CodeNotFound, fmt.Errorf("unknown job %q", id))
-		return
-	}
-	if ver == LegacyAPIVersion {
-		writeJSON(w, http.StatusOK, legacyView(v))
+		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
 	env := jobEnvelope(v)
@@ -500,25 +459,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("request cancelled while waiting for job %q", id)}
 	}
 	writeEnvelope(w, http.StatusOK, env)
-}
-
-// writeJob renders a job response in the requested wire format.
-func (s *Server) writeJob(w http.ResponseWriter, ver string, status int, v JobView) {
-	if ver == LegacyAPIVersion {
-		writeJSON(w, status, legacyView(v))
-		return
-	}
-	writeEnvelope(w, status, jobEnvelope(v))
-}
-
-// writeSubmitError renders an error in the requested wire format: a
-// typed envelope error, or the legacy {"error": "<message>"} object.
-func (s *Server) writeSubmitError(w http.ResponseWriter, ver string, status int, code string, err error) {
-	if ver == LegacyAPIVersion {
-		writeError(w, status, err)
-		return
-	}
-	writeEnvelopeError(w, status, code, err.Error())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -532,8 +472,4 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

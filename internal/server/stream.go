@@ -26,9 +26,6 @@ import (
 // job's live point progress (absent until the sweep's first point
 // completes; an experiment that never parallelizes sends frames with no
 // progress field, which still serve as keep-alives).
-//
-// The legacy wire format predates streaming and never gets it;
-// requestVersion gates this path to the current version.
 
 // DefaultProgressInterval is the keep-alive cadence of streaming ?wait
 // responses: frequent enough to outrun typical 30–60s proxy idle
