@@ -229,64 +229,3 @@ func TestPrefixKeyDiscriminates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickstartCheckpoints exercises the server-facing checkpoint run:
-// the checkpointed Result matches a plain quickstart Prefetched run, the
-// stream is non-empty with increasing iteration marks, and resuming from
-// any checkpoint reproduces the Result exactly.
-func TestQuickstartCheckpoints(t *testing.T) {
-	const n, chunk = 1 << 14, 16 * 1024
-	qr, err := QuickstartCheckpoints(context.Background(), n, chunk, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.Checkpoints) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	last := -1
-	for _, ck := range qr.Checkpoints {
-		if ck.Iter <= last {
-			t.Fatalf("checkpoint iters not increasing: %d after %d", ck.Iter, last)
-		}
-		last = ck.Iter
-	}
-
-	// Plain run, same construction: checkpointing must not perturb it.
-	space, loop, err := quickstartLoop(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(machine.PentiumPro(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := cascade.NewOptions(
-		cascade.WithHelper(cascade.HelperPrefetch),
-		cascade.WithSpace(space),
-		cascade.WithChunkBytes(chunk),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := cascade.Run(m, loop, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(qr.Result, plain) {
-		t.Error("checkpointed quickstart run differs from plain run")
-	}
-
-	// Resume out of order, including a repeat, to prove rewind works.
-	for _, k := range []int{len(qr.Checkpoints) - 1, 0, len(qr.Checkpoints) / 2, 0} {
-		r, err := qr.Resume(k)
-		if err != nil {
-			t.Fatalf("resume %d: %v", k, err)
-		}
-		if !reflect.DeepEqual(r, qr.Result) {
-			t.Errorf("resume from checkpoint %d differs from original result", k)
-		}
-	}
-	if _, err := qr.Resume(len(qr.Checkpoints)); err == nil {
-		t.Error("resume past the stream should error")
-	}
-}

@@ -59,18 +59,8 @@ const SiteAssign = "fabric.assign"
 // to exercise crash-recovery's torn-tail repair.
 func FaultSites() []string { return []string{SiteAssign, journal.SiteAppend} }
 
-// Submission errors the HTTP layer maps to status codes.
-var (
-	// ErrUnknownExperiment is returned for a name the registry lacks.
-	ErrUnknownExperiment = errors.New("unknown experiment")
-	// ErrShuttingDown is returned for submissions after Shutdown began.
-	ErrShuttingDown = errors.New("coordinator shutting down")
-	// ErrQuotaExceeded is returned when the tenant is at its in-flight
-	// job quota.
-	ErrQuotaExceeded = errors.New("tenant quota exceeded")
-	// errNoWorkers fails a dispatch when no live worker exists.
-	errNoWorkers = errors.New("no live workers")
-)
+// errNoWorkers fails a dispatch when no live worker exists.
+var errNoWorkers = errors.New("no live workers")
 
 // Config configures a Coordinator. The zero value coordinates the full
 // experiment registry with a memory-only result index and no quotas.
@@ -142,16 +132,17 @@ type Config struct {
 }
 
 // Coordinator owns the fleet: worker membership, the hash ring, the
-// job table, and the shared result index. Create with New, expose
-// Handler over HTTP, stop with Shutdown.
+// shared result index, and — in the embedded job core, the same one a
+// server runs — the job table. Create with New, expose Handler over
+// HTTP, stop with Shutdown.
 type Coordinator struct {
+	*server.JobCore
+
 	cfg     Config
 	metrics *metrics.Synced
 	cache   *server.Cache
 	faults  *faults.Injector
 	client  *http.Client
-	infos   []experiments.Info
-	exps    map[string]bool
 
 	// Durability (nil journal = memory-only coordination). epoch is
 	// this incarnation's fencing token: one greater than any epoch the
@@ -163,13 +154,16 @@ type Coordinator struct {
 	cancelRun context.CancelFunc
 	wg        sync.WaitGroup // job runners + reaper
 
-	stopReap chan struct{} // closed once by Shutdown
+	stopReap chan struct{} // closed once by Shutdown or Kill
+
+	// Open point leases: assignments not yet settled as completed,
+	// retried or failed. Guarded by leaseMu together with the point
+	// counters' updates, so the point identity is checked on a
+	// consistent cut (see openLease).
+	leaseMu sync.Mutex
+	leases  int64
 
 	mu      sync.Mutex
-	closed  bool
-	nextID  int
-	jobs    map[string]*fjob
-	order   []*fjob
 	workers map[string]*workerRec
 	ring    *ring
 	tenants map[string]int // tenant → in-flight jobs
@@ -244,24 +238,38 @@ func New(cfg Config) (*Coordinator, error) {
 		cache:     cache,
 		faults:    cfg.Faults,
 		client:    cfg.Client,
-		exps:      make(map[string]bool, len(cfg.Experiments)),
 		runCtx:    runCtx,
 		cancelRun: cancel,
 		stopReap:  make(chan struct{}),
-		jobs:      make(map[string]*fjob),
 		workers:   make(map[string]*workerRec),
 		ring:      buildRing(nil),
 		tenants:   make(map[string]int),
 		wake:      make(chan struct{}),
-		nextID:    1,
 	}
-	for _, e := range cfg.Experiments {
-		if c.exps[e.Name] {
-			cancel()
-			return nil, fmt.Errorf("fabric: duplicate experiment %q", e.Name)
-		}
-		c.exps[e.Name] = true
-		c.infos = append(c.infos, e.Info())
+	c.JobCore, err = server.NewJobCore(server.Daemon{
+		IDPrefix:    "f",
+		Experiments: cfg.Experiments,
+		Cache:       cache,
+		Metrics:     cfg.Metrics,
+		Names: server.JobMetrics{Submitted: mJobsSubmitted, Completed: mJobsCompleted, Failed: mJobsFailed,
+			CacheHits: mJobsCacheHits, Rejected: mJobsRejected, Recovered: mJobsRecovered},
+		ProgressInterval: cfg.ProgressInterval,
+		Faults:           cfg.Faults,
+		FaultSpec:        cfg.FaultSpec,
+		FaultSeed:        cfg.FaultSeed,
+		FaultSites:       FaultSites(),
+		Admit:            c.admit,
+		Start:            c.startJob,
+		Routes: map[string]http.HandlerFunc{
+			"POST /v1/workers":    c.handleWorkerRegister,
+			"GET /v1/workers":     c.handleWorkerList,
+			"GET /v1/cache/{key}": c.handleCacheProbe,
+		},
+		Idle: func() bool { return c.metrics.Value(mWorkersAlive) == 0 },
+	})
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	if err := c.openJournal(); err != nil {
 		cancel()
@@ -302,12 +310,9 @@ func (c *Coordinator) jappend(recs ...journal.Record) {
 // terminal journal records. The instance is unusable afterwards;
 // recover by calling New against the same JournalDir.
 func (c *Coordinator) Kill() {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	if c.CloseSubmissions() {
 		close(c.stopReap)
 	}
-	c.mu.Unlock()
 	// Fence the journal before cancelling work so dying dispatch loops
 	// cannot journal outcomes a real crash would never have written.
 	if c.journal != nil {
@@ -322,12 +327,9 @@ func (c *Coordinator) Kill() {
 // If ctx expires first, the run context is cancelled — dispatch loops
 // stop and the affected jobs fail — and ctx's error is returned.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	if c.CloseSubmissions() {
 		close(c.stopReap)
 	}
-	c.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {
@@ -347,23 +349,6 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		c.journal.Close()
 	}
 	return err
-}
-
-// Draining reports whether Shutdown has begun.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// Metrics returns a snapshot of the fleet metrics.
-func (c *Coordinator) Metrics() metrics.Snapshot {
-	return c.metrics.Snapshot()
-}
-
-// Experiments returns the coordinated experiments' metadata.
-func (c *Coordinator) Experiments() []experiments.Info {
-	return c.infos
 }
 
 // Register enlists a one-slot worker; see RegisterSlots.

@@ -3,7 +3,6 @@ package fabric
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/canon"
@@ -20,266 +18,83 @@ import (
 	"repro/internal/server"
 )
 
-// fjob is the coordinator's record of one accepted job. It mirrors the
-// server's job just closely enough to render the same JobView, so a
-// client cannot tell a coordinator from a server by response shape.
-type fjob struct {
-	id         string
-	experiment string
-	params     server.JobParams
-	key        string // render key of the merged result
-	tenant     string
-
-	state   server.State
-	cached  bool
-	errMsg  string
-	errCode string
-	result  []byte
-
-	created  time.Time
-	started  time.Time
-	finished time.Time
-
-	pointsDone  atomic.Int64
-	pointsTotal atomic.Int64
-
-	// jdone marks point indexes whose point_completed journal record
-	// already exists, either written this incarnation or replayed from a
-	// previous one — the idempotence fence that keeps a re-driven sweep
-	// from journaling (and thus counting) the same completion twice.
-	// Guarded by Coordinator.mu.
-	jdone map[int]bool
-
-	// Failure forensics for the repro bundle: the lowest-index failed
-	// point's spec, plus the worker's raw error (failDetail) and typed
-	// code, free of the "worker http://..." framing that would make the
-	// bundle key depend on topology. Written once before the job turns
-	// terminal; repro holds the marshaled bundle.
-	failSpec   *experiments.PointSpec
-	failDetail string
-	failCode   string
-	repro      []byte
-
-	done chan struct{}
-}
-
-func (j *fjob) view(withResult bool) server.JobView {
-	v := server.JobView{
-		ID:         j.id,
-		Experiment: j.experiment,
-		Params:     j.params,
-		Key:        j.key,
-		State:      j.state,
-		Cached:     j.cached,
-		Error:      j.errMsg,
-		ErrorCode:  j.errCode,
-		Created:    j.created,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
-	}
-	if withResult && j.state == server.StateDone {
-		v.Result = json.RawMessage(j.result)
-	}
-	return v
-}
-
-func (j *fjob) progress() *server.Progress {
-	total := j.pointsTotal.Load()
-	if total == 0 {
-		return nil
-	}
-	return &server.Progress{PointsDone: int(j.pointsDone.Load()), PointsTotal: int(total)}
-}
-
-// fabricError carries a typed API code through the scheduler, so a
-// job's failure reports the same code a single server would have used.
-// detail preserves the worker's own message before the scheduler wraps
-// it with dispatch framing — repro bundles want the portable half.
-type fabricError struct {
-	code   string
-	detail string
-	err    error
-}
-
-func (e *fabricError) Error() string { return e.err.Error() }
-func (e *fabricError) Unwrap() error { return e.err }
-
-func codeOf(err error) string {
-	var fe *fabricError
-	switch {
-	case err == nil:
-		return ""
-	case errors.As(err, &fe):
-		return fe.code
-	case errors.Is(err, context.Canceled):
-		return server.CodeCancelled
-	case errors.Is(err, context.DeadlineExceeded):
-		return server.CodeTimeout
-	default:
-		return server.CodeExperimentFailed
-	}
-}
-
-// Submit accepts one job for a tenant ("" = anonymous). The submission
-// path mirrors the server's: resolve defaults, derive the content
-// address, answer from the cache when the merged result already exists,
-// otherwise start the distributed run.
-func (c *Coordinator) Submit(tenant, experiment string, p server.JobParams) (server.JobView, error) {
-	if !c.exps[experiment] {
-		return server.JobView{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, experiment)
-	}
-	p = p.WithDefaults()
-	if err := p.Validate(); err != nil {
-		return server.JobView{}, err
-	}
-	jobKey, err := server.JobKey(experiment, p)
-	if err != nil {
-		return server.JobView{}, err
-	}
-	key := server.RenderKey(jobKey, "json")
-
+// admit is the coordinator's Daemon.Admit: a tenant at its in-flight
+// job quota is refused with a Retry-After (429 quota_exceeded).
+func (c *Coordinator) admit(tenant string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		c.metrics.Inc(mJobsRejected)
-		return server.JobView{}, ErrShuttingDown
-	}
 	if q := c.quota(tenant); q > 0 && c.tenants[tenant] >= q {
 		c.metrics.Inc(mJobsQuotaRejected)
-		return server.JobView{}, fmt.Errorf("%w: tenant %q has %d jobs in flight (quota %d)",
-			ErrQuotaExceeded, tenant, c.tenants[tenant], q)
+		return fmt.Errorf("%w: tenant %q has %d jobs in flight (quota %d)",
+			server.ErrQuotaExceeded, tenant, c.tenants[tenant], q)
 	}
-	c.metrics.Inc(mJobsSubmitted)
-	j := &fjob{
-		id:         fmt.Sprintf("f%d", c.nextID),
-		experiment: experiment,
-		params:     p,
-		key:        key,
-		tenant:     tenant,
-		state:      server.StateQueued,
-		created:    time.Now(),
-		jdone:      make(map[int]bool),
-		done:       make(chan struct{}),
-	}
-	c.nextID++
-	c.jobs[j.id] = j
-	c.order = append(c.order, j)
-
-	if val, ok := c.cache.Get(key); ok {
-		j.cached = true
-		c.finishLocked(j, val, nil)
-		c.metrics.Inc(mJobsCacheHits)
-		return j.view(true), nil
-	}
-	// Journal the acceptance before the run starts: a job either never
-	// existed or is recoverable — there is no window where work is in
-	// flight for a job a restart would not know about. Cache-answered
-	// jobs are deliberately not journaled; resubmission hits the cache
-	// again.
-	if raw, err := json.Marshal(p); err == nil {
-		c.jappend(journal.Record{Type: journal.TypeJobAccepted, Job: j.id,
-			Tenant: tenant, Experiment: experiment, Params: raw, Key: key})
-	}
-	c.tenants[tenant]++
-	c.wg.Add(1)
-	go c.runJob(j)
-	return j.view(true), nil
+	return nil
 }
 
-// Job returns the view of a submitted job.
-func (c *Coordinator) Job(id string) (server.JobView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return server.JobView{}, false
+// startJob is the coordinator's Daemon.Start, called with the job
+// core's mutex held for an accepted job the cache could not answer. It
+// journals the acceptance before the run starts: a job either never
+// existed or is recoverable — there is no window where work is in
+// flight for a job a restart would not know about. Cache-answered jobs
+// are deliberately not journaled; resubmission hits the cache again.
+func (c *Coordinator) startJob(j *server.Job) error {
+	if raw, err := json.Marshal(j.Params); err == nil {
+		c.jappend(journal.Record{Type: journal.TypeJobAccepted, Job: j.ID,
+			Tenant: j.Tenant, Experiment: j.Experiment, Params: raw, Key: j.Key})
 	}
-	return j.view(true), true
+	c.run(j, nil)
+	return nil
 }
 
-// Jobs returns every job in submission order, without result payloads.
-func (c *Coordinator) Jobs() []server.JobView {
+// run starts job j's runner, counting it against its tenant's quota.
+// jdone marks the points a previous incarnation already journaled
+// completed (nil for a fresh job).
+func (c *Coordinator) run(j *server.Job, jdone map[int]bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]server.JobView, len(c.order))
-	for i, j := range c.order {
-		out[i] = j.view(false)
-	}
-	return out
-}
-
-// Await blocks until the job finishes, the timeout elapses, or cancel
-// fires, then returns the current view.
-func (c *Coordinator) Await(id string, timeout time.Duration, cancel <-chan struct{}) (server.JobView, bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
+	c.tenants[j.Tenant]++
 	c.mu.Unlock()
-	if !ok {
-		return server.JobView{}, false
-	}
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case <-j.done:
-		case <-t.C:
-		case <-cancel:
-		}
-	}
-	return c.Job(id)
+	c.wg.Add(1)
+	go c.runJob(j, jdone)
 }
 
 // runJob drives one job to completion: decomposable sweeps shard
 // point-by-point across the fleet; anything else ships whole to one
-// worker.
-func (c *Coordinator) runJob(j *fjob) {
+// worker. The terminal journal record goes down before the job turns
+// terminal.
+func (c *Coordinator) runJob(j *server.Job, jdone map[int]bool) {
 	defer func() {
 		c.mu.Lock()
-		c.tenants[j.tenant]--
-		if c.tenants[j.tenant] <= 0 {
-			delete(c.tenants, j.tenant)
+		c.tenants[j.Tenant]--
+		if c.tenants[j.Tenant] <= 0 {
+			delete(c.tenants, j.Tenant)
 		}
 		c.mu.Unlock()
 		c.wg.Done()
 	}()
-	c.mu.Lock()
-	j.state = server.StateRunning
-	j.started = time.Now()
-	c.mu.Unlock()
+	c.MarkRunning(j)
 
 	var val []byte
 	var err error
-	if specs, ok := experiments.Decompose(j.experiment, j.params.RunConfig()); ok {
-		val, err = c.runSharded(j, specs)
+	if specs, ok := experiments.Decompose(j.Experiment, j.Params.RunConfig()); ok {
+		val, err = c.runSharded(j, specs, jdone)
 	} else {
 		c.metrics.Inc(mJobsForwarded)
 		val, err = c.forwardJob(j)
 	}
+	var repro []byte
 	if err == nil {
 		// Degrade on a failed write exactly as the server does: the merged
 		// result is in hand, only the shared copy is lost. The merged
 		// record goes down after the Put — it is recovery's licence to
 		// forget the job, so the result must already be addressable.
-		_ = c.cache.Put(j.key, val)
-		c.jappend(journal.Record{Type: journal.TypeJobMerged, Job: j.id, Key: j.key})
+		_ = c.cache.Put(j.Key, val)
+		c.jappend(journal.Record{Type: journal.TypeJobMerged, Job: j.ID, Key: j.Key})
 	} else {
-		rec := journal.Record{Type: journal.TypeJobFailed, Job: j.id,
-			Error: err.Error(), Code: codeOf(err)}
-		if b, rerr := c.buildRepro(j, err); rerr == nil {
-			j.repro = b
-			rec.Repro = b
-		}
-		c.jappend(rec)
+		repro = c.BuildRepro(j, err)
+		c.jappend(journal.Record{Type: journal.TypeJobFailed, Job: j.ID,
+			Error: err.Error(), Code: server.ErrorCodeOf(err), Repro: repro})
 	}
-	c.mu.Lock()
-	c.finishLocked(j, val, err)
-	c.mu.Unlock()
+	c.Finish(j, val, err, repro)
 }
 
 // runSharded runs a decomposed sweep by slot-aware pull dispatch, the
@@ -294,10 +109,14 @@ func (c *Coordinator) runJob(j *fjob) {
 // lowest-index-error rule: once a point fails, the queue hands out no
 // higher index, and the job reports the failure of the lowest-index
 // one, independent of dispatch interleaving.
-func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte, error) {
-	j.pointsTotal.Store(int64(len(specs)))
+func (c *Coordinator) runSharded(j *server.Job, specs []experiments.PointSpec, jdone map[int]bool) ([]byte, error) {
+	j.SetProgress(0, len(specs))
+	if jdone == nil {
+		jdone = make(map[int]bool)
+	}
 	sw := &sweep{
 		j:       j,
+		jdone:   jdone,
 		q:       experiments.NewPointQueue(specs),
 		specs:   specs,
 		keys:    make([]string, len(specs)),
@@ -307,7 +126,7 @@ func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte
 	for i := range specs {
 		key, err := canon.PointKey(specs[i])
 		if err != nil {
-			sw.fail(i, &fabricError{code: server.CodeBadRequest, err: err})
+			sw.fail(i, server.Coded(server.CodeBadRequest, "", err))
 		}
 		sw.keys[i] = key
 	}
@@ -318,7 +137,7 @@ func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte
 		go func() {
 			defer wg.Done()
 			for sw.q.Unclaimed() > 0 {
-				s, err := c.acquireSlot(j.key, "")
+				s, err := c.acquireSlot(j.Key, "")
 				if err != nil {
 					return // the run context died; unclaimed points fail below
 				}
@@ -334,23 +153,15 @@ func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte
 	wg.Wait()
 	for i, e := range sw.errs {
 		if e != nil {
-			// Record the failing point for the repro bundle before the job
-			// turns terminal: the spec pins the exact point, the detail and
-			// code pin the failure free of dispatch framing.
-			sp := specs[i]
-			j.failSpec = &sp
-			j.failDetail, j.failCode = e.Error(), codeOf(e)
-			var fe *fabricError
-			if errors.As(e, &fe) && fe.detail != "" {
-				j.failDetail, j.failCode = fe.detail, fe.code
-			}
-			return nil, fmt.Errorf("point %d: %w", i, e)
+			// The repro bundle replays the failing point and records its
+			// failure free of dispatch framing.
+			return nil, server.PointFailure(specs[i], e, fmt.Errorf("point %d: %w", i, e))
 		}
 	}
 	if sw.q.Unclaimed() > 0 {
 		return nil, c.runCtx.Err() // points left unclaimed when dispatch stopped
 	}
-	merged, err := experiments.MergePoints(j.experiment, j.params.RunConfig(), sw.results)
+	merged, err := experiments.MergePoints(j.Experiment, j.Params.RunConfig(), sw.results)
 	if err != nil {
 		return nil, err
 	}
@@ -361,12 +172,19 @@ func (c *Coordinator) runSharded(j *fjob, specs []experiments.PointSpec) ([]byte
 // Keys are set before dispatch starts; each index's result and error
 // are written only by the lease that holds the index.
 type sweep struct {
-	j       *fjob
+	j       *server.Job
 	q       *experiments.PointQueue
 	specs   []experiments.PointSpec
 	keys    []string
 	results []experiments.PointResult
 	errs    []error
+
+	// jdone marks point indexes whose point_completed journal record
+	// already exists, either written this incarnation or replayed from a
+	// previous one — the idempotence fence that keeps a re-driven sweep
+	// from journaling (and thus counting) the same completion twice.
+	jmu   sync.Mutex
+	jdone map[int]bool
 }
 
 // fail records point idx's terminal error; the queue stops handing out
@@ -418,7 +236,7 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 			if jerr := json.Unmarshal(val, &res); jerr == nil {
 				c.metrics.Inc(mCacheHits)
 				sw.results[idx] = res
-				j.pointsDone.Add(1)
+				j.PointDone()
 				continue
 			}
 		}
@@ -443,8 +261,8 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 		shipped := todo
 		for _, it := range shipped {
 			attempts[it.idx]++
-			c.metrics.Inc(mPointsAssigned)
-			c.jappend(journal.Record{Type: journal.TypePointAssigned, Job: j.id,
+			c.openLease()
+			c.jappend(journal.Record{Type: journal.TypePointAssigned, Job: j.ID,
 				Index: it.idx, Key: it.key, Epoch: c.epoch})
 		}
 		// done marks leases closed by an outcome this round — completed or
@@ -457,16 +275,16 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 			case o.Error == nil && o.Point != nil:
 				done[it.idx] = true
 				sw.results[it.idx] = *o.Point
-				c.completePoint(j, it, *o.Point, o.Cached)
+				c.completePoint(sw, it, *o.Point, o.Cached)
 				if !o.Cached {
 					sw.q.Done(holder, it.idx) // the worker holds the point's prefix now
 				}
 			case o.Error != nil && terminalCode(o.Error.Code):
 				done[it.idx] = true
-				ferr := &fabricError{code: o.Error.Code, detail: o.Error.Message,
-					err: fmt.Errorf("worker %s: %s", url, o.Error.Message)}
-				c.metrics.Inc(mPointsFailed)
-				c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.id,
+				ferr := server.Coded(o.Error.Code, o.Error.Message,
+					fmt.Errorf("worker %s: %s", url, o.Error.Message))
+				c.settleLease(mPointsFailed)
+				c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.ID,
 					Index: it.idx, Error: ferr.Error(), Code: o.Error.Code})
 				sw.fail(it.idx, ferr)
 				// A malformed or shed outcome (non-terminal error, or a frame
@@ -478,16 +296,15 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 			// A batch-level terminal error — the worker refused the request
 			// in a way a retry elsewhere would reproduce — fails every open
 			// lease identically.
-			var fe *fabricError
-			if errors.As(err, &fe) && terminalCode(fe.code) {
+			if code := server.ExplicitCode(err); terminalCode(code) {
 				for _, it := range shipped {
 					if done[it.idx] {
 						continue
 					}
 					done[it.idx] = true
-					c.metrics.Inc(mPointsFailed)
-					c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.id,
-						Index: it.idx, Error: err.Error(), Code: fe.code})
+					c.settleLease(mPointsFailed)
+					c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.ID,
+						Index: it.idx, Error: err.Error(), Code: code})
 					sw.fail(it.idx, err)
 				}
 			}
@@ -497,8 +314,8 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 			if done[it.idx] {
 				continue
 			}
-			c.metrics.Inc(mPointsRetried)
-			c.jappend(journal.Record{Type: journal.TypePointRetried, Job: j.id, Index: it.idx})
+			c.settleLease(mPointsRetried)
+			c.jappend(journal.Record{Type: journal.TypePointRetried, Job: j.ID, Index: it.idx})
 			if attempts[it.idx] >= c.cfg.MaxPointAttempts {
 				cause := err
 				if cause == nil {
@@ -534,24 +351,57 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 // ever — a replayed completion that re-ran because its cached bytes
 // were lost must not double-count), and job progress advances by one
 // point — which is what keeps ?wait progress per-point under batching.
-func (c *Coordinator) completePoint(j *fjob, it leaseItem, res experiments.PointResult, cached bool) {
-	c.metrics.Inc(mPointsCompleted)
+func (c *Coordinator) completePoint(sw *sweep, it leaseItem, res experiments.PointResult, cached bool) {
+	c.settleLease(mPointsCompleted)
 	if cached {
 		c.metrics.Inc(mCacheRemoteHits)
 	}
 	if val, merr := json.Marshal(res); merr == nil {
 		_ = c.cache.Put(it.key, val)
 	}
-	c.mu.Lock()
-	first := !j.jdone[it.idx]
-	j.jdone[it.idx] = true
-	c.mu.Unlock()
+	sw.jmu.Lock()
+	first := !sw.jdone[it.idx]
+	sw.jdone[it.idx] = true
+	sw.jmu.Unlock()
 	if first {
-		c.jappend(journal.Record{Type: journal.TypePointCompleted, Job: j.id, Index: it.idx, Key: it.key})
+		c.jappend(journal.Record{Type: journal.TypePointCompleted, Job: sw.j.ID, Index: it.idx, Key: it.key})
 	} else {
-		c.jappend(journal.Record{Type: journal.TypePointRetried, Job: j.id, Index: it.idx})
+		c.jappend(journal.Record{Type: journal.TypePointRetried, Job: sw.j.ID, Index: it.idx})
 	}
-	j.pointsDone.Add(1)
+	sw.j.PointDone()
+}
+
+// openLease counts one point assignment as in flight.
+func (c *Coordinator) openLease() {
+	c.leaseMu.Lock()
+	defer c.leaseMu.Unlock()
+	c.metrics.Inc(mPointsAssigned)
+	c.leases++
+	c.checkPointsLocked()
+}
+
+// settleLease closes one in-flight assignment with its outcome: the
+// mPointsCompleted, mPointsRetried or mPointsFailed counter.
+func (c *Coordinator) settleLease(outcome string) {
+	c.leaseMu.Lock()
+	defer c.leaseMu.Unlock()
+	c.metrics.Inc(outcome)
+	c.leases--
+	c.checkPointsLocked()
+}
+
+// checkPointsLocked checks the point identity (metrics.go) on every
+// lease transition; a violation latches /healthz degraded through the
+// job core. Callers hold leaseMu.
+func (c *Coordinator) checkPointsLocked() {
+	snap := c.metrics.Snapshot()
+	assigned, completed := snap.Get(mPointsAssigned), snap.Get(mPointsCompleted)
+	retried, failed := snap.Get(mPointsRetried), snap.Get(mPointsFailed)
+	if assigned != completed+retried+failed+c.leases {
+		c.Violated("point conservation violated: %s=%d %s=%d %s=%d %s=%d in_flight=%d",
+			mPointsAssigned, assigned, mPointsCompleted, completed, mPointsRetried, retried,
+			mPointsFailed, failed, c.leases)
+	}
 }
 
 func nextBackoff(d time.Duration) time.Duration {
@@ -584,8 +434,8 @@ func terminalCode(code string) bool {
 // position is delivered: one naming a position outside the batch, or
 // one already answered, is dropped, so a confused or hostile worker can
 // neither close a lease twice nor deliver more outcomes than were
-// shipped. The returned error is a *fabricError
-// carrying the worker's typed code when the worker answered with one,
+// shipped. The returned error carries the worker's typed code (see
+// server.ExplicitCode) when the worker answered with one,
 // or an untyped transport error when it did not; either way, outcomes
 // already delivered stand — only the remainder is the caller's to
 // retry.
@@ -599,11 +449,11 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 	}
 	body, err := json.Marshal(map[string]interface{}{"points": wire})
 	if err != nil {
-		return &fabricError{code: server.CodeBadRequest, err: err}
+		return server.Coded(server.CodeBadRequest, "", err)
 	}
 	req, err := http.NewRequestWithContext(c.runCtx, "POST", workerURL+"/v1/points", bytes.NewReader(body))
 	if err != nil {
-		return &fabricError{code: server.CodeBadRequest, err: err}
+		return server.Coded(server.CodeBadRequest, "", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", server.NDJSONContentType)
@@ -636,8 +486,7 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 			if !terminalCode(code) {
 				return fmt.Errorf("dispatch to %s: %s", workerURL, msg)
 			}
-			return &fabricError{code: code, detail: msg,
-				err: fmt.Errorf("worker %s: %s", workerURL, msg)}
+			return server.Coded(code, msg, fmt.Errorf("worker %s: %s", workerURL, msg))
 		}
 		for _, o := range env.Outcomes {
 			deliver(o)
@@ -660,8 +509,8 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 		}
 		if env.Error != nil && len(env.Outcomes) == 0 {
 			if terminalCode(env.Error.Code) {
-				return &fabricError{code: env.Error.Code, detail: env.Error.Message,
-					err: fmt.Errorf("worker %s: %s", workerURL, env.Error.Message)}
+				return server.Coded(env.Error.Code, env.Error.Message,
+					fmt.Errorf("worker %s: %s", workerURL, env.Error.Message))
 			}
 			return fmt.Errorf("dispatch to %s: %s", workerURL, env.Error.Message)
 		}
@@ -679,13 +528,13 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 // forwardJob ships a non-decomposable job whole to one worker (chosen
 // by the job's content address, so identical jobs land on the same
 // worker and coalesce there) and relays the result.
-func (c *Coordinator) forwardJob(j *fjob) ([]byte, error) {
+func (c *Coordinator) forwardJob(j *server.Job) ([]byte, error) {
 	backoff := c.cfg.RetryBackoff
 	var lastErr error = errNoWorkers
 	// Attempt advances only on a real dispatch, so an empty fleet never
 	// burns the budget.
 	for attempt := 0; attempt < c.cfg.MaxPointAttempts; {
-		urls, wake := c.candidates(j.key)
+		urls, wake := c.candidates(j.Key)
 		if len(urls) == 0 {
 			select {
 			case <-wake:
@@ -702,8 +551,7 @@ func (c *Coordinator) forwardJob(j *fjob) ([]byte, error) {
 		if err == nil {
 			return val, nil
 		}
-		var fe *fabricError
-		if errors.As(err, &fe) && terminalCode(fe.code) {
+		if terminalCode(server.ExplicitCode(err)) {
 			return nil, err
 		}
 		lastErr = err
@@ -714,22 +562,22 @@ func (c *Coordinator) forwardJob(j *fjob) ([]byte, error) {
 		}
 		backoff = nextBackoff(backoff)
 	}
-	return nil, fmt.Errorf("job %s undeliverable after %d attempts: %w", j.id, c.cfg.MaxPointAttempts, lastErr)
+	return nil, fmt.Errorf("job %s undeliverable after %d attempts: %w", j.ID, c.cfg.MaxPointAttempts, lastErr)
 }
 
 // forwardOnce submits the job to one worker and long-polls it to
 // completion. The relayed result is re-rendered through the canonical
 // formatting so its bytes match a direct single-node run exactly.
-func (c *Coordinator) forwardOnce(workerURL string, j *fjob) ([]byte, error) {
-	body, _ := json.Marshal(map[string]interface{}{"experiment": j.experiment, "params": j.params})
+func (c *Coordinator) forwardOnce(workerURL string, j *server.Job) ([]byte, error) {
+	body, _ := json.Marshal(map[string]interface{}{"experiment": j.Experiment, "params": j.Params})
 	env, status, err := c.doEnvelope("POST", workerURL+"/v1/jobs", body)
 	if err != nil {
 		return nil, err
 	}
 	if env.Error != nil && status != http.StatusOK && status != http.StatusAccepted {
 		if terminalCode(env.Error.Code) {
-			return nil, &fabricError{code: env.Error.Code, detail: env.Error.Message,
-				err: fmt.Errorf("worker %s: %s", workerURL, env.Error.Message)}
+			return nil, server.Coded(env.Error.Code, env.Error.Message,
+				fmt.Errorf("worker %s: %s", workerURL, env.Error.Message))
 		}
 		return nil, fmt.Errorf("worker %s refused job: %s", workerURL, env.Error.Message)
 	}
@@ -753,8 +601,7 @@ func (c *Coordinator) forwardOnce(workerURL string, j *fjob) ([]byte, error) {
 		if code == "" {
 			code = server.CodeExperimentFailed
 		}
-		return nil, &fabricError{code: code, detail: env.Job.Error,
-			err: fmt.Errorf("worker %s: %s", workerURL, env.Job.Error)}
+		return nil, server.Coded(code, env.Job.Error, fmt.Errorf("worker %s: %s", workerURL, env.Job.Error))
 	}
 	return normalizeResult(env.Result)
 }
@@ -768,7 +615,7 @@ func (c *Coordinator) doEnvelope(method, url string, body []byte) (server.Envelo
 	}
 	req, err := http.NewRequestWithContext(c.runCtx, method, url, rd)
 	if err != nil {
-		return server.Envelope{}, 0, &fabricError{code: server.CodeBadRequest, err: err}
+		return server.Envelope{}, 0, server.Coded(server.CodeBadRequest, "", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -805,80 +652,4 @@ func normalizeResult(raw json.RawMessage) ([]byte, error) {
 	}
 	out.WriteByte('\n')
 	return out.Bytes(), nil
-}
-
-// buildRepro assembles the deterministic repro bundle for a job that is
-// about to turn terminal-failed: the resolved params, the failing
-// point's spec and content address when the sweep pinned one, and the
-// coordinator's fault-injection state — everything cascade-sim -repro
-// needs to replay the failure bit-for-bit, nothing tied to the fleet
-// topology the failure happened on.
-func (c *Coordinator) buildRepro(j *fjob, err error) ([]byte, error) {
-	b := server.ReproBundle{
-		Schema:     canon.ReproSchema,
-		Job:        j.id,
-		Experiment: j.experiment,
-		Params:     j.params,
-		JobKey:     j.key,
-		Error:      err.Error(),
-		ErrorCode:  codeOf(err),
-	}
-	var fe *fabricError
-	if errors.As(err, &fe) && fe.detail != "" {
-		b.Error, b.ErrorCode = fe.detail, fe.code
-	}
-	if j.failSpec != nil {
-		sp := *j.failSpec
-		b.Point = &sp
-		if key, kerr := canon.PointKey(sp); kerr == nil {
-			b.PointKey = key
-		}
-		if j.failDetail != "" {
-			b.Error, b.ErrorCode = j.failDetail, j.failCode
-		}
-	}
-	if c.cfg.FaultSpec != "" {
-		b.Faults = &server.ReproFaults{Spec: c.cfg.FaultSpec, Seed: c.cfg.FaultSeed,
-			Fired: server.FiredCounts(c.faults, FaultSites())}
-	}
-	if _, err := b.DeriveKey(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(b)
-}
-
-// Repro returns the raw repro bundle of a terminal-failed job.
-func (c *Coordinator) Repro(id string) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, &fabricError{code: server.CodeNotFound, err: fmt.Errorf("unknown job %q", id)}
-	}
-	if j.state != server.StateFailed {
-		return nil, &fabricError{code: server.CodeBadRequest,
-			err: fmt.Errorf("job %q is %s; repro bundles exist only for failed jobs", id, j.state)}
-	}
-	if len(j.repro) == 0 {
-		return nil, &fabricError{code: server.CodeNotFound,
-			err: fmt.Errorf("job %q failed without a repro bundle", id)}
-	}
-	return j.repro, nil
-}
-
-// finishLocked moves a job to its terminal state and wakes waiters.
-// Callers must hold c.mu.
-func (c *Coordinator) finishLocked(j *fjob, val []byte, err error) {
-	j.finished = time.Now()
-	if err != nil {
-		j.state = server.StateFailed
-		j.errMsg = err.Error()
-		j.errCode = codeOf(err)
-		c.metrics.Inc(mJobsFailed)
-	} else {
-		j.state = server.StateDone
-		j.result = val
-		c.metrics.Inc(mJobsCompleted)
-	}
-	close(j.done)
 }

@@ -6,19 +6,23 @@ import "repro/internal/metrics"
 // coordinator's /metrics separates fleet behaviour from any colocated
 // server's job counters.
 //
-// The point counters obey a conservation identity mirroring the
-// server's job identity (DESIGN.md §6): every assignment ends in
-// exactly one of completed, retried, or failed, so at any quiescent
-// moment
+// Two conservation identities are checked at runtime, on every
+// transition, through the job core's latch (a violation turns /healthz
+// degraded):
+//
+//	fabric.jobs.submitted + fabric.jobs.recovered
+//	  = fabric.jobs.completed + fabric.jobs.failed + queued + running
 //
 //	fabric.points.assigned = fabric.points.completed
 //	                       + fabric.points.retried
 //	                       + fabric.points.failed
+//	                       + leases in flight
 //
-// and while dispatches are in flight the left side exceeds the right by
-// exactly the in-flight count. The multi-node chaos test asserts this
-// after killing a worker mid-sweep: a lease that died with its worker
-// must surface in fabric.points.retried, never vanish.
+// Every assignment is a lease that ends in exactly one of completed,
+// retried, or failed, so at quiescence assigned = completed + retried +
+// failed. The chaos tests assert this after killing a worker mid-sweep:
+// a lease that died with its worker must surface in
+// fabric.points.retried, never vanish.
 const (
 	// Job counters.
 	mJobsSubmitted     = "fabric.jobs.submitted"      // jobs accepted (a record exists)
@@ -29,7 +33,7 @@ const (
 	mJobsQuotaRejected = "fabric.jobs.quota_rejected" // submissions refused by tenant quota
 	mJobsRejected      = "fabric.jobs.rejected"       // submissions refused (shutdown)
 
-	// Point counters (see the conservation identity above). Batched
+	// Point counters (see the point identity above). Batched
 	// leases change nothing here: every point in a batch counts one
 	// assignment per dispatch attempt and retires through exactly one of
 	// the three outcomes, so the identity holds at any batch size.
@@ -57,9 +61,10 @@ const (
 	mWorkersAlive      = "fabric.workers.alive"      // gauge: workers currently serving
 
 	// Durability counters and gauges (journal + crash recovery; see
-	// DESIGN.md §13). Recovery events deliberately do NOT feed the live
-	// point counters above — the conservation identity is a property of
-	// one incarnation's dispatches, and replayed history would skew it.
+	// DESIGN.md §13). Recovery events do not feed the live point
+	// counters above — the point identity is a property of one
+	// incarnation's leases — but a re-adopted job counts in
+	// fabric.jobs.recovered, its side of the job identity.
 	mJournalRecords     = "fabric.journal.records"      // records durably appended this incarnation
 	mJournalReplayed    = "fabric.journal.replayed"     // records replayed from the log at startup
 	mJournalTruncations = "fabric.journal.truncations"  // startups that repaired a torn tail

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/fabric/journal"
 	"repro/internal/server"
@@ -116,9 +115,7 @@ func (c *Coordinator) openJournal() error {
 		}
 	}
 	c.epoch = maxEpoch + 1
-	if maxNum >= c.nextID {
-		c.nextID = maxNum + 1
-	}
+	c.SkipIDs(maxNum)
 
 	// Compact: the new epoch record, then every record of every
 	// unmerged job, then a fence-closing point_retried for each stale
@@ -153,61 +150,40 @@ func (c *Coordinator) openJournal() error {
 		if r.accepted.Type == "" {
 			continue // point records without an accept: torn past repair
 		}
-		j, err := c.rehydrate(id, r)
-		if err != nil {
+		if err := c.rehydrate(id, r); err != nil {
 			return err
 		}
-		c.jobs[id] = j
-		c.order = append(c.order, j)
-		if r.failRec != nil {
-			continue
-		}
-		c.metrics.Inc(mJobsRecovered)
-		c.tenants[j.tenant]++
-		c.wg.Add(1)
-		go c.runJob(j)
 	}
 	return nil
 }
 
-// rehydrate rebuilds one journaled job. Failed jobs come back terminal;
-// in-flight jobs come back queued with their verified completions
-// marked, ready for runJob to re-drive.
-func (c *Coordinator) rehydrate(id string, r *rjob) (*fjob, error) {
+// rehydrate hands one journaled job to the job core. Failed jobs come
+// back terminal; in-flight jobs come back queued and re-run, with their
+// verified completions marked.
+func (c *Coordinator) rehydrate(id string, r *rjob) error {
 	var p server.JobParams
 	if err := json.Unmarshal(r.accepted.Params, &p); err != nil {
-		return nil, fmt.Errorf("fabric: journaled params of job %s: %w", id, err)
+		return fmt.Errorf("fabric: journaled params of job %s: %w", id, err)
 	}
-	j := &fjob{
-		id:         id,
-		experiment: r.accepted.Experiment,
-		params:     p,
-		key:        r.accepted.Key,
-		tenant:     r.accepted.Tenant,
-		state:      server.StateQueued,
-		created:    time.Now(),
-		done:       make(chan struct{}),
-	}
+	j := &server.Job{ID: id, Experiment: r.accepted.Experiment, Params: p,
+		Key: r.accepted.Key, Tenant: r.accepted.Tenant}
 	if r.failRec != nil {
-		j.state = server.StateFailed
-		j.errMsg = r.failRec.Error
-		j.errCode = r.failRec.Code
-		j.repro = r.failRec.Repro
-		j.finished = time.Now()
-		close(j.done)
-		return j, nil
+		c.Adopt(j, &server.APIError{Code: r.failRec.Code, Message: r.failRec.Error}, r.failRec.Repro)
+		return nil
 	}
-	j.jdone = make(map[int]bool, len(r.done))
+	jdone := make(map[int]bool, len(r.done))
 	for idx, key := range r.done {
 		// Trust the journal's bookkeeping only as far as the index still
 		// holds the bytes: a verified point is reused (the re-run cache-
 		// hits it), a lost one re-dispatches from scratch.
 		if _, ok := c.cache.Get(key); ok {
-			j.jdone[idx] = true
+			jdone[idx] = true
 			c.metrics.Inc(mPointsRecovered)
 		} else {
 			c.metrics.Inc(mPointsRecoveryLost)
 		}
 	}
-	return j, nil
+	c.Adopt(j, nil, nil)
+	c.run(j, jdone)
+	return nil
 }

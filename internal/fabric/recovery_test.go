@@ -56,9 +56,12 @@ var coordinatorDown = http.HandlerFunc(func(w http.ResponseWriter, r *http.Reque
 //     byte-identical to a single-node run,
 //   - preserve the journal conservation identity across the restart
 //     (every assigned record has exactly one outcome record),
-//   - never journal a point's completion twice (epoch fencing), and
+//   - never journal a point's completion twice (epoch fencing),
 //   - come up with a bumped epoch and the recovery observable in the
-//     fabric.jobs.recovered / fabric.points.recovered counters.
+//     fabric.jobs.recovered / fabric.points.recovered counters, and
+//   - keep both runtime fleet identities — jobs (the re-adopted job
+//     counts as recovered, not submitted) and points — so /healthz
+//     answers ok.
 func TestChaosCoordinatorKillMidSweep(t *testing.T) {
 	const points = 24
 	var slow atomic.Bool
@@ -176,6 +179,14 @@ func TestChaosCoordinatorKillMidSweep(t *testing.T) {
 	}
 	if want := expectedRender(t, "fab-durable", p); !bytes.Equal(v2.Result, want) {
 		t.Fatalf("result after crash recovery differs from single-node run:\n got: %q\nwant: %q", v2.Result, want)
+	}
+	snap = c2.Metrics()
+	if in, out := snap.Get(mJobsSubmitted)+snap.Get(mJobsRecovered), snap.Get(mJobsCompleted)+snap.Get(mJobsFailed); in != out {
+		t.Fatalf("job identity broken by recovery: submitted+recovered %d != completed+failed %d", in, out)
+	}
+	checkConservation(t, c2)
+	if body := healthz(c2); body != "ok" {
+		t.Fatalf("healthz after recovery = %q, want ok", body)
 	}
 
 	// Journal accounting across both incarnations: conservation restored
@@ -355,8 +366,8 @@ func TestQuotaRetryAfterHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != retryAfterSeconds {
-		t.Fatalf("Retry-After = %q, want %q", got, retryAfterSeconds)
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Fatalf("Retry-After = %q, want 5", got)
 	}
 	var env server.Envelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {

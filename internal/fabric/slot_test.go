@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -94,6 +95,53 @@ func checkConservation(t *testing.T, c *Coordinator) {
 	snap := c.Metrics()
 	if a, cmp, rt, f := snap.Get(mPointsAssigned), snap.Get(mPointsCompleted), snap.Get(mPointsRetried), snap.Get(mPointsFailed); a != cmp+rt+f {
 		t.Fatalf("conservation violated: assigned %d != completed %d + retried %d + failed %d", a, cmp, rt, f)
+	}
+	if healthz(c) == "degraded" {
+		t.Fatal("the runtime conservation check fired on some transition")
+	}
+}
+
+// healthz returns the coordinator's /healthz word.
+func healthz(c *Coordinator) string {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	return strings.TrimSpace(rec.Body.String())
+}
+
+// TestCoordinatorConservationViolationDegrades forces a violation of
+// each runtime fleet identity — a count that no job record or lease
+// backs — and pins that the next transition catches it: /healthz turns
+// from ok to degraded.
+func TestCoordinatorConservationViolationDegrades(t *testing.T) {
+	registerSweep("fab-unconserved", 3, nil)
+	url, stop := newWorker(t, "")
+	defer stop()
+	for i, metric := range []string{mJobsSubmitted, mPointsAssigned} {
+		t.Run(metric, func(t *testing.T) {
+			m := metrics.NewSynced()
+			c, err := New(Config{
+				Experiments:  []experiments.Experiment{syntheticExperiment("fab-unconserved")},
+				Metrics:      m,
+				RetryBackoff: 5 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Shutdown(context.Background())
+			c.Register("w", url)
+			if body := healthz(c); body != "ok" {
+				t.Fatalf("healthz before the violation = %q, want ok", body)
+			}
+			m.Inc(metric)
+			v, err := c.Submit("", "fab-unconserved", server.JobParams{N: 10 + i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitDone(t, c, v.ID)
+			if body := healthz(c); body != "degraded" {
+				t.Errorf("healthz after the violation = %q, want degraded", body)
+			}
+		})
 	}
 }
 

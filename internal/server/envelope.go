@@ -54,8 +54,6 @@ type Envelope struct {
 	Outcomes    []PointOutcome           `json:"outcomes,omitempty"`
 	Cached      bool                     `json:"cached,omitempty"`
 	Progress    *Progress                `json:"progress,omitempty"`
-	Checkpoints *CheckpointStreamView    `json:"checkpoints,omitempty"`
-	Checkpoint  *CheckpointView          `json:"checkpoint,omitempty"`
 	QueueDepth  *int                     `json:"queue_depth,omitempty"`
 	Error       *APIError                `json:"error,omitempty"`
 }
@@ -91,15 +89,15 @@ func requestVersion(r *http.Request) error {
 	return nil
 }
 
-// writeEnvelope stamps the version and writes the envelope.
-func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
+// WriteEnvelope stamps the version and writes the envelope.
+func WriteEnvelope(w http.ResponseWriter, status int, env Envelope) {
 	env.Version = APIVersion
-	writeJSON(w, status, env)
+	WriteJSON(w, status, env)
 }
 
-// writeEnvelopeError writes a bare typed error in an envelope.
-func writeEnvelopeError(w http.ResponseWriter, status int, code, message string) {
-	writeEnvelope(w, status, Envelope{Error: &APIError{Code: code, Message: message}})
+// WriteEnvelopeError writes a bare typed error in an envelope.
+func WriteEnvelopeError(w http.ResponseWriter, status int, code, message string) {
+	WriteEnvelope(w, status, Envelope{Error: &APIError{Code: code, Message: message}})
 }
 
 // jobEnvelope renders a job in the current format: the result is hoisted
@@ -120,13 +118,48 @@ func jobEnvelope(v JobView) Envelope {
 
 // codedError attaches a typed API code to an error. errorCode unwraps it
 // with errors.As, so wrapping with %w anywhere above preserves the code.
+// detail is the failure in its origin's own words (a worker's message,
+// free of the dispatch framing err adds) and point the sweep point that
+// failed; repro bundles record both.
 type codedError struct {
-	code string
-	err  error
+	code   string
+	detail string
+	point  *experiments.PointSpec
+	err    error
 }
 
 func (e *codedError) Error() string { return e.err.Error() }
 func (e *codedError) Unwrap() error { return e.err }
+
+// Coded attaches a typed API code to err, with detail as the failure's
+// portable message ("" = err's own).
+func Coded(code, detail string, err error) error {
+	return &codedError{code: code, detail: detail, err: err}
+}
+
+// PointFailure is err marked as the failure of sweep point spec, caused
+// by cause: a job failing with it gets a repro bundle that replays the
+// point and records cause's code and portable message.
+func PointFailure(spec experiments.PointSpec, cause, err error) error {
+	ce := &codedError{code: errorCode(cause), detail: cause.Error(), point: &spec, err: err}
+	var inner *codedError
+	if errors.As(cause, &inner) && inner.detail != "" {
+		ce.detail = inner.detail
+	}
+	return ce
+}
+
+// ExplicitCode returns the typed code attached to err by Coded,
+// PointFailure or the serving path, or "" when none is — an untyped
+// error, such as a transport failure, that errorCode would classify by
+// default.
+func ExplicitCode(err error) string {
+	var ce *codedError
+	if errors.As(err, &ce) {
+		return ce.code
+	}
+	return ""
+}
 
 // errorCode classifies a job or submission error into its typed code.
 // Explicit codes win; the context sentinels distinguish a cancelled job
@@ -147,6 +180,8 @@ func errorCode(err error) string {
 		return CodeQueueFull
 	case errors.Is(err, ErrShuttingDown):
 		return CodeShuttingDown
+	case errors.Is(err, ErrQuotaExceeded):
+		return CodeQuotaExceeded
 	case errors.Is(err, ErrUnknownExperiment):
 		return CodeNotFound
 	default:

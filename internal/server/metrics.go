@@ -44,10 +44,6 @@ const (
 	mPrefixEntries    = "prefix.entries"
 	mPrefixBytes      = "prefix.bytes"
 
-	// Checkpoint-stream counters.
-	mCkptCaptured = "checkpoints.captured" // streams captured by a fresh simulation
-	mCkptReused   = "checkpoints.reused"   // stream requests answered by an existing stream
-
 	// Failure-model counters (see DESIGN.md §10).
 	mWorkerRestarts    = "workers.restarts"    // panics that escaped a job's own containment (the job still fails)
 	mCacheWriteRetries = "cache.write_retries" // cache.Put attempts retried after a transient failure
@@ -73,7 +69,6 @@ func initMetrics(m *metrics.Synced) {
 		mJobsPanics, mJobsTimeouts, mWorkerRestarts, mCacheWriteRetries,
 		mPointsExecuted, mPointsCacheHits, mPointsRejected,
 		mPointsFailed, mPointsKeyMismatch, mPointsBatches, mPointsWarm,
-		mCkptCaptured, mCkptReused,
 		mTimeQueued, mTimeRun,
 		"cache.hits", "cache.misses", "cache.disk_hits",
 		"cache.entries", "cache.bytes",

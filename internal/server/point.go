@@ -66,12 +66,12 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if len(req.Points) > 0 {
 		if req.Point != nil {
-			writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+			WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 				"point and points are mutually exclusive")
 			return
 		}
@@ -79,23 +79,23 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Point == nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, "missing point spec")
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, "missing point spec")
 		return
 	}
 	spec := *req.Point
 	if !experiments.Decomposable(spec.Experiment) {
-		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound,
+		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("experiment %q has no point decomposition", spec.Experiment))
 		return
 	}
 	key, err := canon.PointKey(spec)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if req.Key != "" && req.Key != key {
 		s.metrics.Inc(mPointsKeyMismatch)
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("point key mismatch: request says %s, spec derives %s — coordinator and worker disagree on the key derivation", req.Key, key))
 		return
 	}
@@ -106,7 +106,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		var res experiments.PointResult
 		if err := json.Unmarshal(val, &res); err == nil {
 			s.metrics.Inc(mPointsCacheHits)
-			writeEnvelope(w, http.StatusOK, Envelope{Point: &res, Cached: true})
+			WriteEnvelope(w, http.StatusOK, Envelope{Point: &res, Cached: true})
 			return
 		}
 		// An undecodable entry can only mean the PointResult shape moved
@@ -116,14 +116,14 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
 		return
 	}
 	release, ok := s.acquirePointSlot(r.Context())
 	if !ok {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
 			"point admission saturated")
 		return
 	}
@@ -143,7 +143,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		case CodeBadRequest, CodeNotFound:
 			status = http.StatusBadRequest
 		}
-		writeEnvelopeError(w, status, code, err.Error())
+		WriteEnvelopeError(w, status, code, err.Error())
 		return
 	}
 	s.metrics.Inc(mPointsExecuted)
@@ -152,7 +152,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		// hand, only the shared copy is lost (cache.write_errors).
 		_ = s.storeResult(s.runCtx, key, val)
 	}
-	writeEnvelope(w, http.StatusOK, Envelope{Point: &res})
+	WriteEnvelope(w, http.StatusOK, Envelope{Point: &res})
 }
 
 // handlePointBatch serves the batched form of POST /v1/points: one
@@ -199,14 +199,14 @@ func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items 
 	if s.Draining() {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
 		return
 	}
 	release, ok := s.acquirePointSlot(r.Context())
 	if !ok {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
 			"point admission saturated")
 		return
 	}
@@ -237,7 +237,7 @@ func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items 
 		outcomes = append(outcomes, o)
 	}
 	if !stream {
-		writeEnvelope(w, http.StatusOK, Envelope{Outcomes: outcomes})
+		WriteEnvelope(w, http.StatusOK, Envelope{Outcomes: outcomes})
 	}
 }
 

@@ -14,157 +14,74 @@ import (
 	"repro/internal/experiments"
 )
 
-// Submission errors the HTTP layer maps to status codes.
-var (
-	// ErrUnknownExperiment is returned for a name the registry lacks.
-	ErrUnknownExperiment = errors.New("unknown experiment")
-	// ErrQueueFull is returned when the bounded job queue is at capacity.
-	ErrQueueFull = errors.New("job queue full")
-	// ErrShuttingDown is returned for submissions after Shutdown began.
-	ErrShuttingDown = errors.New("server shutting down")
-)
-
-// Submit accepts one experiment job. Zero-valued parameters are resolved
-// to the registry defaults before anything else, so the content-addressed
-// key always reflects fully-resolved parameters. The result is one of:
+// Submit accepts one experiment job; JobCore.Submit resolves, keys and
+// records it. The result is one of:
 //
 //   - cache hit: the job completes immediately with the stored bytes —
 //     no simulation runs, no queue slot is consumed;
 //   - coalesced: an identical job (same key) is already queued or
 //     running, so this job attaches to it and completes when it does —
 //     concurrent duplicate submissions share one simulation;
-//   - queued: the job takes a queue slot and a worker will run it.
-//
-// The returned view reflects the job's state at return; poll Job (or
-// await it) for completion.
+//   - queued: the job takes a queue slot and a worker will run it;
+//   - refused: the queue is full (ErrQueueFull; the job is failed).
 func (s *Server) Submit(experiment string, p JobParams) (JobView, error) {
-	e, ok := s.exps[experiment]
-	if !ok {
-		return JobView{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, experiment)
-	}
-	p = p.WithDefaults()
-	if err := p.Validate(); err != nil {
-		return JobView{}, err
-	}
-	jobKey, err := JobKey(experiment, p)
-	if err != nil {
-		return JobView{}, err
-	}
-	key := RenderKey(jobKey, "json")
-	if p.TimeoutMS == 0 {
-		p.TimeoutMS = int(s.jobTimeout / time.Millisecond)
-	}
+	return s.JobCore.Submit("", experiment, p)
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		s.metrics.Inc(mJobsRejected)
-		return JobView{}, ErrShuttingDown
-	}
-	// Counted only once a submission is accepted (a job record exists),
-	// so jobs.submitted = jobs.completed + jobs.failed + queued + running
-	// holds at every instant (checkConservationLocked); shutdown
-	// rejections count only in jobs.rejected.
-	s.metrics.Inc(mJobsSubmitted)
-	j := &job{
-		id:         fmt.Sprintf("j%d", s.nextID),
-		experiment: e.Name,
-		params:     p,
-		key:        key,
-		created:    time.Now(),
-		done:       make(chan struct{}),
-	}
-	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-	s.setStateLocked(j, StateQueued)
-
-	if leader, ok := s.inflight[key]; ok {
+// startJob is the server's Daemon.Start, called with the core's mutex
+// held for an accepted job the cache could not answer: if an identical
+// job (same key) is already queued or running, this one attaches to it
+// and completes when it does — concurrent duplicate submissions share
+// one simulation; otherwise the job takes a queue slot and a worker will
+// run it, or it is refused with ErrQueueFull.
+func (s *Server) startJob(j *Job) error {
+	s.inflightMu.Lock()
+	defer s.inflightMu.Unlock()
+	if leader, ok := s.inflight[j.Key]; ok {
 		j.coalesced = true
 		s.metrics.Inc(mJobsCoalesced)
 		s.wg.Add(1)
 		go s.follow(j, leader)
-		return j.view(true), nil
-	}
-	if val, ok := s.cache.Get(key); ok {
-		j.cached = true
-		s.finishLocked(j, val, nil)
-		s.metrics.Inc(mJobsCacheHits)
-		return j.view(true), nil
+		return nil
 	}
 	select {
 	case s.queue <- j:
-		s.inflight[key] = j
+		s.inflight[j.Key] = j
 		depth := int64(len(s.queue))
 		s.metrics.Set(mQueueDepth, depth)
 		s.metrics.Max(mQueuePeak, depth)
+		return nil
 	default:
-		s.finishLocked(j, nil, ErrQueueFull)
 		s.metrics.Inc(mJobsRejected)
-		return j.view(true), ErrQueueFull
+		return ErrQueueFull
 	}
-	return j.view(true), nil
 }
 
-// Job returns the view of a submitted job (false when the id is unknown).
-func (s *Server) Job(id string) (JobView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobView{}, false
+// retire drops a leader from the single-flight table once its result is
+// stored, so later submissions hit the cache instead of attaching.
+func (s *Server) retire(j *Job) {
+	s.inflightMu.Lock()
+	defer s.inflightMu.Unlock()
+	if s.inflight[j.Key] == j {
+		delete(s.inflight, j.Key)
 	}
-	return j.view(true), true
-}
-
-// Jobs returns every job in submission order, without result payloads.
-func (s *Server) Jobs() []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobView, len(s.order))
-	for i, j := range s.order {
-		out[i] = j.view(false)
-	}
-	return out
-}
-
-// Await blocks until the job finishes, the timeout elapses (0 = return
-// immediately), or cancel is closed/ready; it then returns the current
-// view.
-func (s *Server) Await(id string, timeout time.Duration, cancel <-chan struct{}) (JobView, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobView{}, false
-	}
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case <-j.done:
-		case <-t.C:
-		case <-cancel:
-		}
-	}
-	return s.Job(id)
 }
 
 // follow completes a coalesced follower when its leader finishes: the
 // follower adopts the leader's result or error. The leader always closes
 // done — success, failure, or shutdown cancellation — so followers never
 // leak.
-func (s *Server) follow(j, leader *job) {
+func (s *Server) follow(j, leader *Job) {
 	defer s.wg.Done()
 	<-leader.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if leader.state == StateDone {
-		s.finishLocked(j, leader.result, nil)
+		s.finishLocked(j, leader.result, nil, nil)
 	} else {
 		// Re-wrap so the follower inherits the leader's typed code, not
 		// just its message.
-		s.finishLocked(j, nil, &codedError{code: leader.errCode, err: errors.New(leader.errMsg)})
+		s.finishLocked(j, nil, &codedError{code: leader.errCode, err: errors.New(leader.errMsg)}, nil)
 	}
 }
 
@@ -179,7 +96,7 @@ func (s *Server) follow(j, leader *job) {
 // finishes before its worker moves on.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	var tail *job // the previous job, perhaps still in its tail
+	var tail *Job // the previous job, perhaps still in its tail
 	for j := range s.queue {
 		s.metrics.Set(mQueueDepth, int64(len(s.queue)))
 		drained := make(chan struct{})
@@ -212,34 +129,22 @@ func (s *Server) worker() {
 //     the job succeeds (cache.write_errors counts the loss);
 //   - a panic that escapes all of that (a bookkeeping bug) still moves
 //     the job to a terminal state (workers.restarts).
-func (s *Server) runJob(j *job, drained func()) {
+func (s *Server) runJob(j *Job, drained func()) {
 	defer s.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.Inc(mWorkerRestarts)
-			s.mu.Lock()
-			if s.inflight[j.key] == j {
-				delete(s.inflight, j.key)
-			}
-			if j.state == StateQueued || j.state == StateRunning {
-				s.finishLocked(j, nil, fmt.Errorf("worker panicked: %v", r))
-			}
-			s.mu.Unlock()
+			s.retire(j)
+			s.Finish(j, nil, fmt.Errorf("worker panicked: %v", r), nil)
 		}
 	}()
-	s.mu.Lock()
-	j.started = time.Now()
-	s.setStateLocked(j, StateRunning)
-	s.mu.Unlock()
-	s.metrics.Add(mTimeQueued, j.started.Sub(j.created).Nanoseconds())
+	started := s.MarkRunning(j)
+	s.metrics.Add(mTimeQueued, started.Sub(j.created).Nanoseconds())
 	s.metrics.Inc(mJobsExecuted)
 
-	ctx := experiments.WithPointProgress(s.runCtx, func(done, total int) {
-		j.pointsDone.Store(int64(done))
-		j.pointsTotal.Store(int64(total))
-	})
+	ctx := experiments.WithPointProgress(s.runCtx, j.SetProgress)
 	ctx = experiments.WithQueueDrained(experiments.WithHolder(ctx, s.holder), drained)
-	timeout := time.Duration(j.params.TimeoutMS) * time.Millisecond
+	timeout := time.Duration(j.Params.TimeoutMS) * time.Millisecond
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -255,14 +160,11 @@ func (s *Server) runJob(j *job, drained func()) {
 		// Degrade, don't fail, when the write is lost: the result exists
 		// and followers are waiting on it; only the disk copy is missing
 		// (cache.write_errors and Healthy() record the loss).
-		_ = s.storeResult(ctx, j.key, val)
+		_ = s.storeResult(ctx, j.Key, val)
 	}
-
-	s.mu.Lock()
-	delete(s.inflight, j.key)
-	s.finishLocked(j, val, err)
-	s.mu.Unlock()
-	s.metrics.Add(mTimeRun, j.finished.Sub(j.started).Nanoseconds())
+	s.retire(j)
+	s.Finish(j, val, err, nil)
+	s.metrics.Add(mTimeRun, time.Since(started).Nanoseconds())
 }
 
 // execute runs a job's experiment and renders the result, converting a
@@ -270,7 +172,7 @@ func (s *Server) runJob(j *job, drained func()) {
 // error carrying the stack. Panics on sweep-worker goroutines inside
 // parallelFor are converted to point errors by the experiments package,
 // so this recover plus that one cover both panic surfaces.
-func (s *Server) execute(ctx context.Context, j *job) (val []byte, err error) {
+func (s *Server) execute(ctx context.Context, j *Job) (val []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.Inc(mJobsPanics)
@@ -284,8 +186,8 @@ func (s *Server) execute(ctx context.Context, j *job) (val []byte, err error) {
 		<-ctx.Done() // a sweep that never dispatches another point
 		return nil, ctx.Err()
 	}
-	e := s.exps[j.experiment]
-	r, err := e.Run(ctx, j.params.RunConfig())
+	e := s.exps[j.Experiment]
+	r, err := e.Run(ctx, j.Params.RunConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -323,52 +225,6 @@ func (s *Server) storeResult(ctx context.Context, key string, val []byte) error 
 		}
 		backoff *= 2
 	}
-}
-
-// finishLocked moves a job to its terminal state and wakes waiters.
-// Callers must hold the server mutex.
-func (s *Server) finishLocked(j *job, val []byte, err error) {
-	j.finished = time.Now()
-	if err != nil {
-		j.errMsg = err.Error()
-		j.errCode = errorCode(err)
-		s.metrics.Inc(mJobsFailed)
-		s.setStateLocked(j, StateFailed)
-	} else {
-		j.result = val
-		s.metrics.Inc(mJobsCompleted)
-		s.setStateLocked(j, StateDone)
-	}
-	close(j.done)
-}
-
-// setStateLocked moves j to state to, keeping the per-state job counts,
-// and checks the conservation identity. A terminal move is counted in
-// jobs.completed or jobs.failed first. Callers hold the server mutex.
-func (s *Server) setStateLocked(j *job, to State) {
-	if j.state != "" {
-		s.jobStates[j.state]--
-	}
-	j.state = to
-	s.jobStates[to]++
-	s.checkConservationLocked()
-}
-
-// checkConservationLocked checks jobs.submitted = jobs.completed +
-// jobs.failed + queued + running, the identity every transition keeps.
-// The first violation marks the server unconserved, which /healthz
-// reports as degraded, and logs the counters. Callers hold the server
-// mutex.
-func (s *Server) checkConservationLocked() {
-	submitted := s.metrics.Value(mJobsSubmitted)
-	completed, failed := s.metrics.Value(mJobsCompleted), s.metrics.Value(mJobsFailed)
-	queued, running := s.jobStates[StateQueued], s.jobStates[StateRunning]
-	if submitted == completed+failed+int64(queued+running) || s.unconserved.Load() {
-		return
-	}
-	s.unconserved.Store(true)
-	s.logf("server: job conservation violated: jobs.submitted=%d jobs.completed=%d jobs.failed=%d queued=%d running=%d",
-		submitted, completed, failed, queued, running)
 }
 
 // RenderJSON renders an experiment result exactly as cascade-sim's -json

@@ -2,8 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
 	"runtime/debug"
 	"time"
 
@@ -16,13 +17,15 @@ import (
 // failure can be rendered as a self-contained JSON document holding the
 // deterministic inputs that produced it — the fully-resolved params,
 // the failing point's spec and content address, the armed fault spec
-// and seed — plus the nearest checkpoint-stream entry when one exists.
-// `cascade-sim -repro bundle.json` replays the bundle and verifies the
-// failure reproduces identically; GET /v1/jobs/{id}/repro serves it.
+// and seed. The job core builds the bundle when a job fails (BuildRepro,
+// the one builder both daemons use); `cascade-sim -repro bundle.json`
+// replays it and verifies the failure reproduces identically; GET
+// /v1/jobs/{id}/repro serves it.
 //
 // The bundle's Key hashes only the replay inputs (canon.ReproSchema):
-// captured outputs — the error text, the checkpoint — are evidence, not
-// inputs, and two bundles with the same key must replay the same way.
+// captured outputs — the error text, the fired-fault counts — are
+// evidence, not inputs, and two bundles with the same key must replay
+// the same way.
 
 // ReproFaults records the fault-injection configuration that was armed
 // when the failure happened. Spec and Seed are replay inputs; Fired is
@@ -31,17 +34,6 @@ type ReproFaults struct {
 	Spec  string           `json:"spec"`
 	Seed  int64            `json:"seed"`
 	Fired map[string]int64 `json:"fired,omitempty"`
-}
-
-// ReproCheckpoint is the nearest checkpoint-stream entry to the
-// failure: where the run last stood that a debugger can inspect or
-// resume from. Captured only when the job had a checkpoint stream.
-type ReproCheckpoint struct {
-	Key       string `json:"key"`
-	Index     int    `json:"index"`
-	Iter      int    `json:"iter"`
-	NextChunk int    `json:"next_chunk"`
-	Time      int64  `json:"time"`
 }
 
 // ReproBundle is the self-contained replay document attached to a
@@ -61,8 +53,7 @@ type ReproBundle struct {
 	Point     *experiments.PointSpec `json:"point,omitempty"`
 	PointKey  string                 `json:"point_key,omitempty"`
 
-	Faults     *ReproFaults     `json:"faults,omitempty"`
-	Checkpoint *ReproCheckpoint `json:"checkpoint,omitempty"`
+	Faults *ReproFaults `json:"faults,omitempty"`
 }
 
 // reproInputs is the deterministic subset of a bundle that Key hashes.
@@ -105,59 +96,75 @@ func FiredCounts(inj *faults.Injector, sites []string) map[string]int64 {
 	return fired
 }
 
-// Repro builds the repro bundle for a terminal-failed job.
-func (s *Server) Repro(id string) (*ReproBundle, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, &codedError{code: CodeNotFound, err: fmt.Errorf("unknown job %q", id)}
-	}
-	s.mu.Lock()
-	state, errMsg, errCode := j.state, j.errMsg, j.errCode
-	b := &ReproBundle{
+// BuildRepro renders the repro bundle of job j failing with err: its
+// resolved params, the error and its typed code — in the failure's own
+// words when err carries a portable detail — the failing point's spec
+// and content address when err names one (PointFailure), and the
+// daemon's fault-injection state. Nothing in it depends on the topology
+// the failure happened on. Nil when the key cannot be derived.
+func (c *JobCore) BuildRepro(j *Job, err error) []byte {
+	b := ReproBundle{
 		Schema:     canon.ReproSchema,
-		Job:        j.id,
-		Experiment: j.experiment,
-		Params:     j.params,
-		JobKey:     j.key,
-		Error:      errMsg,
-		ErrorCode:  errCode,
+		Job:        j.ID,
+		Experiment: j.Experiment,
+		Params:     j.Params,
+		JobKey:     j.Key,
+		Error:      err.Error(),
+		ErrorCode:  errorCode(err),
 	}
-	s.mu.Unlock()
-	if state != StateFailed {
-		return nil, &codedError{code: CodeBadRequest,
-			err: fmt.Errorf("job %q is %s; repro bundles exist only for failed jobs", id, state)}
-	}
-	if s.faultSpec != "" {
-		b.Faults = &ReproFaults{Spec: s.faultSpec, Seed: s.faultSeed,
-			Fired: FiredCounts(s.faults, FaultSites())}
-	}
-	if cs := s.streamFor(id); cs != nil {
-		cs.mu.Lock()
-		if n := len(cs.run.Checkpoints); n > 0 {
-			ck := cs.run.Checkpoints[n-1]
-			b.Checkpoint = &ReproCheckpoint{Key: cs.key, Index: n - 1,
-				Iter: ck.Iter, NextChunk: ck.NextChunk, Time: ck.Time}
+	var ce *codedError
+	if errors.As(err, &ce) {
+		if ce.detail != "" {
+			b.Error = ce.detail
 		}
-		cs.mu.Unlock()
+		if ce.point != nil {
+			sp := *ce.point
+			b.Point = &sp
+			if key, kerr := canon.PointKey(sp); kerr == nil {
+				b.PointKey = key
+			}
+		}
 	}
-	if _, err := b.DeriveKey(); err != nil {
-		return nil, err
+	if c.d.FaultSpec != "" {
+		b.Faults = &ReproFaults{Spec: c.d.FaultSpec, Seed: c.d.FaultSeed,
+			Fired: FiredCounts(c.d.Faults, c.d.FaultSites)}
 	}
-	return b, nil
+	if _, kerr := b.DeriveKey(); kerr != nil {
+		return nil
+	}
+	raw, _ := json.Marshal(b)
+	return raw
 }
 
-// handleRepro serves GET /v1/jobs/{id}/repro: the bundle as a bare JSON
-// document (not an envelope) so `curl ... > bundle.json` produces
-// exactly what `cascade-sim -repro` consumes.
-func (s *Server) handleRepro(w http.ResponseWriter, r *http.Request) {
-	b, err := s.Repro(r.PathValue("id"))
-	if err != nil {
-		writeCodedError(w, err)
-		return
+// Repro returns the repro bundle of a terminal-failed job, as JSON.
+func (c *JobCore) Repro(id string) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j, ok := c.jobs[id]
+	switch {
+	case !ok:
+		return nil, &codedError{code: CodeNotFound, err: fmt.Errorf("unknown job %q", id)}
+	case j.state != StateFailed:
+		return nil, &codedError{code: CodeBadRequest,
+			err: fmt.Errorf("job %q is %s; repro bundles exist only for failed jobs", id, j.state)}
+	case len(j.repro) == 0:
+		return nil, &codedError{code: CodeNotFound,
+			err: fmt.Errorf("job %q failed without a repro bundle", id)}
 	}
-	writeJSON(w, http.StatusOK, b)
+	return j.repro, nil
+}
+
+// Repro returns the repro bundle of a terminal-failed job.
+func (s *Server) Repro(id string) (*ReproBundle, error) {
+	raw, err := s.JobCore.Repro(id)
+	if err != nil {
+		return nil, err
+	}
+	var b ReproBundle
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return nil, err
+	}
+	return &b, nil
 }
 
 // RunRepro replays a bundle: re-arm the recorded fault injector from
