@@ -13,6 +13,7 @@ package repro_test
 import (
 	"context"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/cascade"
@@ -131,9 +132,10 @@ func BenchmarkFig6(b *testing.B) {
 // unbounded processors; metrics are the dense and sparse peaks per
 // machine (paper: ~4 dense, 16/14 sparse).
 func BenchmarkFig7(b *testing.B) {
-	const n = 1 << 19 // 2MB arrays at bench scale
+	rc := experiments.DefaultRunConfig()
+	rc.N = 1 << 19 // 2MB arrays at bench scale
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(context.Background(), n)
+		res, err := experiments.Fig7(context.Background(), rc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,13 +146,27 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
+// ablation runs the ablations experiment — every study, one point per
+// row — and returns the study whose name contains name.
+func ablation(b *testing.B, name string) *experiments.AblationResult {
+	b.Helper()
+	studies, err := experiments.Ablations(context.Background(), benchRunConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range studies {
+		if strings.Contains(a.Name, name) {
+			return a
+		}
+	}
+	b.Fatalf("no ablation study %q", name)
+	return nil
+}
+
 // BenchmarkAblationJumpOut measures §3.3's jump-out-of-helper refinement.
 func BenchmarkAblationJumpOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationJumpOut(context.Background(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := ablation(b, "jump-out")
 		jump, _ := a.Find("PentiumPro", "jump out on signal")
 		wait, _ := a.Find("PentiumPro", "wait for helper completion")
 		b.ReportMetric(float64(wait.Cycles)/float64(jump.Cycles), "xjumpout-gain-PPro")
@@ -160,10 +176,7 @@ func BenchmarkAblationJumpOut(b *testing.B) {
 // BenchmarkAblationPrecompute measures §2.1's read-only precomputation.
 func BenchmarkAblationPrecompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationPrecompute(context.Background(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := ablation(b, "precomputation")
 		raw, _ := a.Find("PentiumPro", "store raw operands")
 		pre, _ := a.Find("PentiumPro", "precompute in helper")
 		b.ReportMetric(float64(raw.Cycles)/float64(pre.Cycles), "xprecompute-gain-PPro")
@@ -174,10 +187,7 @@ func BenchmarkAblationPrecompute(b *testing.B) {
 // block partitioning.
 func BenchmarkAblationChunking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationChunking(context.Background(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := ablation(b, "chunk sizing")
 		budget, _ := a.Find("PentiumPro", "64KB byte budget")
 		block, _ := a.Find("PentiumPro", "one block per processor")
 		b.ReportMetric(float64(block.Cycles)/float64(budget.Cycles), "xbudget-gain-PPro")
@@ -187,10 +197,7 @@ func BenchmarkAblationChunking(b *testing.B) {
 // BenchmarkAblationCompilerPrefetch tests the paper's MIPSpro hypothesis.
 func BenchmarkAblationCompilerPrefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationCompilerPrefetch(context.Background(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := ablation(b, "compiler prefetching")
 		on, _ := a.Find("R10000", "MIPSpro prefetch on (prefetched helper)")
 		off, _ := a.Find("R10000", "MIPSpro prefetch off (prefetched helper)")
 		b.ReportMetric(on.Speedup, "xhelper-with-mipspro")
@@ -202,10 +209,7 @@ func BenchmarkAblationCompilerPrefetch(b *testing.B) {
 // translation in the sequential baseline.
 func BenchmarkAblationTLB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationTLB(context.Background(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := ablation(b, "TLB")
 		on, _ := a.Find("R10000", "TLB modelled")
 		off, _ := a.Find("R10000", "TLB disabled")
 		b.ReportMetric(float64(on.Cycles)/float64(off.Cycles), "xTLB-cost-R10k")

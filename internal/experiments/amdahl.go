@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/cascade"
@@ -44,77 +45,130 @@ type AmdahlResult struct {
 // amdahlParallelReps balances the phases at ~50/50 on one processor.
 const amdahlParallelReps = 10
 
-// Amdahl runs the application study on one machine configuration across
-// its processor sweep (1..Procs).
-func Amdahl(ctx context.Context, cfg machine.Config, p wave5.Params, chunkBytes int) (*AmdahlResult, error) {
-	out := &AmdahlResult{Machine: cfg.Name, ParallelReps: amdahlParallelReps}
-
-	type appTime struct{ par, loops int64 }
-	runApp := func(procs int, cascaded bool) (appTime, error) {
-		w, err := wave5.Build(p)
-		if err != nil {
-			return appTime{}, err
-		}
-		m, err := machine.New(cfg.WithProcs(procs))
-		if err != nil {
-			return appTime{}, err
-		}
-		var t appTime
-		for rep := 0; rep < amdahlParallelReps; rep++ {
-			par, err := cascade.RunParallel(m, w.ParallelPhase(), rep > 0)
-			if err != nil {
-				return appTime{}, err
-			}
-			t.par += par.Cycles
-		}
-		for _, l := range w.Loops {
-			if cascaded && procs > 1 {
-				opts, err := cascade.NewOptions(
-					cascade.WithHelper(cascade.HelperRestructure),
-					cascade.WithSpace(w.Space),
-					cascade.WithChunkBytes(chunkBytes),
-					cascade.WithKeepState(true), // the parallel phase set the state
-				)
-				if err != nil {
-					return appTime{}, err
+// amdahlPoints decomposes the study into one point per (machine,
+// processor count, standard|cascaded) application run, processor counts
+// 1..Procs. At one processor the cascaded run is the standard one, which
+// is also the baseline every speedup divides by, so it is one point.
+func amdahlPoints(rc RunConfig) []PointSpec {
+	var specs []PointSpec
+	for _, cfg := range Machines() {
+		for procs := 1; procs <= cfg.Procs; procs++ {
+			for _, strat := range []Strategy{Sequential, Restructured} {
+				if procs == 1 && strat != Sequential {
+					continue
 				}
-				r, err := cascade.Run(m, l, opts)
-				if err != nil {
-					return appTime{}, err
-				}
-				t.loops += r.Cycles
-			} else {
-				t.loops += cascade.RunSequentialWarm(m, l).Cycles
+				specs = append(specs, PointSpec{
+					Experiment: "amdahl", Index: len(specs), Machine: cfg.Name, Procs: procs,
+					Strategy: strat.Token(), ChunkKB: rc.ChunkBytes / 1024, Scale: rc.Scale,
+				})
 			}
 		}
-		return t, nil
 	}
+	return specs
+}
 
-	base, err := runApp(1, false)
+// runAmdahlPoint runs the application once on procs processors: the
+// parallel phase amdahlParallelReps times, then the unparallelized loops
+// sequentially or, for the restructured strategy, cascaded. Its parts
+// are the parallel phase's cycles and the loops' cycles.
+func runAmdahlPoint(_ context.Context, ps PointSpec) (PointResult, error) {
+	cfg, err := machineByName(ps.Machine)
 	if err != nil {
-		return nil, err
+		return PointResult{}, err
 	}
-	baseTotal := base.par + base.loops
-	for procs := 1; procs <= cfg.Procs; procs++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	w, err := wave5.Build(RunConfig{Scale: ps.Scale}.Params())
+	if err != nil {
+		return PointResult{}, err
+	}
+	m, err := machine.New(cfg.WithProcs(ps.Procs))
+	if err != nil {
+		return PointResult{}, err
+	}
+	var par, loops int64
+	for rep := 0; rep < amdahlParallelReps; rep++ {
+		r, err := cascade.RunParallel(m, w.ParallelPhase(), rep > 0)
+		if err != nil {
+			return PointResult{}, err
 		}
-		std, err := runApp(procs, false)
+		par += r.Cycles
+	}
+	cascaded := ps.Strategy == Restructured.Token() && ps.Procs > 1
+	for _, l := range w.Loops {
+		if !cascaded {
+			loops += cascade.RunSequentialWarm(m, l).Cycles
+			continue
+		}
+		opts, err := cascade.NewOptions(
+			cascade.WithHelper(cascade.HelperRestructure),
+			cascade.WithSpace(w.Space),
+			cascade.WithChunkBytes(ps.ChunkKB*1024),
+			cascade.WithKeepState(true), // the parallel phase set the state
+		)
+		if err != nil {
+			return PointResult{}, err
+		}
+		r, err := cascade.Run(m, l, opts)
+		if err != nil {
+			return PointResult{}, err
+		}
+		loops += r.Cycles
+	}
+	return PointResult{Index: ps.Index, Parts: []PointResult{{Cycles: par}, {Cycles: loops}}}, nil
+}
+
+// amdahlMerge divides the one-processor total by each run's total.
+func amdahlMerge(rc RunConfig, results []PointResult) (Renderable, error) {
+	if want := len(amdahlPoints(rc)); len(results) != want {
+		return nil, fmt.Errorf("amdahl merge: %d results, want %d", len(results), want)
+	}
+	type appTime struct{ par, loops int64 }
+	k := 0
+	next := func() (appTime, error) {
+		parts := results[k].Parts
+		k++
+		if len(parts) != 2 {
+			return appTime{}, fmt.Errorf("amdahl merge: point %d has %d parts, want 2", k-1, len(parts))
+		}
+		return appTime{parts[0].Cycles, parts[1].Cycles}, nil
+	}
+	var g Group
+	for _, cfg := range Machines() {
+		out := &AmdahlResult{Machine: cfg.Name, ParallelReps: amdahlParallelReps}
+		base, err := next()
 		if err != nil {
 			return nil, err
 		}
-		casc, err := runApp(procs, true)
-		if err != nil {
-			return nil, err
+		baseTotal := base.par + base.loops
+		for procs := 1; procs <= cfg.Procs; procs++ {
+			std, casc := base, base
+			if procs > 1 {
+				if std, err = next(); err != nil {
+					return nil, err
+				}
+				if casc, err = next(); err != nil {
+					return nil, err
+				}
+			}
+			out.Points = append(out.Points, AmdahlPoint{
+				Procs:       procs,
+				StdSpeedup:  float64(baseTotal) / float64(std.par+std.loops),
+				CascSpeedup: float64(baseTotal) / float64(casc.par+casc.loops),
+				SeqFraction: float64(std.loops) / float64(std.par+std.loops),
+			})
 		}
-		out.Points = append(out.Points, AmdahlPoint{
-			Procs:       procs,
-			StdSpeedup:  float64(baseTotal) / float64(std.par+std.loops),
-			CascSpeedup: float64(baseTotal) / float64(casc.par+casc.loops),
-			SeqFraction: float64(std.loops) / float64(std.par+std.loops),
-		})
+		g = append(g, out)
 	}
-	return out, nil
+	return g, nil
+}
+
+func init() {
+	RegisterDecomposition("amdahl", Decomposition{Points: amdahlPoints, Run: runAmdahlPoint, Merge: amdahlMerge})
+}
+
+// Amdahl runs the application study through its decomposition: one
+// result per machine, in Machines() order.
+func Amdahl(ctx context.Context, rc RunConfig) ([]*AmdahlResult, error) {
+	return runMembers[*AmdahlResult](ctx, "amdahl", rc)
 }
 
 // Render writes the study as a table.

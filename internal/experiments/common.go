@@ -66,18 +66,28 @@ func (s Strategy) helper() cascade.Helper {
 // paper's jump-out refinement; the prior parallel section is modelled for
 // every strategy.
 func RunPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes int) ([]cascade.Result, error) {
-	return runPARMVR(cfg, p, strat, chunkBytes, func(m *machine.Machine, _ int, l *loopir.Loop) error {
-		cascade.ColdStart(m, l, true)
+	return runPARMVR(cfg, p, strat, chunkBytes, coldStart(true), nil)
+}
+
+// coldStart is the start state of a cold call's loops: caches reset,
+// then, with prior, the loop's data distributed by the parallel section
+// before it.
+func coldStart(prior bool) func(m *machine.Machine, i int, l *loopir.Loop) error {
+	return func(m *machine.Machine, _ int, l *loopir.Loop) error {
+		cascade.ColdStart(m, l, prior)
 		return nil
-	})
+	}
 }
 
 // runPARMVR runs one PARMVR call on a fresh machine and a private,
 // freshly built dataset. Before loop i runs, start puts the loop's start
 // state in place: a cold call's prior-parallel distribution, simulated
 // (RunPARMVR) or loaded from a prefix capture (runPARMVRPointWarm).
+// extra, when non-nil, adds to each loop's cascade options (an ablation
+// row's configuration).
 func runPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes int,
-	start func(m *machine.Machine, i int, l *loopir.Loop) error) ([]cascade.Result, error) {
+	start func(m *machine.Machine, i int, l *loopir.Loop) error,
+	extra func(l *loopir.Loop) []cascade.Option) ([]cascade.Result, error) {
 	w, err := wave5.Build(p)
 	if err != nil {
 		return nil, err
@@ -91,7 +101,11 @@ func runPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes in
 		if err := start(m, i, l); err != nil {
 			return nil, err
 		}
-		r, err := runPARMVRLoop(m, w.Space, l, strat, chunkBytes)
+		var opts []cascade.Option
+		if extra != nil {
+			opts = extra(l)
+		}
+		r, err := runPARMVRLoop(m, w.Space, l, strat, chunkBytes, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -104,16 +118,17 @@ func runPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes in
 // runs under strat on m's caches as they stand, which the caller has set
 // up (a cold call's start state, or the previous loop's and call's
 // residue in a steady-state call). Statistics cover the loop alone.
-func runPARMVRLoop(m *machine.Machine, space *memsim.Space, l *loopir.Loop, strat Strategy, chunkBytes int) (cascade.Result, error) {
+// extra options apply after the strategy's own.
+func runPARMVRLoop(m *machine.Machine, space *memsim.Space, l *loopir.Loop, strat Strategy, chunkBytes int, extra ...cascade.Option) (cascade.Result, error) {
 	if strat == Sequential {
 		return cascade.RunSequentialWarm(m, l), nil
 	}
-	opts, err := cascade.NewOptions(
+	opts, err := cascade.NewOptions(append([]cascade.Option{
 		cascade.WithHelper(strat.helper()),
 		cascade.WithSpace(space),
 		cascade.WithChunkBytes(chunkBytes),
 		cascade.WithKeepState(true), // the caller set the start state
-	)
+	}, extra...)...)
 	if err != nil {
 		return cascade.Result{}, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 // returns the named machine's classification.
 func conflictAnalysis(t *testing.T, machineName string) *ConflictResult {
 	t.Helper()
-	r, _, err := RunDecomposed(context.Background(), "conflicts", testRunConfig())
+	r, _, err := RunDecomposed(testCtx(), "conflicts", testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +88,7 @@ func TestConflictAnalysisRender(t *testing.T) {
 }
 
 func TestAblationPriorParallel(t *testing.T) {
-	a, err := AblationPriorParallel(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "prior-parallel")
 	for _, mc := range Machines() {
 		dist, ok1 := a.Find(mc.Name, "data distributed by parallel section")
 		cold, ok2 := a.Find(mc.Name, "cold caches")
@@ -175,10 +171,7 @@ func TestRunPARMVRCallSequential(t *testing.T) {
 }
 
 func TestAblationVictimCache(t *testing.T) {
-	a, err := AblationVictimCache(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "victim")
 	for _, mc := range Machines() {
 		plain, ok1 := a.Find(mc.Name, "sequential, no victim buffer")
 		victim, ok2 := a.Find(mc.Name, "sequential + victim buffer")
@@ -201,9 +194,13 @@ func TestAmdahlShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: the Amdahl study sweeps serial fractions end to end")
 	}
-	r, err := Amdahl(context.Background(), machine.PentiumPro(4), testParams(), 64*1024)
+	rs, err := Amdahl(testCtx(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	r := rs[0]
+	if r.Machine != "PentiumPro" {
+		t.Fatalf("first machine = %s", r.Machine)
 	}
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
@@ -252,10 +249,15 @@ func TestRunParallelDistributesState(t *testing.T) {
 }
 
 func TestGalleryShape(t *testing.T) {
-	const n = 1 << 16
-	g, err := Gallery(context.Background(), machine.R10000(8), n, 64*1024)
+	rc := DefaultRunConfig()
+	rc.N = 1 << 16
+	gs, err := Gallery(testCtx(), rc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	g := gs[1]
+	if g.Machine != "R10000" || g.N != rc.N {
+		t.Fatalf("second result = %s n=%d", g.Machine, g.N)
 	}
 	if len(g.Rows) != 6 {
 		t.Fatalf("kernels = %d", len(g.Rows))

@@ -3,13 +3,26 @@ package experiments
 import (
 	"context"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cascade"
 	"repro/internal/machine"
 	"repro/internal/wave5"
 )
+
+// testHolder is the one Holder of the package's sweep tests: its prefix
+// cache lives as long as the test binary, so a PARMVR call that several
+// tests make at one scale is simulated once. Tests that compare a cold
+// path with a warm one keep private caches on the cold side.
+var testHolder = NewHolder(NewPrefixCache(0), runtime.GOMAXPROCS(0))
+
+// testCtx is a context whose sweeps run under testHolder.
+func testCtx() context.Context {
+	return WithHolder(context.Background(), testHolder)
+}
 
 // testParams shrinks PARMVR enough for fast tests while keeping every
 // loop's structure (footprints still exceed the L1s).
@@ -87,7 +100,7 @@ func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig2 sweeps both machines at several processor counts")
 	}
-	res, err := Fig2(context.Background(), testRunConfig())
+	res, err := Fig2(testCtx(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +140,7 @@ func TestFig2Shape(t *testing.T) {
 // execution-phase cache misses dramatically and no loop slows down
 // catastrophically.
 func TestBreakdownShape(t *testing.T) {
-	bs, err := Breakdowns(context.Background(), testRunConfig())
+	bs, err := Breakdowns(testCtx(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +186,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig6 sweeps the full chunk-size grid")
 	}
-	res, err := Fig6(context.Background(), testRunConfig())
+	res, err := Fig6(testCtx(), testRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +222,9 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig7 runs the synthetic gallery at a past-L2 array size")
 	}
-	const n = 1 << 17 // 512KB arrays: past both L2s at test scale
-	res, err := Fig7(context.Background(), n)
+	rc := DefaultRunConfig()
+	rc.N = 1 << 17 // 512KB arrays: past both L2s at test scale
+	res, err := Fig7(testCtx(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +246,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestAblationJumpOut(t *testing.T) {
-	a, err := AblationJumpOut(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "jump-out")
 	for _, mc := range Machines() {
 		jump, ok1 := a.Find(mc.Name, "jump out on signal")
 		wait, ok2 := a.Find(mc.Name, "wait for helper completion")
@@ -249,10 +260,7 @@ func TestAblationJumpOut(t *testing.T) {
 }
 
 func TestAblationPrecompute(t *testing.T) {
-	a, err := AblationPrecompute(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "precomputation")
 	for _, mc := range Machines() {
 		raw, ok1 := a.Find(mc.Name, "store raw operands")
 		pre, ok2 := a.Find(mc.Name, "precompute in helper")
@@ -268,10 +276,7 @@ func TestAblationPrecompute(t *testing.T) {
 }
 
 func TestAblationChunking(t *testing.T) {
-	a, err := AblationChunking(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "chunk sizing")
 	strictWin := false
 	for _, mc := range Machines() {
 		budget, ok1 := a.Find(mc.Name, "64KB byte budget")
@@ -296,10 +301,7 @@ func TestAblationChunking(t *testing.T) {
 }
 
 func TestAblationCompilerPrefetch(t *testing.T) {
-	a, err := AblationCompilerPrefetch(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "compiler prefetching")
 	on, ok1 := a.Find("R10000", "MIPSpro prefetch on (prefetched helper)")
 	off, ok2 := a.Find("R10000", "MIPSpro prefetch off (prefetched helper)")
 	if !ok1 || !ok2 {
@@ -322,10 +324,7 @@ func TestAblationCompilerPrefetch(t *testing.T) {
 }
 
 func TestAblationTLB(t *testing.T) {
-	a, err := AblationTLB(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := studyOf(t, "TLB")
 	for _, mc := range Machines() {
 		on, ok1 := a.Find(mc.Name, "TLB modelled")
 		off, ok2 := a.Find(mc.Name, "TLB disabled")
@@ -341,4 +340,27 @@ func TestAblationTLB(t *testing.T) {
 			t.Errorf("%s: TLB cost implausibly high: %d vs %d", mc.Name, on.Cycles, off.Cycles)
 		}
 	}
+}
+
+var (
+	ablationsOnce sync.Once
+	ablationsRes  []*AblationResult
+	ablationsErr  error
+)
+
+// studyOf returns the study whose name contains name, from one
+// ablations run at the test scale that every ablation test shares.
+func studyOf(t *testing.T, name string) *AblationResult {
+	t.Helper()
+	ablationsOnce.Do(func() { ablationsRes, ablationsErr = Ablations(testCtx(), testRunConfig()) })
+	if ablationsErr != nil {
+		t.Fatal(ablationsErr)
+	}
+	for _, a := range ablationsRes {
+		if strings.Contains(a.Name, name) {
+			return a
+		}
+	}
+	t.Fatalf("no ablation study %q", name)
+	return nil
 }

@@ -41,11 +41,7 @@ type Fig2Result struct {
 // on the dataset at rc.Scale. It runs the decomposed sweep (fig2Points,
 // RunDecomposed's pool and prefix cache, fig2Merge).
 func Fig2(ctx context.Context, rc RunConfig) (*Fig2Result, error) {
-	r, _, err := RunDecomposed(ctx, "fig2", rc)
-	if err != nil {
-		return nil, err
-	}
-	return r.(*Fig2Result), nil
+	return runAs[*Fig2Result](ctx, "fig2", rc)
 }
 
 // Speedup returns the recorded speedup for a configuration, or 0 if the

@@ -36,11 +36,7 @@ type Fig6Result struct {
 // machines, on the dataset at rc.Scale. It runs the decomposed sweep
 // (fig6Points, RunDecomposed's pool and prefix cache, fig6Merge).
 func Fig6(ctx context.Context, rc RunConfig) (*Fig6Result, error) {
-	r, _, err := RunDecomposed(ctx, "fig6", rc)
-	if err != nil {
-		return nil, err
-	}
-	return r.(*Fig6Result), nil
+	return runAs[*Fig6Result](ctx, "fig6", rc)
 }
 
 // Speedup returns the sweep value for a configuration (0 if absent).

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/cascade"
@@ -29,90 +30,127 @@ type Fig7Result struct {
 	Points []Fig7Point
 }
 
-// Fig7 reproduces Figure 7: cascaded-execution speedups for the synthetic
-// loop with increased memory-access-to-computation ratio, simulated with
-// unbounded processors (§3.4's single-processor alternation methodology),
-// for dense and sparse variants, both helpers, chunk sizes 1KB-256KB, on
-// both machines. Points run in parallel across the host's cores.
-func Fig7(ctx context.Context, n int) (*Fig7Result, error) {
-	res := &Fig7Result{N: n}
-	machines := Machines()
-	variants := []synthetic.Params{synthetic.Dense(n), synthetic.Sparse(n)}
+// fig7Variants are Figure 7's synthetic-loop variants by point token.
+var fig7Variants = []struct {
+	token string
+	make  func(n int) synthetic.Params
+}{{"dense", synthetic.Dense}, {"sparse", synthetic.Sparse}}
 
-	type baseKey struct {
-		cfg     machine.Config
-		variant synthetic.Params
-	}
-	var baseKeys []baseKey
-	for _, cfg := range machines {
-		for _, v := range variants {
-			baseKeys = append(baseKeys, baseKey{cfg, v})
+// fig7Variant resolves a point's variant token at array length n.
+func fig7Variant(token string, n int) (synthetic.Params, error) {
+	for _, v := range fig7Variants {
+		if v.token == token {
+			return v.make(n), nil
 		}
 	}
-	bases := make([]cascade.Result, len(baseKeys))
-	if err := parallelFor(ctx, len(baseKeys), func(i int) error {
-		_, lbase, err := synthetic.Build(baseKeys[i].variant)
-		if err != nil {
-			return err
-		}
-		base, err := cascade.SequentialBaseline(baseKeys[i].cfg, lbase)
-		if err != nil {
-			return err
-		}
-		bases[i] = base
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	return synthetic.Params{}, fmt.Errorf("unknown fig7 variant %q", token)
+}
 
-	type spec struct {
-		cfg     machine.Config
-		variant synthetic.Params
-		base    cascade.Result
-		strat   Strategy
-		kb      int
+// fig7Points decomposes Figure 7: the synthetic loop with increased
+// memory-access-to-computation ratio, simulated with unbounded
+// processors (§3.4's single-processor alternation methodology), for
+// dense and sparse variants, both helpers, chunk sizes 1KB-256KB, on
+// both machines. One sequential baseline per (machine, variant) comes
+// first, then the (machine × variant × chunk size × helper) sweep.
+func fig7Points(rc RunConfig) []PointSpec {
+	var specs []PointSpec
+	add := func(cfg machine.Config, variant string, strat Strategy, kb int) {
+		specs = append(specs, PointSpec{
+			Experiment: "fig7", Index: len(specs), Machine: cfg.Name, Procs: cfg.Procs,
+			Strategy: strat.Token(), ChunkKB: kb, N: rc.N, Variant: variant,
+		})
 	}
-	var specs []spec
-	for i, bk := range baseKeys {
-		for _, kb := range Fig7ChunkSizesKB {
-			for _, strat := range []Strategy{Prefetched, Restructured} {
-				specs = append(specs, spec{bk.cfg, bk.variant, bases[i], strat, kb})
+	for _, cfg := range Machines() {
+		for _, v := range fig7Variants {
+			add(cfg, v.token, Sequential, 0)
+		}
+	}
+	for _, cfg := range Machines() {
+		for _, v := range fig7Variants {
+			for _, kb := range Fig7ChunkSizesKB {
+				for _, strat := range []Strategy{Prefetched, Restructured} {
+					add(cfg, v.token, strat, kb)
+				}
 			}
 		}
 	}
-	points := make([]Fig7Point, len(specs))
-	if err := parallelFor(ctx, len(specs), func(k int) error {
-		s := specs[k]
-		space, l, err := synthetic.Build(s.variant)
-		if err != nil {
-			return err
-		}
-		opts, err := cascade.NewOptions(
-			cascade.WithHelper(s.strat.helper()),
-			cascade.WithChunkBytes(s.kb*1024),
+	return specs
+}
+
+// runFig7Point simulates one point on a fresh copy of its variant: the
+// sequential baseline on one processor, or the cascade under unbounded
+// processors.
+func runFig7Point(_ context.Context, ps PointSpec) (PointResult, error) {
+	cfg, err := machineByName(ps.Machine)
+	if err != nil {
+		return PointResult{}, err
+	}
+	v, err := fig7Variant(ps.Variant, ps.N)
+	if err != nil {
+		return PointResult{}, err
+	}
+	strat, err := ParseStrategy(ps.Strategy)
+	if err != nil {
+		return PointResult{}, err
+	}
+	space, l, err := synthetic.Build(v)
+	if err != nil {
+		return PointResult{}, err
+	}
+	var r cascade.Result
+	if strat == Sequential {
+		r, err = cascade.SequentialBaseline(cfg, l)
+	} else {
+		var opts cascade.Options
+		opts, err = cascade.NewOptions(
+			cascade.WithHelper(strat.helper()),
+			cascade.WithChunkBytes(ps.ChunkKB*1024),
 			cascade.WithSpace(space),
 			cascade.WithPriorParallel(false),
 		)
-		if err != nil {
-			return err
+		if err == nil {
+			r, err = cascade.RunUnbounded(cfg, l, opts)
 		}
-		r, err := cascade.RunUnbounded(s.cfg, l, opts)
-		if err != nil {
-			return err
-		}
-		points[k] = Fig7Point{
-			Machine:    s.cfg.Name,
-			Variant:    s.variant.Name(),
-			Strategy:   s.strat,
-			ChunkBytes: s.kb * 1024,
-			Speedup:    r.SpeedupOver(s.base),
-		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	res.Points = points
+	return PointResult{Index: ps.Index, Cycles: r.Cycles}, err
+}
+
+// fig7Merge divides each point by its (machine, variant) baseline, as
+// cascade.Result.SpeedupOver does.
+func fig7Merge(rc RunConfig, results []PointResult) (Renderable, error) {
+	if want := len(fig7Points(rc)); len(results) != want {
+		return nil, fmt.Errorf("fig7 merge: %d results, want %d", len(results), want)
+	}
+	res := &Fig7Result{N: rc.N}
+	b, k := 0, len(Machines())*len(fig7Variants)
+	for _, cfg := range Machines() {
+		for _, v := range fig7Variants {
+			base := cascade.Result{Cycles: results[b].Cycles}
+			b++
+			for _, kb := range Fig7ChunkSizesKB {
+				for _, strat := range []Strategy{Prefetched, Restructured} {
+					res.Points = append(res.Points, Fig7Point{
+						Machine:    cfg.Name,
+						Variant:    v.make(rc.N).Name(),
+						Strategy:   strat,
+						ChunkBytes: kb * 1024,
+						Speedup:    cascade.Result{Cycles: results[k].Cycles}.SpeedupOver(base),
+					})
+					k++
+				}
+			}
+		}
+	}
 	return res, nil
+}
+
+func init() {
+	RegisterDecomposition("fig7", Decomposition{Points: fig7Points, Run: runFig7Point, Merge: fig7Merge})
+}
+
+// Fig7 reproduces Figure 7 through its decomposition.
+func Fig7(ctx context.Context, rc RunConfig) (*Fig7Result, error) {
+	return runAs[*Fig7Result](ctx, "fig7", rc)
 }
 
 // Speedup returns the sweep value for a configuration (0 if absent).

@@ -34,7 +34,7 @@ func TestPrefixMemoAcrossSweeps(t *testing.T) {
 	for _, name := range order {
 		specs, _ := Decompose(name, rc)
 		out := make([][]byte, len(specs))
-		if err := parallelFor(ctx, len(specs), func(i int) error {
+		if err := runIndices(ctx, len(specs), func(i int) error {
 			r, err := decompositions[name].Run(ctx, specs[i])
 			if err != nil {
 				return err
@@ -131,7 +131,7 @@ func TestPrefixMemoFailureNotStored(t *testing.T) {
 	ctx := context.Background()
 	c := NewPrefixCache(0)
 	st := memoState(t, c)
-	k := parmvrCall{Sequential.Token(), 64}
+	k := parmvrCall{Sequential.Token(), 64, ""}
 
 	boom := errors.New("stand-in call failed")
 	if _, err := st.memoCall(ctx, k, func() (PointResult, error) { return PointResult{}, boom }); !errors.Is(err, boom) {
@@ -170,7 +170,7 @@ func TestPrefixMemoPanicReleasesWaiters(t *testing.T) {
 	ctx := context.Background()
 	c := NewPrefixCache(0)
 	st := memoState(t, c)
-	k := parmvrCall{Prefetched.Token(), 16}
+	k := parmvrCall{Prefetched.Token(), 16, ""}
 
 	started, release := make(chan struct{}), make(chan struct{})
 	recovered := make(chan any, 1)

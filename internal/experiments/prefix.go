@@ -95,11 +95,13 @@ type PrefixState struct {
 func (st *PrefixState) MemBytes() int64 { return st.mem + st.callMem.Load() }
 
 // parmvrCall names one PARMVR call off a cold-call prefix. The prefix
-// fixes machine, processor count and scale, so a strategy and a chunk
-// budget name the rest of the call.
+// fixes machine, processor count and scale, so a strategy, a chunk
+// budget and an ablation configuration ("" for none) name the rest of
+// the call.
 type parmvrCall struct {
 	strategy string
 	chunkKB  int
+	variant  string
 }
 
 // callFlight is one memoized call's single flight. res and err are
@@ -440,11 +442,4 @@ func (c *PrefixCache) RunPoint(ctx context.Context, ps PointSpec) (PointResult, 
 	}
 	res, err := d.RunWarm(ctx, st, ps)
 	return res, true, err
-}
-
-// WarmRunnable reports whether an experiment's decomposition declares a
-// warm path at all.
-func WarmRunnable(experiment string) bool {
-	d, ok := decompositions[experiment]
-	return ok && d.Prefix != nil && d.RunWarm != nil
 }

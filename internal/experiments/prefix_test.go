@@ -26,7 +26,7 @@ func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string
 		t.Fatalf("experiment %q not decomposable", name)
 	}
 	results := make([]PointResult, len(specs))
-	if err := parallelFor(ctx, len(specs), func(i int) error {
+	if err := runIndices(ctx, len(specs), func(i int) error {
 		sb, err := json.Marshal(specs[i])
 		if err != nil {
 			return err
@@ -40,7 +40,7 @@ func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string
 			return err
 		}
 		if !warm {
-			if WarmRunnable(name) {
+			if _, ok := prefixOf(spec); ok {
 				t.Errorf("%s point %d took the cold path", name, i)
 			}
 			r, err = RunPoint(ctx, spec)

@@ -1,16 +1,17 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
 
 func TestQuickstartRowsAndMetrics(t *testing.T) {
-	const n = 1 << 14
-	r, err := Quickstart(context.Background(), n, 8*1024)
+	r, err := Quickstart(testCtx(), quickstartConfig(1<<14))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.N != 1<<14 {
+		t.Fatalf("N = %d, want %d", r.N, 1<<14)
 	}
 	if len(r.Rows) != len(Strategies) {
 		t.Fatalf("got %d rows, want %d", len(r.Rows), len(Strategies))
@@ -47,7 +48,7 @@ func TestQuickstartRowsAndMetrics(t *testing.T) {
 }
 
 func TestQuickstartRender(t *testing.T) {
-	r, err := Quickstart(context.Background(), 1<<13, 8*1024)
+	r, err := Quickstart(testCtx(), quickstartConfig(1<<13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,4 +63,13 @@ func TestQuickstartRender(t *testing.T) {
 			t.Errorf("rendered output missing %q", want)
 		}
 	}
+}
+
+// quickstartConfig is the run configuration of an n-iteration
+// quickstart (n a power of two, at least 1<<10) with 8KB chunks.
+func quickstartConfig(n int) RunConfig {
+	rc := DefaultRunConfig()
+	rc.Scale = float64(n) / QuickstartN
+	rc.ChunkBytes = 8 * 1024
+	return rc
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 
@@ -60,12 +61,32 @@ func (rc RunConfig) progress(format string, args ...interface{}) {
 }
 
 // Experiment is one registered reproduction: a name to dispatch on, a
-// description for listings, and a run function. Run respects ctx
-// cancellation (in-flight simulation points finish; no new ones start).
+// description for listings, and its run function. Every experiment is a
+// decomposition (see Decomposition): Run decomposes it, runs its points
+// through the pool and merges them, which is RunDecomposed; a caller may
+// wrap Run, to trace it, say. Run respects ctx cancellation (in-flight
+// simulation points finish; no new ones start).
 type Experiment struct {
 	Name        string
 	Description string
 	Run         func(ctx context.Context, rc RunConfig) (Renderable, error)
+}
+
+// Decomposed returns the experiment that runs the decomposition
+// registered under name (see RegisterDecomposition).
+func Decomposed(name, description string) Experiment {
+	return Experiment{
+		Name:        name,
+		Description: description,
+		Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
+			rc.progress("%s: %s (scale %.2f, n=%d)...", name, description, rc.Scale, rc.N)
+			r, ok, err := RunDecomposed(ctx, name, rc)
+			if !ok {
+				return nil, fmt.Errorf("experiment %q has no point decomposition", name)
+			}
+			return r, err
+		},
+	}
 }
 
 // Info is an experiment's exported metadata: what `cascade-sim -exp list`
@@ -139,110 +160,19 @@ func Registry() []Experiment {
 // enumeration sorts by name.
 func registry() []Experiment {
 	return []Experiment{
-		{
-			Name:        "quickstart",
-			Description: "scatter-add demo of cascaded execution and the metrics layer",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				n := QuickstartScaledN(rc.Scale)
-				rc.progress("quickstart: scatter-add metrics demo (n=%d)...", n)
-				return Quickstart(ctx, n, rc.ChunkBytes)
-			},
-		},
-		{
-			Name:        "table1",
-			Description: "machine memory-system characteristics (Table 1)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				return Table1(), nil
-			},
-		},
-		{
-			Name:        "fig2",
-			Description: "overall PARMVR speedup vs processor count (Figure 2)",
-			Run:         decomposedExperiment("fig2", "PARMVR processor sweep"),
-		},
-		{
-			Name:        "fig3",
-			Description: "per-loop execution time by strategy (Figure 3)",
-			Run:         decomposedExperiment("fig3", "per-loop breakdown"),
-		},
-		{
-			Name:        "fig4",
-			Description: "per-loop L2 misses by strategy (Figure 4)",
-			Run:         decomposedExperiment("fig4", "per-loop breakdown"),
-		},
-		{
-			Name:        "fig5",
-			Description: "per-loop L1 misses by strategy (Figure 5)",
-			Run:         decomposedExperiment("fig5", "per-loop breakdown"),
-		},
-		{
-			Name:        "fig6",
-			Description: "effect of chunk size on PARMVR speedup (Figure 6)",
-			Run:         decomposedExperiment("fig6", "chunk-size sweep"),
-		},
-		{
-			Name:        "fig7",
-			Description: "synthetic-loop speedups on future machines (Figure 7)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("fig7: synthetic future-machine sweep (n=%d)...", rc.N)
-				return Fig7(ctx, rc.N)
-			},
-		},
-		{
-			Name:        "warmsweep",
-			Description: "warm-start sweep: every point forked from one shared warm prefix",
-			Run:         decomposedExperiment("warmsweep", "fork-from-prefix strategy/chunk sweep"),
-		},
-		{
-			Name:        "conflicts",
-			Description: "sequential miss classification per loop (§3.3's conflict claim)",
-			Run:         decomposedExperiment("conflicts", "sequential miss classification"),
-		},
-		{
-			Name:        "amdahl",
-			Description: "application-level speedup study (the paper's motivation)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("amdahl: application-level study (scale %.2f)...", rc.Scale)
-				return perMachine(func(i int) (Renderable, error) {
-					return Amdahl(ctx, Machines()[i], rc.Params(), rc.ChunkBytes)
-				})
-			},
-		},
-		{
-			Name:        "gallery",
-			Description: "kernel gallery: when does cascading pay?",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("gallery: kernel suite (n=%d)...", rc.N)
-				return perMachine(func(i int) (Renderable, error) {
-					return Gallery(ctx, Machines()[i], rc.N, rc.ChunkBytes)
-				})
-			},
-		},
-		{
-			Name:        "ablations",
-			Description: "design-choice ablations (jump-out, precompute, chunking, ...)",
-			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
-				rc.progress("ablations (scale %.2f)...", rc.Scale)
-				studies := []func(context.Context, wave5.Params) (*AblationResult, error){
-					AblationJumpOut,
-					AblationPrecompute,
-					AblationChunking,
-					AblationCompilerPrefetch,
-					AblationTLB,
-					AblationPriorParallel,
-					AblationVictimCache,
-				}
-				var g Group
-				for _, f := range studies {
-					a, err := f(ctx, rc.Params())
-					if err != nil {
-						return nil, err
-					}
-					g = append(g, a)
-				}
-				return g, nil
-			},
-		},
+		Decomposed("quickstart", "scatter-add demo of cascaded execution and the metrics layer"),
+		Decomposed("table1", "machine memory-system characteristics (Table 1)"),
+		Decomposed("fig2", "overall PARMVR speedup vs processor count (Figure 2)"),
+		Decomposed("fig3", "per-loop execution time by strategy (Figure 3)"),
+		Decomposed("fig4", "per-loop L2 misses by strategy (Figure 4)"),
+		Decomposed("fig5", "per-loop L1 misses by strategy (Figure 5)"),
+		Decomposed("fig6", "effect of chunk size on PARMVR speedup (Figure 6)"),
+		Decomposed("fig7", "synthetic-loop speedups on future machines (Figure 7)"),
+		Decomposed("warmsweep", "warm-start sweep: every point forked from one shared warm prefix"),
+		Decomposed("conflicts", "sequential miss classification per loop (§3.3's conflict claim)"),
+		Decomposed("amdahl", "application-level speedup study (the paper's motivation)"),
+		Decomposed("gallery", "kernel gallery: when does cascading pay?"),
+		Decomposed("ablations", "design-choice ablations (jump-out, precompute, chunking, ...)"),
 	}
 }
 
@@ -266,27 +196,28 @@ func Lookup(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// decomposedExperiment builds the run function of a decomposed
-// experiment: the one local driver, RunDecomposed.
-func decomposedExperiment(name, what string) func(context.Context, RunConfig) (Renderable, error) {
-	return func(ctx context.Context, rc RunConfig) (Renderable, error) {
-		rc.progress("%s: %s (scale %.2f)...", name, what, rc.Scale)
-		r, _, err := RunDecomposed(ctx, name, rc)
-		return r, err
+// runAs runs an experiment's decomposition and returns its result as T.
+func runAs[T Renderable](ctx context.Context, name string, rc RunConfig) (T, error) {
+	var zero T
+	r, _, err := RunDecomposed(ctx, name, rc)
+	if err != nil {
+		return zero, err
 	}
+	return r.(T), nil
 }
 
-// perMachine collects one result per paper machine into a Group.
-func perMachine(f func(i int) (Renderable, error)) (Renderable, error) {
-	var g Group
-	for i := range Machines() {
-		r, err := f(i)
-		if err != nil {
-			return nil, err
-		}
-		g = append(g, r)
+// runMembers runs an experiment whose result is a Group and returns its
+// members as T.
+func runMembers[T Renderable](ctx context.Context, name string, rc RunConfig) ([]T, error) {
+	g, err := runAs[Group](ctx, name, rc)
+	if err != nil {
+		return nil, err
 	}
-	return g, nil
+	out := make([]T, len(g))
+	for i, r := range g {
+		out[i] = r.(T)
+	}
+	return out, nil
 }
 
 // Group renders several results in sequence — per-machine sweeps and the

@@ -65,7 +65,7 @@ func freshWarmsweep(t *testing.T, rc RunConfig) Renderable {
 	t.Helper()
 	specs, _ := Decompose("warmsweep", rc)
 	results := make([]PointResult, len(specs))
-	if err := parallelFor(context.Background(), len(specs), func(i int) error {
+	if err := runIndices(context.Background(), len(specs), func(i int) error {
 		ps := specs[i]
 		cfg, err := machineByName(ps.Machine)
 		if err != nil {

@@ -10,9 +10,9 @@
 //
 //   - Workers enlist with POST /v1/workers, advertising how many points
 //     they run at once (slots), and stay registered by heartbeating; a
-//     worker that misses its heartbeat window is declared dead, removed
-//     from the hash ring, and its in-flight points are retried on the
-//     survivors (fabric.points.retried).
+//     worker that misses its heartbeat window is declared dead, its
+//     slots leave the fleet, and its in-flight points are retried on
+//     the survivors (fabric.points.retried).
 //   - Dispatch is slot-aware pull: a lease is cut only once some live
 //     worker has a free slot, and ships to that worker, so points flow
 //     to whoever frees up first (see runSharded).
@@ -58,9 +58,6 @@ const SiteAssign = "fabric.assign"
 // journal.SiteAppend tears write-ahead appends (short write, no fsync)
 // to exercise crash-recovery's torn-tail repair.
 func FaultSites() []string { return []string{SiteAssign, journal.SiteAppend} }
-
-// errNoWorkers fails a dispatch when no live worker exists.
-var errNoWorkers = errors.New("no live workers")
 
 // Config configures a Coordinator. The zero value coordinates the full
 // experiment registry with a memory-only result index and no quotas.
@@ -131,8 +128,8 @@ type Config struct {
 	ProgressInterval time.Duration
 }
 
-// Coordinator owns the fleet: worker membership, the hash ring, the
-// shared result index, and — in the embedded job core, the same one a
+// Coordinator owns the fleet: worker membership and slots, the shared
+// result index, and — in the embedded job core, the same one a
 // server runs — the job table. Create with New, expose Handler over
 // HTTP, stop with Shutdown.
 type Coordinator struct {
@@ -165,7 +162,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*workerRec
-	ring    *ring
+	live    []string       // live workers' names, sorted: acquireSlot's preference order
 	tenants map[string]int // tenant → in-flight jobs
 	// wake is closed and replaced whenever dispatch capacity may have
 	// grown: a slot released, a worker joined or revived, or a worker
@@ -242,7 +239,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cancelRun: cancel,
 		stopReap:  make(chan struct{}),
 		workers:   make(map[string]*workerRec),
-		ring:      buildRing(nil),
 		tenants:   make(map[string]int),
 		wake:      make(chan struct{}),
 	}
@@ -359,7 +355,7 @@ func (c *Coordinator) Register(name, url string) error {
 // RegisterSlots enlists (or re-enlists — registration doubles as the
 // heartbeat) a worker under a stable name at a base URL, able to run
 // slots points at once. A worker changing URLs or slot counts mid-life
-// is treated as the same ring member at a new address or capacity.
+// is treated as the same member at a new address or capacity.
 func (c *Coordinator) RegisterSlots(name, url string, slots int) error {
 	if name == "" || url == "" {
 		return errors.New("worker registration needs name and url")
@@ -381,7 +377,7 @@ func (c *Coordinator) RegisterSlots(name, url string, slots int) error {
 	w.Alive = true
 	w.Slots = slots
 	if revived {
-		c.rebuildRingLocked()
+		c.membershipChangedLocked()
 	}
 	if revived || grew {
 		c.wakeLocked()
@@ -422,7 +418,7 @@ func (c *Coordinator) reaper() {
 }
 
 // reapOnce marks every worker silent past the heartbeat window dead and
-// rebuilds the ring if membership changed.
+// refreshes the live set if membership changed.
 func (c *Coordinator) reapOnce(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -435,22 +431,21 @@ func (c *Coordinator) reapOnce(now time.Time) {
 		}
 	}
 	if changed {
-		c.rebuildRingLocked()
+		c.membershipChangedLocked()
 	}
 }
 
-// rebuildRingLocked rebuilds the hash ring from live members and
-// refreshes the fleet gauges. Callers must hold c.mu.
-func (c *Coordinator) rebuildRingLocked() {
-	var names []string
+// membershipChangedLocked rebuilds the sorted live set and refreshes
+// the fleet gauges. Callers must hold c.mu.
+func (c *Coordinator) membershipChangedLocked() {
+	c.live = c.live[:0]
 	for _, w := range c.workers {
 		if w.Alive {
-			names = append(names, w.Name)
+			c.live = append(c.live, w.Name)
 		}
 	}
-	sort.Strings(names)
-	c.ring = buildRing(names)
-	c.metrics.Set(mWorkersAlive, int64(len(names)))
+	sort.Strings(c.live)
+	c.metrics.Set(mWorkersAlive, int64(len(c.live)))
 	c.slotGaugesLocked()
 }
 
@@ -476,18 +471,18 @@ func (c *Coordinator) wakeLocked() {
 }
 
 // acquireSlot blocks until some live worker has a free slot, then claims
-// it. Among free workers the ring order for key breaks the tie, and
-// avoid — the worker a retry just failed on — is taken only when no
-// other worker is free. The wait is on c.wake, so it never polls; it
-// fails only when the run context dies.
-func (c *Coordinator) acquireSlot(key, avoid string) (slot, error) {
+// it. Among free workers name order breaks the tie, and avoid — the
+// worker a retry just failed on — is taken only when no other worker is
+// free. The wait is on c.wake, so it never polls; it fails only when
+// the run context dies.
+func (c *Coordinator) acquireSlot(avoid string) (slot, error) {
 	for {
 		if err := c.runCtx.Err(); err != nil {
 			return slot{}, err
 		}
 		c.mu.Lock()
-		var pick *workerRec // first free worker in ring order, avoid only as a last resort
-		for _, name := range c.ring.candidates(key) {
+		var pick *workerRec // first free worker by name, avoid only as a last resort
+		for _, name := range c.live {
 			if w := c.workers[name]; w.Busy < w.Slots && (pick == nil || pick.Name == avoid) {
 				pick = w
 			}
@@ -518,19 +513,6 @@ func (c *Coordinator) releaseSlot(s slot) {
 	c.workers[s.name].Busy--
 	c.slotGaugesLocked()
 	c.wakeLocked()
-}
-
-// candidates resolves a key's failover sequence to live worker URLs,
-// plus the channel a whole-job forward waits on when the fleet is empty.
-func (c *Coordinator) candidates(key string) (urls []string, wake <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, name := range c.ring.candidates(key) {
-		if w, ok := c.workers[name]; ok && w.Alive {
-			urls = append(urls, w.URL)
-		}
-	}
-	return urls, c.wake
 }
 
 // quota returns the tenant's in-flight job bound (0 = unlimited).

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -57,10 +56,9 @@ func (c *Coordinator) run(j *server.Job, jdone map[int]bool) {
 	go c.runJob(j, jdone)
 }
 
-// runJob drives one job to completion: decomposable sweeps shard
-// point-by-point across the fleet; anything else ships whole to one
-// worker. The terminal journal record goes down before the job turns
-// terminal.
+// runJob drives one job to completion: the experiment's points shard
+// across the fleet and merge here. The terminal journal record goes
+// down before the job turns terminal.
 func (c *Coordinator) runJob(j *server.Job, jdone map[int]bool) {
 	defer func() {
 		c.mu.Lock()
@@ -78,8 +76,7 @@ func (c *Coordinator) runJob(j *server.Job, jdone map[int]bool) {
 	if specs, ok := experiments.Decompose(j.Experiment, j.Params.RunConfig()); ok {
 		val, err = c.runSharded(j, specs, jdone)
 	} else {
-		c.metrics.Inc(mJobsForwarded)
-		val, err = c.forwardJob(j)
+		err = fmt.Errorf("experiment %q has no point decomposition", j.Experiment)
 	}
 	var repro []byte
 	if err == nil {
@@ -137,7 +134,7 @@ func (c *Coordinator) runSharded(j *server.Job, specs []experiments.PointSpec, j
 		go func() {
 			defer wg.Done()
 			for sw.q.Unclaimed() > 0 {
-				s, err := c.acquireSlot(j.Key, "")
+				s, err := c.acquireSlot("")
 				if err != nil {
 					return // the run context died; unclaimed points fail below
 				}
@@ -249,7 +246,7 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 	for len(todo) > 0 {
 		if held.name == "" {
 			var err error
-			if held, err = c.acquireSlot(todo[0].key, failed); err != nil {
+			if held, err = c.acquireSlot(failed); err != nil {
 				for _, it := range todo {
 					sw.fail(it.idx, err)
 				}
@@ -523,133 +520,4 @@ func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome f
 		return fmt.Errorf("dispatch to %s: stream died after %d outcomes: %w", workerURL, n, serr)
 	}
 	return nil
-}
-
-// forwardJob ships a non-decomposable job whole to one worker (chosen
-// by the job's content address, so identical jobs land on the same
-// worker and coalesce there) and relays the result.
-func (c *Coordinator) forwardJob(j *server.Job) ([]byte, error) {
-	backoff := c.cfg.RetryBackoff
-	var lastErr error = errNoWorkers
-	// Attempt advances only on a real dispatch, so an empty fleet never
-	// burns the budget.
-	for attempt := 0; attempt < c.cfg.MaxPointAttempts; {
-		urls, wake := c.candidates(j.Key)
-		if len(urls) == 0 {
-			select {
-			case <-wake:
-			case <-time.After(backoff):
-				backoff = nextBackoff(backoff)
-			case <-c.runCtx.Done():
-				return nil, c.runCtx.Err()
-			}
-			continue
-		}
-		url := urls[attempt%len(urls)]
-		attempt++
-		val, err := c.forwardOnce(url, j)
-		if err == nil {
-			return val, nil
-		}
-		if terminalCode(server.ExplicitCode(err)) {
-			return nil, err
-		}
-		lastErr = err
-		select {
-		case <-time.After(backoff):
-		case <-c.runCtx.Done():
-			return nil, c.runCtx.Err()
-		}
-		backoff = nextBackoff(backoff)
-	}
-	return nil, fmt.Errorf("job %s undeliverable after %d attempts: %w", j.ID, c.cfg.MaxPointAttempts, lastErr)
-}
-
-// forwardOnce submits the job to one worker and long-polls it to
-// completion. The relayed result is re-rendered through the canonical
-// formatting so its bytes match a direct single-node run exactly.
-func (c *Coordinator) forwardOnce(workerURL string, j *server.Job) ([]byte, error) {
-	body, _ := json.Marshal(map[string]interface{}{"experiment": j.Experiment, "params": j.Params})
-	env, status, err := c.doEnvelope("POST", workerURL+"/v1/jobs", body)
-	if err != nil {
-		return nil, err
-	}
-	if env.Error != nil && status != http.StatusOK && status != http.StatusAccepted {
-		if terminalCode(env.Error.Code) {
-			return nil, server.Coded(env.Error.Code, env.Error.Message,
-				fmt.Errorf("worker %s: %s", workerURL, env.Error.Message))
-		}
-		return nil, fmt.Errorf("worker %s refused job: %s", workerURL, env.Error.Message)
-	}
-	if env.Job == nil {
-		return nil, fmt.Errorf("worker %s: job response without a job", workerURL)
-	}
-	for env.Job.State != server.StateDone && env.Job.State != server.StateFailed {
-		if c.runCtx.Err() != nil {
-			return nil, c.runCtx.Err()
-		}
-		env, _, err = c.doEnvelope("GET", workerURL+"/v1/jobs/"+env.Job.ID+"?wait=5s", nil)
-		if err != nil {
-			return nil, err
-		}
-		if env.Job == nil {
-			return nil, fmt.Errorf("worker %s: poll response without a job", workerURL)
-		}
-	}
-	if env.Job.State == server.StateFailed {
-		code := env.Job.ErrorCode
-		if code == "" {
-			code = server.CodeExperimentFailed
-		}
-		return nil, server.Coded(code, env.Job.Error, fmt.Errorf("worker %s: %s", workerURL, env.Job.Error))
-	}
-	return normalizeResult(env.Result)
-}
-
-// doEnvelope performs one current-version API request and decodes the
-// envelope. Transport errors come back untyped (retryable).
-func (c *Coordinator) doEnvelope(method, url string, body []byte) (server.Envelope, int, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(c.runCtx, method, url, rd)
-	if err != nil {
-		return server.Envelope{}, 0, server.Coded(server.CodeBadRequest, "", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(server.VersionHeader, server.APIVersion)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return server.Envelope{}, 0, err
-	}
-	defer resp.Body.Close()
-	var env server.Envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return server.Envelope{}, resp.StatusCode, fmt.Errorf("bad envelope from %s: %w", url, err)
-	}
-	return env, resp.StatusCode, nil
-}
-
-// normalizeResult re-renders relayed result bytes in the canonical
-// cache format (two-space indent, trailing newline). A result embedded
-// in a response envelope was re-indented relative to its position in
-// that envelope; normalizing restores the exact bytes RenderJSON
-// produces, preserving the byte-identity and shared-cache contracts.
-func normalizeResult(raw json.RawMessage) ([]byte, error) {
-	if len(raw) == 0 {
-		return nil, errors.New("forwarded job finished without result bytes")
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, raw); err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
-		return nil, err
-	}
-	out.WriteByte('\n')
-	return out.Bytes(), nil
 }

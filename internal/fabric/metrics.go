@@ -29,7 +29,6 @@ const (
 	mJobsCompleted     = "fabric.jobs.completed"      // jobs finished done
 	mJobsFailed        = "fabric.jobs.failed"         // jobs finished failed
 	mJobsCacheHits     = "fabric.jobs.cache_hits"     // jobs answered from the merged-result cache
-	mJobsForwarded     = "fabric.jobs.forwarded"      // non-decomposable jobs shipped whole to a worker
 	mJobsQuotaRejected = "fabric.jobs.quota_rejected" // submissions refused by tenant quota
 	mJobsRejected      = "fabric.jobs.rejected"       // submissions refused (shutdown)
 
@@ -81,7 +80,7 @@ const (
 func initMetrics(m *metrics.Synced) {
 	for _, name := range []string{
 		mJobsSubmitted, mJobsCompleted, mJobsFailed, mJobsCacheHits,
-		mJobsForwarded, mJobsQuotaRejected, mJobsRejected,
+		mJobsQuotaRejected, mJobsRejected,
 		mPointsAssigned, mPointsCompleted, mPointsRetried, mPointsFailed,
 		mBatchesDispatched,
 		mCacheHits, mCacheRemoteHits,

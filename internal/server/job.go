@@ -226,6 +226,9 @@ func NewJobCore(d Daemon) (*JobCore, error) {
 		if c.known[e.Name] {
 			return nil, fmt.Errorf("duplicate experiment %q", e.Name)
 		}
+		if !experiments.Decomposable(e.Name) {
+			return nil, fmt.Errorf("experiment %q has no point decomposition", e.Name)
+		}
 		c.known[e.Name] = true
 		c.infos = append(c.infos, e.Info())
 	}

@@ -63,14 +63,7 @@ func sweepExperiment(name string, n int, point func(ctx context.Context) error) 
 			return fakeResult{Value: fmt.Sprintf("%s done", name)}, nil
 		},
 	})
-	return experiments.Experiment{
-		Name:        name,
-		Description: "synthetic sweep",
-		Run: func(ctx context.Context, rc experiments.RunConfig) (experiments.Renderable, error) {
-			r, _, err := experiments.RunDecomposed(ctx, name, rc)
-			return r, err
-		},
-	}
+	return experiments.Decomposed(name, "synthetic sweep")
 }
 
 // steppedSweep advances one point each time step is signalled.
@@ -113,16 +106,21 @@ func (g *gated) sweep(name string) experiments.Experiment {
 	})
 }
 
-// echoExperiment finishes at once; it is not decomposed, so a
-// coordinator forwards it whole to its worker.
+// echoExperiment finishes at once: one point, and a merge that echoes
+// the job's n.
 func echoExperiment(name string) experiments.Experiment {
-	return experiments.Experiment{
-		Name:        name,
-		Description: "echo",
-		Run: func(ctx context.Context, rc experiments.RunConfig) (experiments.Renderable, error) {
+	experiments.RegisterDecomposition(name, experiments.Decomposition{
+		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
+			return []experiments.PointSpec{{Experiment: name, N: rc.N}}
+		},
+		Run: func(_ context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+			return experiments.PointResult{Index: ps.Index}, nil
+		},
+		Merge: func(rc experiments.RunConfig, _ []experiments.PointResult) (experiments.Renderable, error) {
 			return fakeResult{Value: fmt.Sprintf("%s n=%d", name, rc.N)}, nil
 		},
-	}
+	})
+	return experiments.Decomposed(name, "echo")
 }
 
 // daemon is one job-core daemon under test, served over HTTP.

@@ -297,7 +297,7 @@ func (s *Server) acquirePointSlot(ctx context.Context) (release func(), ok bool)
 // executePoint runs one spec under the server's run context and job
 // deadline, converting panics (an experiment bug, or the injected
 // SiteExpPanic) into typed errors — the same containment execute gives
-// whole jobs, so a poisoned point fails one request, not the worker.
+// a local job, so a poisoned point fails one request, not the worker.
 func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.PointResult, err error) {
 	ctx := s.runCtx
 	if s.jobTimeout > 0 {

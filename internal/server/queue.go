@@ -92,8 +92,8 @@ func (s *Server) follow(j, leader *Job) {
 // tail, merge, render and cache write would leave idle, and the
 // holder's lane budget keeps local points at or below GOMAXPROCS. At
 // most two jobs are in flight per worker: before taking a third, the
-// worker waits for the older one to finish. A job that runs no sweep
-// finishes before its worker moves on.
+// worker waits for the older one to finish. A job that fails before its
+// sweep hands out a point finishes before its worker moves on.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	var tail *Job // the previous job, perhaps still in its tail
@@ -167,11 +167,12 @@ func (s *Server) runJob(j *Job, drained func()) {
 	s.metrics.Add(mTimeRun, time.Since(started).Nanoseconds())
 }
 
-// execute runs a job's experiment and renders the result, converting a
-// panic — an experiment bug, or the injected SiteExpPanic — into an
-// error carrying the stack. Panics on sweep-worker goroutines inside
-// parallelFor are converted to point errors by the experiments package,
-// so this recover plus that one cover both panic surfaces.
+// execute runs a job's experiment — its Run, which decomposes it, runs
+// its points on the server's holder and merges them — and renders the
+// result, converting a panic — in a merge, or the injected SiteExpPanic
+// — into an error carrying the stack. Panics in points are converted to
+// point errors by the experiments package's pool, so this recover plus
+// that one cover both panic surfaces.
 func (s *Server) execute(ctx context.Context, j *Job) (val []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -169,7 +169,8 @@ func (s *Server) Repro(id string) (*ReproBundle, error) {
 
 // RunRepro replays a bundle: re-arm the recorded fault injector from
 // its spec and seed, then re-execute the failing unit — the recorded
-// point when the bundle names one, the whole experiment otherwise —
+// point when the bundle names one, the whole experiment through
+// RunDecomposed otherwise —
 // under the same deadline and panic-containment shape the serving path
 // uses. The returned error is the replayed failure (nil means the
 // failure did NOT reproduce, which for a correctly-captured bundle is
@@ -228,15 +229,12 @@ func replayUnit(ctx context.Context, b *ReproBundle, inj *faults.Injector) (err 
 		_, err = experiments.RunPoint(ctx, *b.Point)
 		return err
 	}
-	e, ok := experiments.Lookup(b.Experiment)
+	_, ok, err := experiments.RunDecomposed(ctx, b.Experiment, b.Params.RunConfig())
 	if !ok {
 		return &codedError{code: CodeNotFound,
 			err: fmt.Errorf("bundle experiment %q not in this build's registry", b.Experiment)}
 	}
-	if _, err = e.Run(ctx, b.Params.RunConfig()); err != nil {
-		return err
-	}
-	return nil
+	return err
 }
 
 // SameFailure reports whether a replayed error matches a bundle's
