@@ -24,13 +24,21 @@
 # benchmarks at short-mode scale, a smoke test rather than a measurement;
 # `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
 # once at smoke size: every workload through the real CLI, server and
-# fleet binaries, each result checked against its golden hash (~25 s).
+# fleet binaries, each result checked against its golden hash (~25 s);
+# `results` regenerates every results/*.txt (and its progress .log)
+# with the exact command that produced it, `cascade-sim -exp E` at
+# paper scale and the default -n; `results-check` re-derives the
+# SHA-256 of every experiment's `cascade-sim -exp E -json -q` at paper
+# scale and the default -n and compares it with its pin in
+# results/golden.json (nightly CI; each takes 15-20 minutes on 2 cores).
 
 GO ?= go
 SERVE_FLAGS ?= -cache .cascade-cache
 CHAOS_SEED ?=
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fmt
+RESULTS = ablations amdahl conflicts fig2 fig3 fig4 fig5 fig6 fig7 gallery table1
+
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke bench-e2e-smoke results results-check fmt
 
 tier1:
 	$(GO) build ./...
@@ -77,6 +85,20 @@ bench-smoke:
 
 bench-e2e-smoke:
 	cd bench && $(GO) test -count=1 ./e2e
+
+results:
+	for e in $(RESULTS); do \
+		$(GO) run ./cmd/cascade-sim -exp $$e > results/$$e.txt 2> results/$$e.log || exit 1; \
+	done
+
+results-check:
+	@fail=0; \
+	for e in $$(sed -n 's/^ *"\([a-z0-9]*\)": .*/\1/p' results/golden.json); do \
+		want=$$(sed -n "s/^ *\"$$e\": \"\([0-9a-f]*\)\".*/\1/p" results/golden.json); \
+		got=$$($(GO) run ./cmd/cascade-sim -exp $$e -json -q | sha256sum | cut -d' ' -f1); \
+		if [ "$$got" = "$$want" ]; then echo "ok   $$e"; else echo "FAIL $$e: $$got, pinned $$want"; fail=1; fi; \
+	done; \
+	exit $$fail
 
 fmt:
 	gofmt -w .
