@@ -15,13 +15,17 @@
 # mechanism, since deleted); `bench-parallel` measures the
 # host-parallel engine against the serial driver on the same workloads
 # (recorded in BENCH_parallel.json); `bench-snapshot` measures
-# copy-on-write warm-started sweeps against fresh per-point prefixes
-# (recorded in BENCH_snapshot.json); `bench-fabric` measures batched
+# warm-started sweeps that load one captured prefix per point against
+# fresh per-point prefixes (BENCH_snapshot.json is the historical record
+# of the copy-on-write snapshots it measured before captures replaced
+# them, since deleted); `bench-fabric` measures batched
 # lease dispatch and worker-side warm-prefix reuse through a real
 # coordinator + worker pair (recorded in BENCH_fabric.json);
 # `bench-smoke` is the CI
-# keep-the-benchmarks-compiling pass: one iteration of the hot-path
-# benchmarks at short-mode scale, a smoke test rather than a measurement;
+# keep-the-benchmarks-compiling pass: one iteration of the hot-path and
+# warm-start benchmarks at short-mode scale, a smoke test rather than a
+# measurement; `fuzz` runs every fuzz target for 60 s each (nightly CI;
+# the seed corpora alone run in every `go test`);
 # `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
 # once at smoke size: every workload through the real CLI, server and
 # fleet binaries, each result checked against its golden hash (~25 s);
@@ -38,7 +42,7 @@ CHAOS_SEED ?=
 
 RESULTS = ablations amdahl conflicts fig2 fig3 fig4 fig5 fig6 fig7 gallery table1
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke bench-e2e-smoke results results-check fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz results results-check fmt
 
 tier1:
 	$(GO) build ./...
@@ -85,6 +89,13 @@ bench-smoke:
 
 bench-e2e-smoke:
 	cd bench && $(GO) test -count=1 ./e2e
+
+fuzz:
+	$(GO) test -run NONE -fuzz '^FuzzShipBatch$$' -fuzztime 60s ./internal/fabric/
+	$(GO) test -run NONE -fuzz '^FuzzLoopSpecEngines$$' -fuzztime 60s ./internal/cascade/
+	$(GO) test -run NONE -fuzz '^FuzzPointRequest$$' -fuzztime 60s ./internal/server/
+	$(GO) test -run NONE -fuzz '^FuzzJobRequest$$' -fuzztime 60s ./internal/server/
+	$(GO) test -run NONE -fuzz '^FuzzJournalOpen$$' -fuzztime 60s ./internal/fabric/journal/
 
 results:
 	for e in $(RESULTS); do \

@@ -100,7 +100,7 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		jobTimeout  = flag.Duration("job-timeout", server.DefaultJobTimeout, "default per-job execution deadline (0 disables)")
 		coordinator = flag.String("coordinator", "", "enlist as a fabric worker with this coordinator URL")
-		warmPrefix  = flag.Bool("warm-prefixes", false, "reuse sealed prefix snapshots across sweep points (fabric worker warm path)")
+		warmPrefix  = flag.Bool("warm-prefixes", false, "reuse built sweep prefixes across sweep points (fabric worker warm path)")
 		prefixMB    = flag.Int("prefix-cache-mb", 0, "prefix cache ceiling in MiB, prefixes and their memoized calls (0: default)")
 		advertise   = flag.String("advertise", "", "URL the coordinator dispatches to (default: the bound listen address)")
 		workerName  = flag.String("name", "", "worker name within the fleet (default: the bound listen address)")

@@ -37,8 +37,8 @@
 // The -parallel flag runs each simulated processor on its own host
 // goroutine inside the fast engine's conservative lookahead window.
 // Results are bit-identical to serial simulation — the flag only trades
-// host cores for wall-clock time — but parallel runs are cached under
-// their own keys, so a -cache directory never mixes the two engines.
+// host cores for wall-clock time — so parallel and serial runs share
+// -cache entries.
 //
 // The -repro flag replays a deterministic repro bundle — the JSON
 // document GET /v1/jobs/{id}/repro serves for a failed job — instead of

@@ -35,9 +35,9 @@ type Cache struct {
 	// is verified (tag, state) before use.
 	last *line
 
-	// cow marks sets as sealed to a snapshot: the next lookup or fill
-	// copies it into private storage first (see snapshot.go).
-	cow bool
+	// untouched reports that no lookup, fill or reset has reached the
+	// cache since a capture was loaded into it (see packed.go).
+	untouched bool
 }
 
 // New builds a cache from cfg. It panics on invalid configuration; machine
@@ -84,16 +84,8 @@ func (c *Cache) EmitMetrics(emit func(name string, value int64)) { c.stats.Emit(
 // Reset empties the cache and zeroes its statistics. The classification
 // shadow, if any, is reset too.
 func (c *Cache) Reset() {
-	if c.cow {
-		// Borrowed snapshot storage: allocating fresh zeroed lines is
-		// cheaper than copy-then-zero and leaves the seal untouched.
-		c.sets = make([]line, len(c.sets))
-		c.cow = false
-	} else {
-		for i := range c.sets {
-			c.sets[i] = line{}
-		}
-	}
+	clear(c.sets)
+	c.untouched = false
 	c.tick = 0
 	c.stats = Stats{}
 	c.last = nil
@@ -124,7 +116,7 @@ func (c *Cache) find(set []line, lineAddr memsim.Addr) int {
 // through to the scan; a present line occupies exactly one slot, so the
 // hint and the scan can only agree.
 func (c *Cache) lookup(lineAddr memsim.Addr) *line {
-	c.own()
+	c.untouched = false
 	if ln := c.last; ln != nil && ln.state != Invalid && ln.tag == lineAddr {
 		return ln
 	}
@@ -153,9 +145,6 @@ func (c *Cache) linePtr(lineAddr memsim.Addr) *line {
 // for its line; the hierarchy's fast path establishes that by checking
 // the slot's current tag and state immediately before the call.
 func (c *Cache) touchFast(ln *line) {
-	if c.cow {
-		panic("cache: touchFast through a pointer into sealed storage")
-	}
 	c.stats.Accesses++
 	c.stats.Hits++
 	c.tick++
@@ -231,7 +220,7 @@ func (c *Cache) Fill(lineAddr memsim.Addr, st State, prefetch bool) Victim {
 	if st == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	c.own()
+	c.untouched = false
 	set := c.setFor(lineAddr)
 	if c.find(set, lineAddr) >= 0 {
 		panic(fmt.Sprintf("cache %s: Fill(%s) but line already present", c.cfg.Name, lineAddr))

@@ -7,17 +7,21 @@ import (
 
 // Packed captures of hierarchy contents.
 //
-// A PackedState is the compact twin of the copy-on-write HierarchyState,
-// for a state that many runs start from but none continues: only the
-// valid L1 and L2 lines are kept, each with its slot index, beside the
-// levels' LRU ticks and the (small) TLB and victim-buffer arrays. Loading
-// one clears the target hierarchy's own arrays and scatters the lines
-// back, so it shares no storage with the capture, costs a pass over the
-// target's slots, and keeps nothing alive but the packed lines — where a
-// sealed snapshot keeps every slot of every level, valid or not.
+// A PackedState is the machine state many runs start from but none
+// continues: only the valid L1 and L2 lines are kept, each with its slot
+// index, beside the levels' LRU ticks and the (small) TLB and
+// victim-buffer arrays. Loading one clears the target hierarchy's own
+// arrays and scatters the lines back, so it shares no storage with the
+// capture, costs a pass over the target's slots, and keeps nothing alive
+// but the packed lines.
 //
 // A capture holds contents, not statistics: a loaded hierarchy starts
 // with zeroed counters, exactly as after a measured-region boundary.
+//
+// Loading marks every component untouched; the component's first
+// lookup, fill, translation or reset clears the mark. UntouchedComponents
+// reads the marks, so a warm point can report which components its
+// measured run never reached.
 
 // packedCache is the valid-line content of one cache level.
 type packedCache struct {
@@ -41,21 +45,17 @@ func (c *Cache) pack() packedCache {
 }
 
 // unpack replaces the cache's contents with a capture of the same shape:
-// private storage, cleared, the captured lines scattered back, counters
-// zeroed.
+// cleared, the captured lines scattered back, counters zeroed, marked
+// untouched.
 func (c *Cache) unpack(p packedCache) {
-	if c.cow {
-		c.sets = make([]line, len(c.sets))
-		c.cow = false
-	} else {
-		clear(c.sets)
-	}
+	clear(c.sets)
 	for k, i := range p.idx {
 		c.sets[i] = p.lines[k]
 	}
 	c.tick = p.tick
 	c.stats = Stats{}
 	c.last = nil
+	c.untouched = true
 }
 
 func (p *packedCache) memBytes() int64 {
@@ -73,8 +73,9 @@ type PackedState struct {
 	victimTick uint64
 }
 
-// Pack captures the hierarchy's contents. Like Snapshot it refuses while
-// a miss-classification shadow is attached.
+// Pack captures the hierarchy's contents. It refuses while a
+// miss-classification shadow is attached: the shadow holds per-access
+// history a capture does not carry.
 func (h *Hierarchy) Pack() (*PackedState, error) {
 	if h.L1.classify != nil || h.L2.classify != nil {
 		return nil, fmt.Errorf("cache: cannot pack with miss classification enabled")
@@ -92,8 +93,8 @@ func (h *Hierarchy) Pack() (*PackedState, error) {
 }
 
 // Unpack replaces the hierarchy's contents with a packed capture's,
-// zeroes its counters (the memory source's included), and clears every
-// pointer hint. The hierarchy must be shape-compatible with the captured
+// zeroes its counters (the memory source's included), clears every
+// pointer hint, and marks every component untouched. The hierarchy must be shape-compatible with the captured
 // one: same cache geometries, same TLB and victim-buffer presence.
 func (h *Hierarchy) Unpack(ps *PackedState) error {
 	if h.L1.classify != nil || h.L2.classify != nil {
@@ -114,18 +115,18 @@ func (h *Hierarchy) Unpack(ps *PackedState) error {
 	h.L1.unpack(ps.l1)
 	h.L2.unpack(ps.l2)
 	if t := h.TLB; t != nil {
-		t.own()
 		copy(t.sets, ps.tlb)
 		t.tick = ps.tlbTick
 		t.stats = TLBStats{}
 		t.last = nil
 		t.hints = [tlbHintSlots]*tlbEntry{}
+		t.untouched = true
 	}
 	if v := h.victims; v != nil {
-		v.own()
 		copy(v.entries, ps.victims)
 		v.tick = ps.victimTick
 		v.stats = VictimStats{}
+		v.untouched = true
 	}
 	if m, ok := h.Source.(*MemorySource); ok {
 		m.Fetches = 0
@@ -139,4 +140,25 @@ func (ps *PackedState) MemBytes() int64 {
 	return ps.l1.memBytes() + ps.l2.memBytes() +
 		int64(len(ps.tlb))*int64(unsafe.Sizeof(tlbEntry{})) +
 		int64(len(ps.victims))*int64(unsafe.Sizeof(victimEntry{}))
+}
+
+// UntouchedComponents reports which of the hierarchy's components no
+// access or reset has reached since a capture was last loaded into it,
+// as a subset of {"l1", "l2", "tlb", "victim"}. A hierarchy never loaded
+// from a capture reports none.
+func (h *Hierarchy) UntouchedComponents() []string {
+	var out []string
+	if h.L1.untouched {
+		out = append(out, "l1")
+	}
+	if h.L2.untouched {
+		out = append(out, "l2")
+	}
+	if h.TLB != nil && h.TLB.untouched {
+		out = append(out, "tlb")
+	}
+	if h.victims != nil && h.victims.untouched {
+		out = append(out, "victim")
+	}
+	return out
 }

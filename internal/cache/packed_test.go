@@ -9,35 +9,11 @@ import (
 	"repro/internal/memsim"
 )
 
-// TestSnapshotMemBytes pins what a sealed hierarchy snapshot holds: one
-// 24-byte record (tag, state, LRU stamp) per slot of each level, TLB and
-// victim buffer — no line data, which the caches do not model.
-func TestSnapshotMemBytes(t *testing.T) {
-	if got := unsafe.Sizeof(line{}); got != 24 {
-		t.Fatalf("line record is %d bytes, want 24", got)
-	}
-	h, _ := testHierarchy()
-	h.TLB = NewTLB(TLBConfig{Entries: 64, Assoc: 4, PageSize: 4096, MissLatency: 20})
-	h.EnableVictimBuffer(8, 1)
-	st, err := h.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(len(h.L1.sets)+len(h.L2.sets))*24 + int64(len(h.TLB.sets))*int64(unsafe.Sizeof(tlbEntry{})) +
-		int64(len(h.victims.entries))*int64(unsafe.Sizeof(victimEntry{}))
-	if got := st.MemBytes(); got != want {
-		t.Errorf("MemBytes = %d, want %d", got, want)
-	}
-	// 1KB L1 + 8KB L2 of 32-byte lines: 32 + 256 slots.
-	if len(h.L1.sets) != 32 || len(h.L2.sets) != 256 {
-		t.Errorf("slots %d + %d, want 32 + 256", len(h.L1.sets), len(h.L2.sets))
-	}
-}
-
 // TestPackUnpackRoundTrip checks that a packed capture restores exactly
 // the captured contents — every slot, tick, TLB and victim entry — into a
-// hierarchy that has since run other accesses (and into one sealed by a
-// snapshot), with zeroed counters, and that it holds only valid lines.
+// hierarchy that has since run other accesses, with zeroed counters and
+// every component marked untouched until its next access, and that it
+// holds only valid lines.
 func TestPackUnpackRoundTrip(t *testing.T) {
 	build := func() *Hierarchy {
 		h, _ := testHierarchy()
@@ -65,11 +41,14 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 	dst := build()
 	access(dst, 500)
-	if _, err := dst.Snapshot(); err != nil { // seal: unpack must not write through
-		t.Fatal(err)
+	if got := dst.UntouchedComponents(); len(got) != 0 {
+		t.Errorf("hierarchy never loaded from a capture reports %v untouched", got)
 	}
 	if err := dst.Unpack(ps); err != nil {
 		t.Fatal(err)
+	}
+	if got := dst.UntouchedComponents(); !reflect.DeepEqual(got, []string{"l1", "l2", "tlb", "victim"}) {
+		t.Errorf("after unpack, untouched components %v, want all four", got)
 	}
 	if !reflect.DeepEqual(dst.L1.sets, src.L1.sets) || !reflect.DeepEqual(dst.L2.sets, src.L2.sets) ||
 		dst.L1.tick != src.L1.tick || dst.L2.tick != src.L2.tick {
@@ -96,6 +75,9 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if err := dst.CheckInclusion(); err != nil {
 		t.Error(err)
+	}
+	if got := dst.UntouchedComponents(); len(got) != 0 {
+		t.Errorf("after 2000 accesses, untouched components %v", got)
 	}
 	wantBytes := int64(len(ps.l1.lines)+len(ps.l2.lines))*(24+4) +
 		16*int64(unsafe.Sizeof(tlbEntry{})) + 4*int64(unsafe.Sizeof(victimEntry{}))

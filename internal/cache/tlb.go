@@ -81,9 +81,9 @@ type TLB struct {
 	// R10000's fully-associative TLB where the scan is all 64 entries.
 	hints [tlbHintSlots]*tlbEntry
 
-	// cow marks sets as sealed to a snapshot: the next access copies it
-	// into private storage first (see snapshot.go).
-	cow bool
+	// untouched reports that no translation or reset has reached the
+	// TLB since a capture was loaded into it (see packed.go).
+	untouched bool
 }
 
 // tlbHintSlots is the translation hint table size (power of two).
@@ -125,16 +125,8 @@ func (t *TLB) Stats() TLBStats { return t.stats }
 
 // Reset empties the TLB and zeroes its statistics.
 func (t *TLB) Reset() {
-	if t.cow {
-		// Borrowed snapshot storage: allocate fresh zeroed entries
-		// rather than copy-then-zero; the seal stays untouched.
-		t.sets = make([]tlbEntry, len(t.sets))
-		t.cow = false
-	} else {
-		for i := range t.sets {
-			t.sets[i] = tlbEntry{}
-		}
-	}
+	clear(t.sets)
+	t.untouched = false
 	t.tick = 0
 	t.stats = TLBStats{}
 	t.last = nil
@@ -153,7 +145,7 @@ func (t *TLB) EmitMetrics(emit func(name string, value int64)) {
 // Access translates addr, returning the cycle cost (0 on a hit, the miss
 // latency on a refill). Misses install the page, LRU within the set.
 func (t *TLB) Access(addr memsim.Addr) int64 {
-	t.own()
+	t.untouched = false
 	t.stats.Accesses++
 	page := addr >> t.setShift
 	t.tick++
@@ -196,7 +188,7 @@ func (t *TLB) Access(addr memsim.Addr) int64 {
 // same-page access can re-touch one — after re-verifying its page and
 // validity — without the set scan.
 func (t *TLB) entryPtr(addr memsim.Addr) *tlbEntry {
-	t.own()
+	t.untouched = false
 	page := addr >> t.setShift
 	setIdx := int(page & t.setMask)
 	set := t.sets[setIdx*t.cfg.Assoc : (setIdx+1)*t.cfg.Assoc]
@@ -213,9 +205,6 @@ func (t *TLB) entryPtr(addr memsim.Addr) *tlbEntry {
 // none of the set scan. The caller guarantees the entry is still the valid
 // translation of the accessed page by checking it immediately beforehand.
 func (t *TLB) touchFast(e *tlbEntry) {
-	if t.cow {
-		panic("cache: TLB touchFast through a pointer into sealed storage")
-	}
 	t.stats.Accesses++
 	t.tick++
 	e.lru = t.tick

@@ -24,9 +24,10 @@ type victimBuffer struct {
 	tick    uint64
 	stats   VictimStats
 
-	// cow marks entries as sealed to a snapshot: mutators copy it into
-	// private storage first (see snapshot.go).
-	cow bool
+	// untouched reports that no lookup, insert, coherence action or
+	// reset has reached the buffer since a capture was loaded into it
+	// (see packed.go).
+	untouched bool
 }
 
 type victimEntry struct {
@@ -45,7 +46,7 @@ func newVictimBuffer(entries int, lat int64) *victimBuffer {
 
 // take removes and returns the entry for addr, if present.
 func (v *victimBuffer) take(addr memsim.Addr) (State, bool) {
-	v.own()
+	v.untouched = false
 	for i := range v.entries {
 		if v.entries[i].state != Invalid && v.entries[i].addr == addr {
 			st := v.entries[i].state
@@ -59,7 +60,7 @@ func (v *victimBuffer) take(addr memsim.Addr) (State, bool) {
 
 // insert records an evicted L1 line, displacing the LRU entry.
 func (v *victimBuffer) insert(addr memsim.Addr, st State) {
-	v.own()
+	v.untouched = false
 	v.tick++
 	victim := 0
 	for i := range v.entries {
@@ -78,7 +79,7 @@ func (v *victimBuffer) insert(addr memsim.Addr, st State) {
 // invalidate drops any entry covered by the L2-line range [addr,
 // addr+span) (coherence or back-invalidation).
 func (v *victimBuffer) invalidate(addr memsim.Addr, span int) {
-	v.own()
+	v.untouched = false
 	for i := range v.entries {
 		e := &v.entries[i]
 		if e.state != Invalid && e.addr >= addr && e.addr < addr+memsim.Addr(span) {
@@ -89,7 +90,7 @@ func (v *victimBuffer) invalidate(addr memsim.Addr, span int) {
 
 // downgrade demotes covered Modified entries to Shared.
 func (v *victimBuffer) downgrade(addr memsim.Addr, span int) (hadModified bool) {
-	v.own()
+	v.untouched = false
 	for i := range v.entries {
 		e := &v.entries[i]
 		if e.state == Modified && e.addr >= addr && e.addr < addr+memsim.Addr(span) {
@@ -102,14 +103,8 @@ func (v *victimBuffer) downgrade(addr memsim.Addr, span int) (hadModified bool) 
 
 // Reset clears entries and statistics.
 func (v *victimBuffer) Reset() {
-	if v.cow {
-		v.entries = make([]victimEntry, len(v.entries))
-		v.cow = false
-	} else {
-		for i := range v.entries {
-			v.entries[i] = victimEntry{}
-		}
-	}
+	clear(v.entries)
+	v.untouched = false
 	v.tick = 0
 	v.stats = VictimStats{}
 }

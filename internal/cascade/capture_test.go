@@ -172,3 +172,229 @@ func TestCaptureRejectsShapeChanges(t *testing.T) {
 		t.Errorf("engine change rejected: %v", err)
 	}
 }
+
+// The warm-prefix differentials: a tail run from a machine loaded with a
+// capture of a warm prefix, over a space loaded with the prefix's space
+// checkpoint, must be bit-identical — Result, every metric, every array
+// value — to the same prefix and tail run on one fresh machine, with the
+// host-parallel engine knob in both positions. This is what the
+// experiments' warm prefixes (PrefixState.fork) do per point.
+
+// tailSpec is one divergent tail run off a shared prefix.
+type tailSpec struct {
+	name      string
+	chunk     int
+	helper    cascade.Helper
+	keepState bool
+	parallel  machine.Parallel
+}
+
+func forkTails() []tailSpec {
+	return []tailSpec{
+		{name: "warm-prefetch-64k", chunk: 64 << 10, helper: cascade.HelperPrefetch, keepState: true},
+		{name: "warm-prefetch-8k", chunk: 8 << 10, helper: cascade.HelperPrefetch, keepState: true},
+		{name: "warm-restructure-16k", chunk: 16 << 10, helper: cascade.HelperRestructure, keepState: true},
+		{name: "replay-parallel-on", chunk: 4 << 10, helper: cascade.HelperPrefetch, parallel: machine.ParallelOn},
+		{name: "replay-parallel-off", chunk: 4 << 10, helper: cascade.HelperPrefetch},
+		{name: "replay-restructure-parallel", chunk: 8 << 10, helper: cascade.HelperRestructure, parallel: machine.ParallelOn},
+	}
+}
+
+// warmPrefix runs the shared prefix of the fork tests on a fresh machine:
+// one full cascaded call of the seed loop with its data distributed by
+// the prior parallel section, leaving warm caches.
+func warmPrefix(t *testing.T, cfg machine.Config, seed int64, chunk int) (*machine.Machine, *memsim.Space, *loopir.Loop) {
+	t.Helper()
+	s, l := cascade.RandomLoop(seed)
+	m := machine.MustNew(cfg)
+	opts := cascade.Options{Helper: cascade.HelperPrefetch, ChunkBytes: chunk, JumpOut: true, Space: s, PriorParallel: true}
+	if _, err := cascade.Run(m, l, opts); err != nil {
+		t.Fatal(err)
+	}
+	return m, s, l
+}
+
+// loadWarm builds a machine of cfg holding capture and a fresh copy of
+// the seed loop whose space holds the checkpointed values.
+func loadWarm(t *testing.T, cfg machine.Config, capture *machine.Capture, seed int64, ck *memsim.SpaceState) (*machine.Machine, *memsim.Space, *loopir.Loop) {
+	t.Helper()
+	m := machine.MustNew(cfg)
+	if err := m.LoadCapture(capture); err != nil {
+		t.Fatal(err)
+	}
+	s, l := cascade.RandomLoop(seed)
+	if err := s.LoadState(ck); err != nil {
+		t.Fatal(err)
+	}
+	return m, s, l
+}
+
+// TestForkDifferential runs divergent tails off one captured prefix and
+// checks each against a twin that ran the identical prefix and tail on a
+// fresh machine, with no capture involved.
+func TestForkDifferential(t *testing.T) {
+	const seed = 41
+	cfg := machine.PentiumPro(4)
+	mWarm, sWarm, _ := warmPrefix(t, cfg, seed, 16<<10)
+	capture, err := mWarm.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaceCk := sWarm.Checkpoint()
+
+	for _, spec := range forkTails() {
+		spec := spec
+		t.Run(spec.name, func(t *testing.T) {
+			m, s, l := loadWarm(t, cfg.WithParallel(spec.parallel), capture, seed, spaceCk)
+			tail := cascade.Options{Helper: spec.helper, ChunkBytes: spec.chunk, JumpOut: true, KeepState: spec.keepState, Space: s}
+			warmRes, err := cascade.Run(m, l, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Fresh path: identical prefix and tail on one machine. The
+			// prefix runs under the tail's Parallel knob, which cannot
+			// change simulated results (the parallel-engine
+			// differentials assert it).
+			mFresh, sFresh, lFresh := warmPrefix(t, cfg.WithParallel(spec.parallel), seed, 16<<10)
+			tail.Space = sFresh
+			freshRes, err := cascade.Run(mFresh, lFresh, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if !reflect.DeepEqual(warmRes, freshRes) {
+				t.Errorf("tail Result from the capture differs from the fresh run:\nwarm:  %+v\nfresh: %+v", warmRes, freshRes)
+			}
+			if !reflect.DeepEqual(spaceValues(s), spaceValues(sFresh)) {
+				t.Error("array values from the capture differ from the fresh run")
+			}
+		})
+	}
+}
+
+// TestForkSharesUntouchedComponents pins the untouched marks: a machine
+// loaded from a capture reports every component untouched until a run
+// reaches it, a machine never loaded reports none, and running one
+// machine off a capture leaves another loaded from it untouched and able
+// to run the identical tail to the identical Result.
+func TestForkSharesUntouchedComponents(t *testing.T) {
+	const seed = 7
+	cfg := machine.PentiumPro(4)
+	m, s, _ := warmPrefix(t, cfg, seed, 16<<10)
+	if got := m.UntouchedComponents(); len(got) != 0 {
+		t.Fatalf("machine never loaded from a capture reports %v untouched", got)
+	}
+	capture, err := m.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := s.Checkpoint()
+
+	const want = 4 * 3 // 4 procs x (l1, l2, tlb); no victim buffer configured
+	a, sa, la := loadWarm(t, cfg, capture, seed, ck)
+	b, sb, lb := loadWarm(t, cfg, capture, seed, ck)
+	if got := a.UntouchedComponents(); len(got) != want {
+		t.Fatalf("loaded machine reports %d untouched components (%v), want %d", len(got), got, want)
+	}
+	tail := cascade.Options{Helper: cascade.HelperPrefetch, ChunkBytes: 16 << 10, JumpOut: true, KeepState: true}
+	tail.Space = sa
+	ra, err := cascade.Run(a, la, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(a.UntouchedComponents()); got == want {
+		t.Fatalf("machine still reports all %d components untouched after running a tail", got)
+	}
+	if got := len(b.UntouchedComponents()); got != want {
+		t.Fatalf("second machine reports %d of %d components untouched without running anything", got, want)
+	}
+	tail.Space = sb
+	rb, err := cascade.Run(b, lb, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.Cycles <= 0 || !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("two tails off one capture differ (cycles %d, %d)", ra.Cycles, rb.Cycles)
+	}
+}
+
+// TestRandomForkDifferential is the randomized variant: for each seed, a
+// random tail run off a random captured prefix must match its fresh twin
+// bitwise. The full 1024-seed sweep runs in regular mode; -short trims it.
+func TestRandomForkDifferential(t *testing.T) {
+	seeds := 1024
+	if testing.Short() {
+		seeds = 32
+	}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed) ^ 0xf02c))
+		var cfg machine.Config
+		if rng.Intn(2) == 0 {
+			cfg = machine.PentiumPro(2 + rng.Intn(3))
+		} else {
+			cfg = machine.R10000(2 + rng.Intn(3))
+		}
+		prefixChunk := 1 << (10 + rng.Intn(5))
+		tail := cascade.Options{
+			Helper:     cascade.Helper(rng.Intn(2)),
+			ChunkBytes: 1 << (10 + rng.Intn(5)),
+			JumpOut:    rng.Intn(4) != 0,
+			KeepState:  true,
+		}
+
+		mW, sW, _ := warmPrefix(t, cfg, int64(seed), prefixChunk)
+		capture, err := mW.Capture()
+		if err != nil {
+			t.Fatalf("seed %d capture: %v", seed, err)
+		}
+		m, s, l := loadWarm(t, cfg, capture, int64(seed), sW.Checkpoint())
+		tail.Space = s
+		warmRes, err := cascade.Run(m, l, tail)
+		if err != nil {
+			t.Fatalf("seed %d warm tail: %v", seed, err)
+		}
+
+		mF, sF, lF := warmPrefix(t, cfg, int64(seed), prefixChunk)
+		tail.Space = sF
+		freshRes, err := cascade.Run(mF, lF, tail)
+		if err != nil {
+			t.Fatalf("seed %d fresh tail: %v", seed, err)
+		}
+
+		if !reflect.DeepEqual(warmRes, freshRes) {
+			t.Fatalf("seed %d (cfg %s/%d, tail %+v): Result from the capture differs from fresh", seed, cfg.Name, cfg.Procs, tail)
+		}
+		if !reflect.DeepEqual(spaceValues(s), spaceValues(sF)) {
+			t.Fatalf("seed %d: array values from the capture differ from fresh", seed)
+		}
+	}
+}
+
+// TestForkRejectsShapeChanges pins the load-compatibility contract beyond
+// TestCaptureRejectsShapeChanges: the Parallel speed knob may change, and
+// neither capturing nor loading works with a classification shadow
+// attached.
+func TestForkRejectsShapeChanges(t *testing.T) {
+	_, l := cascade.RandomLoop(3)
+	m := machine.MustNew(machine.PentiumPro(2))
+	cascade.RunSequential(m, l, false)
+	capture, err := m.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := machine.MustNew(machine.PentiumPro(4)).LoadCapture(capture); err == nil {
+		t.Error("LoadCapture accepted a processor-count change")
+	}
+	if err := machine.MustNew(machine.PentiumPro(2).WithParallel(machine.ParallelOn)).LoadCapture(capture); err != nil {
+		t.Errorf("LoadCapture rejected a speed-knob change: %v", err)
+	}
+	classified := machine.MustNew(machine.PentiumPro(2))
+	classified.EnableClassification()
+	if _, err := classified.Capture(); err == nil {
+		t.Error("Capture accepted a machine with classification enabled")
+	}
+	if err := classified.LoadCapture(capture); err == nil {
+		t.Error("LoadCapture accepted a machine with classification enabled")
+	}
+}

@@ -79,15 +79,6 @@ type Options struct {
 	// repeatedly-invoked subroutine, like the paper's 12th-of-5000
 	// PARMVR call. Statistics are still reset.
 	KeepState bool
-	// CheckpointSink, when set, receives a Checkpoint at every chunk
-	// boundary matching the machine's CheckpointEvery cadence (every
-	// chunk when the cadence is zero). Sinks force the serial engine —
-	// checkpoints are quiescent-point captures — and require Space (the
-	// checkpoint must cover array values). A sink observes the run
-	// without changing it: run-with-sink and run-without-sink produce
-	// bit-identical Results, and the field is excluded from canonical
-	// cache keys.
-	CheckpointSink func(*Checkpoint) `json:"-"`
 }
 
 // DefaultChunkBytes is the chunk size the paper found best on both
@@ -163,12 +154,6 @@ func WithPriorParallel(on bool) Option { return func(o *Options) { o.PriorParall
 // steady-state measurements of repeatedly-invoked loops.
 func WithKeepState(on bool) Option { return func(o *Options) { o.KeepState = on } }
 
-// WithCheckpointSink installs a checkpoint receiver (see
-// Options.CheckpointSink).
-func WithCheckpointSink(sink func(*Checkpoint)) Option {
-	return func(o *Options) { o.CheckpointSink = sink }
-}
-
 // NewOptions builds a validated Options value: the paper's headline
 // configuration (prefetch helper, 64KB chunks, jump-out, prior parallel
 // section) with the given adjustments applied in order.
@@ -194,9 +179,6 @@ func (o Options) Validate() error {
 	}
 	if o.Helper == HelperRestructure && o.Space == nil {
 		return fmt.Errorf("cascade: HelperRestructure requires Options.Space for sequential buffers")
-	}
-	if o.CheckpointSink != nil && o.Space == nil {
-		return fmt.Errorf("cascade: CheckpointSink requires Options.Space (checkpoints capture array values)")
 	}
 	return nil
 }

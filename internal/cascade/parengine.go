@@ -148,11 +148,6 @@ func newParEngine(st *chunkState, chunks []Chunk) *parEngine {
 	if st.opts.KeepState || st.opts.PriorParallel {
 		return nil
 	}
-	if st.opts.CheckpointSink != nil {
-		// Checkpoints are quiescent-point captures taken at serial chunk
-		// boundaries; a run that wants them runs serially.
-		return nil
-	}
 	for p := 0; p < P; p++ {
 		if st.m.Proc(p).Observed() {
 			return nil

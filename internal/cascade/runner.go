@@ -16,8 +16,8 @@ import (
 func phaseTimer(m *machine.Machine) *metrics.PhaseTimer {
 	t := m.Metrics().PhaseTimer(TimerName, PhaseHelper, PhaseExec, PhaseTransfer, PhaseWait)
 	// Pre-size to the machine: the snapshot key shape must not depend on
-	// which processors have been charged, or a forked machine's metrics
-	// would differ in shape from the machine it was forked from.
+	// which processors have been charged, or a machine's metrics would
+	// differ in shape from run to run.
 	t.Grow(m.Procs())
 	return t
 }
@@ -176,7 +176,8 @@ func Run(m *machine.Machine, l *loopir.Loop, opts Options) (Result, error) {
 
 	if eng := newParEngine(st, chunks); eng != nil {
 		// Concurrent workers write the loop's arrays (and buffers)
-		// directly. Materialize any checkpoint-sealed storage up front:
+		// directly. Materialize any space-checkpoint-sealed storage up
+		// front:
 		// two goroutines racing the lazy copy-on-write would each copy
 		// independently and one copy's writes would be lost.
 		for _, a := range l.Arrays() {
@@ -186,8 +187,10 @@ func Run(m *machine.Machine, l *loopir.Loop, opts Options) (Result, error) {
 			b.Array().Materialize()
 		}
 		eng.run()
-	} else if err := st.runSerial(chunks, 0); err != nil {
-		return Result{}, err
+	} else {
+		for k, ch := range chunks {
+			st.runChunk(k, ch)
+		}
 	}
 
 	res.Cycles = st.t

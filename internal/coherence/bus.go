@@ -118,31 +118,6 @@ func (b *Bus) EmitMetrics(emit func(name string, value int64)) {
 	emit("writebacks", s.Writebacks)
 }
 
-// SnapshotShards returns a copy of the per-port transaction counters, for
-// machine snapshots. It panics if the bus is isolated: isolation is a
-// transient parallel-scheduler state that must never appear at a
-// snapshot's quiescent point.
-func (b *Bus) SnapshotShards() []Stats {
-	if b.isolated {
-		panic("coherence: SnapshotShards on an isolated bus")
-	}
-	out := make([]Stats, len(b.shards))
-	copy(out, b.shards)
-	return out
-}
-
-// RestoreShards overwrites the per-port transaction counters from a
-// snapshot taken on a bus with the same number of ports.
-func (b *Bus) RestoreShards(shards []Stats) {
-	if b.isolated {
-		panic("coherence: RestoreShards on an isolated bus")
-	}
-	if len(shards) != len(b.shards) {
-		panic(fmt.Sprintf("coherence: RestoreShards with %d shards, bus has %d ports", len(shards), len(b.shards)))
-	}
-	copy(b.shards, shards)
-}
-
 // SetIsolated switches the bus between snooping and isolated operation
 // (see the Bus type comment). Callers must guarantee both that the
 // simulation is quiescent at the moment of the toggle and that, while

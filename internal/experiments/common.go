@@ -192,9 +192,9 @@ var hostParallel machine.Parallel
 
 // SetParallel selects the host-parallel simulation engine for every
 // machine the experiments build. The knob is semantically transparent —
-// parallel runs are bit-identical to serial ones — but it stays in the
-// canonical cache key when on, so parallel sweeps never share disk-cache
-// entries with serial golden runs. Call before running experiments.
+// parallel runs are bit-identical to serial ones — so it is left out of
+// every cache key: parallel and serial sweeps share point, job and
+// prefix entries. Call before running experiments.
 func SetParallel(on bool) {
 	if on {
 		hostParallel = machine.ParallelOn

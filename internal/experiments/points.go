@@ -73,6 +73,45 @@ type PointSpec struct {
 	Variant string `json:"variant,omitempty"`
 }
 
+// Validate checks the field ranges every decomposition's specs hold: a
+// non-negative index, a known machine preset, at least one processor, an
+// empty or known strategy token, a chunk budget for a cascaded strategy,
+// and no negative scale, chunk budget, array length or warm-up count. A
+// worker refuses a spec that fails it before the spec takes an execution
+// slot.
+func (ps PointSpec) Validate() error {
+	if ps.Index < 0 {
+		return fmt.Errorf("point spec: index %d (want >= 0)", ps.Index)
+	}
+	if _, err := machineByName(ps.Machine); err != nil {
+		return fmt.Errorf("point spec: %w", err)
+	}
+	if ps.Procs < 1 {
+		return fmt.Errorf("point spec: procs %d (want >= 1)", ps.Procs)
+	}
+	if ps.Strategy != "" {
+		strat, err := ParseStrategy(ps.Strategy)
+		if err != nil {
+			return fmt.Errorf("point spec: %w", err)
+		}
+		if strat != Sequential && ps.ChunkKB <= 0 && ps.ChunkBytes <= 0 {
+			return fmt.Errorf("point spec: %s strategy with no chunk budget (chunk_kb %d, chunk_bytes %d)", ps.Strategy, ps.ChunkKB, ps.ChunkBytes)
+		}
+	}
+	if !(ps.Scale >= 0) {
+		return fmt.Errorf("point spec: scale %g (want >= 0)", ps.Scale)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"chunk_kb", ps.ChunkKB}, {"chunk_bytes", ps.ChunkBytes}, {"n", ps.N}, {"warmup", ps.Warmup}} {
+		if f.v < 0 {
+			return fmt.Errorf("point spec: %s %d (want >= 0)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // PointResult is the serializable outcome of running one PointSpec: the
 // raw measurements merges need, never derived ratios — speedups are
 // computed at merge time, with the arithmetic of the whole-experiment
@@ -85,8 +124,8 @@ type PointResult struct {
 	TotalIters  int64            `json:"total_iters,omitempty"`
 	Chunks      int              `json:"chunks,omitempty"`
 	Metrics     metrics.Snapshot `json:"metrics,omitempty"`
-	// Shared counts the machine components a warm-started point's fork
-	// still shared with its prefix snapshot after the measured call
+	// Shared counts the machine components a warm-started point's
+	// measured call never accessed since the prefix capture was loaded
 	// (warmsweep rows report it; cold sweeps omit it).
 	Shared int `json:"shared_components,omitempty"`
 	// Loops holds one entry per PARMVR loop for the merges that report

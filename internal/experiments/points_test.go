@@ -127,6 +127,50 @@ func TestDecomposeDeterministic(t *testing.T) {
 	}
 }
 
+// TestPointSpecsValidate pins that PointSpec.Validate accepts every spec
+// every built-in decomposition plans, over several run configurations,
+// and refuses each out-of-range field.
+func TestPointSpecsValidate(t *testing.T) {
+	for _, rc := range []RunConfig{
+		DefaultRunConfig(),
+		{Scale: 0.01, ChunkBytes: 4 << 10, N: 1 << 10},
+		{Scale: 2, ChunkBytes: 256 << 10, N: 1 << 16},
+	} {
+		for _, e := range Registry() {
+			specs, _ := Decompose(e.Name, rc)
+			for _, ps := range specs {
+				if err := ps.Validate(); err != nil {
+					t.Errorf("%s at %+v: point %d: %v", e.Name, rc, ps.Index, err)
+				}
+			}
+		}
+	}
+
+	specs, _ := Decompose("fig6", DefaultRunConfig())
+	good := specs[len(specs)-1]
+	if good.Strategy == Sequential.Token() {
+		t.Fatalf("last fig6 point %+v is sequential, want a cascaded one", good)
+	}
+	for name, bad := range map[string]func(*PointSpec){
+		"index":       func(ps *PointSpec) { ps.Index = -1 },
+		"machine":     func(ps *PointSpec) { ps.Machine = "Nope" },
+		"procs":       func(ps *PointSpec) { ps.Procs = 0 },
+		"strategy":    func(ps *PointSpec) { ps.Strategy = "bogus" },
+		"scale":       func(ps *PointSpec) { ps.Scale = -1 },
+		"chunk_kb":    func(ps *PointSpec) { ps.ChunkKB = 0 },
+		"neg chunk":   func(ps *PointSpec) { ps.ChunkKB = -64 },
+		"chunk_bytes": func(ps *PointSpec) { ps.ChunkBytes = -1 },
+		"n":           func(ps *PointSpec) { ps.N = -1 },
+		"warmup":      func(ps *PointSpec) { ps.Warmup = -1 },
+	} {
+		ps := good
+		bad(&ps)
+		if err := ps.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, ps)
+		}
+	}
+}
+
 // TestStrategyTokens pins the spec tokens (they feed point keys — a
 // change would silently invalidate every cached point) and their parse
 // inverse.

@@ -18,9 +18,9 @@ import (
 // start state of every loop of a cold call — and differ only in the tail
 // (strategy, chunk size). A decomposition that declares its points'
 // prefixes lets a worker, or RunDecomposed, simulate each distinct prefix
-// once and park it in a bounded LRU: a sealed machine.Snapshot forked per
-// point, or one packed machine.Capture per loop loaded per point. O(points
-// x full-run) becomes O(prefixes x prefix + points x tail). A cached
+// once and park it in a bounded LRU as packed machine.Captures, loaded per
+// point: one for a warm prefix, one per loop for a cold-call prefix.
+// O(points x full-run) becomes O(prefixes x prefix + points x tail). A cached
 // cold-call prefix also memoizes the PARMVR calls run off it (memoCall),
 // so points of different sweeps that make the same call share one
 // simulation; a server's cache lives as long as the process (Holder).
@@ -42,13 +42,13 @@ type PrefixSpec struct {
 	Procs   int    `json:"procs"`
 	// Scale is the PARMVR dataset scale factor.
 	Scale float64 `json:"scale"`
-	// WarmupCalls sequential full-PARMVR calls run before the snapshot of
+	// WarmupCalls sequential full-PARMVR calls run before the capture of
 	// a warm prefix.
 	WarmupCalls int `json:"warmup_calls"`
 	// Distribute selects the prefix kind. True is a warm prefix: the
 	// surrounding parallel phases distribute the whole dataset's lines
-	// dirty across caches, the warm-up calls run, and the machine is
-	// sealed in a copy-on-write snapshot. False is a cold-call prefix:
+	// dirty across caches, the warm-up calls run, and the machine's caches
+	// are captured. False is a cold-call prefix:
 	// for every PARMVR loop, the state that loop of a cold call starts
 	// from (caches reset, then the loop's own data distributed dirty by
 	// the parallel section before it), held as a packed capture.
@@ -57,11 +57,11 @@ type PrefixSpec struct {
 
 // PrefixState is a built prefix, immutable once built: any number of
 // points run off one state concurrently, without a lock. A warm prefix
-// holds the sealed machine snapshot and the space checkpoint every point
-// forks from; each point builds its own dataset and loads the checkpoint
-// into it (memsim.Space.LoadState). A cold-call prefix holds one capture
-// per loop, which points load into their own machines over their own
-// datasets.
+// holds the machine capture and the space checkpoint every point starts
+// from; each point builds its own machine and dataset and loads both
+// (machine.LoadCapture, memsim.Space.LoadState). A cold-call prefix holds
+// one capture per loop, which points load into their own machines over
+// their own datasets.
 type PrefixState struct {
 	Spec PrefixSpec
 	Key  string
@@ -71,7 +71,7 @@ type PrefixState struct {
 	mem int64
 
 	// Warm prefixes.
-	snap *machine.Snapshot
+	warm *machine.Capture
 	ck   *memsim.SpaceState
 
 	// Cold-call prefixes: starts[i] is the start state of the loop
@@ -89,9 +89,9 @@ type PrefixState struct {
 	callMem  atomic.Int64
 }
 
-// MemBytes is the host memory the state retains: a warm prefix's sealed
-// snapshot arrays and checkpointed address space, or a cold-call prefix's
-// packed captures, plus the results its call memo stores.
+// MemBytes is the host memory the state retains: a warm prefix's packed
+// capture and checkpointed address space, or a cold-call prefix's packed
+// captures, plus the results its call memo stores.
 func (st *PrefixState) MemBytes() int64 { return st.mem + st.callMem.Load() }
 
 // parmvrCall names one PARMVR call off a cold-call prefix. The prefix
@@ -180,7 +180,7 @@ func (c *PrefixCache) settle(st *PrefixState, k parmvrCall, f *callFlight) {
 // BuildPrefix simulates a prefix from scratch: dataset build and machine
 // construction, then either every loop's cold-call start state, captured
 // (a cold-call prefix), or the data distribution plus the warm-up calls,
-// sealed with a snapshot and a space checkpoint (a warm prefix).
+// captured with a space checkpoint (a warm prefix).
 func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	cfg, err := machineByName(spec.Machine)
 	if err != nil {
@@ -219,11 +219,11 @@ func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	if err := runWarmPrefix(ctx, m, w, spec.WarmupCalls); err != nil {
 		return nil, err
 	}
-	if st.snap, err = m.Snapshot(); err != nil {
+	if st.warm, err = m.Capture(); err != nil {
 		return nil, err
 	}
 	st.ck = w.Space.Checkpoint()
-	st.mem = st.snap.MemBytes()
+	st.mem = st.warm.MemBytes()
 	for _, a := range w.Space.Arrays() {
 		st.mem += int64(a.SizeBytes())
 	}
@@ -231,7 +231,7 @@ func BuildPrefix(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 }
 
 // fork gives a warm point its own machine and dataset at the prefix's
-// end: a fork of the sealed snapshot, and a freshly built dataset
+// end: a new machine with the capture loaded, and a freshly built dataset
 // holding the checkpointed values copy-on-write. Nothing the point
 // writes reaches the state.
 func (st *PrefixState) fork() (*machine.Machine, *wave5.PARMVR, error) {
@@ -242,8 +242,11 @@ func (st *PrefixState) fork() (*machine.Machine, *wave5.PARMVR, error) {
 	if err := w.Space.LoadState(st.ck); err != nil {
 		return nil, nil, err
 	}
-	m, err := st.snap.Fork()
+	m, err := machine.New(st.cfg)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.LoadCapture(st.warm); err != nil {
 		return nil, nil, err
 	}
 	return m, w, nil
@@ -262,8 +265,8 @@ type PrefixCacheStats struct {
 // PrefixCache is a holder's bounded prefix LRU: prefix key -> built
 // PrefixState, capped by MemBytes, which counts the states' call memos
 // too. Concurrent requests for the same key single-flight the build; an
-// evicted state stays usable by points already holding it (snapshots
-// and captures are immutable), the cache merely drops its reference.
+// evicted state stays usable by points already holding it (captures and
+// space checkpoints are immutable), the cache merely drops its reference.
 type PrefixCache struct {
 	mu      sync.Mutex
 	max     int64

@@ -52,9 +52,9 @@ type WarmRow struct {
 	// Speedup is relative to the sweep's Sequential point (0 when the
 	// point set has none).
 	Speedup float64 `json:"speedup,omitempty"`
-	// Shared counts the machine components the fork still shared with the
-	// snapshot after the measured call — state the warm start never had
-	// to copy.
+	// Shared counts the machine components the measured call never
+	// accessed since the prefix capture was loaded: processors' L1, L2,
+	// TLB and victim buffer the call left alone.
 	Shared int `json:"shared_components"`
 	// Metrics is the registry snapshot of the measured call (a tail
 	// delta: statistics reset when the measured call starts).
@@ -62,9 +62,9 @@ type WarmRow struct {
 }
 
 // WarmSweepResult is a warm-started strategy/chunk sweep on one machine:
-// every row was forked from the same copy-on-write snapshot taken after
-// the shared sequential warm-up prefix, so the prefix simulated once no
-// matter how many points the sweep has.
+// every row started from the same capture taken after the shared
+// sequential warm-up prefix, so the prefix simulated once no matter how
+// many points the sweep has.
 type WarmSweepResult struct {
 	Machine     string    `json:"machine"`
 	Procs       int       `json:"procs"`
@@ -101,7 +101,7 @@ func prefixKeyOf(cfg machine.Config, p wave5.Params, warmupCalls int, distribute
 // configuration, the dataset parameters, and the warm-up call count
 // (distribution included — a warm sweep always models the surrounding
 // parallel phases). Two sweeps with equal prefix keys may share one
-// snapshot — the prefix is strategy-independent (sequential calls), so
+// capture — the prefix is strategy-independent (sequential calls), so
 // every tail is reachable from it.
 func PrefixKey(cfg machine.Config, p wave5.Params, warmupCalls int) (string, error) {
 	return prefixKeyOf(cfg, p, warmupCalls, true)
@@ -129,7 +129,7 @@ func warmsweepPoints(rc RunConfig) []PointSpec {
 // warmsweepPrefix declares a warm point's shared prefix: dataset build,
 // machine construction, data distribution, and the warm-up calls — the
 // most prefix-heavy decomposition in the registry, which is exactly why
-// worker-side snapshot reuse pays here. The warm-up calls are sequential
+// worker-side prefix reuse pays here. The warm-up calls are sequential
 // deliberately: they touch the same arrays every strategy's call does,
 // so one prefix serves strategy and chunk-size divergence alike.
 func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
@@ -139,9 +139,10 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 	}, true
 }
 
-// warmsweepRunWarm measures one warm point off a built prefix: fork the
-// snapshot onto a private dataset holding the checkpointed values, run
-// the steady-state call, count the still-shared components. Each point
+// warmsweepRunWarm measures one warm point off a built prefix: load the
+// capture into a private machine over a private dataset holding the
+// checkpointed values, run the steady-state call, count the components
+// it never accessed. Each point
 // has its own machine and dataset, so the points of one prefix run
 // concurrently.
 func warmsweepRunWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
@@ -159,7 +160,7 @@ func warmsweepRunWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointRe
 	}
 	return PointResult{
 		Index: ps.Index, Cycles: TotalCycles(results),
-		Metrics: MergeMetrics(results), Shared: len(m.SharedComponents()),
+		Metrics: MergeMetrics(results), Shared: len(m.UntouchedComponents()),
 	}, nil
 }
 

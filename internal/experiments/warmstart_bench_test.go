@@ -8,14 +8,16 @@ import (
 	"repro/internal/wave5"
 )
 
-// Snapshot benchmarks measure what copy-on-write warm starts buy in host
-// wall-clock time. A warm-started sweep simulates its shared prefix
-// (data distribution + sequential warm-up calls) once and forks every
-// point from the snapshot; the fresh baseline re-simulates the whole
-// prefix for every point. The forked rows are bit-identical to the
-// fresh ones (TestWarmSweepBitIdentical and the snapshot differentials
-// in internal/cascade), so the ratio is pure simulator speedup from
-// prefix amortization. BENCH_snapshot.json records representative runs.
+// Warm-start benchmarks measure what reusing a captured warm prefix buys
+// in host wall-clock time. A warm-started sweep simulates its shared
+// prefix (data distribution + sequential warm-up calls) once, captures
+// it, and starts every point from the capture; the fresh baseline
+// re-simulates the whole prefix for every point. The warm rows are
+// bit-identical to the fresh ones (TestWarmSweepBitIdentical and the
+// capture differentials in internal/cascade), so the ratio is pure
+// simulator speedup from prefix amortization. BENCH_snapshot.json is the
+// historical record of the copy-on-write snapshots these benchmarks
+// measured before captures replaced them.
 
 // benchWarmPoints is a prefix-heavy chunk-size sweep: nine points — one
 // sequential anchor plus both cascaded strategies at four chunk budgets
@@ -41,7 +43,8 @@ func benchWarmScale() float64 {
 }
 
 // warmSweep runs points the way the warm path does: one warm prefix
-// built, then every point forked off it onto its own dataset.
+// built, then every point loaded from it onto its own machine and
+// dataset.
 func warmSweep(b *testing.B, cfg machine.Config, scale float64, points []WarmPoint) {
 	b.Helper()
 	st := buildWarmPrefix(b, cfg, scale, DefaultWarmupCalls)
@@ -54,29 +57,17 @@ func warmSweep(b *testing.B, cfg machine.Config, scale float64, points []WarmPoi
 
 // freshSweepPoint measures one point the expensive way: a fresh machine
 // runs the whole prefix itself, then the point's steady-state call.
-func freshSweepPoint(b *testing.B, cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) int64 {
+func freshSweepPoint(b *testing.B, cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) {
 	b.Helper()
-	w, err := wave5.Build(p)
-	if err != nil {
+	if _, _, err := freshWarmPoint(cfg, p, warmupCalls, pt, false); err != nil {
 		b.Fatal(err)
 	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := runWarmPrefix(context.Background(), m, w, warmupCalls); err != nil {
-		b.Fatal(err)
-	}
-	results, err := runWarmPoint(m, w, pt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return TotalCycles(results)
 }
 
 // BenchmarkSnapshotChunkSweep compares a nine-point chunk-size sweep
 // under the two drivers: "fresh" re-simulates the shared prefix for
-// every point, "warm" simulates it once and forks. One prefix group, so
+// every point, "warm" simulates it once and loads its capture per point.
+// One prefix group, so
 // the warm variant's prefix cost is amortized across all nine points.
 func BenchmarkSnapshotChunkSweep(b *testing.B) {
 	cfg := machine.PentiumPro(4)
@@ -101,7 +92,7 @@ func BenchmarkSnapshotChunkSweep(b *testing.B) {
 // BenchmarkSnapshotProcSweep is the grouped-prefix shape of a Figure
 // 2-style sweep: three processor counts, each its own prefix group of
 // three strategy points. The warm variant amortizes within each group
-// only (a fork cannot change the processor count), so its ceiling is
+// only (a capture cannot change the processor count), so its ceiling is
 // lower than the chunk sweep's — this benchmark records that honestly.
 func BenchmarkSnapshotProcSweep(b *testing.B) {
 	scale := benchWarmScale()

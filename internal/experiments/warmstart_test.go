@@ -27,7 +27,7 @@ func warmTestParams() wave5.Params {
 // warm sweep's forked rows must match bit for bit.
 func runWarmPointFresh(t *testing.T, cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) []cascade.Result {
 	t.Helper()
-	results, _, err := freshWarmPoint(cfg, p, warmupCalls, pt)
+	results, _, err := freshWarmPoint(cfg, p, warmupCalls, pt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,13 @@ func runWarmPointFresh(t *testing.T, cfg machine.Config, p wave5.Params, warmupC
 }
 
 // freshWarmPoint is runWarmPointFresh, also returning how many machine
-// components the measured call left unwritten. The machine is never
-// forked or restored: it is sealed (Snapshot, discarded) right before
-// the measured call only so that SharedComponents can report what the
-// call wrote, which is what a warm fork's Shared count reports.
-func freshWarmPoint(cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) ([]cascade.Result, int, error) {
+// components the measured call never accessed when mark is set. The
+// machine runs the prefix itself; with mark, right before the measured
+// call it reloads a capture of its own caches, which leaves their
+// contents as they stand and only marks every component untouched, so
+// that UntouchedComponents reports what the call accessed, which is what
+// a warm point's Shared count reports.
+func freshWarmPoint(cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint, mark bool) ([]cascade.Result, int, error) {
 	w, err := wave5.Build(p)
 	if err != nil {
 		return nil, 0, err
@@ -51,15 +53,21 @@ func freshWarmPoint(cfg machine.Config, p wave5.Params, warmupCalls int, pt Warm
 	if err := runWarmPrefix(context.Background(), m, w, warmupCalls); err != nil {
 		return nil, 0, err
 	}
-	if _, err := m.Snapshot(); err != nil {
-		return nil, 0, err
+	if mark {
+		c, err := m.Capture()
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := m.LoadCapture(c); err != nil {
+			return nil, 0, err
+		}
 	}
 	results, err := runWarmPoint(m, w, pt)
-	return results, len(m.SharedComponents()), err
+	return results, len(m.UntouchedComponents()), err
 }
 
 // freshWarmsweep is the warmsweep reference driver: every point of the
-// decomposition measured by freshWarmPoint — no prefix, no fork, no
+// decomposition measured by freshWarmPoint — no shared prefix, no space
 // checkpoint — and merged by the decomposition's own Merge.
 func freshWarmsweep(t *testing.T, rc RunConfig) Renderable {
 	t.Helper()
@@ -76,7 +84,7 @@ func freshWarmsweep(t *testing.T, rc RunConfig) Renderable {
 			return err
 		}
 		rr, shared, err := freshWarmPoint(cfg.WithProcs(ps.Procs), rc.Params(), ps.Warmup,
-			WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes})
+			WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes}, true)
 		if err != nil {
 			return err
 		}
@@ -223,9 +231,14 @@ func TestPrefixKeyDiscriminates(t *testing.T) {
 		}
 	}
 	// The Parallel knob changes simulation scheduling on the host only,
-	// but it is part of the canonical config bytes when on (by design —
-	// see SetParallel's rationale); just check it doesn't error.
-	if _, err := PrefixKey(cfg.WithParallel(machine.ParallelOn), p, 2); err != nil {
-		t.Fatal(err)
+	// so it must not split the prefix key, whatever its value.
+	for _, mode := range []machine.Parallel{machine.ParallelOn, machine.ParallelOff} {
+		k, err := PrefixKey(cfg.WithParallel(mode), p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != k1 {
+			t.Errorf("prefix key with Parallel %s differs from the default", mode)
+		}
 	}
 }

@@ -115,14 +115,15 @@ func TestAffinityWarmsweepOneBuildPerWorker(t *testing.T) {
 // order falls.
 func TestLowestIndexErrorAcrossGroups(t *testing.T) {
 	const name = "fab-affine-fail"
-	// Group A = {0, 3} is dispatched first; 3 fails at once. Group B =
-	// {1, 2}; 2 fails after a delay, so it completes after 3.
-	groups := []string{"A", "B", "B", "A"}
+	// Group A (PentiumPro) = {0, 3} is dispatched first; 3 fails at
+	// once. Group B (R10000) = {1, 2}; 2 fails after a delay, so it
+	// completes after 3.
+	groups := []string{"PentiumPro", "R10000", "R10000", "PentiumPro"}
 	experiments.RegisterDecomposition(name, experiments.Decomposition{
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			specs := make([]experiments.PointSpec, len(groups))
 			for i, g := range groups {
-				specs[i] = experiments.PointSpec{Experiment: name, Index: i, Machine: g, N: rc.N}
+				specs[i] = experiments.PointSpec{Experiment: name, Index: i, Machine: g, Procs: 1, N: rc.N}
 			}
 			return specs
 		},

@@ -48,7 +48,7 @@ func registerSweep(name string, points int, fn func(ctx context.Context, ps expe
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			specs := make([]experiments.PointSpec, points)
 			for i := range specs {
-				specs[i] = experiments.PointSpec{Experiment: name, Index: i, N: rc.N}
+				specs[i] = experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: name, Index: i, N: rc.N}
 			}
 			return specs
 		},

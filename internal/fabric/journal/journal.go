@@ -159,21 +159,32 @@ func Open(dir string, inj *faults.Injector) (*Journal, Replay, error) {
 
 // replayAndRepair scans the log, returns every intact record, and
 // truncates the file back to the last intact frame. A fresh (empty)
-// file gets its magic written and synced.
+// file, or one holding only part of the magic — the first write, torn —
+// gets its magic written and synced; the torn part counts as truncated.
 func (j *Journal) replayAndRepair() (Replay, error) {
 	info, err := j.f.Stat()
 	if err != nil {
 		return Replay{}, fmt.Errorf("journal: %w", err)
 	}
-	if info.Size() == 0 {
-		if _, err := j.f.WriteString(Magic); err != nil {
+	if info.Size() < int64(len(Magic)) {
+		head := make([]byte, info.Size())
+		if _, err := j.f.ReadAt(head, 0); err != nil {
+			return Replay{}, fmt.Errorf("journal: %w", err)
+		}
+		if string(head) != Magic[:len(head)] {
+			return Replay{}, fmt.Errorf("journal: not a cascade journal (bad magic)")
+		}
+		if _, err := j.f.WriteAt([]byte(Magic), 0); err != nil {
 			return Replay{}, fmt.Errorf("journal: %w", err)
 		}
 		if err := j.f.Sync(); err != nil {
 			return Replay{}, fmt.Errorf("journal: %w", err)
 		}
+		if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
+			return Replay{}, fmt.Errorf("journal: %w", err)
+		}
 		j.size = int64(len(Magic))
-		return Replay{}, nil
+		return Replay{TruncatedBytes: info.Size()}, nil
 	}
 	recs, good, err := scan(j.f)
 	if err != nil {

@@ -257,3 +257,161 @@ func TestAppendAfterClose(t *testing.T) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 }
+
+// TestTornMagicRepaired pins recovery from a torn first write: a log
+// holding only a strict prefix of the magic opens empty, reports the torn
+// bytes, and takes appends like a fresh log.
+func TestTornMagicRepaired(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(Path(dir), []byte(Magic[:7]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, rep, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("Open over a torn magic: %v", err)
+	}
+	if len(rep.Records) != 0 || rep.TruncatedBytes != 7 {
+		t.Fatalf("replayed %+v, want no records and 7 torn bytes", rep)
+	}
+	if err := j.Append(Record{Type: TypeEpoch, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	recs, _, err := Read(Path(dir))
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("after repair and append: %d records, %v", len(recs), err)
+	}
+	if err := os.WriteFile(Path(dir), []byte("cascade-jour"+"X"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, nil); err == nil {
+		t.Fatal("Open accepted a short file that is not a prefix of the magic")
+	}
+}
+
+// FuzzJournalOpen cuts a valid journal short and flips up to three bits
+// in what is left, then opens it. Open must never panic; a damaged magic
+// must be refused; otherwise the replay must be exactly the frames before
+// the first cut or flipped one, the rest must count as truncated, and an
+// append after the repair must survive a reopen.
+func FuzzJournalOpen(f *testing.F) {
+	want := []Record{
+		{Type: TypeEpoch, Epoch: 1},
+		{Type: TypeJobAccepted, Job: "f1", Experiment: "fig6", Params: json.RawMessage(`{"scale":0.05}`), Key: "k-render"},
+		{Type: TypePointAssigned, Job: "f1", Index: 0, Key: "k-p0", Epoch: 1},
+		{Type: TypePointCompleted, Job: "f1", Index: 0, Key: "k-p0"},
+	}
+	src := f.TempDir()
+	j, _, err := Open(src, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ends := make([]int64, len(want)) // ends[i]: offset just past frame i
+	for i, rec := range want {
+		if err := j.Append(rec); err != nil {
+			f.Fatal(err)
+		}
+		ends[i] = j.Size()
+	}
+	j.Close()
+	full, err := os.ReadFile(Path(src))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint16(len(full)), []byte(nil))
+	f.Add(uint16(0), []byte(nil))
+	f.Add(uint16(7), []byte(nil))
+	f.Add(uint16(len(Magic)), []byte(nil))
+	f.Add(uint16(ends[1]+3), []byte(nil))
+	f.Add(uint16(len(full)), []byte{0, byte(8 * (ends[1] + 2))})
+	f.Add(uint16(len(full)), []byte{0, 3})
+
+	f.Fuzz(func(t *testing.T, cut uint16, flips []byte) {
+		data := append([]byte(nil), full[:int(cut)%(len(full)+1)]...)
+		n := int64(len(data))
+		for k := 0; k+1 < len(flips) && k < 6 && n > 0; k += 2 {
+			bit := (int64(flips[k])<<8 | int64(flips[k+1])) % (8 * n)
+			data[bit/8] ^= 1 << (bit % 8)
+		}
+		var flipped []int64 // offsets of the bytes the flips changed
+		for i := range data {
+			if data[i] != full[i] {
+				flipped = append(flipped, int64(i))
+			}
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(Path(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rep, err := Open(dir, nil)
+		head := min(n, int64(len(Magic)))
+		if string(data[:head]) != Magic[:head] {
+			if err == nil {
+				j.Close()
+				t.Fatal("Open accepted a damaged magic")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer j.Close()
+
+		// The intact frames: every frame wholly inside the cut and
+		// clear of every flip, up to the first that is not.
+		intact, good := 0, int64(len(Magic))
+		for i, end := range ends {
+			start := int64(len(Magic))
+			if i > 0 {
+				start = ends[i-1]
+			}
+			hit := end > n
+			for _, b := range flipped {
+				hit = hit || (b >= start && b < end)
+			}
+			if hit {
+				break
+			}
+			intact, good = i+1, end
+		}
+		wantTorn := n - good
+		if n < int64(len(Magic)) {
+			wantTorn = n // a torn magic is rewritten whole
+		}
+		assertRecords(t, rep.Records, want[:intact])
+		if rep.TruncatedBytes != wantTorn {
+			t.Fatalf("truncated %d bytes, want %d", rep.TruncatedBytes, wantTorn)
+		}
+
+		extra := Record{Type: TypePointRetried, Job: "f1", Index: 0}
+		if err := j.Append(extra); err != nil {
+			t.Fatalf("append after repair: %v", err)
+		}
+		j.Close()
+		j2, rep2, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer j2.Close()
+		if rep2.TruncatedBytes != 0 {
+			t.Fatalf("reopen after repair truncated %d bytes", rep2.TruncatedBytes)
+		}
+		assertRecords(t, rep2.Records, append(append([]Record(nil), want[:intact]...), extra))
+	})
+}
+
+// assertRecords compares replayed records with the expected ones by their
+// encoding.
+func assertRecords(t *testing.T, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, _ := json.Marshal(got[i])
+		w, _ := json.Marshal(want[i])
+		if string(g) != string(w) {
+			t.Fatalf("record %d: got %s want %s", i, g, w)
+		}
+	}
+}

@@ -48,27 +48,6 @@ func NewSeqBuf(s *memsim.Space, name string, capElems int) *SeqBuf {
 	return &SeqBuf{arr: s.Alloc(name, capElems, seqBufElemSize, 4096)}
 }
 
-// AttachSeqBuf re-adopts an existing buffer allocation instead of making
-// a new one: it finds the most recent array named name in the space and
-// wraps it (empty, like a freshly Reset buffer). Resuming a run from a
-// checkpoint uses this — the checkpointed space already holds the run's
-// buffers, and allocating fresh ones would shift every later address,
-// breaking bit-identity with the uninterrupted run. It returns nil if no
-// such array exists or its capacity differs.
-func AttachSeqBuf(s *memsim.Space, name string, capElems int) *SeqBuf {
-	arrays := s.Arrays()
-	for i := len(arrays) - 1; i >= 0; i-- {
-		a := arrays[i]
-		if a.Name() == name {
-			if a.Len() != capElems || a.ElemSize() != seqBufElemSize {
-				return nil
-			}
-			return &SeqBuf{arr: a}
-		}
-	}
-	return nil
-}
-
 // Reset empties the buffer for reuse by the next chunk. The underlying
 // storage (and therefore its cache residency) is retained, which is the
 // point: a processor's buffer stays hot in its own cache across chunks.

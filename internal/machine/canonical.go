@@ -13,30 +13,18 @@ import (
 // any change to a field that can alter simulated results produces
 // different bytes.
 //
-// The Engine field is normalized out before encoding: the fast and
-// reference engines produce bit-identical simulated results (the
-// differential tests in internal/cascade assert this), so a result
-// computed on either engine may satisfy a request for the other.
-//
-// The Parallel knob is elided when off: ParallelOff is the default
-// serial behaviour every existing key was computed under, so off
-// disappears (a config that does not exercise the knob serializes to
-// exactly the bytes it did before the knob existed, which the golden-key
-// tests in internal/server pin down) while ParallelOn is kept distinct
-// so a diagnostic serial run is never answered from a parallel-computed
-// entry, nor vice versa.
+// The Engine and Parallel fields are dropped before encoding: the fast
+// and reference engines, and the host-parallel scheduler on or off, all
+// produce bit-identical simulated results (the differential tests in
+// internal/cascade assert this), so a result computed under any of them
+// may satisfy a request for another. Dropping Parallel whatever its
+// value leaves every key computed with the knob off exactly as it was.
 func (c Config) CanonicalBytes() ([]byte, error) {
 	c.Engine = EngineFast
 	m, err := canon.Map(c)
 	if err != nil {
 		return nil, err
 	}
-	if c.Parallel == ParallelOff {
-		delete(m, "Parallel")
-	}
-	// CheckpointEvery only adds observation points; the simulated results
-	// are identical at any cadence, so it never splits the cache key (and
-	// eliding it keeps every pre-knob golden key valid).
-	delete(m, "CheckpointEvery")
+	delete(m, "Parallel")
 	return json.Marshal(m)
 }

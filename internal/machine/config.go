@@ -150,14 +150,6 @@ type Config struct {
 	// Pentium Pro, 500 on the R10000.
 	TransferCycles int64
 
-	// CheckpointEvery, when positive, asks checkpoint-aware run drivers
-	// (cascade.Run with a checkpoint sink installed) to capture a
-	// machine-state checkpoint each time this many iterations complete.
-	// Zero means no cadence (a sink still gets per-chunk checkpoints).
-	// Pure observability: it cannot change simulated results, and it is
-	// excluded from canonical cache keys (see CanonicalBytes).
-	CheckpointEvery int
-
 	CompilerPrefetch PrefetchConfig
 }
 
@@ -197,9 +189,6 @@ func (c Config) Validate() error {
 	}
 	if c.Parallel != ParallelOff && c.Parallel != ParallelOn {
 		return fmt.Errorf("machine %s: unknown parallel mode %d", c.Name, int(c.Parallel))
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("machine %s: negative checkpoint cadence %d", c.Name, c.CheckpointEvery)
 	}
 	return nil
 }

@@ -2,10 +2,8 @@ package machine
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/memsim"
 )
 
@@ -92,27 +90,6 @@ func TestValidateRejectsBadTLB(t *testing.T) {
 	cfg.TLB = cache.TLBConfig{Entries: 7, Assoc: 1, PageSize: 4096}
 	if err := cfg.Validate(); err == nil {
 		t.Error("bad TLB config accepted")
-	}
-}
-
-// TestSnapshotMemBytesCountsRecords pins Snapshot.MemBytes to the arrays
-// a snapshot holds: per processor, one 24-byte line record per L1 and L2
-// slot and one 24-byte entry per TLB slot, plus the bus shards. Caches
-// model presence, not data, so the figure is far below the cache sizes.
-func TestSnapshotMemBytesCountsRecords(t *testing.T) {
-	for _, cfg := range []Config{PentiumPro(4), R10000(8)} {
-		snap, err := MustNew(cfg).Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		per := int64(cfg.L1.NumLines()+cfg.L2.NumLines()+cfg.TLB.Entries) * 24
-		want := int64(cfg.Procs)*per + int64(cfg.Procs)*int64(unsafe.Sizeof(coherence.Stats{}))
-		if got := snap.MemBytes(); got != want {
-			t.Errorf("%s/%d: MemBytes = %d, want %d", cfg.Name, cfg.Procs, got, want)
-		}
-		if dataBytes := int64(cfg.Procs) * int64(cfg.L1.Size+cfg.L2.Size); snap.MemBytes() >= dataBytes {
-			t.Errorf("%s/%d: MemBytes %d not below the cached data size %d", cfg.Name, cfg.Procs, snap.MemBytes(), dataBytes)
-		}
 	}
 }
 

@@ -6,7 +6,7 @@ package machine
 //
 //	m, err := machine.New(machine.PentiumPro(4),
 //	    machine.WithParallel(machine.ParallelOn),
-//	    machine.WithCheckpointEvery(1<<16))
+//	    machine.WithVictim(16, 2))
 //
 // The functions mirror the value-receiver With* methods on Config (which
 // remain for building a Config ahead of construction); both routes
@@ -28,8 +28,3 @@ func WithProcs(p int) Option { return func(c *Config) { c.Procs = p } }
 func WithVictim(entries int, latency int64) Option {
 	return func(c *Config) { c.VictimEntries = entries; c.VictimLatency = latency }
 }
-
-// WithCheckpointEvery asks checkpoint-aware run drivers to capture a
-// machine-state checkpoint each time n iterations complete (see
-// Config.CheckpointEvery). n <= 0 restores the default (no cadence).
-func WithCheckpointEvery(n int) Option { return func(c *Config) { c.CheckpointEvery = n } }

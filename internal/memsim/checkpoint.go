@@ -12,16 +12,11 @@ import "fmt"
 // writes only a few of its arrays between checkpoints pays the copy for
 // only those arrays.
 //
-// RestoreState re-aliases the sealed slices (again copy-on-write), so
-// repeatedly rewinding a space to the same checkpoint — one rewind per
-// sweep point — is also O(arrays) per rewind for every array the
-// previous point did not write.
-//
-// LoadState gives the same copy-on-write aliasing to a different space
-// of identical layout — another build of the same dataset — so one
-// checkpoint can seed any number of private spaces, each on its own
-// goroutine, without any of them writing through to the checkpoint or
-// to each other.
+// LoadState aliases the sealed slices (again copy-on-write) into a
+// different space of identical layout — another build of the same
+// dataset — so one checkpoint can seed any number of private spaces,
+// each on its own goroutine, without any of them writing through to the
+// checkpoint or to each other.
 
 // own gives the array private backing storage. Every mutating method
 // calls it first, so sealed checkpoint values are never written through.
@@ -44,7 +39,7 @@ func (a *Array) Materialize() { a.own() }
 
 // Shared reports whether the array's backing storage is still sealed to
 // a checkpoint (no write has occurred since the last Checkpoint or
-// RestoreState covering it).
+// LoadState covering it).
 func (a *Array) Shared() bool { return a.cow }
 
 // seal marks the array copy-on-write and returns its current backing
@@ -56,15 +51,12 @@ func (a *Array) seal() []float64 {
 
 // SpaceState is a checkpoint of a Space: the allocation cursor, the
 // identity of the allocated arrays, and their sealed values. It is
-// immutable once taken and may be restored any number of times.
+// immutable once taken and may be loaded any number of times.
 type SpaceState struct {
 	next   Addr
 	arrays []*Array
 	sealed [][]float64
 }
-
-// Arrays returns how many allocations the checkpoint covers.
-func (st *SpaceState) Arrays() int { return len(st.arrays) }
 
 // Checkpoint seals the space's current values and allocation state.
 func (s *Space) Checkpoint() *SpaceState {
@@ -78,30 +70,6 @@ func (s *Space) Checkpoint() *SpaceState {
 		st.sealed[i] = a.seal()
 	}
 	return st
-}
-
-// RestoreState rewinds the space to a checkpoint taken on this same
-// space: values of the checkpointed arrays are restored (copy-on-write),
-// arrays allocated after the checkpoint are released, and the allocation
-// cursor rewinds so subsequent allocations land at the same addresses
-// they received after the checkpoint — which is what keeps warm-started
-// runs address-identical to fresh ones. It panics if the checkpoint does
-// not describe a prefix of this space's allocations.
-func (s *Space) RestoreState(st *SpaceState) {
-	if len(s.arrays) < len(st.arrays) {
-		panic(fmt.Sprintf("memsim: RestoreState: space has %d arrays, checkpoint covers %d", len(s.arrays), len(st.arrays)))
-	}
-	for i, a := range st.arrays {
-		if s.arrays[i] != a {
-			panic(fmt.Sprintf("memsim: RestoreState: array %d (%s) is not the checkpointed allocation", i, s.arrays[i].name))
-		}
-	}
-	s.arrays = s.arrays[:len(st.arrays)]
-	s.next = st.next
-	for i, a := range st.arrays {
-		a.data = st.sealed[i]
-		a.cow = true
-	}
 }
 
 // LoadState makes s hold the values of a checkpoint taken on another

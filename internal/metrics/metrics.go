@@ -249,19 +249,6 @@ func (t *PhaseTimer) Grow(procs int) {
 	}
 }
 
-// Set overwrites proc's phase to exactly cycles, growing the processor
-// set like Add. Resuming a run from a checkpoint seeds timers with the
-// prefix's accumulated cycles through this.
-func (t *PhaseTimer) Set(proc int, phase string, cycles int64) {
-	if proc < 0 {
-		panic(fmt.Sprintf("metrics: PhaseTimer.Set proc %d", proc))
-	}
-	for proc >= len(t.cells) {
-		t.cells = append(t.cells, make([]int64, len(t.phases)))
-	}
-	t.cells[proc][t.phaseIndex(phase)] = cycles
-}
-
 // Cycles returns the accumulated cycles for proc's phase (0 for a
 // processor never charged).
 func (t *PhaseTimer) Cycles(proc int, phase string) int64 {

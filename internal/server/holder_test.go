@@ -26,7 +26,7 @@ func standInSweep(name string, run func(ps experiments.PointSpec) error) experim
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			specs := make([]experiments.PointSpec, rc.N)
 			for i := range specs {
-				specs[i] = experiments.PointSpec{Experiment: name, Index: i, N: rc.N, Scale: rc.Scale}
+				specs[i] = experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: name, Index: i, N: rc.N, Scale: rc.Scale}
 			}
 			return specs
 		},

@@ -49,7 +49,7 @@ func sweepExperiment(name string, n int, point func(ctx context.Context) error) 
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			specs := make([]experiments.PointSpec, n)
 			for i := range specs {
-				specs[i] = experiments.PointSpec{Experiment: name, Index: i, N: rc.N}
+				specs[i] = experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: name, Index: i, N: rc.N}
 			}
 			return specs
 		},
@@ -111,7 +111,7 @@ func (g *gated) sweep(name string) experiments.Experiment {
 func echoExperiment(name string) experiments.Experiment {
 	experiments.RegisterDecomposition(name, experiments.Decomposition{
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
-			return []experiments.PointSpec{{Experiment: name, N: rc.N}}
+			return []experiments.PointSpec{{Machine: "PentiumPro", Procs: 1, Experiment: name, N: rc.N}}
 		},
 		Run: func(_ context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
 			return experiments.PointResult{Index: ps.Index}, nil

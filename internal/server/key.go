@@ -158,30 +158,6 @@ func JobKey(experiment string, p JobParams) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// CheckpointKey is the content address of a checkpoint stream: the
-// (prefix, tail) pair of the owning job's content address and the capture
-// cadence. Jobs whose configurations hash equal share streams — a stream
-// captured for one job serves every job with the same key.
-func CheckpointKey(jobKey string, everyIters int) string {
-	h := sha256.New()
-	io.WriteString(h, keySchema+"\x00ckpt\x00")
-	io.WriteString(h, jobKey)
-	fmt.Fprintf(h, "\x00every=%d", everyIters)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// ResumeKey is the content address of a run resumed from checkpoint k of
-// a stream: the stream key is the prefix, the checkpoint index the tail.
-// Resumes are deterministic (bit-identical to the uninterrupted run), so
-// the result is cacheable and cross-job reusable like any other.
-func ResumeKey(checkpointKey string, k int) string {
-	h := sha256.New()
-	io.WriteString(h, keySchema+"\x00resume\x00")
-	io.WriteString(h, checkpointKey)
-	fmt.Fprintf(h, "\x00k=%d", k)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // RenderKey derives the cache key for one rendering of a job's result.
 // The server stores JSON renderings ("json"); cascade-sim -cache stores
 // whatever mode it was asked for, so a CLI -json sweep and the server

@@ -3,8 +3,11 @@ package server
 import (
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/cascade"
+	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/wave5"
 )
 
 // defaultOpts returns the paper's headline options via the builder.
@@ -143,6 +146,42 @@ func TestGoldenKeys(t *testing.T) {
 	}
 }
 
+// TestParallelKnobLeavesKeysAlone pins that the host-parallel knob, a
+// pure speed knob, moves no key: a point's key from its machine
+// configuration or from its spec, a job's key and a warm prefix's key
+// are the same with the knob on and off.
+func TestParallelKnobLeavesKeysAlone(t *testing.T) {
+	type keys struct{ point, spec, job, prefix string }
+	keysWith := func(mode machine.Parallel) keys {
+		t.Helper()
+		experiments.SetParallel(mode == machine.ParallelOn)
+		defer experiments.SetParallel(false)
+		var k keys
+		var err error
+		cfg := machine.PentiumPro(4).WithParallel(mode)
+		if k.point, err = PointKey(cfg, defaultOpts(t), "parmvr"); err != nil {
+			t.Fatal(err)
+		}
+		specs, _ := experiments.Decompose("fig6", JobParams{Scale: 0.05}.WithDefaults().RunConfig())
+		if k.spec, err = canon.PointKey(specs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if k.job, err = JobKey("fig6", JobParams{Scale: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+		if k.prefix, err = experiments.PrefixKey(cfg, wave5.DefaultParams().Scaled(0.05), 2); err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if on, off := keysWith(machine.ParallelOn), keysWith(machine.ParallelOff); on != off {
+		t.Errorf("keys differ with the Parallel knob:\non:  %+v\noff: %+v", on, off)
+	}
+	if k, err := PointKey(machine.PentiumPro(4), defaultOpts(t), "parmvr"); err != nil || k != goldenPointKey {
+		t.Errorf("default point key %s (%v), want the golden %s", k, err, goldenPointKey)
+	}
+}
+
 // TestJobKeyParamResolution pins that job keys are derived from
 // fully-resolved parameters: omitting a field and spelling its default
 // out address the same cache entry, while changing any parameter or the
@@ -208,40 +247,5 @@ func TestJobKeyIgnoresTimeout(t *testing.T) {
 	}
 	if err := (JobParams{Scale: 1, ChunkKB: 64, N: 1024, TimeoutMS: -1}).Validate(); err == nil {
 		t.Error("Validate accepted a negative TimeoutMS")
-	}
-}
-
-// Golden checkpoint-derived keys: the (prefix, tail) composition must be
-// stable for the same reason the point and job keys must — streams and
-// resume results are shared across jobs by these addresses.
-const (
-	goldenCheckpointKey = "869d87e74cbe27fd684a2bd90d142a5ef68a1289c4a7bbbf517e8e9f799d3148"
-	goldenResumeKey     = "a83a22a7ad820e617dfcc896161e8048a3b1a486ed2575d39820c3a856bffea0"
-)
-
-// TestCheckpointKeyGolden pins the checkpoint-stream and resume-result
-// key derivations and their prefix/tail discrimination: the job key is
-// the prefix, the cadence (or checkpoint index) the tail, and changing
-// either moves to a different address.
-func TestCheckpointKeyGolden(t *testing.T) {
-	ck := CheckpointKey(goldenJobKey, 0)
-	if ck != goldenCheckpointKey {
-		t.Errorf("CheckpointKey drifted:\n got %s\nwant %s\n(bump keySchema if this change is intentional)", ck, goldenCheckpointKey)
-	}
-	rk := ResumeKey(ck, 0)
-	if rk != goldenResumeKey {
-		t.Errorf("ResumeKey drifted:\n got %s\nwant %s\n(bump keySchema if this change is intentional)", rk, goldenResumeKey)
-	}
-	if CheckpointKey(goldenJobKey, 1000) == ck {
-		t.Error("cadence does not contribute to the checkpoint key")
-	}
-	if CheckpointKey(goldenPointKey, 0) == ck {
-		t.Error("prefix job key does not contribute to the checkpoint key")
-	}
-	if ResumeKey(ck, 1) == rk {
-		t.Error("checkpoint index does not contribute to the resume key")
-	}
-	if ResumeKey(CheckpointKey(goldenJobKey, 1000), 0) == rk {
-		t.Error("stream key does not contribute to the resume key")
 	}
 }

@@ -78,27 +78,12 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		s.handlePointBatch(w, r, req.Points)
 		return
 	}
-	if req.Point == nil {
-		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, "missing point spec")
+	key, status, apiErr := s.resolvePoint(req.Point, req.Key)
+	if apiErr != nil {
+		WriteEnvelope(w, status, Envelope{Error: apiErr})
 		return
 	}
 	spec := *req.Point
-	if !experiments.Decomposable(spec.Experiment) {
-		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Sprintf("experiment %q has no point decomposition", spec.Experiment))
-		return
-	}
-	key, err := canon.PointKey(spec)
-	if err != nil {
-		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if req.Key != "" && req.Key != key {
-		s.metrics.Inc(mPointsKeyMismatch)
-		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("point key mismatch: request says %s, spec derives %s — coordinator and worker disagree on the key derivation", req.Key, key))
-		return
-	}
 
 	// Cache first: a hit — ours, or a sibling worker's through a shared
 	// cache directory — answers without burning an execution slot.
@@ -113,18 +98,8 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		// under a live cache; recompute and overwrite below.
 	}
 
-	if s.Draining() {
-		s.metrics.Inc(mPointsRejected)
-		w.Header().Set("Retry-After", pointRetryAfter)
-		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
-		return
-	}
-	release, ok := s.acquirePointSlot(r.Context())
+	release, ok := s.admitPoint(w, r)
 	if !ok {
-		s.metrics.Inc(mPointsRejected)
-		w.Header().Set("Retry-After", pointRetryAfter)
-		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
-			"point admission saturated")
 		return
 	}
 	defer release()
@@ -172,45 +147,23 @@ func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items 
 		err  *APIError
 	}
 	rs := make([]resolved, len(items))
+	runnable := false
 	for i, it := range items {
-		switch {
-		case it.Point == nil:
-			rs[i].err = &APIError{Code: CodeBadRequest, Message: "missing point spec"}
-			continue
-		case !experiments.Decomposable(it.Point.Experiment):
-			rs[i].err = &APIError{Code: CodeNotFound,
-				Message: fmt.Sprintf("experiment %q has no point decomposition", it.Point.Experiment)}
-			continue
-		}
-		rs[i].spec = *it.Point
-		key, err := canon.PointKey(rs[i].spec)
-		if err != nil {
-			rs[i].err = &APIError{Code: CodeBadRequest, Message: err.Error()}
-			continue
-		}
-		rs[i].key = key
-		if it.Key != "" && it.Key != key {
-			s.metrics.Inc(mPointsKeyMismatch)
-			rs[i].err = &APIError{Code: CodeBadRequest,
-				Message: fmt.Sprintf("point key mismatch: request says %s, spec derives %s — coordinator and worker disagree on the key derivation", it.Key, key)}
+		rs[i].key, _, rs[i].err = s.resolvePoint(it.Point, it.Key)
+		if rs[i].err == nil {
+			rs[i].spec = *it.Point
+			runnable = true
 		}
 	}
 
-	if s.Draining() {
-		s.metrics.Inc(mPointsRejected)
-		w.Header().Set("Retry-After", pointRetryAfter)
-		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
-		return
+	// A batch of refused points runs nothing, so it needs no slot.
+	if runnable {
+		release, ok := s.admitPoint(w, r)
+		if !ok {
+			return
+		}
+		defer release()
 	}
-	release, ok := s.acquirePointSlot(r.Context())
-	if !ok {
-		s.metrics.Inc(mPointsRejected)
-		w.Header().Set("Retry-After", pointRetryAfter)
-		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
-			"point admission saturated")
-		return
-	}
-	defer release()
 	s.metrics.Inc(mPointsBatches)
 
 	stream := wantsNDJSON(r)
@@ -239,6 +192,34 @@ func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items 
 	if !stream {
 		WriteEnvelope(w, http.StatusOK, Envelope{Outcomes: outcomes})
 	}
+}
+
+// resolvePoint checks one requested point before it may reach the cache
+// or a slot: the spec is present, its experiment has a decomposition,
+// its fields are in range (PointSpec.Validate), and the key it derives
+// matches the key the request claims. A refusal comes with the status
+// the single form answers; the key is set once derived.
+func (s *Server) resolvePoint(spec *experiments.PointSpec, claimed string) (string, int, *APIError) {
+	switch {
+	case spec == nil:
+		return "", http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: "missing point spec"}
+	case !experiments.Decomposable(spec.Experiment):
+		return "", http.StatusNotFound, &APIError{Code: CodeNotFound,
+			Message: fmt.Sprintf("experiment %q has no point decomposition", spec.Experiment)}
+	}
+	if err := spec.Validate(); err != nil {
+		return "", http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: err.Error()}
+	}
+	key, err := canon.PointKey(*spec)
+	if err != nil {
+		return "", http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: err.Error()}
+	}
+	if claimed != "" && claimed != key {
+		s.metrics.Inc(mPointsKeyMismatch)
+		return key, http.StatusBadRequest, &APIError{Code: CodeBadRequest,
+			Message: fmt.Sprintf("point key mismatch: request says %s, spec derives %s — coordinator and worker disagree on the key derivation", claimed, key)}
+	}
+	return key, 0, nil
 }
 
 // runBatchPoint resolves one batched point to its outcome: local cache
@@ -270,6 +251,25 @@ func (s *Server) runBatchPoint(ctx context.Context, i int, key string, spec expe
 	}
 	o.Point = &res
 	return o
+}
+
+// admitPoint takes an execution slot for a point request, or answers
+// the request's refusal itself: 503 shutting_down while the server
+// drains, 503 queue_full when admission is saturated.
+func (s *Server) admitPoint(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	if s.Draining() {
+		s.metrics.Inc(mPointsRejected)
+		w.Header().Set("Retry-After", pointRetryAfter)
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
+		return nil, false
+	}
+	if release, ok = s.acquirePointSlot(r.Context()); !ok {
+		s.metrics.Inc(mPointsRejected)
+		w.Header().Set("Retry-After", pointRetryAfter)
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
+			"point admission saturated")
+	}
+	return release, ok
 }
 
 // acquirePointSlot admits one point execution: at most Workers run at
@@ -320,7 +320,7 @@ func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.Point
 	}
 	if s.warmPrefixes {
 		// Warm path: points whose decomposition declares a shared prefix
-		// fork a cached machine snapshot instead of rebuilding the sweep
+		// load a cached machine capture instead of rebuilding the sweep
 		// prefix. Byte-identical to the cold path by the experiments
 		// layer's RunWarm contract; warm=false falls through untouched.
 		if wres, warm, werr := s.prefixCache.RunPoint(ctx, spec); warm {

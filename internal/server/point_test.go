@@ -29,7 +29,7 @@ func registerSyntheticSweep(name string, points int, fn func(ctx context.Context
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			specs := make([]experiments.PointSpec, points)
 			for i := range specs {
-				specs[i] = experiments.PointSpec{Experiment: name, Index: i, N: rc.N}
+				specs[i] = experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: name, Index: i, N: rc.N}
 			}
 			return specs
 		},
@@ -85,7 +85,7 @@ func TestPointEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := experiments.PointSpec{Experiment: "pt-basic", Index: 2, N: 10}
+	spec := experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-basic", Index: 2, N: 10}
 	status, env := postPoint(t, ts.URL, "derive", spec)
 	if status != http.StatusOK || env.Point == nil {
 		t.Fatalf("point run: status %d, envelope %+v", status, env)
@@ -106,7 +106,7 @@ func TestPointEndpoint(t *testing.T) {
 	}
 
 	// Omitting the key is allowed: the worker derives it itself.
-	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "pt-basic", Index: 1, N: 10})
+	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-basic", Index: 1, N: 10})
 	if status != http.StatusOK || env.Point == nil || env.Point.Index != 1 {
 		t.Fatalf("keyless point: status %d, envelope %+v", status, env)
 	}
@@ -133,7 +133,7 @@ func TestPointEndpointRejections(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := experiments.PointSpec{Experiment: "pt-reject", Index: 0}
+	spec := experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-reject", Index: 0}
 	status, env := postPoint(t, ts.URL, "deadbeef", spec)
 	if status != http.StatusBadRequest || env.Error == nil || env.Error.Code != CodeBadRequest {
 		t.Errorf("key mismatch: status %d, error %+v", status, env.Error)
@@ -142,7 +142,7 @@ func TestPointEndpointRejections(t *testing.T) {
 		t.Errorf("points.key_mismatch = %d, want 1", got)
 	}
 
-	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "no-such-sweep"})
+	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "no-such-sweep"})
 	if status != http.StatusNotFound || env.Error == nil || env.Error.Code != CodeNotFound {
 		t.Errorf("unknown experiment: status %d, error %+v", status, env.Error)
 	}
@@ -190,11 +190,11 @@ func TestPointEndpointPanicContained(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	status, env := postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "pt-panic", Index: 0})
+	status, env := postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-panic", Index: 0})
 	if status != http.StatusInternalServerError || env.Error == nil || env.Error.Code != CodePanic {
 		t.Fatalf("panicking point: status %d, error %+v", status, env.Error)
 	}
-	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "pt-panic", Index: 1})
+	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-panic", Index: 1})
 	if status != http.StatusOK || env.Point == nil || env.Point.Cycles != 42 {
 		t.Fatalf("worker did not survive the panic: status %d, envelope %+v", status, env)
 	}
@@ -234,7 +234,7 @@ func TestPointEndpointShedsLoad(t *testing.T) {
 			defer wg.Done()
 			// Distinct N keeps the two points from answering each other
 			// through the cache.
-			status, _ := postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "pt-shed", Index: 0, N: i})
+			status, _ := postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-shed", Index: 0, N: i})
 			results[i] = status
 		}(i)
 	}
@@ -248,7 +248,7 @@ func TestPointEndpointShedsLoad(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	status, env := postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "pt-shed", Index: 1, N: 99})
+	status, env := postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-shed", Index: 1, N: 99})
 	if status != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != CodeQueueFull {
 		t.Errorf("saturated worker: status %d, error %+v, want 503 queue_full", status, env.Error)
 	}
@@ -267,7 +267,7 @@ func TestPointEndpointShedsLoad(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Experiment: "pt-shed", Index: 0, N: 1000})
+	status, env = postPoint(t, ts.URL, "", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-shed", Index: 0, N: 1000})
 	if status != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != CodeShuttingDown {
 		t.Errorf("draining worker: status %d, error %+v, want 503 shutting_down", status, env.Error)
 	}
@@ -336,9 +336,9 @@ func TestPointBatchEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	specs := []experiments.PointSpec{
-		{Experiment: "pt-batch", Index: 0, N: 10},
-		{Experiment: "pt-batch", Index: 1, N: 10},
-		{Experiment: "pt-batch", Index: 2, N: 10},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 0, N: 10},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 1, N: 10},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 2, N: 10},
 	}
 	keys := []string{"derive", "derive", ""}
 	status, envs, _ := postBatch(t, ts.URL, false, keys, specs)
@@ -373,8 +373,8 @@ func TestPointBatchEndpoint(t *testing.T) {
 
 	// A bad item fails alone; its siblings still execute.
 	mixed := []experiments.PointSpec{
-		{Experiment: "no-such-sweep", Index: 0},
-		{Experiment: "pt-batch", Index: 3, N: 10},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "no-such-sweep", Index: 0},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 3, N: 10},
 	}
 	status, envs, _ = postBatch(t, ts.URL, false, []string{"", ""}, mixed)
 	if status != http.StatusOK || len(envs) != 1 || len(envs[0].Outcomes) != 2 {
@@ -426,9 +426,9 @@ func TestPointBatchStreams(t *testing.T) {
 	defer ts.Close()
 
 	specs := []experiments.PointSpec{
-		{Experiment: "pt-batch-stream", Index: 0, N: 5},
-		{Experiment: "no-such-sweep", Index: 1},
-		{Experiment: "pt-batch-stream", Index: 2, N: 5},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch-stream", Index: 0, N: 5},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "no-such-sweep", Index: 1},
+		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch-stream", Index: 2, N: 5},
 	}
 	status, envs, ctype := postBatch(t, ts.URL, true, []string{"derive", "", "derive"}, specs)
 	if status != http.StatusOK {
@@ -456,5 +456,82 @@ func TestPointBatchStreams(t *testing.T) {
 	}
 	if got := s.Metrics().Get(mPointsBatches); got != 1 {
 		t.Errorf("points.batches = %d, want 1", got)
+	}
+}
+
+// invalidPointSpecs returns a valid cascaded fig6 spec and the five
+// out-of-range variants a worker must refuse before taking a slot.
+func invalidPointSpecs(t testing.TB) (experiments.PointSpec, map[string]experiments.PointSpec) {
+	t.Helper()
+	specs, _ := experiments.Decompose("fig6", JobParams{Scale: 0.01}.WithDefaults().RunConfig())
+	good := specs[len(specs)-1]
+	bad := map[string]experiments.PointSpec{}
+	for name, edit := range map[string]func(*experiments.PointSpec){
+		"procs 0":        func(ps *experiments.PointSpec) { ps.Procs = 0 },
+		"strategy bogus": func(ps *experiments.PointSpec) { ps.Strategy = "bogus" },
+		"machine Nope":   func(ps *experiments.PointSpec) { ps.Machine = "Nope" },
+		"chunk_kb 0":     func(ps *experiments.PointSpec) { ps.ChunkKB = 0 },
+		"scale -1":       func(ps *experiments.PointSpec) { ps.Scale = -1 },
+	} {
+		ps := good
+		edit(&ps)
+		bad[name] = ps
+	}
+	return good, bad
+}
+
+// TestPointSpecValidatedBeforeSlot pins that a worker refuses an
+// out-of-range spec before admission: with its only slot held, each of
+// the five invalid specs still gets 400 bad_request — single form — or a
+// bad_request outcome — batch form — while a valid spec is shed for want
+// of a slot; nothing is executed, counted as failed, or cached.
+func TestPointSpecValidatedBeforeSlot(t *testing.T) {
+	s, err := New(Config{Workers: 1, Experiments: []experiments.Experiment{echoExperiment("echo")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.pointAdmitMax = 1
+	release, ok := s.acquirePointSlot(context.Background())
+	if !ok {
+		t.Fatal("could not hold the only slot")
+	}
+	defer release()
+
+	good, bad := invalidPointSpecs(t)
+	if status, env := postPoint(t, ts.URL, "derive", good); status != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != CodeQueueFull {
+		t.Fatalf("valid spec with no free slot: status %d, envelope %+v; want 503 queue_full", status, env)
+	}
+	var batch []experiments.PointSpec
+	for name, ps := range bad {
+		status, env := postPoint(t, ts.URL, "derive", ps)
+		if status != http.StatusBadRequest || env.Error == nil || env.Error.Code != CodeBadRequest {
+			t.Errorf("%s: status %d, envelope %+v; want 400 bad_request", name, status, env)
+		}
+		batch = append(batch, ps)
+	}
+	status, envs, _ := postBatch(t, ts.URL, false, make([]string, len(batch)), batch)
+	if status != http.StatusOK || len(envs) != 1 || len(envs[0].Outcomes) != len(batch) {
+		t.Fatalf("invalid batch: status %d, envelopes %+v", status, envs)
+	}
+	for i, o := range envs[0].Outcomes {
+		if o.Error == nil || o.Error.Code != CodeBadRequest || o.Point != nil {
+			t.Errorf("batch outcome %d = %+v, want a bad_request error", i, o)
+		}
+	}
+
+	m := s.Metrics()
+	for _, name := range []string{mPointsFailed, mPointsExecuted, mJobsPanics} {
+		if got := m.Get(name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+	if got := m.Get(mPointsRejected); got != 1 {
+		t.Errorf("%s = %d, want 1 (the valid spec only)", mPointsRejected, got)
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("cache holds %d entries after refused points", n)
 	}
 }

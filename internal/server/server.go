@@ -97,9 +97,9 @@ type Config struct {
 	QuarantineTTL time.Duration
 	// WarmPrefixes enables worker-side prefix reuse for shipped points: a
 	// point whose decomposition declares a shared prefix executes off the
-	// built prefix state from the server's prefix cache (a sealed machine
-	// snapshot or per-loop packed captures) instead of rebuilding the
-	// sweep prefix. Byte-identical results either way (the experiments
+	// built prefix state from the server's prefix cache (packed machine
+	// captures: one for a warm prefix, one per loop for a cold call)
+	// instead of rebuilding the sweep prefix. Byte-identical results either way (the experiments
 	// layer pins the RunWarm contract) — purely a wall-clock
 	// optimization for prefix-heavy sweeps. Local jobs always run off
 	// the cache.

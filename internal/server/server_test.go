@@ -33,7 +33,7 @@ func oneShot(name string, point func(ctx context.Context) error,
 	merge func(rc experiments.RunConfig) (experiments.Renderable, error)) experiments.Experiment {
 	experiments.RegisterDecomposition(name, experiments.Decomposition{
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
-			return []experiments.PointSpec{{Experiment: name, N: rc.N}}
+			return []experiments.PointSpec{{Machine: "PentiumPro", Procs: 1, Experiment: name, N: rc.N}}
 		},
 		Run: func(ctx context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
 			return experiments.PointResult{Index: ps.Index}, point(ctx)
