@@ -12,9 +12,8 @@
 # benchmarks; `bench-hotpath` compares the compiled fast engine against
 # the reference interpreter (see BENCH_hotpath.json for recorded runs;
 # BENCH_coalesce.json is the historical record of the run-coalescing
-# mechanism, since deleted); `bench-parallel` measures the
-# host-parallel engine against the serial driver on the same workloads
-# (recorded in BENCH_parallel.json); `bench-snapshot` measures
+# mechanism, since deleted, and BENCH_parallel.json that of the
+# host-parallel simulation engine, also deleted); `bench-snapshot` measures
 # warm-started sweeps that load one captured prefix per point against
 # fresh per-point prefixes (BENCH_snapshot.json is the historical record
 # of the copy-on-write snapshots it measured before captures replaced
@@ -42,7 +41,7 @@ CHAOS_SEED ?=
 
 RESULTS = ablations amdahl conflicts fig2 fig3 fig4 fig5 fig6 fig7 gallery table1
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz results results-check fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz results results-check fmt
 
 tier1:
 	$(GO) build ./...
@@ -72,9 +71,6 @@ bench:
 
 bench-hotpath:
 	$(GO) test -run NONE -bench BenchmarkHotPath -benchtime 2x -count 3 .
-
-bench-parallel:
-	$(GO) test -run NONE -bench BenchmarkParallel -benchtime 3x -count 5 .
 
 bench-snapshot:
 	$(GO) test -run NONE -bench BenchmarkSnapshot -benchtime 3x -count 5 ./internal/experiments/

@@ -34,12 +34,6 @@
 // simulation points finish, no new ones start, and the command exits
 // with the cancellation error.
 //
-// The -parallel flag runs each simulated processor on its own host
-// goroutine inside the fast engine's conservative lookahead window.
-// Results are bit-identical to serial simulation — the flag only trades
-// host cores for wall-clock time — so parallel and serial runs share
-// -cache entries.
-//
 // The -repro flag replays a deterministic repro bundle — the JSON
 // document GET /v1/jobs/{id}/repro serves for a failed job — instead of
 // running experiments: the bundle's fault spec and seed are re-armed,
@@ -103,12 +97,10 @@ func main() {
 		cache   = flag.String("cache", "", "content-addressed result cache directory, shared with cascade-server")
 		repro   = flag.String("repro", "", "replay a repro bundle JSON file (from GET /v1/jobs/{id}/repro) and verify the failure reproduces")
 		quiet   = flag.Bool("q", false, "suppress progress messages")
-		par     = flag.Bool("parallel", false, "simulate the processors on parallel host goroutines (bit-identical results)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-	experiments.SetParallel(*par)
 	opts := cliOptions{
 		exp:        *exp,
 		scale:      *scale,

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/server"
 )
@@ -394,27 +393,6 @@ func TestProfilesValidAfterCancelledRun(t *testing.T) {
 		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
 			t.Errorf("profile %s is not a gzip-framed pprof file (%d bytes)", p, len(data))
 		}
-	}
-}
-
-// TestRunParallelFlagMatchesSerial pins the -parallel wiring end to end:
-// the host-parallel engine must render byte-identical experiment output.
-// fig7's synthetic loops run with PriorParallel disabled, so the engine
-// actually engages there rather than falling back to the serial driver.
-func TestRunParallelFlagMatchesSerial(t *testing.T) {
-	runOnce := func(par bool) string {
-		experiments.SetParallel(par)
-		t.Cleanup(func() { experiments.SetParallel(false) })
-		var b strings.Builder
-		if err := run(context.Background(), &b, cliOptions{exp: "fig7", scale: smallScale, chunkBytes: 64 * 1024, n: 1 << 13, mode: "table", quiet: true}); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial := runOnce(false)
-	parallel := runOnce(true)
-	if serial != parallel {
-		t.Errorf("-parallel output diverges from serial:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 }
 

@@ -176,9 +176,8 @@ func TestCaptureRejectsShapeChanges(t *testing.T) {
 // The warm-prefix differentials: a tail run from a machine loaded with a
 // capture of a warm prefix, over a space loaded with the prefix's space
 // checkpoint, must be bit-identical — Result, every metric, every array
-// value — to the same prefix and tail run on one fresh machine, with the
-// host-parallel engine knob in both positions. This is what the
-// experiments' warm prefixes (PrefixState.fork) do per point.
+// value — to the same prefix and tail run on one fresh machine. This is
+// what the experiments' warm prefixes (PrefixState.fork) do per point.
 
 // tailSpec is one divergent tail run off a shared prefix.
 type tailSpec struct {
@@ -186,7 +185,6 @@ type tailSpec struct {
 	chunk     int
 	helper    cascade.Helper
 	keepState bool
-	parallel  machine.Parallel
 }
 
 func forkTails() []tailSpec {
@@ -194,9 +192,8 @@ func forkTails() []tailSpec {
 		{name: "warm-prefetch-64k", chunk: 64 << 10, helper: cascade.HelperPrefetch, keepState: true},
 		{name: "warm-prefetch-8k", chunk: 8 << 10, helper: cascade.HelperPrefetch, keepState: true},
 		{name: "warm-restructure-16k", chunk: 16 << 10, helper: cascade.HelperRestructure, keepState: true},
-		{name: "replay-parallel-on", chunk: 4 << 10, helper: cascade.HelperPrefetch, parallel: machine.ParallelOn},
-		{name: "replay-parallel-off", chunk: 4 << 10, helper: cascade.HelperPrefetch},
-		{name: "replay-restructure-parallel", chunk: 8 << 10, helper: cascade.HelperRestructure, parallel: machine.ParallelOn},
+		{name: "replay-prefetch", chunk: 4 << 10, helper: cascade.HelperPrefetch},
+		{name: "replay-restructure", chunk: 8 << 10, helper: cascade.HelperRestructure},
 	}
 }
 
@@ -245,18 +242,15 @@ func TestForkDifferential(t *testing.T) {
 	for _, spec := range forkTails() {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
-			m, s, l := loadWarm(t, cfg.WithParallel(spec.parallel), capture, seed, spaceCk)
+			m, s, l := loadWarm(t, cfg, capture, seed, spaceCk)
 			tail := cascade.Options{Helper: spec.helper, ChunkBytes: spec.chunk, JumpOut: true, KeepState: spec.keepState, Space: s}
 			warmRes, err := cascade.Run(m, l, tail)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Fresh path: identical prefix and tail on one machine. The
-			// prefix runs under the tail's Parallel knob, which cannot
-			// change simulated results (the parallel-engine
-			// differentials assert it).
-			mFresh, sFresh, lFresh := warmPrefix(t, cfg.WithParallel(spec.parallel), seed, 16<<10)
+			// Fresh path: identical prefix and tail on one machine.
+			mFresh, sFresh, lFresh := warmPrefix(t, cfg, seed, 16<<10)
 			tail.Space = sFresh
 			freshRes, err := cascade.Run(mFresh, lFresh, tail)
 			if err != nil {
@@ -372,9 +366,8 @@ func TestRandomForkDifferential(t *testing.T) {
 }
 
 // TestForkRejectsShapeChanges pins the load-compatibility contract beyond
-// TestCaptureRejectsShapeChanges: the Parallel speed knob may change, and
-// neither capturing nor loading works with a classification shadow
-// attached.
+// TestCaptureRejectsShapeChanges: neither capturing nor loading works
+// with a classification shadow attached.
 func TestForkRejectsShapeChanges(t *testing.T) {
 	_, l := cascade.RandomLoop(3)
 	m := machine.MustNew(machine.PentiumPro(2))
@@ -385,9 +378,6 @@ func TestForkRejectsShapeChanges(t *testing.T) {
 	}
 	if err := machine.MustNew(machine.PentiumPro(4)).LoadCapture(capture); err == nil {
 		t.Error("LoadCapture accepted a processor-count change")
-	}
-	if err := machine.MustNew(machine.PentiumPro(2).WithParallel(machine.ParallelOn)).LoadCapture(capture); err != nil {
-		t.Errorf("LoadCapture rejected a speed-knob change: %v", err)
 	}
 	classified := machine.MustNew(machine.PentiumPro(2))
 	classified.EnableClassification()

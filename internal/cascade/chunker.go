@@ -39,12 +39,16 @@ func Split(l *loopir.Loop, chunkBytes int) []Chunk {
 	return splitPer(l, ItersPerChunk(l, chunkBytes))
 }
 
-// SplitFor is the machine-aware Split the run drivers use: on
-// compiler-prefetch machines it snaps the chunk size down to the loop's
-// boundary-alignment quantum (see chunkAlign), so the footprint analysis
-// sees chunk write spans that meet exactly at L2-line boundaries instead
-// of sharing a straddled line. On machines without compiler prefetch it
-// is identical to Split.
+// SplitFor is the machine-aware Split the run drivers use. On machines
+// whose compiler inserts prefetches (the R10000 preset) it rounds the
+// chunk size down to the loop's boundary-alignment quantum (see
+// chunkAlign), so consecutive chunks, which run on different processors,
+// never write the same L2 line: the model's prefetching compiler sizes
+// chunks in whole lines of their output. This is a model choice. It is
+// kept because every pinned R10000 result was computed with it, and
+// dropping it moves those results, which must be a named and reported
+// output change, never a side effect. On machines without compiler
+// prefetch SplitFor is identical to Split.
 func SplitFor(cfg machine.Config, l *loopir.Loop, chunkBytes int) []Chunk {
 	return splitPer(l, snappedPer(cfg, l, chunkBytes))
 }
@@ -52,8 +56,7 @@ func SplitFor(cfg machine.Config, l *loopir.Loop, chunkBytes int) []Chunk {
 // snappedPer returns the per-chunk iteration count after boundary
 // snapping: the byte budget's count rounded down to a multiple of the
 // alignment quantum. When the budget holds fewer iterations than one
-// quantum the unsnapped count is kept — a short chunk cannot be aligned,
-// and admission then rejects it exactly as before this pass existed.
+// quantum the unsnapped count is kept: a short chunk cannot be aligned.
 func snappedPer(cfg machine.Config, l *loopir.Loop, chunkBytes int) int {
 	per := ItersPerChunk(l, chunkBytes)
 	if align := chunkAlign(cfg, l); align > 1 {
@@ -88,16 +91,10 @@ func lcm(a, b int) int { return a / gcd(a, b) * b }
 // chunkAlign returns the iteration-count quantum that puts every chunk
 // boundary of every affine reference over a *written* array exactly on an
 // L2-line boundary, or 1 when no quantum exists (misaligned base/offset,
-// indirect writes, unanalyzable loop) or none is needed (no compiler
-// prefetch — tight spans already meet only at a shared straddled line,
-// which the paper's line-aligned chunk sizes avoid by construction).
-//
-// This is what closes the documented R10000 admission gap: with prefetch
-// wind-down keeping every access inside the tight span, the only
-// remaining cross-chunk contact is a chunk boundary landing mid-line.
-// Snapping the chunk size to a multiple of this quantum makes adjacent
-// write spans meet exactly at coherence granularity, so footprint
-// admission sees them as disjoint.
+// indirect writes, unanalyzable loop) or the machine has no compiler
+// prefetch (see SplitFor). With a chunk size that is a multiple of the
+// quantum, the written data of adjacent chunks meets exactly at
+// coherence granularity.
 func chunkAlign(cfg machine.Config, l *loopir.Loop) int {
 	if !cfg.CompilerPrefetch.Enabled || l.NoCompilerPrefetch {
 		return 1
@@ -139,4 +136,45 @@ func chunkAlign(cfg machine.Config, l *loopir.Loop) int {
 		align = lcm(align, l2/gcd(l2, abs*elem))
 	}
 	return align
+}
+
+// refShape is the chunk-independent shape of one loop reference: the
+// array it touches and, for affine references, the element index as a
+// function of the iteration. Indirect references reach their whole target
+// array (the table values are data, unknowable statically).
+type refShape struct {
+	arr        *memsim.Array
+	scale, off int
+	whole      bool // entire array regardless of chunk bounds
+	write      bool
+}
+
+// loopShapes derives the shapes of l's references. ok is false when any
+// index expression is of an unknown kind, in which case the loop's chunk
+// boundaries cannot be analyzed.
+func loopShapes(l *loopir.Loop) (shapes []refShape, ok bool) {
+	add := func(refs []loopir.Ref, write bool) bool {
+		for _, r := range refs {
+			switch ix := r.Index.(type) {
+			case loopir.Affine:
+				shapes = append(shapes, refShape{
+					arr: r.Array, scale: ix.Scale, off: ix.Offset, write: write,
+				})
+			case loopir.Indirect:
+				// The table walk is affine; the target array is reachable
+				// anywhere (the table values are data).
+				shapes = append(shapes, refShape{
+					arr: ix.Tbl, scale: ix.Entry.Scale, off: ix.Entry.Offset,
+				})
+				shapes = append(shapes, refShape{arr: r.Array, whole: true, write: write})
+			default:
+				return false
+			}
+		}
+		return true
+	}
+	if !add(l.RO, false) || !add(l.RW, false) || !add(l.Writes, true) {
+		return nil, false
+	}
+	return shapes, true
 }

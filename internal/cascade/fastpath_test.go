@@ -43,9 +43,9 @@ type runMode struct {
 }
 
 func runModes(chunkBytes int) []runMode {
-	cascaded := func(h cascade.Helper, par machine.Parallel, prior bool) func(machine.Config, *memsim.Space, *loopir.Loop) (cascade.Result, *machine.Machine, error) {
+	cascaded := func(h cascade.Helper, prior bool) func(machine.Config, *memsim.Space, *loopir.Loop) (cascade.Result, *machine.Machine, error) {
 		return func(cfg machine.Config, space *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
-			m, err := machine.New(cfg.WithParallel(par))
+			m, err := machine.New(cfg)
 			if err != nil {
 				return cascade.Result{}, nil, err
 			}
@@ -62,11 +62,8 @@ func runModes(chunkBytes int) []runMode {
 			return r, m, err
 		}
 	}
-	// The parallel-engine modes turn the machine's Parallel knob on and
-	// disable PriorParallel so the engine engages; on the reference twin
-	// the knob is inert (ParallelEnabled requires the fast engine), so
-	// these modes diff the parallel scheduler against the serial reference
-	// interpreter in one step.
+	// The cold modes start from reset caches (PriorParallel off) instead
+	// of the prior parallel section's distributed dirty lines.
 	return []runMode{
 		{"sequential", func(cfg machine.Config, _ *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
 			m, err := machine.New(cfg)
@@ -75,10 +72,10 @@ func runModes(chunkBytes int) []runMode {
 			}
 			return cascade.RunSequential(m, l, true), m, nil
 		}},
-		{"cascade-prefetch", cascaded(cascade.HelperPrefetch, machine.ParallelOff, true)},
-		{"cascade-restructure", cascaded(cascade.HelperRestructure, machine.ParallelOff, true)},
-		{"cascade-prefetch-parallel", cascaded(cascade.HelperPrefetch, machine.ParallelOn, false)},
-		{"cascade-restructure-parallel", cascaded(cascade.HelperRestructure, machine.ParallelOn, false)},
+		{"cascade-prefetch", cascaded(cascade.HelperPrefetch, true)},
+		{"cascade-restructure", cascaded(cascade.HelperRestructure, true)},
+		{"cascade-prefetch-cold", cascaded(cascade.HelperPrefetch, false)},
+		{"cascade-restructure-cold", cascaded(cascade.HelperRestructure, false)},
 		{"parallel", func(cfg machine.Config, _ *memsim.Space, l *loopir.Loop) (cascade.Result, *machine.Machine, error) {
 			m, err := machine.New(cfg)
 			if err != nil {

@@ -81,8 +81,7 @@ func randomLoop(seed int64) (*memsim.Space, *loopir.Loop) {
 		PreCycles:   int64(rng.Intn(6)),
 		FinalCycles: int64(1 + rng.Intn(6)),
 		NPre:        1,
-		// Factory form, so the loop is reentrant and the parallel engine
-		// can engage in the randomized differentials.
+		// Factory form: each runner builds its own closure instances.
 		NewPre: func() func(int, []float64) []float64 {
 			return func(_ int, rov []float64) []float64 {
 				sum := 0.0

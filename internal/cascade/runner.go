@@ -23,10 +23,7 @@ func phaseTimer(m *machine.Machine) *metrics.PhaseTimer {
 }
 
 // chunkState is the mutable per-run state the cascade timeline is built
-// from. The serial driver mutates it chunk by chunk; the parallel engine
-// shares the exact same code for its inline (solo) chunks and replays its
-// concurrently simulated chunks through the same accounting, which is how
-// both drivers produce bit-identical Results.
+// from; Run advances it chunk by chunk.
 type chunkState struct {
 	m       *machine.Machine
 	l       *loopir.Loop
@@ -41,9 +38,9 @@ type chunkState struct {
 	res      *Result
 }
 
-// runChunk simulates chunk k serially: transfer, helper phase bounded by
+// runChunk simulates chunk k: transfer, helper phase bounded by
 // the processor's idle window, then the execution phase, advancing the
-// cascade timeline. This is the one and only serial per-chunk body.
+// cascade timeline.
 func (s *chunkState) runChunk(k int, ch Chunk) {
 	p := k % len(s.runners)
 	start := s.t
@@ -121,11 +118,6 @@ func (s *chunkState) runChunk(k int, ch Chunk) {
 // execution phase rather than interleaved with chunks k-P+1..k-1; see
 // DESIGN.md §4 for why this approximation is benign (chunks touch almost
 // entirely disjoint data, and coherence invalidations still apply).
-//
-// When the machine's Parallel knob is on and the run qualifies (see
-// newParEngine), the chunks are simulated concurrently on host goroutines
-// by the parallel engine in internal/cascade/parengine.go; the Result is
-// bit-identical either way, so the knob is purely a host-time optimization.
 func Run(m *machine.Machine, l *loopir.Loop, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -174,23 +166,8 @@ func Run(m *machine.Machine, l *loopir.Loop, opts Options) (Result, error) {
 		res:      &res,
 	}
 
-	if eng := newParEngine(st, chunks); eng != nil {
-		// Concurrent workers write the loop's arrays (and buffers)
-		// directly. Materialize any space-checkpoint-sealed storage up
-		// front:
-		// two goroutines racing the lazy copy-on-write would each copy
-		// independently and one copy's writes would be lost.
-		for _, a := range l.Arrays() {
-			a.Materialize()
-		}
-		for _, b := range bufs {
-			b.Array().Materialize()
-		}
-		eng.run()
-	} else {
-		for k, ch := range chunks {
-			st.runChunk(k, ch)
-		}
+	for k, ch := range chunks {
+		st.runChunk(k, ch)
 	}
 
 	res.Cycles = st.t

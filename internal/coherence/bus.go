@@ -33,45 +33,16 @@ type Stats struct {
 	Writebacks       int64 // dirty lines written back to memory
 }
 
-// add accumulates o into s (shard merging).
-func (s *Stats) add(o Stats) {
-	s.MemFetches += o.MemFetches
-	s.CacheToCache += o.CacheToCache
-	s.InvalidationsOut += o.InvalidationsOut
-	s.Upgrades += o.Upgrades
-	s.Writebacks += o.Writebacks
-}
-
 // Bus is the shared interconnect. Hierarchies attach via Port, which gives
 // each one a cache.LineSource view of the bus.
-//
-// Transaction counters are sharded per attached port (McKenney's
-// partitioned-counter idiom): every transaction is counted on the shard of
-// the node that issued it, and Stats/EmitMetrics sum the shards. Under
-// serial simulation the sum is trivially the old global counter; under the
-// parallel engine the shards let concurrently executing nodes count
-// without sharing a cache line, and the per-issuer attribution is
-// identical to serial because which node issues each transaction does not
-// depend on the execution schedule.
 type Bus struct {
 	memLatency     int64
 	c2cLatency     int64
 	upgradeLatency int64
 	lineSize       memsim.Addr // L2 line size; all attached hierarchies agree
 
-	nodes  []*cache.Hierarchy
-	shards []Stats // per-port transaction counters, indexed by issuer
-
-	// isolated, when set, makes the bus answer every fetch from memory
-	// without probing remote nodes, and every upgrade locally. The
-	// parallel scheduler sets it only while each in-flight chunk's
-	// footprint is proven disjoint from every line any other node could
-	// hold — exactly the condition under which serial snooping would have
-	// found no remote copy — so isolated answers (latency, state, and
-	// counters alike) are bit-identical to what snooping would produce.
-	// Toggled only while the simulation is quiescent, with the toggle
-	// ordered against worker execution by the scheduler's channels.
-	isolated bool
+	nodes []*cache.Hierarchy
+	stats Stats
 }
 
 // NewBus creates a bus. memLatency is the cost of a memory supply,
@@ -89,44 +60,22 @@ func NewBus(memLatency, c2cLatency, upgradeLatency int64, l2LineSize int) *Bus {
 	}
 }
 
-// Stats returns the transaction counters summed over all port shards.
-func (b *Bus) Stats() Stats {
-	var s Stats
-	for i := range b.shards {
-		s.add(b.shards[i])
-	}
-	return s
-}
+// Stats returns the transaction counters.
+func (b *Bus) Stats() Stats { return b.stats }
 
-// ResetStats zeroes the transaction counters of every shard.
-func (b *Bus) ResetStats() {
-	for i := range b.shards {
-		b.shards[i] = Stats{}
-	}
-}
+// ResetStats zeroes the transaction counters.
+func (b *Bus) ResetStats() { b.stats = Stats{} }
 
 // EmitMetrics reports the transaction counters (metrics Source contract;
-// see internal/metrics). The bus is registered once per machine — the
-// per-node shards are an implementation detail and are reported summed,
-// so snapshots keep their pre-sharding shape.
+// see internal/metrics).
 func (b *Bus) EmitMetrics(emit func(name string, value int64)) {
-	s := b.Stats()
+	s := b.stats
 	emit("mem_fetches", s.MemFetches)
 	emit("cache_to_cache", s.CacheToCache)
 	emit("invalidations_out", s.InvalidationsOut)
 	emit("upgrades", s.Upgrades)
 	emit("writebacks", s.Writebacks)
 }
-
-// SetIsolated switches the bus between snooping and isolated operation
-// (see the Bus type comment). Callers must guarantee both that the
-// simulation is quiescent at the moment of the toggle and that, while
-// isolated, no access can touch a line a remote node holds — the parallel
-// scheduler's admission predicate. Serial simulation never isolates.
-func (b *Bus) SetIsolated(on bool) { b.isolated = on }
-
-// Isolated reports whether the bus is in isolated operation.
-func (b *Bus) Isolated() bool { return b.isolated }
 
 // Port returns the LineSource through which node id accesses the bus. The
 // id must match the index the hierarchy is later attached at.
@@ -145,7 +94,6 @@ func (b *Bus) Attach(id int, h *cache.Hierarchy) {
 			id, h.L2.Config().LineSize, b.lineSize))
 	}
 	b.nodes = append(b.nodes, h)
-	b.shards = append(b.shards, Stats{})
 }
 
 // Nodes returns the number of attached hierarchies.
@@ -163,18 +111,7 @@ func (p *port) FetchLine(lineAddr memsim.Addr, write bool) (int64, cache.State) 
 	if lineAddr&(b.lineSize-1) != 0 {
 		panic(fmt.Sprintf("coherence: FetchLine(%s) not line-aligned", lineAddr))
 	}
-	st := &b.shards[p.self]
-	if b.isolated {
-		// The admission predicate guarantees no remote node holds any copy
-		// of this line, so snooping would have probed every node, found
-		// nothing, and fallen through to a memory supply — which is
-		// exactly what we charge, in the same shard serial would.
-		st.MemFetches++
-		if write {
-			return b.memLatency, cache.Modified
-		}
-		return b.memLatency, cache.Shared
-	}
+	st := &b.stats
 	if write {
 		// BusRdX: every remote copy dies; a remote Modified copy supplies
 		// the data (and implicitly merges through memory).
@@ -221,12 +158,6 @@ func (p *port) FetchLine(lineAddr memsim.Addr, write bool) (int64, cache.State) 
 // UpgradeLine implements cache.LineSource: BusUpgr.
 func (p *port) UpgradeLine(lineAddr memsim.Addr) int64 {
 	b := p.bus
-	if b.isolated {
-		// No remote copies by the admission predicate, so snooping would
-		// invalidate nothing and charge nothing (the local-upgrade case
-		// below).
-		return 0
-	}
 	invalidated := 0
 	for i, n := range b.nodes {
 		if i == p.self {
@@ -239,7 +170,7 @@ func (p *port) UpgradeLine(lineAddr memsim.Addr) int64 {
 		n.CoherenceInvalidate(lineAddr)
 		invalidated++
 	}
-	st := &b.shards[p.self]
+	st := &b.stats
 	st.InvalidationsOut += int64(invalidated)
 	if invalidated == 0 {
 		// No remote copies: the upgrade is local (the MSI simplification of
@@ -252,5 +183,5 @@ func (p *port) UpgradeLine(lineAddr memsim.Addr) int64 {
 
 // WritebackLine implements cache.LineSource.
 func (p *port) WritebackLine(memsim.Addr) {
-	p.bus.shards[p.self].Writebacks++
+	p.bus.stats.Writebacks++
 }

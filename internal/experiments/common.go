@@ -185,33 +185,9 @@ func TotalCycles(results []cascade.Result) int64 {
 	return total
 }
 
-// hostParallel is the machine-level Parallel knob Machines applies to
-// every configuration it hands out. The CLI sets it once, before any
-// experiment runs, so no synchronization is needed.
-var hostParallel machine.Parallel
-
-// SetParallel selects the host-parallel simulation engine for every
-// machine the experiments build. The knob is semantically transparent —
-// parallel runs are bit-identical to serial ones — so it is left out of
-// every cache key: parallel and serial sweeps share point, job and
-// prefix entries. Call before running experiments.
-func SetParallel(on bool) {
-	if on {
-		hostParallel = machine.ParallelOn
-	} else {
-		hostParallel = machine.ParallelOff
-	}
-}
-
 // Machines returns the evaluation's two machines at their full processor
 // counts (Table 1).
-func Machines() []machine.Config {
-	cfgs := machine.Presets()
-	for i := range cfgs {
-		cfgs[i] = cfgs[i].WithParallel(hostParallel)
-	}
-	return cfgs
-}
+func Machines() []machine.Config { return machine.Presets() }
 
 // procSweep returns the processor counts the paper's Figure 2 plots for a
 // machine: 2..4 on the Pentium Pro, 2..8 on the R10000.

@@ -320,8 +320,7 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 }
 
 // machineByName resolves a preset name against Machines(), so a point
-// run on any node sees the same configuration — including the
-// host-parallel knob — as a local sweep would.
+// run on any node sees the same configuration as a local sweep would.
 func machineByName(name string) (machine.Config, error) {
 	for _, cfg := range Machines() {
 		if cfg.Name == name {

@@ -230,15 +230,4 @@ func TestPrefixKeyDiscriminates(t *testing.T) {
 			t.Errorf("prefix key ignores %s", name)
 		}
 	}
-	// The Parallel knob changes simulation scheduling on the host only,
-	// so it must not split the prefix key, whatever its value.
-	for _, mode := range []machine.Parallel{machine.ParallelOn, machine.ParallelOff} {
-		k, err := PrefixKey(cfg.WithParallel(mode), p, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != k1 {
-			t.Errorf("prefix key with Parallel %s differs from the default", mode)
-		}
-	}
 }

@@ -83,9 +83,7 @@ func (g *lcg) next() uint64 {
 func (g *lcg) intn(n int) int { return int(g.next() % uint64(n)) }
 
 // Shared closure factories. The kernels' value semantics are stateless,
-// so the factories just mint fresh instances of the same pure functions;
-// declaring them in factory form marks every kernel reentrant, which
-// lets the host-parallel engine execute gallery cascades concurrently.
+// so the factories just mint fresh instances of the same pure functions.
 func triadPre() func(int, []float64) []float64 {
 	return func(_ int, ro []float64) []float64 { return []float64{ro[0] + 3.0*ro[1]} }
 }

@@ -40,10 +40,9 @@ type Runner struct {
 
 	// Per-runner instances of the bound loop's value closures. A loop's
 	// shared Pre/Final instances may reuse internal scratch (see
-	// loopir.Loop.NewPre), so a runner that may execute concurrently with
-	// others instantiates private closures from the loop's factories;
-	// loops without factories fall back to the shared instances, which is
-	// exactly the serial behaviour. Cached per loop like the access plan.
+	// loopir.Loop.NewPre), so a runner instantiates private closures from
+	// the loop's factories; loops without factories fall back to the
+	// shared instances. Cached per loop like the access plan.
 	bodyLoop *loopir.Loop
 	pre      func(i int, ro []float64) []float64
 	final    func(i int, pre, rw []float64) []float64

@@ -70,25 +70,13 @@ type Loop struct {
 
 	// NewPre and NewFinal, when set, construct fresh instances of the
 	// Pre/Final closures. The hot-loop closure idiom reuses one result
-	// slot across iterations (see internal/wave5), which is safe on a
-	// single goroutine but races when several simulated processors
-	// execute the loop concurrently. A loop that provides factories lets
-	// each execution context (interp.Runner) instantiate private
-	// closures, making the loop body reentrant; the parallel engine only
-	// admits loops for which Reentrant reports true. Validate
-	// materializes Pre/Final from the factories when unset, so purely
-	// serial consumers may provide only the factories.
+	// slot across iterations (see internal/wave5), so one instance must
+	// not serve two execution contexts at once. A loop that provides
+	// factories lets each execution context (interp.Runner) instantiate
+	// private closures. Validate materializes Pre/Final from the
+	// factories when unset, so a loop may provide only the factories.
 	NewPre   func() func(i int, ro []float64) []float64
 	NewFinal func() func(i int, pre, rw []float64) []float64
-}
-
-// Reentrant reports whether independent per-goroutine instances of the
-// loop's value closures can be built: Final must come from a factory, and
-// Pre must either be absent (identity) or come from one too. Loops whose
-// closures were provided only as shared instances are conservatively
-// treated as non-reentrant even if they happen to be stateless.
-func (l *Loop) Reentrant() bool {
-	return l.NewFinal != nil && (l.Pre == nil || l.NewPre != nil)
 }
 
 // Validate checks structural invariants cheaply (O(refs)). Use CheckBounds

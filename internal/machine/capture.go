@@ -25,12 +25,9 @@ type Capture struct {
 	hiers []*cache.PackedState
 }
 
-// Capture packs the machine's cache contents. It errors if the bus is
-// isolated or a classification shadow is attached.
+// Capture packs the machine's cache contents. It errors if a
+// classification shadow is attached.
 func (m *Machine) Capture() (*Capture, error) {
-	if m.bus.Isolated() {
-		return nil, fmt.Errorf("machine %s: cannot capture while the bus is isolated", m.cfg.Name)
-	}
 	c := &Capture{cfg: m.cfg, hiers: make([]*cache.PackedState, len(m.procs))}
 	for i, p := range m.procs {
 		ps, err := p.h.Pack()
@@ -43,10 +40,10 @@ func (m *Machine) Capture() (*Capture, error) {
 }
 
 // stateCompatible checks that a machine built from cfg can adopt the
-// component state of one built from base. Simulation-speed knobs
-// (Engine, Parallel) and latency parameters may differ — they change how
-// the run is simulated or charged, not the shape of the captured state —
-// but the structural fields must match.
+// component state of one built from base. The simulation engine and
+// latency parameters may differ — they change how the run is simulated
+// or charged, not the shape of the captured state — but the structural
+// fields must match.
 func stateCompatible(base, cfg Config) error {
 	switch {
 	case cfg.Procs != base.Procs:
@@ -73,9 +70,6 @@ func stateCompatible(base, cfg Config) error {
 func (m *Machine) LoadCapture(c *Capture) error {
 	if err := stateCompatible(c.cfg, m.cfg); err != nil {
 		return err
-	}
-	if m.bus.Isolated() {
-		return fmt.Errorf("machine %s: cannot load a capture while the bus is isolated", m.cfg.Name)
 	}
 	for i, p := range m.procs {
 		if err := p.h.Unpack(c.hiers[i]); err != nil {

@@ -56,40 +56,6 @@ func (e Engine) String() string {
 	}
 }
 
-// Parallel selects whether the fast engine may simulate the machine's
-// processors on concurrent host goroutines. Like Engine, the knob cannot
-// change simulated results: the parallel scheduler only admits a chunk
-// to concurrent execution when it can prove the chunk's
-// cache/bus behaviour is independent of everything else in flight (see
-// internal/cascade), and falls back to the exact serial path otherwise.
-// The differential tests in internal/cascade assert bit-identical
-// metrics with the knob on and off. It exists so a suspected scheduler
-// bug can be ruled out with one configuration change, and so diagnostic
-// serial runs keep distinct result-cache keys (see CanonicalBytes).
-type Parallel int
-
-const (
-	// ParallelOff (the zero value) keeps simulation single-goroutine;
-	// this is the pre-knob behaviour.
-	ParallelOff Parallel = iota
-	// ParallelOn lets the fast engine's cascade runner execute provably
-	// independent chunks on concurrent worker goroutines. The reference
-	// engine is always serial regardless of this knob.
-	ParallelOn
-)
-
-// String implements fmt.Stringer.
-func (p Parallel) String() string {
-	switch p {
-	case ParallelOff:
-		return "off"
-	case ParallelOn:
-		return "on"
-	default:
-		return fmt.Sprintf("Parallel(%d)", int(p))
-	}
-}
-
 // Config describes one simulated machine.
 type Config struct {
 	Name     string
@@ -100,12 +66,6 @@ type Config struct {
 	// versus the reference interpreter); it does not affect simulated
 	// results, only wall-clock speed. The zero value is EngineFast.
 	Engine Engine
-
-	// Parallel controls whether the fast engine may run the simulated
-	// processors on concurrent host goroutines; the zero value
-	// (ParallelOff) keeps simulation serial. Like Engine it cannot
-	// affect simulated results, only wall-clock speed.
-	Parallel Parallel
 
 	L1, L2     cache.Config
 	MemLatency int64 // main-memory supply latency in cycles
@@ -187,24 +147,7 @@ func (c Config) Validate() error {
 	if c.Engine != EngineFast && c.Engine != EngineReference {
 		return fmt.Errorf("machine %s: unknown engine %d", c.Name, int(c.Engine))
 	}
-	if c.Parallel != ParallelOff && c.Parallel != ParallelOn {
-		return fmt.Errorf("machine %s: unknown parallel mode %d", c.Name, int(c.Parallel))
-	}
 	return nil
-}
-
-// ParallelEnabled resolves the Parallel knob against the engine choice:
-// concurrent simulation is only ever attempted on the fast engine, and
-// only when explicitly requested.
-func (c Config) ParallelEnabled() bool {
-	return c.Engine == EngineFast && c.Parallel == ParallelOn
-}
-
-// WithParallel returns a copy of the configuration with the given
-// parallel-simulation mode (used by the differential parallel tests).
-func (c Config) WithParallel(mode Parallel) Config {
-	c.Parallel = mode
-	return c
 }
 
 // WithEngine returns a copy of the configuration running on the given

@@ -189,11 +189,6 @@ type Processor struct {
 // SetObserver installs (or, with nil, removes) an access observer.
 func (p *Processor) SetObserver(o AccessObserver) { p.observer = o }
 
-// Observed reports whether an access observer is installed. The parallel
-// scheduler keeps observed runs serial, so the observer sees every access
-// in one order.
-func (p *Processor) Observed() bool { return p.observer != nil }
-
 // ID returns the processor's index.
 func (p *Processor) ID() int { return p.id }
 

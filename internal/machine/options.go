@@ -5,7 +5,7 @@ package machine
 // knobs without poking struct fields:
 //
 //	m, err := machine.New(machine.PentiumPro(4),
-//	    machine.WithParallel(machine.ParallelOn),
+//	    machine.WithEngine(machine.EngineReference),
 //	    machine.WithVictim(16, 2))
 //
 // The functions mirror the value-receiver With* methods on Config (which
@@ -16,9 +16,6 @@ type Option func(*Config)
 
 // WithEngine selects the simulation engine.
 func WithEngine(e Engine) Option { return func(c *Config) { c.Engine = e } }
-
-// WithParallel selects the host-parallel simulation mode.
-func WithParallel(mode Parallel) Option { return func(c *Config) { c.Parallel = mode } }
 
 // WithProcs sets the processor count.
 func WithProcs(p int) Option { return func(c *Config) { c.Procs = p } }

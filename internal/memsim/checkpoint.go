@@ -30,13 +30,6 @@ func (a *Array) own() {
 	a.cow = false
 }
 
-// Materialize forces the array to private backing storage now, as if it
-// had been written. Callers that hand the array to concurrent writers
-// (the cascade package's host-parallel engine) must materialize first:
-// two goroutines racing to lazily copy-on-write the same sealed slice
-// would each copy independently and one copy's writes would be lost.
-func (a *Array) Materialize() { a.own() }
-
 // Shared reports whether the array's backing storage is still sealed to
 // a checkpoint (no write has occurred since the last Checkpoint or
 // LoadState covering it).

@@ -159,6 +159,20 @@ type JobMetrics struct {
 	Recovered string
 }
 
+// validate checks that every counter a job core always updates is
+// named; only Recovered may be empty.
+func (n JobMetrics) validate() error {
+	for _, f := range []struct{ field, name string }{
+		{"Submitted", n.Submitted}, {"Completed", n.Completed}, {"Failed", n.Failed},
+		{"CacheHits", n.CacheHits}, {"Rejected", n.Rejected},
+	} {
+		if f.name == "" {
+			return fmt.Errorf("job metric name %s is empty", f.field)
+		}
+	}
+	return nil
+}
+
 // Daemon is what a daemon supplies to its job core.
 type Daemon struct {
 	IDPrefix    string // job ids are IDPrefix + a sequence number
@@ -212,8 +226,12 @@ type JobCore struct {
 	unconserved atomic.Bool
 }
 
-// NewJobCore builds the job core for a daemon.
+// NewJobCore builds the job core for a daemon. It errors when a job
+// counter the core always updates has no name.
 func NewJobCore(d Daemon) (*JobCore, error) {
+	if err := d.Names.validate(); err != nil {
+		return nil, err
+	}
 	c := &JobCore{
 		d:         d,
 		known:     make(map[string]bool, len(d.Experiments)),

@@ -3,11 +3,8 @@ package server
 import (
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/cascade"
-	"repro/internal/experiments"
 	"repro/internal/machine"
-	"repro/internal/wave5"
 )
 
 // defaultOpts returns the paper's headline options via the builder.
@@ -143,42 +140,6 @@ func TestGoldenKeys(t *testing.T) {
 	}
 	if jk != goldenJobKey {
 		t.Errorf("JobKey drifted:\n got %s\nwant %s\n(bump keySchema if this change is intentional)", jk, goldenJobKey)
-	}
-}
-
-// TestParallelKnobLeavesKeysAlone pins that the host-parallel knob, a
-// pure speed knob, moves no key: a point's key from its machine
-// configuration or from its spec, a job's key and a warm prefix's key
-// are the same with the knob on and off.
-func TestParallelKnobLeavesKeysAlone(t *testing.T) {
-	type keys struct{ point, spec, job, prefix string }
-	keysWith := func(mode machine.Parallel) keys {
-		t.Helper()
-		experiments.SetParallel(mode == machine.ParallelOn)
-		defer experiments.SetParallel(false)
-		var k keys
-		var err error
-		cfg := machine.PentiumPro(4).WithParallel(mode)
-		if k.point, err = PointKey(cfg, defaultOpts(t), "parmvr"); err != nil {
-			t.Fatal(err)
-		}
-		specs, _ := experiments.Decompose("fig6", JobParams{Scale: 0.05}.WithDefaults().RunConfig())
-		if k.spec, err = canon.PointKey(specs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if k.job, err = JobKey("fig6", JobParams{Scale: 0.05}); err != nil {
-			t.Fatal(err)
-		}
-		if k.prefix, err = experiments.PrefixKey(cfg, wave5.DefaultParams().Scaled(0.05), 2); err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	if on, off := keysWith(machine.ParallelOn), keysWith(machine.ParallelOff); on != off {
-		t.Errorf("keys differ with the Parallel knob:\non:  %+v\noff: %+v", on, off)
-	}
-	if k, err := PointKey(machine.PentiumPro(4), defaultOpts(t), "parmvr"); err != nil || k != goldenPointKey {
-		t.Errorf("default point key %s (%v), want the golden %s", k, err, goldenPointKey)
 	}
 }
 
