@@ -33,15 +33,22 @@
 # paper scale and the default -n; `results-check` re-derives the
 # SHA-256 of every experiment's `cascade-sim -exp E -json -q` at paper
 # scale and the default -n and compares it with its pin in
-# results/golden.json (nightly CI; each takes 15-20 minutes on 2 cores).
+# results/golden.json (nightly CI; results-check takes about 7 minutes
+# on 2 vCPUs);
+# `pgo` rewrites the profile-guided-optimization profiles that plain
+# `go build` picks up for the two simulating binaries
+# (cmd/cascade-sim/default.pgo and cmd/cascade-server/default.pgo, one
+# merged CPU profile of `cascade-sim -cpuprofile` over fig2, fig6 and
+# warmsweep at scale 0.05; regenerate after hot-path changes; ~10 s).
 
 GO ?= go
 SERVE_FLAGS ?= -cache .cascade-cache
 CHAOS_SEED ?=
 
 RESULTS = ablations amdahl conflicts fig2 fig3 fig4 fig5 fig6 fig7 gallery table1
+PGO_EXPS = fig2 fig6 warmsweep
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz results results-check fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz results results-check pgo fmt
 
 tier1:
 	$(GO) build ./...
@@ -106,6 +113,15 @@ results-check:
 		if [ "$$got" = "$$want" ]; then echo "ok   $$e"; else echo "FAIL $$e: $$got, pinned $$want"; fail=1; fi; \
 	done; \
 	exit $$fail
+
+pgo:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -pgo=off -o "$$dir/cascade-sim" ./cmd/cascade-sim && \
+	for e in $(PGO_EXPS); do \
+		"$$dir/cascade-sim" -exp $$e -scale 0.05 -json -q -cpuprofile "$$dir/$$e.pprof" > /dev/null || exit 1; \
+	done && \
+	$(GO) tool pprof -proto -output cmd/cascade-sim/default.pgo $(PGO_EXPS:%="$$dir/%.pprof") && \
+	cp cmd/cascade-sim/default.pgo cmd/cascade-server/default.pgo
 
 fmt:
 	gofmt -w .

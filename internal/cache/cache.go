@@ -6,14 +6,33 @@ import (
 	"repro/internal/memsim"
 )
 
-// line is one cache line's bookkeeping. The tag stores the full line
-// address (rather than the address with set bits stripped) because the
-// simulator trades a few bytes per line for simpler invariants.
+// line is one cache line's bookkeeping in one 16-byte record. key packs
+// the line-aligned address and the MSI state into one word: line sizes
+// are at least 4 bytes (Config.Validate), so the state fits in the two
+// low bits. An Invalid line has key 0, so a single compare of key against
+// address|state both matches the tag and checks the state.
 type line struct {
-	tag   memsim.Addr // line-aligned address; meaningful only when state != Invalid
-	state State
-	lru   uint64 // larger = more recently used
+	key memsim.Addr // line-aligned address | State; 0 when Invalid
+	lru uint64      // larger = more recently used
 }
+
+// stateMask selects the state bits of a line key.
+const stateMask = memsim.Addr(3)
+
+// lineKey is the key of lineAddr held in state st.
+func lineKey(lineAddr memsim.Addr, st State) memsim.Addr { return lineAddr | memsim.Addr(st) }
+
+// state returns the line's MSI state (Invalid for an empty slot).
+func (l *line) state() State { return State(l.key & stateMask) }
+
+// tag returns the line-aligned address of a valid line.
+func (l *line) tag() memsim.Addr { return l.key &^ stateMask }
+
+// holds reports whether the slot holds lineAddr in a valid state. Only
+// Shared (1) and Modified (2) make key^lineAddr-1 fall below 2: a slot
+// with another tag differs above the state bits, and an Invalid slot
+// (key 0) wraps to the largest word, even for address 0.
+func (l *line) holds(lineAddr memsim.Addr) bool { return (l.key^lineAddr)-1 < 2 }
 
 // Cache is a single set-associative, write-back, write-allocate cache level
 // with LRU replacement. It models presence and coherence state only; data
@@ -32,7 +51,7 @@ type Cache struct {
 	// last points at the slot of the most recent demand hit or fill — a
 	// hint for the hierarchy's memoizer, which would otherwise repeat the
 	// set search the access just performed. Like all fast-path hints it
-	// is verified (tag, state) before use.
+	// is verified against the slot's own key before use.
 	last *line
 
 	// untouched reports that no lookup, fill or reset has reached the
@@ -103,7 +122,7 @@ func (c *Cache) setFor(lineAddr memsim.Addr) []line {
 // find returns the way index of lineAddr within its set, or -1.
 func (c *Cache) find(set []line, lineAddr memsim.Addr) int {
 	for w := range set {
-		if set[w].state != Invalid && set[w].tag == lineAddr {
+		if set[w].holds(lineAddr) {
 			return w
 		}
 	}
@@ -112,12 +131,17 @@ func (c *Cache) find(set []line, lineAddr memsim.Addr) int {
 
 // lookup returns a pointer to the line's bookkeeping slot, or nil if the
 // line is absent, consulting the last-hit hint before searching the set.
-// The hint is verified (tag and state) so a stale one merely falls
+// The hint is verified against the slot's key so a stale one merely falls
 // through to the scan; a present line occupies exactly one slot, so the
 // hint and the scan can only agree.
+//
+// The pointer stays valid for the cache's lifetime (the backing array is
+// allocated once in New and never moves); it dangles logically — not in
+// memory — once the line is evicted, so the hierarchy's same-line memo,
+// which holds it, re-verifies the slot's key before every use.
 func (c *Cache) lookup(lineAddr memsim.Addr) *line {
 	c.untouched = false
-	if ln := c.last; ln != nil && ln.state != Invalid && ln.tag == lineAddr {
+	if ln := c.last; ln != nil && ln.holds(lineAddr) {
 		return ln
 	}
 	set := c.setFor(lineAddr)
@@ -128,29 +152,19 @@ func (c *Cache) lookup(lineAddr memsim.Addr) *line {
 	return nil
 }
 
-// linePtr returns a pointer to the line's bookkeeping slot, or nil if the
-// line is absent. The pointer stays valid for the cache's lifetime (the
-// backing array is allocated once in New and never moves); it dangles
-// logically — not in memory — once the line is evicted, so holders must
-// re-verify tag and state before trusting it. The hierarchy's same-line
-// fast path memoizes it to re-touch recent lines without a set search.
-func (c *Cache) linePtr(lineAddr memsim.Addr) *line {
-	return c.lookup(lineAddr)
-}
-
 // touchFast repeats a demand hit on a line already known to be present
-// (via a linePtr memo), performing exactly the bookkeeping Touch's hit
+// (via a lookup memo), performing exactly the bookkeeping Touch's hit
 // path performs — statistics, the LRU tick, the classification shadow —
 // without the set search. Callers guarantee ln points at the valid slot
 // for its line; the hierarchy's fast path establishes that by checking
-// the slot's current tag and state immediately before the call.
+// the slot's current key immediately before the call.
 func (c *Cache) touchFast(ln *line) {
 	c.stats.Accesses++
 	c.stats.Hits++
 	c.tick++
 	ln.lru = c.tick
 	if c.classify != nil {
-		c.classify.touch(ln.tag)
+		c.classify.touch(ln.tag())
 	}
 }
 
@@ -158,7 +172,7 @@ func (c *Cache) touchFast(ln *line) {
 // The address must be line-aligned.
 func (c *Cache) Probe(lineAddr memsim.Addr) State {
 	if ln := c.lookup(lineAddr); ln != nil {
-		return ln.state
+		return ln.state()
 	}
 	return Invalid
 }
@@ -189,7 +203,7 @@ func (c *Cache) Touch(lineAddr memsim.Addr, write bool) (hit bool, st State) {
 	if c.classify != nil {
 		c.classify.touch(lineAddr)
 	}
-	return true, ln.state
+	return true, ln.state()
 }
 
 // classifyMiss records a demand miss in the shadow structures and bumps the
@@ -222,34 +236,35 @@ func (c *Cache) Fill(lineAddr memsim.Addr, st State, prefetch bool) Victim {
 	}
 	c.untouched = false
 	set := c.setFor(lineAddr)
-	if c.find(set, lineAddr) >= 0 {
-		panic(fmt.Sprintf("cache %s: Fill(%s) but line already present", c.cfg.Name, lineAddr))
-	}
-	// Choose a victim: an Invalid way if one exists, else the LRU way.
-	victim := 0
+	// One scan checks the line is absent and chooses the victim: the
+	// first Invalid way if one exists, else the first way of least LRU
+	// tick.
+	free, lru := -1, 0
 	for w := range set {
-		if set[w].state == Invalid {
-			victim = w
-			break
-		}
-		if set[w].lru < set[victim].lru {
-			victim = w
+		switch {
+		case set[w].key == 0:
+			if free < 0 {
+				free = w
+			}
+		case set[w].holds(lineAddr):
+			panic(fmt.Sprintf("cache %s: Fill(%s) but line already present", c.cfg.Name, lineAddr))
+		case set[w].lru < set[lru].lru:
+			lru = w
 		}
 	}
 	var v Victim
-	if set[victim].state != Invalid {
-		v = Victim{
-			Addr:     set[victim].tag,
-			Modified: set[victim].state == Modified,
-			Valid:    true,
-		}
+	victim := free
+	if free < 0 {
+		victim = lru
+		old := &set[victim]
+		v = Victim{Addr: old.tag(), Modified: old.state() == Modified, Valid: true}
 		c.stats.Evictions++
 		if v.Modified {
 			c.stats.Writebacks++
 		}
 	}
 	c.tick++
-	set[victim] = line{tag: lineAddr, state: st, lru: c.tick}
+	set[victim] = line{key: lineKey(lineAddr, st), lru: c.tick}
 	c.last = &set[victim]
 	c.stats.Fills++
 	if prefetch {
@@ -260,15 +275,20 @@ func (c *Cache) Fill(lineAddr memsim.Addr, st State, prefetch bool) Victim {
 
 // SetState changes the state of a present line (e.g. S->M after a coherence
 // upgrade). It reports whether the line was present. Upgrades are counted.
+// It panics if st is Invalid: removal is Invalidate's job, and an Invalid
+// state beside a tag would break the key encoding.
 func (c *Cache) SetState(lineAddr memsim.Addr, st State) bool {
+	if st == Invalid {
+		panic("cache: SetState to Invalid")
+	}
 	ln := c.lookup(lineAddr)
 	if ln == nil {
 		return false
 	}
-	if ln.state == Shared && st == Modified {
+	if ln.state() == Shared && st == Modified {
 		c.stats.Upgrades++
 	}
-	ln.state = st
+	ln.key = lineKey(lineAddr, st)
 	return true
 }
 
@@ -279,7 +299,7 @@ func (c *Cache) Invalidate(lineAddr memsim.Addr) (prior State) {
 	if ln == nil {
 		return Invalid
 	}
-	prior = ln.state
+	prior = ln.state()
 	*ln = line{}
 	c.stats.Invalidations++
 	return prior
@@ -292,9 +312,9 @@ func (c *Cache) Downgrade(lineAddr memsim.Addr) (prior State) {
 	if ln == nil {
 		return Invalid
 	}
-	prior = ln.state
+	prior = ln.state()
 	if prior == Modified {
-		ln.state = Shared
+		ln.key = lineKey(lineAddr, Shared)
 		c.stats.Downgrades++
 	}
 	return prior
@@ -305,7 +325,7 @@ func (c *Cache) Downgrade(lineAddr memsim.Addr) (prior State) {
 func (c *Cache) ValidLines() int {
 	n := 0
 	for i := range c.sets {
-		if c.sets[i].state != Invalid {
+		if c.sets[i].key != 0 {
 			n++
 		}
 	}
@@ -316,8 +336,8 @@ func (c *Cache) ValidLines() int {
 // and deterministic.
 func (c *Cache) ForEachLine(f func(addr memsim.Addr, st State)) {
 	for i := range c.sets {
-		if c.sets[i].state != Invalid {
-			f(c.sets[i].tag, c.sets[i].state)
+		if ln := &c.sets[i]; ln.key != 0 {
+			f(ln.tag(), ln.state())
 		}
 	}
 }

@@ -21,6 +21,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "sz", Size: 300, Assoc: 2, LineSize: 32},
 		{Name: "as", Size: 256, Assoc: 3, LineSize: 32},
 		{Name: "ln", Size: 256, Assoc: 2, LineSize: 33},
+		{Name: "ln2", Size: 256, Assoc: 2, LineSize: 2}, // no room for the state bits
 		{Name: "small", Size: 32, Assoc: 2, LineSize: 32},
 		{Name: "lat", Size: 256, Assoc: 2, LineSize: 32, HitLatency: -1},
 	}
@@ -109,14 +110,26 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 }
 
 func TestFillDuplicatePanics(t *testing.T) {
-	c := New(tinyConfig())
-	c.Fill(0x0, Shared, false)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Fill should panic")
+	// With hole, an empty way precedes the present line in its set, so
+	// Fill's one scan must not stop at the first free way.
+	for _, hole := range []bool{false, true} {
+		c := New(tinyConfig())
+		if hole {
+			c.Fill(0x80, Shared, false) // way 0
+			c.Fill(0x0, Shared, false)  // way 1
+			c.Invalidate(0x80)
+		} else {
+			c.Fill(0x0, Shared, false)
 		}
-	}()
-	c.Fill(0x0, Shared, false)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("duplicate Fill (hole %v) should panic", hole)
+				}
+			}()
+			c.Fill(0x0, Shared, false)
+		}()
+	}
 }
 
 func TestFillInvalidStatePanics(t *testing.T) {
@@ -127,6 +140,77 @@ func TestFillInvalidStatePanics(t *testing.T) {
 		}
 	}()
 	c.Fill(0x0, Invalid, false)
+}
+
+func TestSetStateInvalidPanics(t *testing.T) {
+	c := New(tinyConfig())
+	c.Fill(0x0, Shared, false)
+	defer func() {
+		if recover() == nil {
+			t.Error("SetState(Invalid) should panic")
+		}
+	}()
+	c.SetState(0x0, Invalid)
+}
+
+// TestLineKeyEdgeCases covers the one-word line key where it is easiest
+// to get wrong: a valid line at address 0 has the same tag bits as an
+// empty slot, and state changes must rewrite the state bits only.
+func TestLineKeyEdgeCases(t *testing.T) {
+	for _, st := range []State{Shared, Modified} {
+		c := New(tinyConfig())
+		c.Fill(0x0, st, false)
+		if got := c.Probe(0x0); got != st {
+			t.Errorf("%v line at 0: Probe = %v", st, got)
+		}
+		if hit, got := c.Touch(0x0, false); !hit || got != st {
+			t.Errorf("%v line at 0: Touch = %v, %v", st, hit, got)
+		}
+		if prior := c.Invalidate(0x0); prior != st {
+			t.Errorf("%v line at 0: Invalidate prior = %v", st, prior)
+		}
+		for i := range c.sets {
+			if c.sets[i].holds(0x0) || c.sets[i].key != 0 {
+				t.Errorf("after Invalidate, slot %d has key %#x", i, uint64(c.sets[i].key))
+			}
+		}
+		if hit, _ := c.Touch(0x0, false); hit {
+			t.Errorf("%v line at 0: hit after Invalidate", st)
+		}
+		c.Fill(0x0, st, false) // absent again, so no duplicate-fill panic
+	}
+
+	c := New(tinyConfig())
+	const a = memsim.Addr(0x1060)
+	c.Fill(a, Modified, false)
+	if prior := c.Downgrade(a); prior != Modified || c.Probe(a) != Shared {
+		t.Errorf("Downgrade: prior %v, now %v", prior, c.Probe(a))
+	}
+	if !c.SetState(a, Modified) || c.Probe(a) != Modified {
+		t.Errorf("SetState(Modified): now %v", c.Probe(a))
+	}
+	var tags []memsim.Addr
+	c.ForEachLine(func(addr memsim.Addr, _ State) { tags = append(tags, addr) })
+	if len(tags) != 1 || tags[0] != a {
+		t.Errorf("after Downgrade and SetState, lines %v, want [%s]", tags, a)
+	}
+
+	// ForEachLine reports each line's own state.
+	c = New(tinyConfig())
+	want := map[memsim.Addr]State{0x0: Modified, 0x20: Shared, 0x80: Shared, 0xe0: Modified}
+	for addr, st := range want {
+		c.Fill(addr, st, false)
+	}
+	got := map[memsim.Addr]State{}
+	c.ForEachLine(func(addr memsim.Addr, st State) { got[addr] = st })
+	if len(got) != len(want) {
+		t.Fatalf("ForEachLine = %v, want %v", got, want)
+	}
+	for addr, st := range want {
+		if got[addr] != st {
+			t.Errorf("ForEachLine: line %s is %v, want %v", addr, got[addr], st)
+		}
+	}
 }
 
 func TestSetStateAndUpgradeCount(t *testing.T) {

@@ -34,6 +34,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: associativity %d not a power of two", c.Name, c.Assoc)
 	case !memsim.IsPow2(c.LineSize):
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineSize)
+	case c.LineSize < 4:
+		// A line's key keeps its state in the address's two low bits.
+		return fmt.Errorf("cache %s: line size %d below 4 bytes", c.Name, c.LineSize)
 	case c.Size < c.Assoc*c.LineSize:
 		return fmt.Errorf("cache %s: size %d smaller than one set (%d ways x %d bytes)",
 			c.Name, c.Size, c.Assoc, c.LineSize)

@@ -132,11 +132,11 @@ type Hierarchy struct {
 	// memo is the same-line hint table: a small direct-mapped cache over
 	// recent single-line accesses, indexed by L1 line address. Entries
 	// are *hints*, not authority — every use re-verifies the pointed-at
-	// L1 slot (tag and state) and TLB slot (page and validity) against
-	// their current contents, so an entry staled by an eviction,
-	// invalidation, downgrade, or TLB refill simply fails verification
-	// and falls back to the full path. No event in the hierarchy needs to
-	// clear hints.
+	// L1 slot's key (tag and state in one word) and TLB slot (page and
+	// validity) against the accessed line, so an entry staled by an
+	// eviction, invalidation, downgrade, TLB refill or a hash collision
+	// simply fails verification and falls back to the full path. No
+	// event in the hierarchy needs to clear hints.
 	memo [fastSlots]fastMemo
 }
 
@@ -155,16 +155,16 @@ func fastIdx(line memsim.Addr) int {
 	return int((uint64(line) * 0x9E3779B97F4A7C15) >> 56)
 }
 
-// fastMemo is one hint: the claim that L1 line `line` currently occupies
-// the slot *ln, and (when a TLB is modelled) that page `page` currently
-// occupies the slot *tlb. The pointers reach into backing arrays that are
-// allocated once and never move, so a stale hint dangles only logically;
-// verification against the slots' current tags makes using one safe.
+// fastMemo is one hint: a claim that the accessed L1 line occupies the
+// slot *ln and (when a TLB is modelled) that its page occupies the slot
+// *tlb. The slots themselves say which line and page they hold, so the
+// hint carries nothing else. The pointers reach into backing arrays that
+// are allocated once and never move, so a stale hint dangles only
+// logically; verification against the slots' current contents makes
+// using one safe.
 type fastMemo struct {
-	ln   *line
-	tlb  *tlbEntry
-	line memsim.Addr
-	page memsim.Addr
+	ln  *line
+	tlb *tlbEntry
 }
 
 // EnableVictimBuffer attaches a fully-associative victim cache of the
@@ -266,9 +266,8 @@ func (h *Hierarchy) Access(addr memsim.Addr, size int, write bool) Result {
 	// skip all searching.
 	if h.FastPath && first == last {
 		m := &h.memo[fastIdx(first)]
-		if m.ln != nil && m.line == first && m.ln.tag == first &&
-			(m.ln.state == Modified || (m.ln.state != Invalid && !write)) &&
-			(h.TLB == nil || (m.tlb.valid && m.tlb.page == m.page)) {
+		if m.ln != nil && (m.ln.key == lineKey(first, Modified) || (!write && m.ln.key == lineKey(first, Shared))) &&
+			(h.TLB == nil || (m.tlb.valid && m.tlb.page == first>>h.TLB.setShift)) {
 			h.L1.touchFast(m.ln)
 			if h.TLB != nil {
 				h.TLB.touchFast(m.tlb)
@@ -307,25 +306,22 @@ func (h *Hierarchy) Access(addr memsim.Addr, size int, write bool) Result {
 // break either invariant.
 func (h *Hierarchy) memoize(first memsim.Addr) {
 	ln := h.L1.last
-	if ln == nil || ln.state == Invalid || ln.tag != first {
-		if ln = h.L1.linePtr(first); ln == nil {
+	if ln == nil || !ln.holds(first) {
+		if ln = h.L1.lookup(first); ln == nil {
 			return
 		}
 	}
 	m := &h.memo[fastIdx(first)]
 	if h.TLB != nil {
-		page := first >> h.TLB.setShift
 		e := h.TLB.last
-		if e == nil || !e.valid || e.page != page {
+		if e == nil || !e.valid || e.page != first>>h.TLB.setShift {
 			if e = h.TLB.entryPtr(first); e == nil {
 				return
 			}
 		}
 		m.tlb = e
-		m.page = page
 	}
 	m.ln = ln
-	m.line = first
 }
 
 // accessLine handles a single L1-line-aligned demand access.
@@ -441,8 +437,7 @@ func (h *Hierarchy) PrefetchLine(addr memsim.Addr) bool {
 		// A verified hint answers the L1 presence probe without a set
 		// search (Probe reads state only — no stats, no LRU — so the
 		// short-cut is trivially identical).
-		m := &h.memo[fastIdx(l1Addr)]
-		if m.ln != nil && m.line == l1Addr && m.ln.tag == l1Addr && m.ln.state != Invalid {
+		if m := &h.memo[fastIdx(l1Addr)]; m.ln != nil && m.ln.holds(l1Addr) {
 			return false
 		}
 	}

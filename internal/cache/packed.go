@@ -36,7 +36,7 @@ func (c *Cache) pack() packedCache {
 	n := c.ValidLines()
 	p := packedCache{slots: len(c.sets), idx: make([]int32, 0, n), lines: make([]line, 0, n), tick: c.tick}
 	for i := range c.sets {
-		if c.sets[i].state != Invalid {
+		if c.sets[i].key != 0 {
 			p.idx = append(p.idx, int32(i))
 			p.lines = append(p.lines, c.sets[i])
 		}

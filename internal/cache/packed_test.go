@@ -79,7 +79,11 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if got := dst.UntouchedComponents(); len(got) != 0 {
 		t.Errorf("after 2000 accesses, untouched components %v", got)
 	}
-	wantBytes := int64(len(ps.l1.lines)+len(ps.l2.lines))*(24+4) +
+	// Each packed line is its record plus an int32 slot index.
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("line record is %d bytes, want 16 (one key word and the LRU tick)", got)
+	}
+	wantBytes := int64(len(ps.l1.lines)+len(ps.l2.lines))*int64(unsafe.Sizeof(line{})+4) +
 		16*int64(unsafe.Sizeof(tlbEntry{})) + 4*int64(unsafe.Sizeof(victimEntry{}))
 	if got := ps.MemBytes(); got != wantBytes {
 		t.Errorf("capture MemBytes = %d, want %d", got, wantBytes)

@@ -327,10 +327,10 @@ func TestPrefixBytesCountCaptures(t *testing.T) {
 	if len(st.starts) == 0 || st.MemBytes() != sum || sum <= 0 {
 		t.Fatalf("MemBytes %d, captures %d over %d loops", st.MemBytes(), sum, len(st.starts))
 	}
-	// A dense copy holds one 24-byte record per L1 and L2 slot and TLB
-	// entry of every processor.
+	// A dense copy holds one 16-byte record per L1 and L2 slot and one
+	// 24-byte record per TLB entry of every processor.
 	cfg := st.cfg
-	dense := int64(cfg.Procs*(cfg.L1.NumLines()+cfg.L2.NumLines()+cfg.TLB.Entries)) * 24 * int64(len(st.starts))
+	dense := int64(cfg.Procs*((cfg.L1.NumLines()+cfg.L2.NumLines())*16+cfg.TLB.Entries*24)) * int64(len(st.starts))
 	if sum >= dense {
 		t.Errorf("captures hold %d bytes, dense per-loop copies %d", sum, dense)
 	}

@@ -37,7 +37,7 @@ func (r *Runner) planRead(ref *planRef, i int) float64 {
 // planIter executes one full iteration from home locations and returns
 // its memory cost (compiled preValues + finishIter).
 func (r *Runner) planIter(p *plan, l *loopir.Loop, i int) int64 {
-	r.results = r.results[:0]
+	r.iter = machine.IterCost{}
 	r.ro = r.ro[:0]
 	for j := range p.ro {
 		r.ro = append(r.ro, r.planRead(&p.ro[j], i))
@@ -57,7 +57,7 @@ func (r *Runner) planIter(p *plan, l *loopir.Loop, i int) int64 {
 		ref.arr.Store(idx, out[j])
 		r.timed(ref.arr, idx, true, ref.stride, ref.strideOK, r.left(i))
 	}
-	return machine.OverlapCost(r.results, r.maxOut)
+	return r.iter.Cost(r.maxOut)
 }
 
 // execPlan is the compiled ExecIters body.
@@ -75,7 +75,7 @@ func (r *Runner) shadowPlan(p *plan, lo, hi int, budget int64) (done int, cycles
 		if budget != Unlimited && cycles >= budget {
 			return i - lo, cycles
 		}
-		r.results = r.results[:0]
+		r.iter = machine.IterCost{}
 		for j := range p.ro {
 			ref := &p.ro[j]
 			idx := r.planIndex(ref, i)
@@ -91,7 +91,7 @@ func (r *Runner) shadowPlan(p *plan, lo, hi int, budget int64) (done int, cycles
 			idx := r.planIndex(ref, i)
 			r.timed(ref.arr, idx, false, ref.stride, ref.strideOK, r.left(i))
 		}
-		cycles += machine.OverlapCost(r.results, r.maxOut)
+		cycles += r.iter.Cost(r.maxOut)
 	}
 	return hi - lo, cycles
 }
@@ -102,7 +102,7 @@ func (r *Runner) restructurePlan(p *plan, l *loopir.Loop, lo, hi int, buf *SeqBu
 		if budget != Unlimited && cycles >= budget {
 			return i - lo, cycles
 		}
-		r.results = r.results[:0]
+		r.iter = machine.IterCost{}
 		r.ro = r.ro[:0]
 		for j := range p.ro {
 			r.ro = append(r.ro, r.planRead(&p.ro[j], i))
@@ -129,7 +129,7 @@ func (r *Runner) restructurePlan(p *plan, l *loopir.Loop, lo, hi int, buf *SeqBu
 			}
 			r.timed(ref.arr, idx, false, ref.stride, ref.strideOK, r.left(i))
 		}
-		cycles += machine.OverlapCost(r.results, r.maxOut) + computeCycles
+		cycles += r.iter.Cost(r.maxOut) + computeCycles
 	}
 	return hi - lo, cycles
 }
@@ -173,7 +173,7 @@ func (r *Runner) execBufferPlan(p *plan, l *loopir.Loop, lo, hi, buffered int, b
 	var cycles int64
 	pos := 0
 	for i := lo; i < lo+buffered; i++ {
-		r.results = r.results[:0]
+		r.iter = machine.IterCost{}
 		for k := 0; k < nVals; k++ {
 			vals[k] = buf.At(pos)
 			r.timed(buf.arr, pos, false, 1, true, streamUnbounded)
@@ -201,7 +201,7 @@ func (r *Runner) execBufferPlan(p *plan, l *loopir.Loop, lo, hi, buffered int, b
 			ref.arr.Store(idx, out[j])
 			r.timed(ref.arr, idx, true, ref.stride, ref.strideOK, r.left(i))
 		}
-		cycles += machine.OverlapCost(r.results, r.maxOut) + computeCycles
+		cycles += r.iter.Cost(r.maxOut) + computeCycles
 	}
 	// Remainder the helper did not reach: full home-location execution.
 	cycles += r.execPlan(p, l, lo+buffered, hi)

@@ -20,9 +20,10 @@ type Runner struct {
 	pf     machine.PrefetchConfig
 	line   int // L1 line size, the granularity of prefetch issue
 
+	iter machine.IterCost // the current iteration's accesses, summed as they complete
+
 	pfOn     bool
 	pfEnd    int // exclusive end iteration of the current run-mode call (prefetch wind-down)
-	results  []cache.Result
 	tblSeen  []tblRead
 	packSeen []tblRead
 	packIdx  []int
@@ -93,7 +94,7 @@ func (r *Runner) Proc() *machine.Processor { return r.proc }
 
 // beginIter resets the per-iteration scratch state.
 func (r *Runner) beginIter() {
-	r.results = r.results[:0]
+	r.iter = machine.IterCost{}
 	r.tblSeen = r.tblSeen[:0]
 }
 
@@ -111,7 +112,7 @@ func (r *Runner) beginIter() {
 // for cross-chunk disjointness).
 func (r *Runner) timed(arr *memsim.Array, idx int, write bool, strideElems int, strideKnown bool, left int) {
 	addr := arr.Addr(idx)
-	r.results = append(r.results, r.proc.Access(addr, arr.ElemSize(), write))
+	r.iter.Add(r.proc.Access(addr, arr.ElemSize(), write))
 	if !r.pfOn || !strideKnown || strideElems == 0 {
 		return
 	}
@@ -146,7 +147,7 @@ func (r *Runner) timed(arr *memsim.Array, idx int, write bool, strideElems int, 
 		return
 	}
 	r.proc.Prefetch(target)
-	r.results = append(r.results, cache.Result{Cycles: r.pf.IssueCost})
+	r.iter.Add(cache.Result{Cycles: r.pf.IssueCost})
 }
 
 // streamUnbounded is the `left` value for reference streams whose extent
@@ -237,7 +238,7 @@ func (r *Runner) finishIter(l *loopir.Loop, i int, pre []float64) int64 {
 	for j, ref := range l.Writes {
 		r.writeRef(ref, i, out[j])
 	}
-	return machine.OverlapCost(r.results, r.maxOut)
+	return r.iter.Cost(r.maxOut)
 }
 
 // ExecIters executes iterations [lo,hi) of l from the operands' home
@@ -294,7 +295,7 @@ func (r *Runner) ShadowIters(l *loopir.Loop, lo, hi int, budget int64) (done int
 			stride, known := ref.Index.StrideElems()
 			r.timed(ref.Array, idx, false, stride, known, r.left(i))
 		}
-		cycles += machine.OverlapCost(r.results, r.maxOut)
+		cycles += r.iter.Cost(r.maxOut)
 	}
 	return hi - lo, cycles
 }
@@ -363,7 +364,7 @@ func (r *Runner) RestructureIters(l *loopir.Loop, lo, hi int, buf *SeqBuf, budge
 		for _, ref := range l.Writes {
 			packIndex(ref)
 		}
-		cycles += machine.OverlapCost(r.results, r.maxOut) + computeCycles
+		cycles += r.iter.Cost(r.maxOut) + computeCycles
 	}
 	return hi - lo, cycles
 }
@@ -463,7 +464,7 @@ func (r *Runner) ExecFromBuffer(l *loopir.Loop, lo, hi, buffered int, buf *SeqBu
 			stride, known := ref.Index.StrideElems()
 			r.timed(ref.Array, idx, true, stride, known, r.left(i))
 		}
-		cycles += machine.OverlapCost(r.results, r.maxOut) + computeCycles
+		cycles += r.iter.Cost(r.maxOut) + computeCycles
 	}
 	for i := lo + buffered; i < hi; i++ {
 		r.beginIter()

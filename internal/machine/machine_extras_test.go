@@ -94,10 +94,31 @@ func TestValidateRejectsBadTLB(t *testing.T) {
 }
 
 // TestCaptureHoldsValidLines pins Capture.MemBytes after a prior-parallel
-// distribution: every valid line costs its 24-byte record plus a 4-byte
-// slot index, and loading the capture reproduces the occupancy.
+// distribution: every valid line costs one packed record plus a 4-byte
+// slot index, each TLB entry its own record, and loading the capture
+// reproduces the occupancy. The per-line and per-entry costs are read off
+// captures of one bare hierarchy holding one L1 and one L2 line and of
+// an empty one with only a TLB, so the test follows the cache package's
+// record layout instead of hard-coding it.
 func TestCaptureHoldsValidLines(t *testing.T) {
 	cfg := PentiumPro(4)
+	packedBytes := func(h *cache.Hierarchy) int64 {
+		ps, err := h.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps.MemBytes()
+	}
+	one := cache.NewHierarchy(cfg.L1, cfg.L2, &cache.MemorySource{})
+	one.Access(0x1000, 8, false)
+	if one.L1.ValidLines() != 1 || one.L2.ValidLines() != 1 {
+		t.Fatalf("one access left %d L1 and %d L2 lines, want 1 and 1", one.L1.ValidLines(), one.L2.ValidLines())
+	}
+	lineBytes := packedBytes(one) / 2
+	tlbOnly := cache.NewHierarchy(cfg.L1, cfg.L2, &cache.MemorySource{})
+	tlbOnly.TLB = cache.NewTLB(cfg.TLB)
+	tlbBytes := packedBytes(tlbOnly)
+
 	m := MustNew(cfg)
 	m.DistributeLines([]AddrRange{{Base: 0x100000, Bytes: 300 << 10}})
 	c, err := m.Capture()
@@ -108,7 +129,7 @@ func TestCaptureHoldsValidLines(t *testing.T) {
 	for p := 0; p < m.Procs(); p++ {
 		valid += int64(m.Proc(p).Hierarchy().L1.ValidLines() + m.Proc(p).Hierarchy().L2.ValidLines())
 	}
-	want := valid*28 + int64(cfg.Procs*cfg.TLB.Entries)*24
+	want := valid*lineBytes + int64(cfg.Procs)*tlbBytes
 	if got := c.MemBytes(); got != want {
 		t.Errorf("Capture.MemBytes = %d, want %d", got, want)
 	}

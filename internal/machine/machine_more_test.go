@@ -20,12 +20,12 @@ func TestOverlapCostMonotonicInWindow(t *testing.T) {
 			results = append(results, cache.Result{Cycles: cycles, MissPenalty: pen})
 			sum += cycles
 		}
-		if OverlapCost(results, 1) != sum {
+		if overlapCost(results, 1) != sum {
 			return false
 		}
-		prev := OverlapCost(results, 1)
+		prev := overlapCost(results, 1)
 		for w := 2; w <= 8; w++ {
-			cur := OverlapCost(results, w)
+			cur := overlapCost(results, w)
 			if cur > prev {
 				return false
 			}
@@ -46,10 +46,10 @@ func TestOverlapCostLowerBound(t *testing.T) {
 		{Cycles: 10, MissPenalty: 7},
 		{Cycles: 3, MissPenalty: 0},
 	}
-	got := OverlapCost(results, 100)
+	got := overlapCost(results, 100)
 	want := int64(3+3+3) + 65 // serial parts + max penalty
 	if got != want {
-		t.Errorf("OverlapCost = %d, want %d", got, want)
+		t.Errorf("cost = %d, want %d", got, want)
 	}
 }
 

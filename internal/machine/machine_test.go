@@ -177,6 +177,15 @@ func TestProcessorPrefetch(t *testing.T) {
 	}
 }
 
+// overlapCost sums results into an IterCost and returns its cost.
+func overlapCost(results []cache.Result, maxOutstanding int) int64 {
+	var c IterCost
+	for _, r := range results {
+		c.Add(r)
+	}
+	return c.Cost(maxOutstanding)
+}
+
 func TestOverlapCost(t *testing.T) {
 	res := func(cycles, penalty int64) cache.Result {
 		return cache.Result{Cycles: cycles, MissPenalty: penalty}
@@ -196,8 +205,8 @@ func TestOverlapCost(t *testing.T) {
 		{"empty", nil, 4, 0},
 	}
 	for _, c := range cases {
-		if got := OverlapCost(c.in, c.max); got != c.want {
-			t.Errorf("%s: OverlapCost = %d, want %d", c.name, got, c.want)
+		if got := overlapCost(c.in, c.max); got != c.want {
+			t.Errorf("%s: cost = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
@@ -205,10 +214,11 @@ func TestOverlapCost(t *testing.T) {
 func TestOverlapCostPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("OverlapCost with maxOutstanding 0 should panic")
+			t.Error("IterCost.Cost with maxOutstanding 0 should panic")
 		}
 	}()
-	OverlapCost(nil, 0)
+	var c IterCost
+	c.Cost(0)
 }
 
 func TestProcessorString(t *testing.T) {

@@ -2,9 +2,10 @@ package machine
 
 import "repro/internal/cache"
 
-// OverlapCost combines the latencies of a group of accesses issued close
-// together (the references of one loop iteration) under a bounded
-// memory-level-parallelism model.
+// IterCost accumulates the accesses of a group issued close together (the
+// references of one loop iteration) and combines their latencies under a
+// bounded memory-level-parallelism model. Its zero value is an empty
+// group.
 //
 // Both paper machines have non-blocking caches that allow up to four
 // outstanding requests to L2 and memory. We model this as: the serial
@@ -14,25 +15,34 @@ import "repro/internal/cache"
 //	max(largest single penalty, ceil(total penalty / maxOutstanding))
 //
 // which reduces to full serialization when maxOutstanding is 1 and to the
-// single penalty when only one access misses.
-func OverlapCost(results []cache.Result, maxOutstanding int) int64 {
+// single penalty when only one access misses. The group keeps only the
+// three sums the formula needs, so adding an access costs a few
+// instructions and no memory.
+type IterCost struct {
+	serial, totalPenalty, maxPenalty int64
+}
+
+// Add records one access of the group.
+func (c *IterCost) Add(r cache.Result) {
+	c.serial += r.Cycles - r.MissPenalty
+	c.totalPenalty += r.MissPenalty
+	if r.MissPenalty > c.maxPenalty {
+		c.maxPenalty = r.MissPenalty
+	}
+}
+
+// Cost returns the group's cycles with at most maxOutstanding misses in
+// flight.
+func (c *IterCost) Cost(maxOutstanding int) int64 {
 	if maxOutstanding < 1 {
-		panic("machine: OverlapCost with maxOutstanding < 1")
+		panic("machine: IterCost.Cost with maxOutstanding < 1")
 	}
-	var serial, totalPenalty, maxPenalty int64
-	for _, r := range results {
-		serial += r.Cycles - r.MissPenalty
-		totalPenalty += r.MissPenalty
-		if r.MissPenalty > maxPenalty {
-			maxPenalty = r.MissPenalty
-		}
+	if c.totalPenalty == 0 {
+		return c.serial
 	}
-	if totalPenalty == 0 {
-		return serial
+	overlapped := (c.totalPenalty + int64(maxOutstanding) - 1) / int64(maxOutstanding)
+	if overlapped < c.maxPenalty {
+		overlapped = c.maxPenalty
 	}
-	overlapped := (totalPenalty + int64(maxOutstanding) - 1) / int64(maxOutstanding)
-	if overlapped < maxPenalty {
-		overlapped = maxPenalty
-	}
-	return serial + overlapped
+	return c.serial + overlapped
 }
