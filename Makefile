@@ -4,7 +4,7 @@
 # set CHAOS_SEED to explore other schedules); `chaos-fabric` is the
 # fleet chaos pass of DESIGN.md §13–§14 — kill the coordinator
 # mid-sweep and restart it over the journal, kill workers mid-sweep and
-# mid-batch, and check slot accounting through worker death and
+# mid-lease, and check slot accounting through worker death and
 # shutdown: zero lost and zero double-merged points; `fabric-smoke`
 # builds the real coordinator and server binaries, boots a
 # three-process fleet, and diffs a distributed sweep against the single-node driver (DESIGN.md
@@ -17,9 +17,9 @@
 # warm-started sweeps that load one captured prefix per point against
 # fresh per-point prefixes (BENCH_snapshot.json is the historical record
 # of the copy-on-write snapshots it measured before captures replaced
-# them, since deleted); `bench-fabric` measures batched
-# lease dispatch and worker-side warm-prefix reuse through a real
-# coordinator + worker pair (recorded in BENCH_fabric.json);
+# them, since deleted); `bench-fabric` measures the per-point lease
+# dispatch floor and a warmsweep through a real coordinator + worker
+# pair (recorded in BENCH_fabric.json);
 # `bench-smoke` is the CI
 # keep-the-benchmarks-compiling pass: one iteration of the hot-path and
 # warm-start benchmarks at short-mode scale, a smoke test rather than a
@@ -38,8 +38,10 @@
 # `pgo` rewrites the profile-guided-optimization profiles that plain
 # `go build` picks up for the two simulating binaries
 # (cmd/cascade-sim/default.pgo and cmd/cascade-server/default.pgo, one
-# merged CPU profile of `cascade-sim -cpuprofile` over fig2, fig6 and
-# warmsweep at scale 0.05; regenerate after hot-path changes; ~10 s).
+# merged CPU profile of three `cascade-sim -cpuprofile` runs each of
+# fig2, fig6 and warmsweep at scale 0.05, since one run's profile varies
+# enough to move a rebuilt binary's CPU time by several percent;
+# regenerate after hot-path changes; ~30 s).
 
 GO ?= go
 SERVE_FLAGS ?= -cache .cascade-cache
@@ -94,7 +96,7 @@ bench-e2e-smoke:
 	cd bench && $(GO) test -count=1 ./e2e
 
 fuzz:
-	$(GO) test -run NONE -fuzz '^FuzzShipBatch$$' -fuzztime 60s ./internal/fabric/
+	$(GO) test -run NONE -fuzz '^FuzzPointReply$$' -fuzztime 60s ./internal/fabric/
 	$(GO) test -run NONE -fuzz '^FuzzLoopSpecEngines$$' -fuzztime 60s ./internal/cascade/
 	$(GO) test -run NONE -fuzz '^FuzzPointRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJobRequest$$' -fuzztime 60s ./internal/server/
@@ -117,10 +119,10 @@ results-check:
 pgo:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -pgo=off -o "$$dir/cascade-sim" ./cmd/cascade-sim && \
-	for e in $(PGO_EXPS); do \
-		"$$dir/cascade-sim" -exp $$e -scale 0.05 -json -q -cpuprofile "$$dir/$$e.pprof" > /dev/null || exit 1; \
-	done && \
-	$(GO) tool pprof -proto -output cmd/cascade-sim/default.pgo $(PGO_EXPS:%="$$dir/%.pprof") && \
+	for e in $(PGO_EXPS); do for r in 1 2 3; do \
+		"$$dir/cascade-sim" -exp $$e -scale 0.05 -json -q -cpuprofile "$$dir/$$e.$$r.pprof" > /dev/null || exit 1; \
+	done; done && \
+	$(GO) tool pprof -proto -output cmd/cascade-sim/default.pgo "$$dir"/*.pprof && \
 	cp cmd/cascade-sim/default.pgo cmd/cascade-server/default.pgo
 
 fmt:

@@ -9,7 +9,7 @@
 //
 //	cascade-coordinator [-addr :8081] [-cache dir] [-journal dir]
 //	                    [-drain 30s] [-lease 2m] [-heartbeat-timeout 15s]
-//	                    [-inflight N] [-attempts N] [-batch N]
+//	                    [-inflight N] [-attempts N]
 //	                    [-quota N] [-quotas "tenant=N,..."]
 //	                    [-faults "fabric.assign:n=1"] [-fault-seed N]
 //
@@ -26,7 +26,9 @@
 //
 // Start workers with `cascade-server -coordinator URL`; they enlist and
 // heartbeat on their own, advertising their -workers bound as slots: the
-// coordinator never has more of a worker's leases in flight. A worker
+// coordinator never has more of a worker's leases in flight. A lease is
+// one point in one POST /v1/points RPC, handed to whichever worker frees
+// a slot first, and bounded by -lease. A worker
 // that goes silent past -heartbeat-timeout is declared dead and its
 // in-flight points are retried on the survivors. Pointing -cache at the same directory as
 // the workers' caches turns disk into a fleet-wide shared result store.
@@ -71,7 +73,6 @@ type coordinatorOptions struct {
 	heartbeatTimeout time.Duration
 	maxInflight      int
 	maxAttempts      int
-	batch            int
 	defaultQuota     int
 	quotasSpec       string
 	faultsSpec       string
@@ -87,9 +88,8 @@ func main() {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		lease      = flag.Duration("lease", 2*time.Minute, "point-dispatch lease (per-RPC deadline)")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 15*time.Second, "silence after which a worker is declared dead")
-		inflight   = flag.Int("inflight", 16, "worker slots one job may hold at once (concurrent leases per job)")
+		inflight   = flag.Int("inflight", 16, "worker slots one job may hold at once (concurrent point leases per job)")
 		attempts   = flag.Int("attempts", 8, "workers tried per point before the job fails")
-		batch      = flag.Int("batch", 1, "points per lease RPC (raise only for points costing about a dispatch RPC)")
 		quota      = flag.Int("quota", 0, "default per-tenant in-flight job quota (0: unlimited)")
 		quotasSpec = flag.String("quotas", "", `per-tenant quota overrides, e.g. "alice=2,bob=8"`)
 		faultsSpec = flag.String("faults", "", `fault-injection spec, e.g. "fabric.assign:n=1" (dev/testing)`)
@@ -107,7 +107,6 @@ func main() {
 		heartbeatTimeout: *hbTimeout,
 		maxInflight:      *inflight,
 		maxAttempts:      *attempts,
-		batch:            *batch,
 		defaultQuota:     *quota,
 		quotasSpec:       *quotasSpec,
 		faultsSpec:       *faultsSpec,
@@ -174,7 +173,6 @@ func run(ctx context.Context, w io.Writer, opts coordinatorOptions) error {
 		HeartbeatTimeout: opts.heartbeatTimeout,
 		MaxInflight:      opts.maxInflight,
 		MaxPointAttempts: opts.maxAttempts,
-		Batch:            opts.batch,
 		DefaultQuota:     opts.defaultQuota,
 		Quotas:           quotas,
 	})

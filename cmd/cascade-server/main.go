@@ -7,7 +7,7 @@
 //	cascade-server [-addr :8080] [-workers N] [-queue N] [-cache dir]
 //	               [-quarantine-ttl 24h] [-drain 30s] [-job-timeout 15m]
 //	               [-coordinator URL] [-advertise URL] [-name NAME]
-//	               [-warm-prefixes] [-prefix-cache-mb N]
+//	               [-prefix-cache-mb N]
 //	               [-faults "site:p=0.05;..."] [-fault-seed N]
 //
 // API (see internal/server for details):
@@ -22,14 +22,17 @@
 // With -coordinator the daemon enlists as a worker in a distributed
 // sweep fabric (see internal/fabric and cascade-coordinator): it
 // registers under -name at the -advertise URL and heartbeats until
-// shutdown, receiving sharded sweep points on POST /v1/points. Both
-// -advertise and -name default to the bound listen address. With
-// -warm-prefixes the worker computes each sweep's shared prefix once,
+// shutdown, receiving sharded sweep points on POST /v1/points, one
+// point per request. Both -advertise and -name default to the bound
+// listen address. The worker computes each sweep's shared prefix once,
 // parks it in its prefix cache, and runs every point of the prefix
-// group off it — byte-identical results, less repeated warmup. Local
-// jobs always share that cache: one bounded LRU (-prefix-cache-mb) that
-// lives as long as the daemon, so a job reuses the prefixes and
-// memoized PARMVR calls of the jobs before it.
+// group off it — byte-identical results, less repeated warmup. Shipped
+// points and local jobs share that cache: one bounded LRU
+// (-prefix-cache-mb) that lives as long as the daemon, so work reuses
+// the prefixes and memoized PARMVR calls of the work before it.
+// -warm-prefixes is accepted and does nothing: shipped points always
+// take that path, and the flag stays only so existing command lines
+// (the end-to-end benchmark's fleet among them) keep starting.
 //
 // Identical jobs are answered from the cache without re-simulating, and
 // concurrent identical submissions coalesce into one run. With -cache
@@ -81,7 +84,6 @@ type serverOptions struct {
 	drain         time.Duration
 	jobTimeout    time.Duration
 	coordinator   string
-	warmPrefixes  bool
 	prefixCacheMB int
 	advertise     string
 	workerName    string
@@ -100,7 +102,7 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		jobTimeout  = flag.Duration("job-timeout", server.DefaultJobTimeout, "default per-job execution deadline (0 disables)")
 		coordinator = flag.String("coordinator", "", "enlist as a fabric worker with this coordinator URL")
-		warmPrefix  = flag.Bool("warm-prefixes", false, "reuse built sweep prefixes across sweep points (fabric worker warm path)")
+		_           = flag.Bool("warm-prefixes", false, "no-op: shipped points always reuse built sweep prefixes")
 		prefixMB    = flag.Int("prefix-cache-mb", 0, "prefix cache ceiling in MiB, prefixes and their memoized calls (0: default)")
 		advertise   = flag.String("advertise", "", "URL the coordinator dispatches to (default: the bound listen address)")
 		workerName  = flag.String("name", "", "worker name within the fleet (default: the bound listen address)")
@@ -119,7 +121,6 @@ func main() {
 		drain:         *drain,
 		jobTimeout:    *jobTimeout,
 		coordinator:   *coordinator,
-		warmPrefixes:  *warmPrefix,
 		prefixCacheMB: *prefixMB,
 		advertise:     *advertise,
 		workerName:    *workerName,
@@ -166,7 +167,6 @@ func run(ctx context.Context, w io.Writer, opts serverOptions) error {
 		Faults:           inj,
 		FaultSpec:        opts.faultsSpec,
 		FaultSeed:        opts.faultSeed,
-		WarmPrefixes:     opts.warmPrefixes,
 		PrefixCacheBytes: int64(opts.prefixCacheMB) << 20,
 	})
 	if err != nil {

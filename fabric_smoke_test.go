@@ -98,15 +98,10 @@ func (p *fleetProc) baseURL(t *testing.T) string {
 	}
 }
 
-func TestFabricSmoke(t *testing.T) { runFabricSmoke(t, 0, false) }
-
-// TestFabricSmokeBatchedWarm reruns the fleet smoke with batched leases
-// pinned at four points per dispatch and worker-side warm-prefix
-// snapshot reuse enabled: the whole point of both optimizations is that
-// the merged bytes cannot move, so the same single-node diff must pass.
-func TestFabricSmokeBatchedWarm(t *testing.T) { runFabricSmoke(t, 4, true) }
-
-func runFabricSmoke(t *testing.T, batch int, warm bool) {
+// TestFabricSmoke runs the fleet at its defaults: one point per lease,
+// and workers that run every point with a declared prefix off their
+// prefix cache.
+func TestFabricSmoke(t *testing.T) {
 	if os.Getenv("FABRIC_SMOKE") != "1" {
 		t.Skip("set FABRIC_SMOKE=1 to run the process-level fleet smoke test")
 	}
@@ -122,20 +117,13 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 
 	// Boot the fleet: one coordinator, two workers, one shared cache dir.
 	cacheDir := t.TempDir()
-	coordArgs := []string{"-addr", "127.0.0.1:0", "-cache", cacheDir, "-heartbeat-timeout", "10s"}
-	if batch > 0 {
-		coordArgs = append(coordArgs, "-batch", fmt.Sprint(batch))
-	}
-	coord := startProc(t, filepath.Join(binDir, "cascade-coordinator"), coordArgs...)
+	coord := startProc(t, filepath.Join(binDir, "cascade-coordinator"),
+		"-addr", "127.0.0.1:0", "-cache", cacheDir, "-heartbeat-timeout", "10s")
 	coordURL := coord.baseURL(t)
 	var workerURLs []string
 	for i := 0; i < 2; i++ {
-		wargs := []string{"-addr", "127.0.0.1:0", "-cache", cacheDir,
-			"-coordinator", coordURL, "-name", fmt.Sprintf("w%d", i)}
-		if warm {
-			wargs = append(wargs, "-warm-prefixes")
-		}
-		w := startProc(t, filepath.Join(binDir, "cascade-server"), wargs...)
+		w := startProc(t, filepath.Join(binDir, "cascade-server"), "-addr", "127.0.0.1:0", "-cache", cacheDir,
+			"-coordinator", coordURL, "-name", fmt.Sprintf("w%d", i))
 		workerURLs = append(workerURLs, w.baseURL(t))
 	}
 
@@ -180,7 +168,7 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 	fleetDiff(t, coordURL, "warmsweep", server.JobParams{Scale: 0.01})
 	// warmsweep has two prefix groups; prefix-affine dispatch builds each
 	// about once, where spec-order dispatch built both on both workers.
-	if misses := workerSum(t, workerURLs, "prefix.misses") - missesBefore; warm && misses > 3 {
+	if misses := workerSum(t, workerURLs, "prefix.misses") - missesBefore; misses > 3 {
 		t.Fatalf("warmsweep built %d prefixes across the workers, want at most 3", misses)
 	}
 	fleetDiff(t, coordURL, "amdahl", server.JobParams{Scale: 0.01})
@@ -197,15 +185,14 @@ func runFabricSmoke(t *testing.T, batch int, warm bool) {
 	if vals["fabric.jobs.completed"] != 4 {
 		t.Fatalf("jobs.completed = %d, want 4", vals["fabric.jobs.completed"])
 	}
-	if batch > 0 && vals["fabric.batches.dispatched"] == 0 {
-		t.Fatalf("no batched leases dispatched; metrics: %v", vals)
+	if d, a := vals["fabric.batches.dispatched"], vals["fabric.points.assigned"]; d != a {
+		t.Fatalf("%d point RPCs for %d assignments, want one point per lease", d, a)
 	}
 
-	// With warm prefixes on, at least one worker must have retired points
-	// through the snapshot-fork path (points.warm) — byte identity above
-	// proves it changed nothing.
-	if warm && workerSum(t, workerURLs, "points.warm") == 0 {
-		t.Fatal("warm-prefix fleet retired no points through the warm path")
+	// At least one worker must have retired points through the warm
+	// path (points.warm) — byte identity above proves it changed nothing.
+	if workerSum(t, workerURLs, "points.warm") == 0 {
+		t.Fatal("the fleet retired no points through the warm path")
 	}
 }
 

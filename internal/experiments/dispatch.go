@@ -106,10 +106,9 @@ func (q *PointQueue) unclaimed(g *pointGroup) (head, left int) {
 	return rest[0], left
 }
 
-// Next claims up to max points of one group for holder, chosen by the
-// rules above, in ascending index order. It returns nil when no point
-// below the failure cutoff is left unclaimed.
-func (q *PointQueue) Next(holder string, max int) []int {
+// Next claims one point for holder, chosen by the rules above. ok is
+// false when no point below the failure cutoff is left unclaimed.
+func (q *PointQueue) Next(holder string) (i int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	// Candidates rank by (rule, steal, head), lowest first: steal is
@@ -136,17 +135,15 @@ func (q *PointQueue) Next(holder string, max int) []int {
 		}
 	}
 	if pick == nil {
-		return nil
+		return 0, false
 	}
-	_, left := q.unclaimed(pick)
-	n := min(max, left)
-	out := append([]int(nil), pick.idx[pick.next:pick.next+n]...)
-	pick.next += n
+	i = pick.idx[pick.next]
+	pick.next++
 	pick.started = true
 	if _, here := q.at[holding{holder, pick}]; !here {
 		q.at[holding{holder, pick}] = false
 	}
-	return out
+	return i, true
 }
 
 // Done records that point i completed at holder, so its group's prefix

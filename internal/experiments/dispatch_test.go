@@ -26,10 +26,15 @@ func queueSpecs(t *testing.T, groups ...string) []PointSpec {
 	return specs
 }
 
-func wantLease(t *testing.T, q *PointQueue, holder string, max int, want ...int) {
+// wantNext checks the point Next hands holder; no want means none.
+func wantNext(t *testing.T, q *PointQueue, holder string, want ...int) {
 	t.Helper()
-	if got := q.Next(holder, max); !slices.Equal(got, want) {
-		t.Fatalf("Next(%s, %d) = %v, want %v", holder, max, got, want)
+	var got []int
+	if i, ok := q.Next(holder); ok {
+		got = []int{i}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Next(%s) = %v, want %v", holder, got, want)
 	}
 }
 
@@ -40,23 +45,23 @@ func wantLease(t *testing.T, q *PointQueue, holder string, max int, want ...int)
 func TestPointQueueRuleOrder(t *testing.T) {
 	//                    0    1    2    3    4    5    6    7    8    9
 	q := NewPointQueue(queueSpecs(t, "A", "B", "A", "C", "A", "B", "A", "C", "A", "D"))
-	wantLease(t, q, "h1", 1, 0) // rule 2: A is the first unstarted group
-	wantLease(t, q, "h2", 1, 1) // rule 2: B
-	wantLease(t, q, "h1", 1, 3) // rule 2 beats rule 3: start C before waiting on A
-	wantLease(t, q, "h3", 1, 9) // rule 2: D, though A's head is lower
+	wantNext(t, q, "h1", 0) // rule 2: A is the first unstarted group
+	wantNext(t, q, "h2", 1) // rule 2: B
+	wantNext(t, q, "h1", 3) // rule 2 beats rule 3: start C before waiting on A
+	wantNext(t, q, "h3", 9) // rule 2: D, though A's head is lower
 	// h3 holds D, which is exhausted; nothing is unstarted, built or
 	// building at h3, so it steals from A (unclaimed 2, 4, 6, 8).
-	wantLease(t, q, "h3", 1, 2)
+	wantNext(t, q, "h3", 2)
 	q.Done("h1", 0)
-	wantLease(t, q, "h1", 1, 4) // rule 1: A is built at h1
+	wantNext(t, q, "h1", 4) // rule 1: A is built at h1
 	q.Done("h1", 3)
-	wantLease(t, q, "h1", 1, 6) // rule 1, both A and C built: lowest head wins
-	wantLease(t, q, "h2", 1, 5) // rule 3: B is still building at h2
+	wantNext(t, q, "h1", 6) // rule 1, both A and C built: lowest head wins
+	wantNext(t, q, "h2", 5) // rule 3: B is still building at h2
 	// h4 holds nothing: A (8) and C (7) each have one unclaimed point, so
 	// the steal tie goes to spec order.
-	wantLease(t, q, "h4", 1, 7)
-	wantLease(t, q, "h4", 1, 8)
-	wantLease(t, q, "h1", 1)
+	wantNext(t, q, "h4", 7)
+	wantNext(t, q, "h4", 8)
+	wantNext(t, q, "h1")
 	if n := q.Unclaimed(); n != 0 {
 		t.Fatalf("Unclaimed = %d after the queue drained", n)
 	}
@@ -66,35 +71,27 @@ func TestPointQueueRuleOrder(t *testing.T) {
 // the most unclaimed points, not the lowest index.
 func TestPointQueueStealsLargestGroup(t *testing.T) {
 	q := NewPointQueue(queueSpecs(t, "A", "B", "B", "B", "A"))
-	wantLease(t, q, "h1", 1, 0)
-	wantLease(t, q, "h1", 1, 1)
-	wantLease(t, q, "h2", 1, 2) // B has 2 unclaimed, A has 1
-}
-
-// TestPointQueueBatchOneGroup pins that a lease of up to max points
-// never spans two groups, even when the groups interleave in spec order.
-func TestPointQueueBatchOneGroup(t *testing.T) {
-	q := NewPointQueue(queueSpecs(t, "A", "B", "A", "B", "A", "B", "A"))
-	wantLease(t, q, "h1", 3, 0, 2, 4)
-	wantLease(t, q, "h2", 3, 1, 3, 5)
-	wantLease(t, q, "h2", 3, 6) // a steal: the rest of A, one point
-	wantLease(t, q, "h1", 3)
+	wantNext(t, q, "h1", 0)
+	wantNext(t, q, "h1", 1)
+	wantNext(t, q, "h2", 2) // B has 2 unclaimed, A has 1
 }
 
 // TestPointQueueLoosePoints pins that points without a prefix are always
 // eligible: they need no build, so they rank as built at every holder,
-// including one that has never run anything, and batch as one group.
+// including one that has never run anything.
 func TestPointQueueLoosePoints(t *testing.T) {
 	q := NewPointQueue(queueSpecs(t, "A", "", "A", "", ""))
-	wantLease(t, q, "h1", 2, 1, 3) // loose beats starting A
-	wantLease(t, q, "h2", 1, 4)
-	wantLease(t, q, "h2", 1, 0)
-	wantLease(t, q, "h2", 1, 2)
+	wantNext(t, q, "h1", 1) // loose beats starting A
+	wantNext(t, q, "h1", 3)
+	wantNext(t, q, "h2", 4)
+	wantNext(t, q, "h2", 0)
+	wantNext(t, q, "h2", 2)
 
 	all := NewPointQueue(queueSpecs(t, "", "", "", ""))
-	wantLease(t, all, "h1", 1, 0) // a sweep without prefixes runs in spec order
-	wantLease(t, all, "h2", 2, 1, 2)
-	wantLease(t, all, "h1", 1, 3)
+	wantNext(t, all, "h1", 0) // a sweep without prefixes runs in spec order
+	wantNext(t, all, "h2", 1)
+	wantNext(t, all, "h2", 2)
+	wantNext(t, all, "h1", 3)
 }
 
 // TestPointQueueFailureCutoff pins the lowest-index error rule's half in
@@ -102,17 +99,18 @@ func TestPointQueueLoosePoints(t *testing.T) {
 // lower ones still are, in every group.
 func TestPointQueueFailureCutoff(t *testing.T) {
 	q := NewPointQueue(queueSpecs(t, "A", "B", "A", "B", "A", "B", "A", "B"))
-	wantLease(t, q, "h1", 1, 0)
-	wantLease(t, q, "h2", 1, 1)
+	wantNext(t, q, "h1", 0)
+	wantNext(t, q, "h2", 1)
 	q.Fail(5)
 	q.Fail(6) // a higher failure never raises the cutoff
 	if n := q.Unclaimed(); n != 3 {
 		t.Fatalf("Unclaimed = %d, want 3 (indices 2, 3, 4)", n)
 	}
 	q.Done("h1", 0)
-	wantLease(t, q, "h1", 4, 2, 4)
-	wantLease(t, q, "h1", 4, 3)
-	wantLease(t, q, "h2", 4)
+	wantNext(t, q, "h1", 2) // rule 1: A is built at h1
+	wantNext(t, q, "h1", 4)
+	wantNext(t, q, "h1", 3) // a steal from B, below the cutoff
+	wantNext(t, q, "h2")
 	q.Fail(0) // a lower failure lowers the cutoff
 	if n := q.Unclaimed(); n != 0 {
 		t.Fatalf("Unclaimed = %d, want 0", n)
@@ -121,8 +119,7 @@ func TestPointQueueFailureCutoff(t *testing.T) {
 
 // TestPointQueueConcurrent drains one queue from several goroutines
 // acting as four holders, as a fleet's dispatchers and a pool's lanes
-// do: every index is handed out exactly once, and every lease is cut
-// from one group.
+// do: every index is handed out exactly once.
 func TestPointQueueConcurrent(t *testing.T) {
 	var groups []string
 	for i := 0; i < 200; i++ {
@@ -139,19 +136,14 @@ func TestPointQueueConcurrent(t *testing.T) {
 			defer wg.Done()
 			holder := fmt.Sprintf("h%d", g%4)
 			for {
-				lease := q.Next(holder, 1+g%3)
-				if lease == nil {
+				i, ok := q.Next(holder)
+				if !ok {
 					return
 				}
-				for _, i := range lease {
-					if specs[i].Machine != specs[lease[0]].Machine {
-						t.Errorf("lease %v spans two groups", lease)
-					}
-					mu.Lock()
-					handed[i]++
-					mu.Unlock()
-					q.Done(holder, i)
-				}
+				mu.Lock()
+				handed[i]++
+				mu.Unlock()
+				q.Done(holder, i)
 			}
 		}(g)
 	}

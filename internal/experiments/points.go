@@ -283,7 +283,7 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // ok=false when the experiment has no decomposition. Points with a warm
 // path run it over the PrefixCache of ctx's Holder (see WithHolder), or
 // else over one the sweep owns, so each prefix group is built once per
-// holder or per sweep, exactly as on a -warm-prefixes worker. The pool
+// holder or per sweep, exactly as on a fleet worker. The pool
 // takes its points from a PointQueue, as the fleet does, so a lane runs
 // a point of a built prefix or starts a new one before it waits on
 // another lane's build. This is

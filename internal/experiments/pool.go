@@ -164,8 +164,8 @@ func runPool(ctx context.Context, n int, q *PointQueue, fn func(i int) error) er
 			if !h.acquire(ctx) {
 				return
 			}
-			lease := q.Next(poolHolder, 1)
-			if lease == nil {
+			i, ok := q.Next(poolHolder)
+			if !ok {
 				h.release()
 				notifyDrained()
 				return
@@ -173,7 +173,6 @@ func runPool(ctx context.Context, n int, q *PointQueue, fn func(i int) error) er
 			if q.Unclaimed() == 0 {
 				notifyDrained()
 			}
-			i := lease[0]
 			if err := runPoint(i, fn); err != nil {
 				q.Fail(i)
 				mu.Lock()

@@ -18,12 +18,12 @@ import (
 	"repro/internal/server"
 )
 
-// leaseRecorder wraps a worker's handler and keeps the specs of every
-// batched lease it is shipped, in arrival order.
+// leaseRecorder wraps a worker's handler and keeps the spec of every
+// point it is shipped, in arrival order.
 type leaseRecorder struct {
 	h      http.Handler
 	mu     sync.Mutex
-	leases [][]experiments.PointSpec
+	points []experiments.PointSpec
 }
 
 func (lr *leaseRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -31,17 +31,11 @@ func (lr *leaseRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		var req struct {
-			Points []struct {
-				Point experiments.PointSpec `json:"point"`
-			} `json:"points"`
+			Point *experiments.PointSpec `json:"point"`
 		}
-		if json.Unmarshal(body, &req) == nil {
-			var lease []experiments.PointSpec
-			for _, p := range req.Points {
-				lease = append(lease, p.Point)
-			}
+		if json.Unmarshal(body, &req) == nil && req.Point != nil {
 			lr.mu.Lock()
-			lr.leases = append(lr.leases, lease)
+			lr.points = append(lr.points, *req.Point)
 			lr.mu.Unlock()
 		}
 	}
@@ -49,8 +43,8 @@ func (lr *leaseRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestAffinityWarmsweepOneBuildPerWorker runs warmsweep (two prefix
-// groups, one per machine) on two one-slot warm workers. Prefix-affine
-// dispatch starts each worker on its own group, so their first leases
+// groups, one per machine) on two one-slot workers. Prefix-affine
+// dispatch starts each worker on its own group, so their first points
 // differ in prefix and the fleet builds each prefix about once: at most
 // three builds in all, where spec-order dispatch built both prefixes on
 // both workers (four).
@@ -66,7 +60,7 @@ func TestAffinityWarmsweepOneBuildPerWorker(t *testing.T) {
 	var workers []*server.Server
 	var recs []*leaseRecorder
 	for _, name := range []string{"w1", "w2"} {
-		s, err := server.New(server.Config{Workers: 1, WarmPrefixes: true, Experiments: experiments.Registry()})
+		s, err := server.New(server.Config{Workers: 1, Experiments: experiments.Registry()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,13 +85,13 @@ func TestAffinityWarmsweepOneBuildPerWorker(t *testing.T) {
 	prefix := func(ps experiments.PointSpec) string { return ps.Machine }
 	var first []string
 	for i, lr := range recs {
-		if len(lr.leases) == 0 || len(lr.leases[0]) == 0 {
-			t.Fatalf("worker %d was shipped no lease", i+1)
+		if len(lr.points) == 0 {
+			t.Fatalf("worker %d was shipped no point", i+1)
 		}
-		first = append(first, prefix(lr.leases[0][0]))
+		first = append(first, prefix(lr.points[0]))
 	}
 	if first[0] == first[1] {
-		t.Fatalf("both workers' first leases come from prefix group %s; want one group each", first[0])
+		t.Fatalf("both workers' first points come from prefix group %s; want one group each", first[0])
 	}
 	var misses int64
 	for _, s := range workers {

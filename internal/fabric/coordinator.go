@@ -103,15 +103,9 @@ type Config struct {
 	// declared dead. Default: 15s.
 	HeartbeatTimeout time.Duration
 	// MaxInflight bounds how many worker slots one job may hold at once,
-	// i.e. its concurrent lease dispatches (each lease carries up to
-	// Batch points). The fleet's advertised slots bound all jobs
-	// together. Default: 16.
+	// i.e. its concurrent point dispatches. The fleet's advertised slots
+	// bound all jobs together. Default: 16.
 	MaxInflight int
-	// Batch bounds how many points one lease carries: a dispatch ships up
-	// to Batch points in one RPC and the worker streams per-point
-	// outcomes back. Worth raising only for points cheap enough that the
-	// ~1ms dispatch RPC is a visible share of their cost. Default: 1.
-	Batch int
 	// MaxPointAttempts bounds how many workers one point is tried on
 	// before the job fails with the last transport error. Default: 8.
 	MaxPointAttempts int
@@ -201,9 +195,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 16
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 1
 	}
 	if cfg.MaxPointAttempts <= 0 {
 		cfg.MaxPointAttempts = 8

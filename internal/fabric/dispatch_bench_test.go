@@ -5,19 +5,16 @@ package fabric
 //
 //   BenchmarkPointDispatch  isolates per-point RPC overhead: a sweep of
 //     near-zero-cost synthetic points through one serialized
-//     coordinator→worker loop, at fixed lease sizes. batch1 ns/point ≈
-//     R + P with P ~ 0, so it reads as the fixed dispatch cost a batch
-//     amortizes; the spread between batch1 and batch16 is the win
-//     ceiling, and -batch only pays where a real point's execution cost
-//     is within a few R.
+//     coordinator→worker loop. ns/point ≈ R + P with P ~ 0, so it reads
+//     as the fixed cost of one lease — the dispatch floor every shipped
+//     point pays on top of its own simulation.
 //
-//   BenchmarkWarmFleetSweep  is the tentpole's end-to-end claim: the
-//     prefix-heavy warmsweep experiment (per point, the shared prefix —
-//     distribution + warm-up calls — costs a multiple of the measured
-//     call) run through a real coordinator + worker pair, cold and
-//     unbatched vs batched vs batched + warm-prefix snapshot reuse.
-//     Each iteration boots a fresh fleet so no cache answers points and
-//     the warm variant pays its prefix builds inside the measurement.
+//   BenchmarkWarmFleetSweep  runs the prefix-heavy warmsweep experiment
+//     (per point, the shared prefix — distribution + warm-up calls —
+//     costs a multiple of the measured call) through a real coordinator
+//     + worker pair. Each iteration boots a fresh fleet so no cache
+//     answers points and the worker pays its prefix builds inside the
+//     measurement.
 
 import (
 	"context"
@@ -37,83 +34,59 @@ var dispatchSeq atomic.Int64
 func BenchmarkPointDispatch(b *testing.B) {
 	const pointsPerSweep = 32
 	registerSweep("fab-bench-dispatch", pointsPerSweep, nil)
-	for _, bc := range []struct {
-		name  string
-		batch int
-	}{{"batch1", 1}, {"batch4", 4}, {"batch16", 16}} {
-		b.Run(bc.name, func(b *testing.B) {
-			url, stop := newWorker(b, "")
-			defer stop()
-			c, err := New(Config{
-				Experiments: []experiments.Experiment{syntheticExperiment("fab-bench-dispatch")},
-				Batch:       bc.batch,
-				MaxInflight: 1, // serialize so ns/point is not hidden by pipelining
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Shutdown(context.Background())
-			c.Register("w", url)
-
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := server.JobParams{N: int(dispatchSeq.Add(1))}
-				v, err := c.Submit("", "fab-bench-dispatch", p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				awaitDone(b, c, v.ID)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pointsPerSweep), "ns/point")
-		})
+	url, stop := newWorker(b, "")
+	defer stop()
+	c, err := New(Config{
+		Experiments: []experiments.Experiment{syntheticExperiment("fab-bench-dispatch")},
+		MaxInflight: 1, // serialize so ns/point is not hidden by pipelining
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer c.Shutdown(context.Background())
+	c.Register("w", url)
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := server.JobParams{N: int(dispatchSeq.Add(1))}
+		v, err := c.Submit("", "fab-bench-dispatch", p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		awaitDone(b, c, v.ID)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pointsPerSweep), "ns/point")
 }
 
 func BenchmarkWarmFleetSweep(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		batch int
-		warm  bool
-	}{{"cold_batch1", 1, false}, {"cold_batch4", 4, false}, {"warm_batch4", 4, true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := server.New(server.Config{
-					Workers:      4,
-					WarmPrefixes: bc.warm,
-					Experiments:  experiments.Registry(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ts := httptest.NewServer(s.Handler())
-				c, err := New(Config{
-					Experiments: experiments.Registry(),
-					Batch:       bc.batch,
-					MaxInflight: 4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.RegisterSlots("w", ts.URL, s.PointSlots())
-				// A fractionally distinct scale per iteration keeps the point
-				// keys unique without changing the workload measurably.
-				p := server.JobParams{Scale: 0.01 + float64(dispatchSeq.Add(1))*1e-9}
-				b.StartTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := server.New(server.Config{Workers: 4, Experiments: experiments.Registry()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		c, err := New(Config{Experiments: experiments.Registry(), MaxInflight: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.RegisterSlots("w", ts.URL, s.PointSlots())
+		// A fractionally distinct scale per iteration keeps the point
+		// keys unique without changing the workload measurably.
+		p := server.JobParams{Scale: 0.01 + float64(dispatchSeq.Add(1))*1e-9}
+		b.StartTimer()
 
-				v, err := c.Submit("", "warmsweep", p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				awaitDone(b, c, v.ID)
+		v, err := c.Submit("", "warmsweep", p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		awaitDone(b, c, v.ID)
 
-				b.StopTimer()
-				c.Shutdown(context.Background())
-				ts.Close()
-				s.Shutdown(context.Background())
-				b.StartTimer()
-			}
-		})
+		b.StopTimer()
+		c.Shutdown(context.Background())
+		ts.Close()
+		s.Shutdown(context.Background())
+		b.StartTimer()
 	}
 }

@@ -178,7 +178,6 @@ func TestAssignFaultRetry(t *testing.T) {
 		Faults:       inj,
 		RetryBackoff: time.Millisecond,
 		MaxInflight:  1, // serialize so OnCall:1 hits a real dispatch deterministically
-		Batch:        1, // one point per lease so the fault costs exactly one retry
 	})
 	if err != nil {
 		t.Fatal(err)

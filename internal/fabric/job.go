@@ -1,13 +1,10 @@
 package fabric
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -96,16 +93,16 @@ func (c *Coordinator) runJob(j *server.Job, jdone map[int]bool) {
 
 // runSharded runs a decomposed sweep by slot-aware pull dispatch, the
 // fleet form of a cascade handing the next chunk to whichever processor
-// is ready for it. Up to MaxInflight dispatchers each wait for a free
-// worker slot (acquireSlot), only then claim a lease of up to Batch
-// points of one prefix group from the sweep's PointQueue — preferring a
-// group whose prefix that worker already holds or is building — and
-// ship it to the worker whose slot they hold. A lease is never queued
-// behind a busy worker, so the tail of the sweep goes to whichever
-// worker frees up first. Results merge in index order with the pool's
-// lowest-index-error rule: once a point fails, the queue hands out no
-// higher index, and the job reports the failure of the lowest-index
-// one, independent of dispatch interleaving.
+// is ready for it, one chunk per hand-off. Up to MaxInflight dispatchers
+// each wait for a free worker slot (acquireSlot), only then claim one
+// point from the sweep's PointQueue — preferring a prefix group that
+// worker already holds or is building — and ship it to the worker whose
+// slot they hold. A point is never queued behind a busy worker, so the
+// tail of the sweep goes to whichever worker frees up first. Results
+// merge in index order with the pool's lowest-index-error rule: once a
+// point fails, the queue hands out no higher index, and the job reports
+// the failure of the lowest-index one, independent of dispatch
+// interleaving.
 func (c *Coordinator) runSharded(j *server.Job, specs []experiments.PointSpec, jdone map[int]bool) ([]byte, error) {
 	j.SetProgress(0, len(specs))
 	if jdone == nil {
@@ -138,12 +135,12 @@ func (c *Coordinator) runSharded(j *server.Job, specs []experiments.PointSpec, j
 				if err != nil {
 					return // the run context died; unclaimed points fail below
 				}
-				lease := sw.q.Next(s.name, c.cfg.Batch)
-				if lease == nil {
+				idx, ok := sw.q.Next(s.name)
+				if !ok {
 					c.releaseSlot(s)
 					return
 				}
-				c.runLease(sw, lease, s)
+				c.runPoint(sw, idx, s)
 			}
 		}()
 	}
@@ -167,7 +164,7 @@ func (c *Coordinator) runSharded(j *server.Job, specs []experiments.PointSpec, j
 
 // sweep is one sharded job's dispatch state, shared by its dispatchers.
 // Keys are set before dispatch starts; each index's result and error
-// are written only by the lease that holds the index.
+// are written only by the dispatcher that claimed the index.
 type sweep struct {
 	j       *server.Job
 	q       *experiments.PointQueue
@@ -191,141 +188,75 @@ func (sw *sweep) fail(idx int, err error) {
 	sw.q.Fail(idx)
 }
 
-// leaseItem is one point riding a batched lease.
-type leaseItem struct {
-	idx  int
-	key  string
-	spec experiments.PointSpec
-}
-
-// runLease resolves the lease's points to results on the worker slot held:
-// the coordinator's own index first, then batched dispatch until every
-// point retires, its attempt budget runs out, or its error is terminal.
-// After each RPC the slot goes back; a retry backs off without holding
-// one, then acquires a fresh slot — preferring a worker other than the
-// one that just failed — and re-ships only the unfinished remainder:
-// points whose outcomes arrived before a worker died are closed and
-// never re-dispatched.
+// runPoint resolves point idx on the worker slot held: the
+// coordinator's own index first, then one dispatch per attempt until the
+// point completes, its error is terminal, or its attempt budget runs
+// out. After a failed attempt the slot goes back; the retry backs off
+// without holding one, then acquires a fresh slot — preferring a worker
+// other than the one that just failed.
 //
-// Every shipped point is bracketed by journal records exactly as
-// unbatched dispatch was — point_assigned (stamped with this
-// incarnation's epoch) before the RPC, then exactly one of
-// point_completed / point_retried / point_failed per assignment — so at
-// any instant the log's open assignments are precisely the in-flight
+// Every dispatch is bracketed by journal records: point_assigned
+// (stamped with this incarnation's epoch) before the RPC, then exactly
+// one of point_completed / point_retried / point_failed, so at any
+// instant the log's open assignments are precisely the in-flight
 // leases, a crash leaves nothing uncountable, and the conservation
-// identity (metrics.go) holds at any batch size. Cache-answered points
-// write no records at all: no lease was ever issued for them.
-func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
-	j := sw.j
+// identity (metrics.go) holds. A cache-answered point writes no records
+// at all: no lease was ever issued for it.
+func (c *Coordinator) runPoint(sw *sweep, idx int, held slot) {
+	j, key := sw.j, sw.keys[idx]
 	defer func() {
 		if held.name != "" {
 			c.releaseSlot(held)
 		}
 	}()
-	var todo []leaseItem
-	for _, idx := range lease {
-		if err := c.runCtx.Err(); err != nil {
-			sw.fail(idx, err)
-			continue
+	if err := c.runCtx.Err(); err != nil {
+		sw.fail(idx, err)
+		return
+	}
+	if val, ok := c.cache.Get(key); ok {
+		var res experiments.PointResult
+		if json.Unmarshal(val, &res) == nil {
+			c.metrics.Inc(mCacheHits)
+			sw.results[idx] = res
+			j.PointDone()
+			return
 		}
-		if val, ok := c.cache.Get(sw.keys[idx]); ok {
-			var res experiments.PointResult
-			if jerr := json.Unmarshal(val, &res); jerr == nil {
-				c.metrics.Inc(mCacheHits)
-				sw.results[idx] = res
-				j.PointDone()
-				continue
-			}
-		}
-		todo = append(todo, leaseItem{idx: idx, key: sw.keys[idx], spec: sw.specs[idx]})
 	}
 
-	attempts := make(map[int]int, len(todo))
 	backoff := c.cfg.RetryBackoff
 	failed := "" // the worker the last attempt failed on
-	for len(todo) > 0 {
+	for attempt := 1; ; attempt++ {
 		if held.name == "" {
 			var err error
 			if held, err = c.acquireSlot(failed); err != nil {
-				for _, it := range todo {
-					sw.fail(it.idx, err)
-				}
+				sw.fail(idx, err)
 				return
 			}
 		}
-		url, holder := held.url, held.name
-		c.metrics.Inc(mBatchesDispatched)
-		shipped := todo
-		for _, it := range shipped {
-			attempts[it.idx]++
-			c.openLease()
-			c.jappend(journal.Record{Type: journal.TypePointAssigned, Job: j.ID,
-				Index: it.idx, Key: it.key, Epoch: c.epoch})
+		c.metrics.Inc(mDispatched)
+		c.openLease()
+		c.jappend(journal.Record{Type: journal.TypePointAssigned, Job: j.ID,
+			Index: idx, Key: key, Epoch: c.epoch})
+		res, cached, err := c.shipPoint(held.url, key, sw.specs[idx])
+		switch code := server.ExplicitCode(err); {
+		case err == nil:
+			sw.results[idx] = res
+			c.completePoint(sw, idx, res, cached)
+			if !cached {
+				sw.q.Done(held.name, idx) // the worker holds the point's prefix now
+			}
+			return
+		case terminalCode(code):
+			c.settleLease(mPointsFailed)
+			c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.ID,
+				Index: idx, Error: err.Error(), Code: code})
+			sw.fail(idx, err)
+			return
 		}
-		// done marks leases closed by an outcome this round — completed or
-		// terminally failed; anything still open afterwards is the
-		// remainder, journaled retried and re-shipped.
-		done := make(map[int]bool, len(shipped))
-		err := c.shipBatch(url, shipped, func(pos int, o server.PointOutcome) {
-			it := shipped[pos]
-			switch {
-			case o.Error == nil && o.Point != nil:
-				done[it.idx] = true
-				sw.results[it.idx] = *o.Point
-				c.completePoint(sw, it, *o.Point, o.Cached)
-				if !o.Cached {
-					sw.q.Done(holder, it.idx) // the worker holds the point's prefix now
-				}
-			case o.Error != nil && terminalCode(o.Error.Code):
-				done[it.idx] = true
-				ferr := server.Coded(o.Error.Code, o.Error.Message,
-					fmt.Errorf("worker %s: %s", url, o.Error.Message))
-				c.settleLease(mPointsFailed)
-				c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.ID,
-					Index: it.idx, Error: ferr.Error(), Code: o.Error.Code})
-				sw.fail(it.idx, ferr)
-				// A malformed or shed outcome (non-terminal error, or a frame
-				// with neither result nor error) leaves the lease open; the
-				// remainder pass below retries it.
-			}
-		})
-		if err != nil {
-			// A batch-level terminal error — the worker refused the request
-			// in a way a retry elsewhere would reproduce — fails every open
-			// lease identically.
-			if code := server.ExplicitCode(err); terminalCode(code) {
-				for _, it := range shipped {
-					if done[it.idx] {
-						continue
-					}
-					done[it.idx] = true
-					c.settleLease(mPointsFailed)
-					c.jappend(journal.Record{Type: journal.TypePointFailed, Job: j.ID,
-						Index: it.idx, Error: err.Error(), Code: code})
-					sw.fail(it.idx, err)
-				}
-			}
-		}
-		var rest []leaseItem
-		for _, it := range shipped {
-			if done[it.idx] {
-				continue
-			}
-			c.settleLease(mPointsRetried)
-			c.jappend(journal.Record{Type: journal.TypePointRetried, Job: j.ID, Index: it.idx})
-			if attempts[it.idx] >= c.cfg.MaxPointAttempts {
-				cause := err
-				if cause == nil {
-					cause = errors.New("worker shed the point")
-				}
-				sw.fail(it.idx, fmt.Errorf("point %s undeliverable after %d attempts: %w",
-					it.key[:12], attempts[it.idx], cause))
-				continue
-			}
-			rest = append(rest, it)
-		}
-		todo = rest
-		if len(todo) == 0 {
+		c.settleLease(mPointsRetried)
+		c.jappend(journal.Record{Type: journal.TypePointRetried, Job: j.ID, Index: idx})
+		if attempt >= c.cfg.MaxPointAttempts {
+			sw.fail(idx, fmt.Errorf("point %s undeliverable after %d attempts: %w", key[:12], attempt, err))
 			return
 		}
 		failed = held.name
@@ -334,9 +265,7 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 		select {
 		case <-time.After(backoff):
 		case <-c.runCtx.Done():
-			for _, it := range todo {
-				sw.fail(it.idx, c.runCtx.Err())
-			}
+			sw.fail(idx, c.runCtx.Err())
 			return
 		}
 		backoff = nextBackoff(backoff)
@@ -347,23 +276,23 @@ func (c *Coordinator) runLease(sw *sweep, lease []int, held slot) {
 // addressable, the journal closes the assignment (only once per point
 // ever — a replayed completion that re-ran because its cached bytes
 // were lost must not double-count), and job progress advances by one
-// point — which is what keeps ?wait progress per-point under batching.
-func (c *Coordinator) completePoint(sw *sweep, it leaseItem, res experiments.PointResult, cached bool) {
+// point.
+func (c *Coordinator) completePoint(sw *sweep, idx int, res experiments.PointResult, cached bool) {
 	c.settleLease(mPointsCompleted)
 	if cached {
 		c.metrics.Inc(mCacheRemoteHits)
 	}
 	if val, merr := json.Marshal(res); merr == nil {
-		_ = c.cache.Put(it.key, val)
+		_ = c.cache.Put(sw.keys[idx], val)
 	}
 	sw.jmu.Lock()
-	first := !sw.jdone[it.idx]
-	sw.jdone[it.idx] = true
+	first := !sw.jdone[idx]
+	sw.jdone[idx] = true
 	sw.jmu.Unlock()
 	if first {
-		c.jappend(journal.Record{Type: journal.TypePointCompleted, Job: sw.j.ID, Index: it.idx, Key: it.key})
+		c.jappend(journal.Record{Type: journal.TypePointCompleted, Job: sw.j.ID, Index: idx, Key: sw.keys[idx]})
 	} else {
-		c.jappend(journal.Record{Type: journal.TypePointRetried, Job: sw.j.ID, Index: it.idx})
+		c.jappend(journal.Record{Type: journal.TypePointRetried, Job: sw.j.ID, Index: idx})
 	}
 	sw.j.PointDone()
 }
@@ -422,102 +351,47 @@ func terminalCode(code string) bool {
 	}
 }
 
-// shipBatch performs one batched lease dispatch: every item in one RPC,
-// outcomes streamed back per point (the coordinator negotiates ndjson;
-// a plain single-envelope reply with outcomes is accepted too).
-// onOutcome fires once per received outcome, in arrival order, while
-// the stream is still open — this is what advances job progress and
-// closes leases point by point. Only the first outcome for each shipped
-// position is delivered: one naming a position outside the batch, or
-// one already answered, is dropped, so a confused or hostile worker can
-// neither close a lease twice nor deliver more outcomes than were
-// shipped. The returned error carries the worker's typed code (see
-// server.ExplicitCode) when the worker answered with one,
-// or an untyped transport error when it did not; either way, outcomes
-// already delivered stand — only the remainder is the caller's to
+// shipPoint performs one lease: it ships one point to a worker in the
+// single POST /v1/points form and decodes the one envelope the worker
+// answers with into the point's result and whether the worker served it
+// from its cache. Anything else is an error. It carries the worker's
+// typed code (see server.ExplicitCode) when that code is terminal — the
+// point itself is bad, and a retry elsewhere would fail identically —
+// and is untyped otherwise: load shedding (queue_full, shutting_down),
+// transport trouble, or a reply without a result, all for the caller to
 // retry.
-func (c *Coordinator) shipBatch(workerURL string, items []leaseItem, onOutcome func(pos int, o server.PointOutcome)) error {
+func (c *Coordinator) shipPoint(workerURL, key string, spec experiments.PointSpec) (experiments.PointResult, bool, error) {
+	var none experiments.PointResult
 	if err := c.faults.Fail(SiteAssign); err != nil {
-		return fmt.Errorf("dispatch to %s: %w", workerURL, err)
+		return none, false, fmt.Errorf("dispatch to %s: %w", workerURL, err)
 	}
-	wire := make([]map[string]interface{}, len(items))
-	for i, it := range items {
-		wire[i] = map[string]interface{}{"key": it.key, "point": it.spec}
-	}
-	body, err := json.Marshal(map[string]interface{}{"points": wire})
+	body, err := json.Marshal(map[string]interface{}{"key": key, "point": spec})
 	if err != nil {
-		return server.Coded(server.CodeBadRequest, "", err)
+		return none, false, server.Coded(server.CodeBadRequest, "", err)
 	}
 	req, err := http.NewRequestWithContext(c.runCtx, "POST", workerURL+"/v1/points", bytes.NewReader(body))
 	if err != nil {
-		return server.Coded(server.CodeBadRequest, "", err)
+		return none, false, server.Coded(server.CodeBadRequest, "", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", server.NDJSONContentType)
 	req.Header.Set(server.VersionHeader, server.APIVersion)
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("dispatch to %s: %w", workerURL, err)
+		return none, false, fmt.Errorf("dispatch to %s: %w", workerURL, err)
 	}
 	defer resp.Body.Close()
-	seen := make([]bool, len(items))
-	deliver := func(o server.PointOutcome) {
-		if o.Index >= 0 && o.Index < len(items) && !seen[o.Index] {
-			seen[o.Index] = true
-			onOutcome(o.Index, o)
-		}
+	var env server.Envelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		return none, false, fmt.Errorf("dispatch to %s: bad envelope: %w", workerURL, err)
 	}
-
-	if !strings.Contains(resp.Header.Get("Content-Type"), server.NDJSONContentType) {
-		// Single-envelope reply: a refusal (shedding, draining, bad
-		// request), or a worker that answered the batch unstreamed.
-		var env server.Envelope
-		if derr := json.NewDecoder(resp.Body).Decode(&env); derr != nil {
-			return fmt.Errorf("dispatch to %s: bad envelope: %w", workerURL, derr)
-		}
-		if resp.StatusCode != http.StatusOK || len(env.Outcomes) == 0 {
-			code, msg := "", fmt.Sprintf("status %d", resp.StatusCode)
-			if env.Error != nil {
-				code, msg = env.Error.Code, env.Error.Message
-			}
-			if !terminalCode(code) {
-				return fmt.Errorf("dispatch to %s: %s", workerURL, msg)
-			}
-			return server.Coded(code, msg, fmt.Errorf("worker %s: %s", workerURL, msg))
-		}
-		for _, o := range env.Outcomes {
-			deliver(o)
-		}
-		return nil
+	switch {
+	case env.Error != nil && terminalCode(env.Error.Code):
+		return none, false, server.Coded(env.Error.Code, env.Error.Message,
+			fmt.Errorf("worker %s: %s", workerURL, env.Error.Message))
+	case env.Error != nil:
+		return none, false, fmt.Errorf("dispatch to %s: %s", workerURL, env.Error.Message)
+	case resp.StatusCode != http.StatusOK || env.Point == nil:
+		return none, false, fmt.Errorf("dispatch to %s: status %d without a point result", workerURL, resp.StatusCode)
 	}
-
-	// Streamed outcomes: one envelope frame per retired point.
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	n := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var env server.Envelope
-		if derr := json.Unmarshal(line, &env); derr != nil {
-			return fmt.Errorf("dispatch to %s: bad frame: %w", workerURL, derr)
-		}
-		if env.Error != nil && len(env.Outcomes) == 0 {
-			if terminalCode(env.Error.Code) {
-				return server.Coded(env.Error.Code, env.Error.Message,
-					fmt.Errorf("worker %s: %s", workerURL, env.Error.Message))
-			}
-			return fmt.Errorf("dispatch to %s: %s", workerURL, env.Error.Message)
-		}
-		for _, o := range env.Outcomes {
-			n++
-			deliver(o)
-		}
-	}
-	if serr := sc.Err(); serr != nil {
-		return fmt.Errorf("dispatch to %s: stream died after %d outcomes: %w", workerURL, n, serr)
-	}
-	return nil
+	return *env.Point, env.Cached, nil
 }

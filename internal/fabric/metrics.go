@@ -32,22 +32,24 @@ const (
 	mJobsQuotaRejected = "fabric.jobs.quota_rejected" // submissions refused by tenant quota
 	mJobsRejected      = "fabric.jobs.rejected"       // submissions refused (shutdown)
 
-	// Point counters (see the point identity above). Batched
-	// leases change nothing here: every point in a batch counts one
-	// assignment per dispatch attempt and retires through exactly one of
-	// the three outcomes, so the identity holds at any batch size.
+	// Point counters (see the point identity above): one assignment
+	// per dispatch attempt, each retired through exactly one of the
+	// three outcomes.
 	mPointsAssigned  = "fabric.points.assigned"  // point dispatches started (one per attempt)
 	mPointsCompleted = "fabric.points.completed" // dispatches that returned a result
 	mPointsRetried   = "fabric.points.retried"   // dispatches lost to a dead/saturated worker and reassigned
 	mPointsFailed    = "fabric.points.failed"    // dispatches that failed terminally (experiment error)
 
-	// Lease dispatch (see runSharded). Slots are the points the live
-	// fleet can run at once, as its workers advertise them; busy ones
-	// carry a lease in flight, so busy never exceeds total and a sweep
-	// that keeps busy below total is short of work, not of workers.
-	mBatchesDispatched = "fabric.batches.dispatched" // lease RPCs sent (any size)
-	mSlotsTotal        = "fabric.slots.total"        // gauge: slots advertised by live workers
-	mSlotsBusy         = "fabric.slots.busy"         // gauge: live workers' slots holding a lease
+	// Lease dispatch (see runSharded). A lease is one point shipped in
+	// one RPC; the RPC counter keeps the name it had when a lease could
+	// carry several points, so assigned / dispatched reads 1. Slots are
+	// the points the live fleet can run at once, as its workers
+	// advertise them; busy ones carry a lease in flight, so busy never
+	// exceeds total and a sweep that keeps busy below total is short of
+	// work, not of workers.
+	mDispatched = "fabric.batches.dispatched" // point RPCs sent (one per assignment)
+	mSlotsTotal = "fabric.slots.total"        // gauge: slots advertised by live workers
+	mSlotsBusy  = "fabric.slots.busy"         // gauge: live workers' slots holding a lease
 
 	// Cross-node cache counters — the observable proof that the fleet
 	// shares results instead of recomputing them.
@@ -82,7 +84,7 @@ func initMetrics(m *metrics.Synced) {
 		mJobsSubmitted, mJobsCompleted, mJobsFailed, mJobsCacheHits,
 		mJobsQuotaRejected, mJobsRejected,
 		mPointsAssigned, mPointsCompleted, mPointsRetried, mPointsFailed,
-		mBatchesDispatched,
+		mDispatched,
 		mCacheHits, mCacheRemoteHits,
 		mWorkersRegistered, mWorkersDeaths,
 		mJournalRecords, mJournalReplayed, mJournalTruncations, mJournalErrors,

@@ -51,25 +51,10 @@ type Envelope struct {
 	Experiments []experiments.Info       `json:"experiments,omitempty"`
 	Result      json.RawMessage          `json:"result,omitempty"`
 	Point       *experiments.PointResult `json:"point,omitempty"`
-	Outcomes    []PointOutcome           `json:"outcomes,omitempty"`
 	Cached      bool                     `json:"cached,omitempty"`
 	Progress    *Progress                `json:"progress,omitempty"`
 	QueueDepth  *int                     `json:"queue_depth,omitempty"`
 	Error       *APIError                `json:"error,omitempty"`
-}
-
-// PointOutcome is one point's result within a batched POST /v1/points
-// dispatch: its position in the batch, its content key, and exactly one
-// of a result or a typed error. A streamed batch response carries one
-// outcome per ndjson line as each point retires, so the coordinator can
-// close leases (and advance job progress) point by point instead of
-// waiting for the whole batch.
-type PointOutcome struct {
-	Index  int                      `json:"index"`
-	Key    string                   `json:"key,omitempty"`
-	Point  *experiments.PointResult `json:"point,omitempty"`
-	Cached bool                     `json:"cached,omitempty"`
-	Error  *APIError                `json:"error,omitempty"`
 }
 
 // Progress reports how far a running sweep has advanced, in points.

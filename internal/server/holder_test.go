@@ -52,11 +52,25 @@ func atLeastTwoLanes(t *testing.T) {
 	}
 }
 
+// awaitMargin is how long before the test binary's -timeout deadline
+// awaitDone gives up, leaving time to report the job's state before
+// the binary panics.
+const awaitMargin = 30 * time.Second
+
+// awaitDone waits for job id to finish. The wait runs to the test
+// binary's own deadline less awaitMargin rather than a fixed budget, so
+// a slow job on a loaded host (a full -race run shares the cores with
+// every other package) still finishes, and a hung one still fails with
+// its state.
 func awaitDone(t *testing.T, s *Server, id string) JobView {
 	t.Helper()
-	v, _ := s.Await(id, 30*time.Second, nil)
+	wait := time.Hour
+	if dl, ok := t.Deadline(); ok {
+		wait = max(time.Until(dl)-awaitMargin, time.Second)
+	}
+	v, _ := s.Await(id, wait, nil)
 	if v.State != StateDone && v.State != StateFailed {
-		t.Fatalf("job %s still %s", id, v.State)
+		t.Fatalf("job %s still %s after %v", id, v.State, wait.Round(time.Second))
 	}
 	return v
 }

@@ -31,11 +31,10 @@ const (
 	mPointsRejected    = "points.rejected"     // points refused (saturated or draining)
 	mPointsFailed      = "points.failed"       // point executions that returned an error
 	mPointsKeyMismatch = "points.key_mismatch" // requests whose key != locally-derived key
-	mPointsBatches     = "points.batches"      // batched leases admitted (one per batch, any size)
 	mPointsWarm        = "points.warm"         // points executed through the warm-prefix path
 
 	// Prefix-cache gauges (mirrors of experiments.PrefixCacheStats, for
-	// local jobs and, with -warm-prefixes, shipped points).
+	// local jobs and shipped points).
 	mPrefixHits       = "prefix.hits"
 	mPrefixMisses     = "prefix.misses"
 	mPrefixCallHits   = "prefix.calls.hits"   // PARMVR calls served from a prefix's memo
@@ -68,7 +67,7 @@ func initMetrics(m *metrics.Synced) {
 		mJobsCoalesced, mJobsCacheHits, mJobsRejected,
 		mJobsPanics, mJobsTimeouts, mWorkerRestarts, mCacheWriteRetries,
 		mPointsExecuted, mPointsCacheHits, mPointsRejected,
-		mPointsFailed, mPointsKeyMismatch, mPointsBatches, mPointsWarm,
+		mPointsFailed, mPointsKeyMismatch, mPointsWarm,
 		mTimeQueued, mTimeRun,
 		"cache.hits", "cache.misses", "cache.disk_hits",
 		"cache.entries", "cache.bytes",

@@ -37,23 +37,12 @@ import (
 //     sheds load with 503 + Retry-After exactly like job submission,
 //     and the coordinator backs off or reassigns.
 
-// pointRequest is the POST /v1/points body. The single form carries one
-// Point (Key optional: when present it must equal the key the worker
-// derives from the spec). The batched form carries Points — one lease
-// holding several points — and is mutually exclusive with the single
-// form. A batched request that opts into "Accept: application/x-ndjson"
-// streams one outcome frame per retired point; otherwise it gets one
-// envelope with every outcome.
+// pointRequest is the POST /v1/points body: one Point, and optionally
+// the Key the coordinator derived for it, which must equal the key the
+// worker derives from the spec. Unknown fields are refused with 400.
 type pointRequest struct {
-	Key    string                 `json:"key,omitempty"`
-	Point  *experiments.PointSpec `json:"point,omitempty"`
-	Points []pointRequestItem     `json:"points,omitempty"`
-}
-
-// pointRequestItem is one point of a batched request.
-type pointRequestItem struct {
 	Key   string                 `json:"key,omitempty"`
-	Point *experiments.PointSpec `json:"point"`
+	Point *experiments.PointSpec `json:"point,omitempty"`
 }
 
 // pointRetryAfter is the Retry-After hint on shed points: short,
@@ -67,15 +56,6 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if len(req.Points) > 0 {
-		if req.Point != nil {
-			WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
-				"point and points are mutually exclusive")
-			return
-		}
-		s.handlePointBatch(w, r, req.Points)
 		return
 	}
 	key, status, apiErr := s.resolvePoint(req.Point, req.Key)
@@ -130,75 +110,11 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	WriteEnvelope(w, http.StatusOK, Envelope{Point: &res})
 }
 
-// handlePointBatch serves the batched form of POST /v1/points: one
-// admission slot covers the whole lease (the batch is the unit the
-// coordinator dispatched, so it is the unit the worker admits), points
-// execute in order, and each point's outcome is independent — a point
-// that fails terminally does not poison its batch siblings. With ndjson
-// negotiated, outcomes stream one frame per retired point so the
-// coordinator closes leases as they finish; a client that hangs up
-// mid-stream simply stops receiving outcomes, and the points it never
-// saw retire are its to retry (the worker caches their results, so a
-// retry is a cache hit, not a re-simulation).
-func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items []pointRequestItem) {
-	type resolved struct {
-		spec experiments.PointSpec
-		key  string
-		err  *APIError
-	}
-	rs := make([]resolved, len(items))
-	runnable := false
-	for i, it := range items {
-		rs[i].key, _, rs[i].err = s.resolvePoint(it.Point, it.Key)
-		if rs[i].err == nil {
-			rs[i].spec = *it.Point
-			runnable = true
-		}
-	}
-
-	// A batch of refused points runs nothing, so it needs no slot.
-	if runnable {
-		release, ok := s.admitPoint(w, r)
-		if !ok {
-			return
-		}
-		defer release()
-	}
-	s.metrics.Inc(mPointsBatches)
-
-	stream := wantsNDJSON(r)
-	var flusher http.Flusher
-	if stream {
-		w.Header().Set("Content-Type", NDJSONContentType)
-		w.WriteHeader(http.StatusOK)
-		flusher, _ = w.(http.Flusher)
-	}
-	outcomes := make([]PointOutcome, 0, len(items))
-	for i, rv := range rs {
-		var o PointOutcome
-		if rv.err != nil {
-			o = PointOutcome{Index: i, Key: rv.key, Error: rv.err}
-		} else {
-			o = s.runBatchPoint(r.Context(), i, rv.key, rv.spec)
-		}
-		if stream {
-			if writeFrame(w, flusher, Envelope{Outcomes: []PointOutcome{o}}) != nil {
-				return // coordinator hung up; its lease timers own the rest
-			}
-			continue
-		}
-		outcomes = append(outcomes, o)
-	}
-	if !stream {
-		WriteEnvelope(w, http.StatusOK, Envelope{Outcomes: outcomes})
-	}
-}
-
 // resolvePoint checks one requested point before it may reach the cache
 // or a slot: the spec is present, its experiment has a decomposition,
 // its fields are in range (PointSpec.Validate), and the key it derives
 // matches the key the request claims. A refusal comes with the status
-// the single form answers; the key is set once derived.
+// to answer it with.
 func (s *Server) resolvePoint(spec *experiments.PointSpec, claimed string) (string, int, *APIError) {
 	switch {
 	case spec == nil:
@@ -216,41 +132,10 @@ func (s *Server) resolvePoint(spec *experiments.PointSpec, claimed string) (stri
 	}
 	if claimed != "" && claimed != key {
 		s.metrics.Inc(mPointsKeyMismatch)
-		return key, http.StatusBadRequest, &APIError{Code: CodeBadRequest,
+		return "", http.StatusBadRequest, &APIError{Code: CodeBadRequest,
 			Message: fmt.Sprintf("point key mismatch: request says %s, spec derives %s — coordinator and worker disagree on the key derivation", claimed, key)}
 	}
 	return key, 0, nil
-}
-
-// runBatchPoint resolves one batched point to its outcome: local cache
-// first, then execution (warm-prefix path included via executePoint),
-// caching the fresh result for the fleet.
-func (s *Server) runBatchPoint(ctx context.Context, i int, key string, spec experiments.PointSpec) PointOutcome {
-	o := PointOutcome{Index: i, Key: key}
-	if val, ok := s.cache.Get(key); ok {
-		var res experiments.PointResult
-		if err := json.Unmarshal(val, &res); err == nil {
-			s.metrics.Inc(mPointsCacheHits)
-			o.Point, o.Cached = &res, true
-			return o
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		o.Error = &APIError{Code: CodeCancelled, Message: err.Error()}
-		return o
-	}
-	res, err := s.executePoint(spec)
-	if err != nil {
-		s.metrics.Inc(mPointsFailed)
-		o.Error = &APIError{Code: errorCode(err), Message: err.Error()}
-		return o
-	}
-	s.metrics.Inc(mPointsExecuted)
-	if val, merr := json.Marshal(res); merr == nil {
-		_ = s.storeResult(s.runCtx, key, val)
-	}
-	o.Point = &res
-	return o
 }
 
 // admitPoint takes an execution slot for a point request, or answers
@@ -298,6 +183,13 @@ func (s *Server) acquirePointSlot(ctx context.Context) (release func(), ok bool)
 // deadline, converting panics (an experiment bug, or the injected
 // SiteExpPanic) into typed errors — the same containment execute gives
 // a local job, so a poisoned point fails one request, not the worker.
+// A point whose decomposition declares a prefix runs off the built
+// prefix state in the server's prefix cache (packed machine captures,
+// built once per prefix and shared with local jobs), byte-identical to
+// a full run by the experiments layer's RunWarm contract; any other
+// point runs in full. A point cut short by the server's own shutdown
+// fails shutting_down, which a coordinator retries on another worker:
+// the point is sound, only this worker is going away.
 func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.PointResult, err error) {
 	ctx := s.runCtx
 	if s.jobTimeout > 0 {
@@ -314,28 +206,23 @@ func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.Point
 	if s.faults.Check(SiteExpPanic) {
 		panic(fmt.Sprintf("injected panic (site %s)", SiteExpPanic))
 	}
+	var warm bool
 	if s.faults.Check(SiteExpStall) {
 		<-ctx.Done() // a point that never finishes until cancelled
-		return res, ctx.Err()
-	}
-	if s.warmPrefixes {
-		// Warm path: points whose decomposition declares a shared prefix
-		// load a cached machine capture instead of rebuilding the sweep
-		// prefix. Byte-identical to the cold path by the experiments
-		// layer's RunWarm contract; warm=false falls through untouched.
-		if wres, warm, werr := s.prefixCache.RunPoint(ctx, spec); warm {
-			if werr == nil {
-				s.metrics.Inc(mPointsWarm)
-			}
-			s.publishPrefixStats()
-			res, err = wres, werr
-		} else {
-			res, err = experiments.RunPoint(ctx, spec)
+		err = ctx.Err()
+	} else if res, warm, err = s.prefixCache.RunPoint(ctx, spec); warm {
+		if err == nil {
+			s.metrics.Inc(mPointsWarm)
 		}
+		s.publishPrefixStats()
 	} else {
 		res, err = experiments.RunPoint(ctx, spec)
 	}
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && s.runCtx.Err() == nil {
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled) && s.runCtx.Err() != nil:
+		err = Coded(CodeShuttingDown, "", fmt.Errorf("point cut short by worker shutdown: %w", err))
+	case errors.Is(err, context.DeadlineExceeded) && s.runCtx.Err() == nil:
 		s.metrics.Inc(mJobsTimeouts)
 		err = fmt.Errorf("point exceeded its %v deadline: %w", s.jobTimeout, err)
 	}

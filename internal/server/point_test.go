@@ -273,189 +273,41 @@ func TestPointEndpointShedsLoad(t *testing.T) {
 	}
 }
 
-// postBatch ships a batched lease to a server's point endpoint. ndjson
-// selects the streamed reply; keys follow postPoint's convention
-// ("derive", "", or a literal). Returns the status, the frames read
-// (one per outcome when streamed, a single all-outcomes envelope
-// otherwise), and the response Content-Type.
-func postBatch(t *testing.T, url string, ndjson bool, keys []string, specs []experiments.PointSpec) (int, []Envelope, string) {
-	t.Helper()
-	items := make([]map[string]interface{}, len(specs))
-	for i, spec := range specs {
-		key := keys[i]
-		if key == "derive" {
-			k, err := canon.PointKey(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key = k
-		}
-		items[i] = map[string]interface{}{"key": key, "point": spec}
-	}
-	body, err := json.Marshal(map[string]interface{}{"points": items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest("POST", url+"/v1/points", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if ndjson {
-		req.Header.Set("Accept", NDJSONContentType)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var envs []Envelope
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			break
-		}
-		envs = append(envs, env)
-	}
-	return resp.StatusCode, envs, resp.Header.Get("Content-Type")
-}
-
-// TestPointBatchEndpoint pins the batched lease surface: one request
-// carries N points, one envelope returns N ordered outcomes, a rerun
-// answers every outcome from the cache, and a bad item fails alone
-// without poisoning its batch siblings.
-func TestPointBatchEndpoint(t *testing.T) {
-	registerSyntheticSweep("pt-batch", 4, nil)
-	s, err := New(Config{Workers: 2, Experiments: []experiments.Experiment{echoExperiment("echo")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	specs := []experiments.PointSpec{
-		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 0, N: 10},
-		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 1, N: 10},
-		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 2, N: 10},
-	}
-	keys := []string{"derive", "derive", ""}
-	status, envs, _ := postBatch(t, ts.URL, false, keys, specs)
-	if status != http.StatusOK || len(envs) != 1 {
-		t.Fatalf("batch run: status %d, %d envelopes", status, len(envs))
-	}
-	if len(envs[0].Outcomes) != 3 {
-		t.Fatalf("outcomes = %d, want 3", len(envs[0].Outcomes))
-	}
-	for i, o := range envs[0].Outcomes {
-		if o.Index != i || o.Point == nil || o.Error != nil {
-			t.Fatalf("outcome %d = %+v, want ordered success", i, o)
-		}
-		if want := int64(1000 + specs[i].Index*7 + 10); o.Point.Cycles != want {
-			t.Errorf("outcome %d cycles = %d, want %d", i, o.Point.Cycles, want)
-		}
-		if o.Cached {
-			t.Errorf("fresh outcome %d claims cached", i)
-		}
-	}
-
-	// Identical rerun: every outcome is a cache hit.
-	status, envs, _ = postBatch(t, ts.URL, false, keys, specs)
-	if status != http.StatusOK || len(envs) != 1 || len(envs[0].Outcomes) != 3 {
-		t.Fatalf("cached batch: status %d, envelopes %+v", status, envs)
-	}
-	for i, o := range envs[0].Outcomes {
-		if !o.Cached || o.Point == nil {
-			t.Errorf("rerun outcome %d not cached: %+v", i, o)
-		}
-	}
-
-	// A bad item fails alone; its siblings still execute.
-	mixed := []experiments.PointSpec{
-		{Machine: "PentiumPro", Procs: 1, Experiment: "no-such-sweep", Index: 0},
-		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch", Index: 3, N: 10},
-	}
-	status, envs, _ = postBatch(t, ts.URL, false, []string{"", ""}, mixed)
-	if status != http.StatusOK || len(envs) != 1 || len(envs[0].Outcomes) != 2 {
-		t.Fatalf("mixed batch: status %d, envelopes %+v", status, envs)
-	}
-	if o := envs[0].Outcomes[0]; o.Error == nil || o.Error.Code != CodeNotFound || o.Point != nil {
-		t.Errorf("bad item outcome = %+v, want not_found error", o)
-	}
-	if o := envs[0].Outcomes[1]; o.Error != nil || o.Point == nil || o.Point.Index != 3 {
-		t.Errorf("sibling outcome = %+v, want success", o)
-	}
-
-	m := s.Metrics()
-	if got := m.Get(mPointsBatches); got != 3 {
-		t.Errorf("points.batches = %d, want 3", got)
-	}
-	if got := m.Get(mPointsExecuted); got != 4 {
-		t.Errorf("points.executed = %d, want 4", got)
-	}
-	if got := m.Get(mPointsCacheHits); got != 3 {
-		t.Errorf("points.cache_hits = %d, want 3", got)
-	}
-
-	// A request carrying both forms is ambiguous and refused.
-	body := []byte(`{"point":{"experiment":"pt-batch","index":0},"points":[{"point":{"experiment":"pt-batch","index":1}}]}`)
-	resp, err := http.Post(ts.URL+"/v1/points", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("ambiguous request: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestPointBatchStreams pins the streamed batch reply: with ndjson
-// negotiated the worker writes one envelope frame per retired point, in
-// execution order, each carrying exactly one outcome — the shape the
-// coordinator's per-point lease accounting and ?wait progress
-// granularity are built on.
-func TestPointBatchStreams(t *testing.T) {
-	registerSyntheticSweep("pt-batch-stream", 4, nil)
+// TestPointCutShortByShutdown pins how a worker answers a point its own
+// drain interrupts: Shutdown cancels the run context once local jobs
+// drain, while the point's handler is still in flight, and the point
+// must come back 503 shutting_down — retryable on another worker — not
+// the terminal cancelled a coordinator would fail the whole job on.
+func TestPointCutShortByShutdown(t *testing.T) {
+	entered := make(chan struct{})
+	registerSyntheticSweep("pt-drain", 1, func(ctx context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+		close(entered)
+		<-ctx.Done()
+		return experiments.PointResult{}, ctx.Err()
+	})
 	s, err := New(Config{Workers: 1, Experiments: []experiments.Experiment{echoExperiment("echo")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	specs := []experiments.PointSpec{
-		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch-stream", Index: 0, N: 5},
-		{Machine: "PentiumPro", Procs: 1, Experiment: "no-such-sweep", Index: 1},
-		{Machine: "PentiumPro", Procs: 1, Experiment: "pt-batch-stream", Index: 2, N: 5},
+	type reply struct {
+		status int
+		env    Envelope
 	}
-	status, envs, ctype := postBatch(t, ts.URL, true, []string{"derive", "", "derive"}, specs)
-	if status != http.StatusOK {
-		t.Fatalf("streamed batch: status %d", status)
+	done := make(chan reply, 1)
+	go func() {
+		status, env := postPoint(t, ts.URL, "derive", experiments.PointSpec{Machine: "PentiumPro", Procs: 1, Experiment: "pt-drain", N: 1})
+		done <- reply{status, env}
+	}()
+	<-entered
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if ctype != NDJSONContentType {
-		t.Fatalf("Content-Type = %q, want %q", ctype, NDJSONContentType)
-	}
-	if len(envs) != 3 {
-		t.Fatalf("frames = %d, want one per point", len(envs))
-	}
-	for i, env := range envs {
-		if len(env.Outcomes) != 1 {
-			t.Fatalf("frame %d carries %d outcomes, want exactly 1", i, len(env.Outcomes))
-		}
-		if env.Outcomes[0].Index != i {
-			t.Errorf("frame %d outcome index = %d, want frames in batch order", i, env.Outcomes[0].Index)
-		}
-	}
-	if o := envs[1].Outcomes[0]; o.Error == nil || o.Error.Code != CodeNotFound {
-		t.Errorf("mid-stream bad item outcome = %+v, want not_found error", o)
-	}
-	if o := envs[2].Outcomes[0]; o.Error != nil || o.Point == nil || o.Point.Index != 2 {
-		t.Errorf("post-error outcome = %+v, want success after a failed sibling", o)
-	}
-	if got := s.Metrics().Get(mPointsBatches); got != 1 {
-		t.Errorf("points.batches = %d, want 1", got)
+	r := <-done
+	if r.status != http.StatusServiceUnavailable || r.env.Error == nil || r.env.Error.Code != CodeShuttingDown {
+		t.Fatalf("point cut short by shutdown: status %d, envelope %+v; want 503 shutting_down", r.status, r.env)
 	}
 }
 
@@ -482,9 +334,9 @@ func invalidPointSpecs(t testing.TB) (experiments.PointSpec, map[string]experime
 
 // TestPointSpecValidatedBeforeSlot pins that a worker refuses an
 // out-of-range spec before admission: with its only slot held, each of
-// the five invalid specs still gets 400 bad_request — single form — or a
-// bad_request outcome — batch form — while a valid spec is shed for want
-// of a slot; nothing is executed, counted as failed, or cached.
+// the five invalid specs still gets 400 bad_request, while a valid spec
+// is shed for want of a slot; nothing is executed, counted as failed,
+// or cached.
 func TestPointSpecValidatedBeforeSlot(t *testing.T) {
 	s, err := New(Config{Workers: 1, Experiments: []experiments.Experiment{echoExperiment("echo")}})
 	if err != nil {
@@ -504,21 +356,10 @@ func TestPointSpecValidatedBeforeSlot(t *testing.T) {
 	if status, env := postPoint(t, ts.URL, "derive", good); status != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != CodeQueueFull {
 		t.Fatalf("valid spec with no free slot: status %d, envelope %+v; want 503 queue_full", status, env)
 	}
-	var batch []experiments.PointSpec
 	for name, ps := range bad {
 		status, env := postPoint(t, ts.URL, "derive", ps)
 		if status != http.StatusBadRequest || env.Error == nil || env.Error.Code != CodeBadRequest {
 			t.Errorf("%s: status %d, envelope %+v; want 400 bad_request", name, status, env)
-		}
-		batch = append(batch, ps)
-	}
-	status, envs, _ := postBatch(t, ts.URL, false, make([]string, len(batch)), batch)
-	if status != http.StatusOK || len(envs) != 1 || len(envs[0].Outcomes) != len(batch) {
-		t.Fatalf("invalid batch: status %d, envelopes %+v", status, envs)
-	}
-	for i, o := range envs[0].Outcomes {
-		if o.Error == nil || o.Error.Code != CodeBadRequest || o.Point != nil {
-			t.Errorf("batch outcome %d = %+v, want a bad_request error", i, o)
 		}
 	}
 

@@ -12,7 +12,7 @@
 //	                            ("Accept: application/x-ndjson" streams
 //	                            keep-alive progress frames while waiting)
 //	GET  /v1/jobs/{id}/repro    a failed job's repro bundle
-//	POST /v1/points             run decomposed sweep points (fabric workers)
+//	POST /v1/points             run one decomposed sweep point (fabric workers)
 //	GET  /metrics               flat "name value" metric exposition
 //	GET  /healthz               liveness: ok, degraded or draining
 //
@@ -95,15 +95,6 @@ type Config struct {
 	// disk cache at startup (cache.quarantine_purged counts removals).
 	// 0 means DefaultQuarantineTTL; negative disables the sweep.
 	QuarantineTTL time.Duration
-	// WarmPrefixes enables worker-side prefix reuse for shipped points: a
-	// point whose decomposition declares a shared prefix executes off the
-	// built prefix state from the server's prefix cache (packed machine
-	// captures: one for a warm prefix, one per loop for a cold call)
-	// instead of rebuilding the sweep prefix. Byte-identical results either way (the experiments
-	// layer pins the RunWarm contract) — purely a wall-clock
-	// optimization for prefix-heavy sweeps. Local jobs always run off
-	// the cache.
-	WarmPrefixes bool
 	// PrefixCacheBytes bounds the server's prefix cache (prefix states
 	// and their memoized PARMVR calls) by estimated retained bytes; 0
 	// uses experiments.DefaultPrefixCacheBytes.
@@ -115,15 +106,14 @@ type Config struct {
 type Server struct {
 	*JobCore
 
-	metrics      *metrics.Synced
-	cache        *Cache
-	exps         map[string]experiments.Experiment
-	jobTimeout   time.Duration
-	faults       *faults.Injector
-	warmPrefixes bool
+	metrics    *metrics.Synced
+	cache      *Cache
+	exps       map[string]experiments.Experiment
+	jobTimeout time.Duration
+	faults     *faults.Injector
 	// The server's one local holder: a prefix cache that lives as long
-	// as the process, serving every local job (and shipped points under
-	// WarmPrefixes), and the lane budget every local job's pool draws on.
+	// as the process, serving every local job and shipped point, and the
+	// lane budget every local job's pool draws on.
 	prefixCache *experiments.PrefixCache
 	holder      *experiments.Holder
 
@@ -189,7 +179,6 @@ func New(cfg Config) (*Server, error) {
 		pointSem:      make(chan struct{}, cfg.Workers),
 		pointAdmitMax: cfg.Workers + cfg.QueueDepth,
 		inflight:      make(map[string]*Job),
-		warmPrefixes:  cfg.WarmPrefixes,
 		prefixCache:   experiments.NewPrefixCache(cfg.PrefixCacheBytes),
 	}
 	s.JobCore, err = NewJobCore(Daemon{
