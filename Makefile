@@ -28,6 +28,10 @@
 # `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
 # once at smoke size: every workload through the real CLI, server and
 # fleet binaries, each result checked against its golden hash (~25 s);
+# `examples` runs every program under examples/ with `go run` (nightly
+# CI; about 50 s on 2 vCPUs): they are the API-level drivers outside
+# cascade-sim, and quickstart and spmv exit nonzero when the cascaded
+# run diverges bit for bit from the sequential one;
 # `results` regenerates every results/*.txt (and its progress .log)
 # with the exact command that produced it, `cascade-sim -exp E` at
 # paper scale and the default -n; `results-check` re-derives the
@@ -47,10 +51,11 @@ GO ?= go
 SERVE_FLAGS ?= -cache .cascade-cache
 CHAOS_SEED ?=
 
+EXAMPLES = chunksweep future pic quickstart spmv
 RESULTS = ablations amdahl conflicts fig2 fig3 fig4 fig5 fig6 fig7 gallery table1
 PGO_EXPS = fig2 fig6 warmsweep
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz results results-check pgo fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz examples results results-check pgo fmt
 
 tier1:
 	$(GO) build ./...
@@ -101,6 +106,11 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzPointRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJobRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJournalOpen$$' -fuzztime 60s ./internal/fabric/journal/
+
+examples:
+	for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
+	done
 
 results:
 	for e in $(RESULTS); do \

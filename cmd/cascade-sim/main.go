@@ -5,6 +5,7 @@
 //
 //	cascade-sim -exp list                 # enumerate experiments
 //	cascade-sim -exp table1|fig2|...|all  [flags]
+//	cascade-sim -point SPEC               # one sweep point, JSON in and out
 //
 // Experiments are dispatched through the experiments.Registry; -exp list
 // prints every registered name with its description. The -scale flag
@@ -44,6 +45,19 @@
 // including a replay that unexpectedly succeeds — is reported and exits
 // nonzero.
 //
+// The -point flag runs one simulation point instead of an experiment:
+// its argument is one PointSpec as JSON, decoded strictly (unknown
+// fields are refused, as POST /v1/points does) and checked with
+// PointSpec.Validate. The point runs through experiments.RunPoint, the
+// same code a fleet worker runs, and its PointResult is printed as JSON
+// (fig3-5 and conflicts points with their per-loop rows). A spec
+// carries its own experiment, scale, chunk and array length, so -point
+// with -exp, -scale, -chunk, -n, -metrics, -repro, -cache, -csv or
+// -chart is a usage error. For example, fig3's restructured column on
+// the Pentium Pro:
+//
+//	cascade-sim -point '{"experiment":"fig3","machine":"PentiumPro","procs":4,"strategy":"restructured","chunk_kb":64,"scale":0.05}'
+//
 // The -cpuprofile and -memprofile flags write standard pprof profiles
 // of whatever the invocation runs — the supported way to attribute
 // simulator time to engine functions (`go tool pprof cascade-sim
@@ -62,6 +76,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -81,6 +96,7 @@ type cliOptions struct {
 	metrics    string // "", table, json
 	cacheDir   string // "" = no memoization
 	repro      string // path to a repro bundle to replay; "" = normal run
+	point      string // one PointSpec as JSON to run; "" = normal run
 	quiet      bool
 }
 
@@ -96,11 +112,24 @@ func main() {
 		metrics = flag.String("metrics", "", "emit per-processor metric snapshots: json or table (defaults -exp to quickstart)")
 		cache   = flag.String("cache", "", "content-addressed result cache directory, shared with cascade-server")
 		repro   = flag.String("repro", "", "replay a repro bundle JSON file (from GET /v1/jobs/{id}/repro) and verify the failure reproduces")
+		point   = flag.String("point", "", "run one sweep point: a PointSpec as JSON; prints its PointResult as JSON")
 		quiet   = flag.Bool("q", false, "suppress progress messages")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
+	if *point != "" {
+		var clash []string
+		flag.Visit(func(f *flag.Flag) {
+			if sweepFlags[f.Name] {
+				clash = append(clash, "-"+f.Name)
+			}
+		})
+		if len(clash) > 0 {
+			fmt.Fprintf(os.Stderr, "cascade-sim: -point takes its configuration from the spec; drop %s\n", strings.Join(clash, ", "))
+			os.Exit(1)
+		}
+	}
 	opts := cliOptions{
 		exp:        *exp,
 		scale:      *scale,
@@ -110,6 +139,7 @@ func main() {
 		metrics:    *metrics,
 		cacheDir:   *cache,
 		repro:      *repro,
+		point:      *point,
 		quiet:      *quiet,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -127,6 +157,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cascade-sim:", err)
 		os.Exit(1)
 	}
+}
+
+// sweepFlags are the flags that choose an experiment or how its sweep
+// runs and renders. A -point spec names all of that itself.
+var sweepFlags = map[string]bool{
+	"exp": true, "scale": true, "chunk": true, "n": true, "metrics": true,
+	"repro": true, "cache": true, "csv": true, "chart": true,
 }
 
 // startProfiles turns on the requested pprof outputs and returns the
@@ -255,6 +292,28 @@ func runRepro(ctx context.Context, w io.Writer, path string) error {
 	}
 }
 
+// runPoint decodes one PointSpec strictly, validates it, runs it
+// through experiments.RunPoint and writes its PointResult as JSON.
+func runPoint(ctx context.Context, w io.Writer, spec string) error {
+	var ps experiments.PointSpec
+	dec := json.NewDecoder(strings.NewReader(spec))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ps); err != nil {
+		return fmt.Errorf("-point: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("-point: data after the spec")
+	}
+	if err := ps.Validate(); err != nil {
+		return fmt.Errorf("-point: %w", err)
+	}
+	r, err := experiments.RunPoint(ctx, ps)
+	if err != nil {
+		return err
+	}
+	return emitJSON(w, r)
+}
+
 // list enumerates the registry from the same exported metadata the
 // serving daemon's GET /v1/experiments returns.
 func list(w io.Writer) {
@@ -269,6 +328,9 @@ func list(w io.Writer) {
 func run(ctx context.Context, w io.Writer, opts cliOptions) error {
 	if opts.repro != "" {
 		return runRepro(ctx, w, opts.repro)
+	}
+	if opts.point != "" {
+		return runPoint(ctx, w, opts.point)
 	}
 	switch opts.metrics {
 	case "", "table", "json":

@@ -224,11 +224,11 @@ func ablationPrefix(ps PointSpec) (PrefixSpec, bool) {
 
 // ablationOptions returns the per-loop cascade options of an ablation
 // configuration on a machine with procs processors: nil for the plain
-// call and for configurations that change the machine or the start
-// state instead.
+// call. A configuration that changes the machine or the start state
+// instead is refused: only runAblationPoint's own path runs it.
 func ablationOptions(variant string, procs int) (func(l *loopir.Loop) []cascade.Option, error) {
 	switch variant {
-	case "", ablNoPrefetch, ablNoTLB, ablVictim, ablCold:
+	case "":
 		return nil, nil
 	case ablWait:
 		return func(*loopir.Loop) []cascade.Option { return []cascade.Option{cascade.WithJumpOut(false)} }, nil
@@ -239,6 +239,8 @@ func ablationOptions(variant string, procs int) (func(l *loopir.Loop) []cascade.
 		return func(l *loopir.Loop) []cascade.Option {
 			return []cascade.Option{cascade.WithChunkBytes((l.Iters*l.BytesPerIter() + procs - 1) / procs)}
 		}, nil
+	case ablNoPrefetch, ablNoTLB, ablVictim, ablCold:
+		return nil, fmt.Errorf("ablation configuration %q changes the machine or start state, which only an ablations point runs", variant)
 	}
 	return nil, fmt.Errorf("unknown ablation configuration %q", variant)
 }
@@ -248,6 +250,9 @@ func ablationOptions(variant string, procs int) (func(l *loopir.Loop) []cascade.
 func runAblationPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
 	if _, ok := ablationPrefix(ps); ok {
 		return coldRun(ablationPrefix, runPARMVRPointWarm)(ctx, ps)
+	}
+	if err := unreadByCall(ps); err != nil {
+		return PointResult{}, err
 	}
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {

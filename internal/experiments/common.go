@@ -82,7 +82,7 @@ func coldStart(prior bool) func(m *machine.Machine, i int, l *loopir.Loop) error
 // runPARMVR runs one PARMVR call on a fresh machine and a private,
 // freshly built dataset. Before loop i runs, start puts the loop's start
 // state in place: a cold call's prior-parallel distribution, simulated
-// (RunPARMVR) or loaded from a prefix capture (runPARMVRPointWarm).
+// (RunPARMVR) or loaded from a prefix capture (runPARMVRCall).
 // extra, when non-nil, adds to each loop's cascade options (an ablation
 // row's configuration).
 func runPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes int,
@@ -133,35 +133,6 @@ func runPARMVRLoop(m *machine.Machine, space *memsim.Space, l *loopir.Loop, stra
 		return cascade.Result{}, err
 	}
 	return cascade.Run(m, l, opts)
-}
-
-// RunPARMVRCall measures one call of PARMVR after warmupCalls prior calls
-// on the same machine with warm caches. The paper's per-loop figures are
-// for "the 12th call (out of 5000)" — a steady-state call whose caches
-// carry the previous call's residue; warmupCalls = 0 reproduces
-// RunPARMVR's cold-call behaviour except that no cache reset happens
-// between loops.
-//
-// Unlike RunPARMVR, caches are NOT reset between loops or calls: the
-// measurement captures the real call-to-call reuse (grid arrays stay
-// L2-resident across calls; particle arrays never fit).
-func RunPARMVRCall(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes, warmupCalls int) ([]cascade.Result, error) {
-	w, err := wave5.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Initial distribution models the parallel phases around the calls.
-	distributeDataset(m, w)
-	for c := 0; c < warmupCalls; c++ {
-		if _, err := runWarmPoint(m, w, WarmPoint{Strat: strat, ChunkBytes: chunkBytes}); err != nil {
-			return nil, err
-		}
-	}
-	return runWarmPoint(m, w, WarmPoint{Strat: strat, ChunkBytes: chunkBytes})
 }
 
 // MergeMetrics folds the per-loop metric snapshots of a multi-loop run

@@ -111,65 +111,6 @@ func TestAblationPriorParallel(t *testing.T) {
 	}
 }
 
-func TestRunPARMVRCallSteadyState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping in -short: steady-state run repeats the full PARMVR call")
-	}
-	p := testParams()
-	cfg := machine.PentiumPro(4)
-	// A steady-state call must be deterministic in its warm-up depth.
-	call2a, err := RunPARMVRCall(cfg, p, Restructured, cascade.DefaultChunkBytes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	call2b, err := RunPARMVRCall(cfg, p, Restructured, cascade.DefaultChunkBytes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if TotalCycles(call2a) != TotalCycles(call2b) {
-		t.Errorf("steady-state call nondeterministic: %d vs %d",
-			TotalCycles(call2a), TotalCycles(call2b))
-	}
-	// Consecutive steady-state calls cost about the same (within 5%).
-	call3, err := RunPARMVRCall(cfg, p, Restructured, cascade.DefaultChunkBytes, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := float64(TotalCycles(call2a)), float64(TotalCycles(call3))
-	if a/b > 1.05 || b/a > 1.05 {
-		t.Errorf("calls 3 and 4 differ by >5%%: %d vs %d", TotalCycles(call2a), TotalCycles(call3))
-	}
-	if len(call2a) != 15 {
-		t.Errorf("loops = %d", len(call2a))
-	}
-}
-
-func TestRunPARMVRCallSequential(t *testing.T) {
-	p := testParams()
-	res, err := RunPARMVRCall(machine.PentiumPro(2), p, Sequential, cascade.DefaultChunkBytes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if TotalCycles(res) <= 0 {
-		t.Error("no cycles")
-	}
-	// The warm-call measurement must actually differ from the per-loop
-	// cold measurement (KeepState carries real state between loops).
-	cold, err := RunPARMVR(machine.PentiumPro(2), p, Sequential, cascade.DefaultChunkBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := 0
-	for i := range res {
-		if res[i].Cycles == cold[i].Cycles {
-			same++
-		}
-	}
-	if same == len(res) {
-		t.Error("steady-state call identical to cold per-loop measurement; KeepState inert?")
-	}
-}
-
 func TestAblationVictimCache(t *testing.T) {
 	a := studyOf(t, "victim")
 	for _, mc := range Machines() {

@@ -233,3 +233,58 @@ func TestPrefixMemoPanicReleasesWaiters(t *testing.T) {
 		t.Errorf("call stats %d misses, %d hits; want 2 and %d", s.CallMisses, s.CallHits, waiters)
 	}
 }
+
+// TestPrefixMemoWaiterOutlivesCancelledRunner pins that a waiter with a
+// live context never gets another caller's cancellation: the runner's
+// call fails with its own ctx.Err(), and the waiter that joined its
+// flight runs the call again and gets the result.
+func TestPrefixMemoWaiterOutlivesCancelledRunner(t *testing.T) {
+	c := NewPrefixCache(0)
+	st := memoState(t, c)
+	k := parmvrCall{Restructured.Token(), 64, ""}
+
+	runCtx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	runnerErr := make(chan error, 1)
+	go func() {
+		_, err := st.memoCall(runCtx, k, func() (PointResult, error) {
+			close(started)
+			<-runCtx.Done()
+			return PointResult{}, runCtx.Err()
+		})
+		runnerErr <- err
+	}()
+	<-started
+
+	waiter := make(chan error, 1)
+	var got PointResult
+	go func() {
+		var err error
+		got, err = st.memoCall(context.Background(), k, func() (PointResult, error) {
+			return PointResult{Cycles: 5}, nil
+		})
+		waiter <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().CallHits < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatal("the waiter never joined the call in flight")
+		}
+	}
+	cancel()
+
+	if err := <-runnerErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("runner got %v, want its own context.Canceled", err)
+	}
+	select {
+	case err := <-waiter:
+		if err != nil || got.Cycles != 5 {
+			t.Errorf("waiter got %+v, %v; want its own run's 5 cycles", got, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter still blocked after the runner was cancelled")
+	}
+	if s := c.Stats(); s.CallMisses != 2 || s.CallHits != 1 {
+		t.Errorf("call stats %d misses, %d hits; want 2 and 1", s.CallMisses, s.CallHits)
+	}
+}

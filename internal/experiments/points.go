@@ -391,34 +391,36 @@ func coldRun(prefix func(PointSpec) (PrefixSpec, bool),
 	}
 }
 
-// runPARMVRWarm runs a point's PARMVR call off a cold-call prefix:
+// runPARMVRCall is a point's PARMVR call off a cold-call prefix:
 // RunPARMVR on the point's own machine and dataset, with each loop's
 // prior-parallel distribution loaded from the prefix's capture instead
 // of simulated. The state is only read, so points sharing it run
-// concurrently.
-func runPARMVRWarm(st *PrefixState, ps PointSpec) ([]cascade.Result, error) {
+// concurrently. The call is memoized on the state: fig2, fig6 and
+// ablation points and fig3-5 points that agree on strategy, chunk
+// budget and ablation configuration share one simulation. The result
+// holds the call's raw measurements and its per-loop rows; the caller
+// sets the index and keeps what its merge reads.
+//
+// A spec naming anything the call does not read is refused before the
+// memo, where it would otherwise share the plain call's result: a
+// chunk_bytes, warmup or n, or a configuration that changes the machine
+// or the start state rather than the call's options.
+func runPARMVRCall(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	if err := unreadByCall(ps); err != nil {
+		return PointResult{}, err
+	}
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
-		return nil, err
+		return PointResult{}, err
 	}
 	extra, err := ablationOptions(ps.Variant, st.cfg.Procs)
 	if err != nil {
-		return nil, err
+		return PointResult{}, fmt.Errorf("%s point: %w", ps.Experiment, err)
 	}
-	return runPARMVR(st.cfg, st.p, strat, ps.ChunkKB*1024, func(m *machine.Machine, i int, _ *loopir.Loop) error {
-		return m.LoadCapture(st.starts[i])
-	}, extra)
-}
-
-// runPARMVRCall is a point's PARMVR call off a cold-call prefix,
-// memoized on the state: fig2, fig6 and ablation points and fig3-5
-// points that agree on strategy, chunk budget and ablation
-// configuration share one simulation. The result
-// holds the call's raw measurements and its per-loop rows; the caller
-// sets the index and keeps what its merge reads.
-func runPARMVRCall(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	return st.memoCall(ctx, parmvrCall{ps.Strategy, ps.ChunkKB, ps.Variant}, func() (PointResult, error) {
-		rr, err := runPARMVRWarm(st, ps)
+		rr, err := runPARMVR(st.cfg, st.p, strat, ps.ChunkKB*1024, func(m *machine.Machine, i int, _ *loopir.Loop) error {
+			return m.LoadCapture(st.starts[i])
+		}, extra)
 		if err != nil {
 			return PointResult{}, err
 		}
@@ -426,6 +428,16 @@ func runPARMVRCall(ctx context.Context, st *PrefixState, ps PointSpec) (PointRes
 		res.Loops = loopResults(st.names, rr)
 		return res, nil
 	})
+}
+
+// unreadByCall refuses a spec that sets a field no PARMVR call point
+// reads: chunk_bytes, warmup or n.
+func unreadByCall(ps PointSpec) error {
+	if ps.ChunkBytes != 0 || ps.Warmup != 0 || ps.N != 0 {
+		return fmt.Errorf("%s point: chunk_bytes %d, warmup %d, n %d: a PARMVR call reads none of them (want 0)",
+			ps.Experiment, ps.ChunkBytes, ps.Warmup, ps.N)
+	}
+	return nil
 }
 
 // runPARMVRPointWarm is a fig2/fig6 point's warm path: the whole call's

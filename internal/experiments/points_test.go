@@ -208,3 +208,59 @@ func TestBreakdownMergeRejectsShortLoops(t *testing.T) {
 		t.Error("merge accepted a point with 3 of 15 loops")
 	}
 }
+
+// TestRunPointRefusesUnreadFields pins that a PARMVR call point runs
+// only the spec it names. A configuration that changes the machine or
+// the start state, and a chunk_bytes, warmup or n, are read by no
+// fig2-fig6 point, so RunPoint refuses them instead of returning the
+// plain call's bytes. The warm path refuses them too, after the plain
+// call is in its memo under the same strategy, chunk and variant.
+// Ablations rows that change the machine refuse the unread fields.
+func TestRunPointRefusesUnreadFields(t *testing.T) {
+	ctx := context.Background()
+	rc := RunConfig{Scale: 0.01, ChunkBytes: 64 << 10, N: 1 << 10}
+	c := NewPrefixCache(0)
+	for _, exp := range []string{"fig2", "fig3", "fig6"} {
+		specs, _ := Decompose(exp, rc)
+		good := specs[len(specs)-1]
+		if _, warm, err := c.RunPoint(ctx, good); err != nil || !warm {
+			t.Fatalf("%s plain point: warm=%v err=%v", exp, warm, err)
+		}
+		for _, tc := range []struct {
+			name string
+			set  func(*PointSpec)
+		}{
+			{"no-tlb", func(ps *PointSpec) { ps.Variant = ablNoTLB }},
+			{"victim", func(ps *PointSpec) { ps.Variant = ablVictim }},
+			{"cold-caches", func(ps *PointSpec) { ps.Variant = ablCold }},
+			{"no-compiler-prefetch", func(ps *PointSpec) { ps.Variant = ablNoPrefetch }},
+			{"chunk_bytes", func(ps *PointSpec) { ps.ChunkBytes = 4096 }},
+			{"warmup", func(ps *PointSpec) { ps.Warmup = 3 }},
+			{"n", func(ps *PointSpec) { ps.N = 7 }},
+		} {
+			ps := good
+			tc.set(&ps)
+			if err := ps.Validate(); err != nil {
+				t.Fatalf("%s %s: %v, want a spec Validate passes", exp, tc.name, err)
+			}
+			if r, err := RunPoint(ctx, ps); err == nil {
+				t.Errorf("%s %s: RunPoint ran it (%d cycles), want a refusal", exp, tc.name, r.Cycles)
+			}
+			if r, _, err := c.RunPoint(ctx, ps); err == nil {
+				t.Errorf("%s %s: the warm path ran it (%d cycles), want a refusal", exp, tc.name, r.Cycles)
+			}
+		}
+	}
+	// An ablations row that changes the machine runs off no prefix, and
+	// refuses the same unread fields on its own path.
+	specs, _ := Decompose("ablations", rc)
+	for _, ps := range specs {
+		if _, ok := ablationPrefix(ps); ok {
+			continue
+		}
+		ps.Warmup = 3
+		if r, err := RunPoint(ctx, ps); err == nil {
+			t.Fatalf("ablations %s point %d with warmup 3: ran it (%d cycles), want a refusal", ps.Variant, ps.Index, r.Cycles)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -115,25 +116,32 @@ type callFlight struct {
 // memoCall returns the outcome of call k off st, running run at most
 // once per call for as long as st lives: concurrent callers wait on the
 // first one's flight, and later ones get its stored result. A failed
-// run is never stored, so the next caller runs it again. A panicking
-// run is not stored either: its waiters get the panic as their error,
-// and the panic goes on up the runner's own stack. A private state
-// memoizes nothing.
+// run is never stored, so the next caller runs it again, and so does a
+// waiter with a live context whose flight failed on its runner's
+// cancellation or deadline. A panicking run is not stored either: its
+// waiters get the panic as their error, and the panic goes on up the
+// runner's own stack. A private state memoizes nothing.
 func (st *PrefixState) memoCall(ctx context.Context, k parmvrCall, run func() (PointResult, error)) (PointResult, error) {
 	c := st.cache
 	if c == nil {
 		return run()
 	}
 	c.mu.Lock()
-	if f, ok := st.calls[k]; ok {
+	for f, ok := st.calls[k]; ok; f, ok = st.calls[k] {
 		c.stats.CallHits++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.res, f.err
 		case <-ctx.Done():
 			return PointResult{}, ctx.Err()
 		}
+		// A flight cancelled or timed out by its runner's context says
+		// nothing about a caller whose own context is live. The failed
+		// flight has left the memo, so the caller runs the call again.
+		if (!errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded)) || ctx.Err() != nil {
+			return f.res, f.err
+		}
+		c.mu.Lock()
 	}
 	f := &callFlight{done: make(chan struct{})}
 	if st.calls == nil {
