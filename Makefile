@@ -23,8 +23,10 @@
 # `bench-smoke` is the CI
 # keep-the-benchmarks-compiling pass: one iteration of the hot-path and
 # warm-start benchmarks at short-mode scale, a smoke test rather than a
-# measurement; `fuzz` runs every fuzz target for 60 s each (nightly CI;
-# the seed corpora alone run in every `go test`);
+# measurement; `fuzz` runs every fuzz target for 60 s each, six in all,
+# from loop specs across engines to a coordinator recovered over a
+# damaged journal (nightly CI; the seed corpora alone run in every
+# `go test`);
 # `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
 # once at smoke size: every workload through the real CLI, server and
 # fleet binaries, each result checked against its golden hash (~25 s);
@@ -106,6 +108,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzPointRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJobRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJournalOpen$$' -fuzztime 60s ./internal/fabric/journal/
+	$(GO) test -run NONE -fuzz '^FuzzCoordinatorRecovery$$' -fuzztime 60s ./internal/fabric/
 
 examples:
 	for e in $(EXAMPLES); do \

@@ -26,7 +26,8 @@
 //
 // Start workers with `cascade-server -coordinator URL`; they enlist and
 // heartbeat on their own, advertising their -workers bound as slots: the
-// coordinator never has more of a worker's leases in flight. A lease is
+// coordinator never has more of a worker's leases in flight. A worker
+// is listed alive by the time it prints its own "listening on" line. A lease is
 // one point in one POST /v1/points RPC, handed to whichever worker frees
 // a slot first, and bounded by -lease. A worker
 // that goes silent past -heartbeat-timeout is declared dead and its
@@ -37,7 +38,9 @@
 // the coordinator durable: a restarted coordinator replays the log,
 // re-adopts jobs that were in flight when it died, fences stale leases
 // behind a bumped epoch, and re-dispatches only the genuinely
-// unfinished remainder (DESIGN.md §13). Empty disables durability.
+// unfinished remainder (DESIGN.md §13). A fresh journal directory costs
+// start-up one file sync and one directory sync; only a journal with
+// records is compacted. Empty disables durability.
 //
 // The -faults flag (development/testing only) arms the coordinator's
 // deterministic injection sites (fabric.FaultSites) so dispatch-failure

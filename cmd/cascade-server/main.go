@@ -24,9 +24,13 @@
 // registers under -name at the -advertise URL and heartbeats until
 // shutdown, receiving sharded sweep points on POST /v1/points, one
 // point per request. Both -advertise and -name default to the bound
-// listen address. The worker computes each sweep's shared prefix once,
-// parks it in its prefix cache, and runs every point of the prefix
-// group off it — byte-identical results, less repeated warmup. Shipped
+// listen address. The first registration is made before the
+// "listening on" line is printed, so the line means serving and, if
+// the coordinator answered, enlisted; a coordinator that is down does
+// not stop start-up (the failure is logged and retried with backoff).
+// The worker computes each sweep's shared prefix once, parks it in its
+// prefix cache, and runs every point of the prefix group off it —
+// byte-identical results, less repeated warmup. Shipped
 // points and local jobs share that cache: one bounded LRU
 // (-prefix-cache-mb) that lives as long as the daemon, so work reuses
 // the prefixes and memoized PARMVR calls of the work before it.
@@ -179,9 +183,12 @@ func run(ctx context.Context, w io.Writer, opts serverOptions) error {
 	if opts.onListen != nil {
 		opts.onListen(ln.Addr())
 	}
-	fmt.Fprintf(w, "cascade-server: listening on http://%s (%d workers, queue %d)\n",
-		ln.Addr(), opts.workers, opts.queueDepth)
 
+	// A worker registers before it announces itself: the listening line
+	// then means serving and, if the coordinator answered, enlisted, so
+	// nothing waiting on the line has to poll the fleet. A failed attempt
+	// does not hold start-up; the heartbeat loop retries with backoff.
+	var enlist func()
 	if opts.coordinator != "" {
 		name, advertise := opts.workerName, opts.advertise
 		if name == "" {
@@ -192,7 +199,7 @@ func run(ctx context.Context, w io.Writer, opts serverOptions) error {
 		}
 		fmt.Fprintf(w, "cascade-server: enlisting with %s as %q (advertising %s, %d slots)\n",
 			opts.coordinator, name, advertise, s.PointSlots())
-		go fabric.Enlist(ctx, fabric.EnlistConfig{
+		ecfg := fabric.EnlistConfig{
 			Coordinator: opts.coordinator,
 			Name:        name,
 			Advertise:   advertise,
@@ -200,7 +207,14 @@ func run(ctx context.Context, w io.Writer, opts serverOptions) error {
 			OnError: func(err error) {
 				fmt.Fprintf(w, "cascade-server: heartbeat: %v\n", err)
 			},
-		})
+		}
+		epoch, err := fabric.Register(ctx, ecfg)
+		enlist = func() { fabric.Heartbeat(ctx, ecfg, epoch, err) }
+	}
+	fmt.Fprintf(w, "cascade-server: listening on http://%s (%d workers, queue %d)\n",
+		ln.Addr(), opts.workers, opts.queueDepth)
+	if enlist != nil {
+		go enlist()
 	}
 
 	hs := &http.Server{Handler: s.Handler()}

@@ -6,9 +6,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fabric"
 )
 
 // TestDaemonEndToEnd boots the daemon on an ephemeral port, drives the
@@ -111,5 +115,139 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// lineLog is a daemon log writer. As the "listening on" line is
+// written it reports what atListen answers at that moment, and it
+// signals each failed heartbeat line. The daemon writes each line in
+// one call.
+type lineLog struct {
+	atListen func() bool
+	listened chan bool     // buffered 1: atListen's answer
+	failed   chan struct{} // one per "heartbeat: " line, never blocking
+	mu       sync.Mutex
+	beats    int // "heartbeat: " lines so far
+}
+
+func newLineLog(atListen func() bool) *lineLog {
+	return &lineLog{atListen: atListen, listened: make(chan bool, 1), failed: make(chan struct{}, 8)}
+}
+
+func (l *lineLog) Write(p []byte) (int, error) {
+	line := string(p)
+	if strings.Contains(line, "listening on http://") {
+		select {
+		case l.listened <- l.atListen():
+		default:
+		}
+	}
+	if strings.Contains(line, "heartbeat: ") {
+		l.mu.Lock()
+		l.beats++
+		l.mu.Unlock()
+		select {
+		case l.failed <- struct{}{}:
+		default:
+		}
+	}
+	return len(p), nil
+}
+
+// failedBeats counts the failed heartbeat lines written so far.
+func (l *lineLog) failedBeats() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.beats
+}
+
+// startWorker runs the daemon as a fleet worker of coordinator until the
+// test ends, and returns its log.
+func startWorker(t *testing.T, coordinator string, log *lineLog) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, log, serverOptions{
+			addr:        "127.0.0.1:0",
+			workers:     1,
+			queueDepth:  4,
+			drain:       10 * time.Second,
+			coordinator: coordinator,
+			workerName:  "w1",
+		})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("worker exit = %v, want clean drain", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Error("worker did not shut down")
+		}
+	})
+}
+
+// TestWorkerEnlistedWhenListening pins fleet readiness in one step: with
+// a reachable coordinator, the worker is listed alive by the time its
+// "listening on" line is written, so whatever waits for the line never
+// polls the fleet.
+func TestWorkerEnlistedWhenListening(t *testing.T) {
+	c, err := fabric.New(fabric.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	log := newLineLog(func() bool {
+		for _, w := range c.Workers() {
+			if w.Name == "w1" && w.Alive {
+				return true
+			}
+		}
+		return false
+	})
+	startWorker(t, ts.URL, log)
+	select {
+	case alive := <-log.listened:
+		if !alive {
+			t.Fatal("worker not listed alive when its listening line was written")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never started listening")
+	}
+}
+
+// TestWorkerStartsWithoutCoordinator pins that registration before the
+// listening line never holds start-up: with nothing at the coordinator
+// address, the worker still serves and its heartbeat loop keeps
+// retrying (the first retry lands within one default interval).
+func TestWorkerStartsWithoutCoordinator(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := "http://" + ln.Addr().String()
+	ln.Close() // nothing listens there now: connections are refused
+
+	log := newLineLog(func() bool { return true })
+	startWorker(t, down, log)
+	select {
+	case <-log.listened:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never started listening with its coordinator down")
+	}
+	if n := log.failedBeats(); n != 1 {
+		t.Fatalf("%d failed registrations logged by the listening line, want the one attempt", n)
+	}
+	<-log.failed
+	select {
+	case <-log.failed:
+	case <-time.After(2*fabric.DefaultHeartbeatInterval + 5*time.Second):
+		t.Fatal("heartbeat loop never retried the registration")
 	}
 }

@@ -565,7 +565,9 @@ func TestRunPointFig7Totals(t *testing.T) {
 }
 
 // TestPointUsageErrors pins the -point refusals: each exits 1 with a
-// cascade-sim message on stderr, before anything is simulated.
+// cascade-sim message on stderr, before anything is simulated. Fig7 and
+// conflicts specs naming a field their point does not read are refused
+// too.
 func TestPointUsageErrors(t *testing.T) {
 	const spec = `{"experiment":"fig7","machine":"PentiumPro","procs":4,"strategy":"sequential","n":1024,"variant":"dense"}`
 	for _, tc := range []struct {
@@ -578,6 +580,11 @@ func TestPointUsageErrors(t *testing.T) {
 		{"unknown experiment", []string{"-point", strings.Replace(spec, "fig7", "fig99", 1)}, "no point decomposition"},
 		{"with -exp", []string{"-point", spec, "-exp", "fig7"}, "drop -exp"},
 		{"trailing data", []string{"-point", spec + "}"}, "data after the spec"},
+		{"fig7 procs", []string{"-point", strings.Replace(spec, `"procs":4`, `"procs":1`, 1)}, "procs 1"},
+		{"fig7 scale", []string{"-point", strings.Replace(spec, `"n":1024`, `"n":1024,"scale":7`, 1)}, "scale 7"},
+		{"fig7 sequential chunk_kb", []string{"-point", strings.Replace(spec, `"n":1024`, `"n":1024,"chunk_kb":8`, 1)}, "chunk_kb 8"},
+		{"conflicts chunk_kb", []string{"-point", `{"experiment":"conflicts","machine":"PentiumPro","procs":4,"strategy":"sequential","chunk_kb":8,"scale":0.01}`}, "chunk_kb 8"},
+		{"conflicts strategy", []string{"-point", `{"experiment":"conflicts","machine":"PentiumPro","procs":4,"strategy":"prefetched","chunk_kb":8,"scale":0.01}`}, `strategy "prefetched"`},
 	} {
 		stderr, code := runMain(t, tc.args...)
 		if code != 1 || !strings.Contains(stderr, "cascade-sim: ") || !strings.Contains(stderr, tc.want) {

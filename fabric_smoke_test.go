@@ -127,36 +127,30 @@ func TestFabricSmoke(t *testing.T) {
 		workerURLs = append(workerURLs, w.baseURL(t))
 	}
 
-	// Wait for both workers to enlist.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(coordURL + "/v1/workers")
-		if err != nil {
-			t.Fatal(err)
+	// A worker registers before it prints its listening line, so one read
+	// after both lines must list both alive: no poll.
+	resp, err := http.Get(coordURL + "/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleet struct {
+		Workers []struct {
+			Alive bool `json:"alive"`
+		} `json:"workers"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&fleet)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := 0
+	for _, w := range fleet.Workers {
+		if w.Alive {
+			alive++
 		}
-		var fleet struct {
-			Workers []struct {
-				Alive bool `json:"alive"`
-			} `json:"workers"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&fleet)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		alive := 0
-		for _, w := range fleet.Workers {
-			if w.Alive {
-				alive++
-			}
-		}
-		if alive == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d workers enlisted", alive)
-		}
-		time.Sleep(100 * time.Millisecond)
+	}
+	if alive != 2 {
+		t.Fatalf("%d workers alive once both printed their listening lines, want 2", alive)
 	}
 
 	// Run a small real sweep, a per-loop breakdown, a warm-prefix sweep

@@ -86,10 +86,22 @@ func conflictsPoints(rc RunConfig) []PointSpec {
 	return specs
 }
 
+// runConflictsPoint classifies one machine's misses. The point reads
+// its machine, processor count and scale; it refuses a spec naming a
+// strategy other than sequential, or any chunk_kb, chunk_bytes, warmup,
+// n or variant, which would otherwise hash to a key of its own for the
+// plain point's bytes.
 func runConflictsPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err
+	}
+	if ps.Strategy != Sequential.Token() {
+		return PointResult{}, fmt.Errorf("conflicts point: strategy %q: classification runs sequentially (want %q)", ps.Strategy, Sequential.Token())
+	}
+	if ps.ChunkKB != 0 || ps.ChunkBytes != 0 || ps.Warmup != 0 || ps.N != 0 || ps.Variant != "" {
+		return PointResult{}, fmt.Errorf("conflicts point: chunk_kb %d, chunk_bytes %d, warmup %d, n %d, variant %q: classification reads none of them (want 0 and \"\")",
+			ps.ChunkKB, ps.ChunkBytes, ps.Warmup, ps.N, ps.Variant)
 	}
 	loops, rr, err := classifyLoops(ctx, cfg.WithProcs(ps.Procs), wave5.DefaultParams().Scaled(ps.Scale))
 	if err != nil {

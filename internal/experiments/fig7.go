@@ -79,11 +79,25 @@ func fig7Points(rc RunConfig) []PointSpec {
 
 // runFig7Point simulates one point on a fresh copy of its variant: the
 // sequential baseline on one processor, or the cascade under unbounded
-// processors.
+// processors. A spec naming anything the point does not read is
+// refused, where it would otherwise hash to a key of its own for the
+// plain point's bytes: procs other than the preset's (the run sets its
+// own processor count), a chunk_bytes, warmup or scale, or a chunk_kb
+// on the sequential baseline.
 func runFig7Point(_ context.Context, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err
+	}
+	if ps.Procs != cfg.Procs {
+		return PointResult{}, fmt.Errorf("fig7 point: procs %d: the point runs %s's own processors (want %d)", ps.Procs, cfg.Name, cfg.Procs)
+	}
+	if ps.ChunkBytes != 0 || ps.Warmup != 0 || ps.Scale != 0 {
+		return PointResult{}, fmt.Errorf("fig7 point: chunk_bytes %d, warmup %d, scale %g: the synthetic loop reads none of them (want 0)",
+			ps.ChunkBytes, ps.Warmup, ps.Scale)
+	}
+	if ps.Strategy == Sequential.Token() && ps.ChunkKB != 0 {
+		return PointResult{}, fmt.Errorf("fig7 point: chunk_kb %d: the sequential baseline reads no chunk budget (want 0)", ps.ChunkKB)
 	}
 	v, err := fig7Variant(ps.Variant, ps.N)
 	if err != nil {

@@ -264,3 +264,43 @@ func TestRunPointRefusesUnreadFields(t *testing.T) {
 		}
 	}
 }
+
+// TestFig7AndConflictsRefuseUnreadFields pins that fig7 and conflicts
+// points, like the PARMVR call points, refuse spec fields they do not
+// read instead of returning the plain point's bytes under a key of
+// their own. Every refused spec passes Validate; the canonical specs
+// run in the golden tests.
+func TestFig7AndConflictsRefuseUnreadFields(t *testing.T) {
+	ctx := context.Background()
+	rc := RunConfig{Scale: 0.01, N: 1 << 10}
+	fig7, _ := Decompose("fig7", rc)
+	seq, casc := fig7[0], fig7[len(fig7)-1]
+	conf, _ := Decompose("conflicts", rc)
+	for _, tc := range []struct {
+		name string
+		base PointSpec
+		set  func(*PointSpec)
+	}{
+		{"fig7 procs", casc, func(ps *PointSpec) { ps.Procs = 1 }},
+		{"fig7 chunk_bytes", casc, func(ps *PointSpec) { ps.ChunkBytes = 4096 }},
+		{"fig7 warmup", casc, func(ps *PointSpec) { ps.Warmup = 3 }},
+		{"fig7 scale", casc, func(ps *PointSpec) { ps.Scale = 7 }},
+		{"fig7 sequential chunk_kb", seq, func(ps *PointSpec) { ps.ChunkKB = 8 }},
+		{"conflicts no strategy", conf[0], func(ps *PointSpec) { ps.Strategy = "" }},
+		{"conflicts restructured", conf[0], func(ps *PointSpec) { ps.Strategy, ps.ChunkKB = Restructured.Token(), 64 }},
+		{"conflicts chunk_kb", conf[0], func(ps *PointSpec) { ps.ChunkKB = 64 }},
+		{"conflicts chunk_bytes", conf[0], func(ps *PointSpec) { ps.ChunkBytes = 4096 }},
+		{"conflicts warmup", conf[0], func(ps *PointSpec) { ps.Warmup = 3 }},
+		{"conflicts n", conf[0], func(ps *PointSpec) { ps.N = 7 }},
+		{"conflicts variant", conf[0], func(ps *PointSpec) { ps.Variant = ablNoTLB }},
+	} {
+		ps := tc.base
+		tc.set(&ps)
+		if err := ps.Validate(); err != nil {
+			t.Fatalf("%s: %v, want a spec Validate passes", tc.name, err)
+		}
+		if r, err := RunPoint(ctx, ps); err == nil {
+			t.Errorf("%s: RunPoint ran it (%d cycles), want a refusal", tc.name, r.Cycles)
+		}
+	}
+}

@@ -28,6 +28,11 @@ import (
 // very heartbeat that noticed, and OnEpochChange lets it resync any
 // local assumptions (in-flight leases from the old epoch will be fenced
 // on the coordinator side, never double-counted).
+//
+// A worker makes its first attempt (Register) before it announces
+// itself, so its "listening on" line means it is serving and, if the
+// coordinator answered, already enlisted; Heartbeat carries on from that
+// attempt's outcome. Enlist is the two in one call.
 
 // DefaultHeartbeatInterval is how often an enlisted worker re-announces
 // itself. It must be comfortably under the coordinator's
@@ -72,12 +77,55 @@ type EnlistConfig struct {
 }
 
 // Enlist registers with the coordinator and heartbeats until ctx is
-// cancelled. The first registration is attempted immediately and its
-// error returned if ctx dies before any attempt succeeds; after that
-// the loop only ever exits with ctx.Err().
+// cancelled: Register, then Heartbeat. It returns an error at once only
+// for an incomplete config; otherwise it exits with ctx.Err().
 func Enlist(ctx context.Context, cfg EnlistConfig) error {
+	e, err := newEnlister(cfg)
+	if err != nil {
+		return err
+	}
+	epoch, err := e.register(ctx)
+	return e.heartbeat(ctx, epoch, err)
+}
+
+// Register makes one registration attempt: the POST /v1/workers that
+// enlists the worker, or keeps it enlisted, and returns the
+// coordinator's fencing epoch. A failure is returned and, as on every
+// attempt, reported to OnError. A worker calls it before it announces
+// itself, so that by then it is enlisted if the coordinator answered.
+// The attempt is bounded by the client's timeout (one Interval by
+// default); a coordinator that refuses connections fails it at once.
+func Register(ctx context.Context, cfg EnlistConfig) (uint64, error) {
+	e, err := newEnlister(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return e.register(ctx)
+}
+
+// Heartbeat keeps a worker enlisted after its first registration
+// attempt, whose outcome (Register's epoch and error) it takes: the next
+// attempt comes one Interval after a success, or after the jittered
+// backoff after a failure. It runs until ctx is cancelled and returns
+// ctx.Err().
+func Heartbeat(ctx context.Context, cfg EnlistConfig, epoch uint64, first error) error {
+	e, err := newEnlister(cfg)
+	if err != nil {
+		return err
+	}
+	return e.heartbeat(ctx, epoch, first)
+}
+
+// enlister is a validated EnlistConfig with its client and request body.
+type enlister struct {
+	cfg    EnlistConfig
+	client *http.Client
+	body   []byte
+}
+
+func newEnlister(cfg EnlistConfig) (*enlister, error) {
 	if cfg.Coordinator == "" || cfg.Name == "" || cfg.Advertise == "" {
-		return fmt.Errorf("fabric: enlist needs coordinator, name and advertise URLs")
+		return nil, fmt.Errorf("fabric: enlist needs coordinator, name and advertise URLs")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultHeartbeatInterval
@@ -86,77 +134,80 @@ func Enlist(ctx context.Context, cfg EnlistConfig) error {
 	if client == nil {
 		client = &http.Client{Timeout: cfg.Interval}
 	}
-
 	body, err := json.Marshal(workerRequest{Name: cfg.Name, URL: cfg.Advertise, Slots: cfg.Slots})
 	if err != nil {
-		return fmt.Errorf("fabric: marshal enlist request: %w", err)
+		return nil, fmt.Errorf("fabric: marshal enlist request: %w", err)
 	}
-	beat := func() (uint64, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			cfg.Coordinator+"/v1/workers", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(server.VersionHeader, server.APIVersion)
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		var wr workersResponse
-		derr := json.NewDecoder(resp.Body).Decode(&wr)
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("fabric: coordinator rejected heartbeat: %s", resp.Status)
-		}
-		if derr != nil {
-			return 0, fmt.Errorf("fabric: bad heartbeat response: %w", derr)
-		}
-		return wr.Epoch, nil
-	}
+	return &enlister{cfg: cfg, client: client, body: body}, nil
+}
 
-	sleep := func(d time.Duration) error {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			return nil
-		}
+// register makes one attempt and reports its failure to OnError unless
+// ctx is done.
+func (e *enlister) register(ctx context.Context) (uint64, error) {
+	epoch, err := e.post(ctx)
+	if err != nil && ctx.Err() == nil && e.cfg.OnError != nil {
+		e.cfg.OnError(err)
 	}
+	return epoch, err
+}
 
-	var lastEpoch uint64
-	enlisted := false
-	delay := cfg.Interval
+func (e *enlister) post(ctx context.Context) (uint64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		e.cfg.Coordinator+"/v1/workers", bytes.NewReader(e.body))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(server.VersionHeader, server.APIVersion)
+	resp, err := e.client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var wr workersResponse
+	derr := json.NewDecoder(resp.Body).Decode(&wr)
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("fabric: coordinator rejected heartbeat: %s", resp.Status)
+	}
+	if derr != nil {
+		return 0, fmt.Errorf("fabric: bad heartbeat response: %w", derr)
+	}
+	return wr.Epoch, nil
+}
+
+// heartbeat is the loop after the first attempt, whose outcome it takes.
+func (e *enlister) heartbeat(ctx context.Context, epoch uint64, err error) error {
+	interval := e.cfg.Interval
+	lastEpoch, enlisted := epoch, err == nil
+	delay := interval
 	for {
-		epoch, err := beat()
+		d := interval
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if cfg.OnError != nil {
-				cfg.OnError(err)
-			}
 			// Jittered exponential backoff: the retry lands somewhere in
 			// [delay/2, delay), so a fleet that lost its coordinator
 			// together does not come back in lockstep.
-			d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-			if delay *= 2; delay > maxBackoffIntervals*cfg.Interval {
-				delay = maxBackoffIntervals * cfg.Interval
+			d = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
+			if delay *= 2; delay > maxBackoffIntervals*interval {
+				delay = maxBackoffIntervals * interval
 			}
-			if serr := sleep(d); serr != nil {
-				return serr
-			}
+		}
+		t := time.NewTimer(d)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
+		if epoch, err = e.register(ctx); err != nil {
 			continue
 		}
-		delay = cfg.Interval
-		if enlisted && epoch != lastEpoch && cfg.OnEpochChange != nil {
-			cfg.OnEpochChange(lastEpoch, epoch)
+		delay = interval
+		if enlisted && epoch != lastEpoch && e.cfg.OnEpochChange != nil {
+			e.cfg.OnEpochChange(lastEpoch, epoch)
 		}
 		lastEpoch, enlisted = epoch, true
-		if serr := sleep(cfg.Interval); serr != nil {
-			return serr
-		}
 	}
 }

@@ -17,6 +17,12 @@
 // (the write-ahead contract: an unacknowledged record may be lost, an
 // acknowledged one may not).
 //
+// A fresh log's magic is written without a sync of its own: the first
+// Append's sync covers it, and a crash before that leaves a torn magic,
+// which Open repairs like any torn tail. Creating the log and
+// compacting it (Rewrite) each sync the directory, so the log's entry
+// is as durable as its contents.
+//
 // Open also takes an exclusive flock on the log, so two coordinator
 // incarnations can never interleave writes: a partitioned predecessor
 // that still holds the file blocks its successor from starting at all,
@@ -33,6 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/faults"
@@ -134,7 +141,9 @@ type Replay struct {
 
 // Open opens (or creates) the journal under dir, replays every intact
 // record, truncates any torn tail, and locks the log against other
-// incarnations. The injector arms SiteAppend; nil runs clean.
+// incarnations. Once it holds the lock it removes any compaction temp
+// file a crashed Rewrite left behind. The injector arms SiteAppend; nil
+// runs clean.
 func Open(dir string, inj *faults.Injector) (*Journal, Replay, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Replay{}, fmt.Errorf("journal: %w", err)
@@ -148,6 +157,10 @@ func Open(dir string, inj *faults.Injector) (*Journal, Replay, error) {
 		f.Close()
 		return nil, Replay{}, fmt.Errorf("journal: %s held by another coordinator: %w", path, err)
 	}
+	if err := removeCompactTemps(dir); err != nil {
+		f.Close()
+		return nil, Replay{}, err
+	}
 	j := &Journal{dir: dir, inj: inj, f: f}
 	rep, err := j.replayAndRepair()
 	if err != nil {
@@ -157,10 +170,32 @@ func Open(dir string, inj *faults.Injector) (*Journal, Replay, error) {
 	return j, rep, nil
 }
 
+// compactPrefix starts the name of Rewrite's temp file.
+const compactPrefix = logName + ".compact-"
+
+// removeCompactTemps deletes the temp files of compactions that never
+// reached their rename. Only the lock holder compacts, so under the lock
+// every such file is a crashed incarnation's leftover.
+func removeCompactTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), compactPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("journal: remove stale compaction file: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
 // replayAndRepair scans the log, returns every intact record, and
 // truncates the file back to the last intact frame. A fresh (empty)
 // file, or one holding only part of the magic — the first write, torn —
-// gets its magic written and synced; the torn part counts as truncated.
+// gets its magic written, unsynced (the first Append's sync covers it),
+// and its directory synced; the torn part counts as truncated.
 func (j *Journal) replayAndRepair() (Replay, error) {
 	info, err := j.f.Stat()
 	if err != nil {
@@ -177,7 +212,7 @@ func (j *Journal) replayAndRepair() (Replay, error) {
 		if _, err := j.f.WriteAt([]byte(Magic), 0); err != nil {
 			return Replay{}, fmt.Errorf("journal: %w", err)
 		}
-		if err := j.f.Sync(); err != nil {
+		if err := syncDir(j.dir); err != nil {
 			return Replay{}, fmt.Errorf("journal: %w", err)
 		}
 		if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
@@ -294,26 +329,46 @@ func (j *Journal) Append(recs ...Record) error {
 
 // Rewrite compacts the log: the given records become its entire
 // contents, written to a temp file, synced, and atomically renamed over
-// the old log (which stays intact if anything fails part-way).
+// the old log (which stays intact if anything fails part-way). The
+// directory is synced after the rename: until then a power loss could
+// bring back the old log and lose every record appended after the
+// compaction.
+//
+// A log that holds no records (and no torn batch) has nothing to compact
+// away, and nothing a torn write could lose (it replays as the empty log
+// it was): the records are appended in place under one sync, with no
+// temp file, rename or reopen. That is a fresh coordinator's whole
+// start-up write. Unlike Append, Rewrite is never a fault-injection
+// point.
 func (j *Journal) Rewrite(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return ErrClosed
 	}
+	buf := []byte(Magic)
+	for _, rec := range recs {
+		var err error
+		if buf, err = frame(buf, rec); err != nil {
+			return err
+		}
+	}
+	if j.size == int64(len(Magic)) && j.untorn() {
+		if _, err := j.f.Write(buf[len(Magic):]); err != nil {
+			return fmt.Errorf("journal compact: %w", err)
+		}
+		if err := j.f.Sync(); err != nil {
+			return fmt.Errorf("journal compact: %w", err)
+		}
+		j.size = int64(len(buf))
+		return nil
+	}
 	path := filepath.Join(j.dir, logName)
-	tmp, err := os.CreateTemp(j.dir, logName+".compact-*")
+	tmp, err := os.CreateTemp(j.dir, compactPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("journal compact: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	buf := []byte(Magic)
-	for _, rec := range recs {
-		if buf, err = frame(buf, rec); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("journal compact: %w", err)
@@ -341,7 +396,17 @@ func (j *Journal) Rewrite(recs []Record) error {
 	j.f.Close()
 	j.f = nf
 	j.size = int64(len(buf))
+	if err := syncDir(j.dir); err != nil {
+		return fmt.Errorf("journal compact: %w", err)
+	}
 	return nil
+}
+
+// untorn reports whether the file ends where its last intact frame does:
+// a failed Append leaves a half batch past it.
+func (j *Journal) untorn() bool {
+	info, err := j.f.Stat()
+	return err == nil && info.Size() == j.size
 }
 
 // Size returns the log's durable length in bytes.

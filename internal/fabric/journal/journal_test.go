@@ -189,6 +189,83 @@ func TestRewriteCompacts(t *testing.T) {
 	}
 }
 
+// TestRewriteEmptyLogInPlace pins the fresh-log path of Rewrite: a log
+// that holds no records takes the new ones in place, in the same file
+// (no temp file renamed over it), and they replay after a reopen. A log
+// whose only batch tore still compacts: the in-place write would land
+// behind the torn half and be lost to replay.
+func TestRewriteEmptyLogInPlace(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openClean(t, dir)
+	before, err := os.Stat(Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := []Record{{Type: TypeEpoch, Epoch: 1}}
+	if err := j.Rewrite(keep); err != nil {
+		t.Fatalf("Rewrite: %v", err)
+	}
+	after, err := os.Stat(Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("Rewrite of an empty log replaced the file instead of appending in place")
+	}
+	if err := j.Append(Record{Type: TypeJobAccepted, Job: "f1", Experiment: "fig2", Key: "k1"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, rep := openClean(t, dir)
+	assertRecords(t, rep.Records, append(keep, Record{Type: TypeJobAccepted, Job: "f1", Experiment: "fig2", Key: "k1"}))
+
+	torn := t.TempDir()
+	inj := faults.New(1)
+	inj.Arm(SiteAppend, faults.Trigger{OnCall: 1})
+	jt, _, err := Open(torn, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jt.Close()
+	if err := jt.Append(Record{Type: TypePointAssigned, Job: "f1", Index: 0, Epoch: 1,
+		Key: "0123456789abcdef0123456789abcdef"}); err == nil {
+		t.Fatal("armed append succeeded")
+	}
+	if err := jt.Rewrite(keep); err != nil {
+		t.Fatalf("Rewrite over a torn batch: %v", err)
+	}
+	recs, tornBytes, err := Read(Path(torn))
+	if err != nil || tornBytes != 0 {
+		t.Fatalf("after Rewrite over a torn batch: %d torn bytes, %v", tornBytes, err)
+	}
+	assertRecords(t, recs, keep)
+}
+
+// TestOpenRemovesStaleCompaction pins the clean-up of a compaction that
+// crashed between creating its temp file and renaming it: Open deletes
+// the leftover, and the log replays exactly as before.
+func TestOpenRemovesStaleCompaction(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openClean(t, dir)
+	want := []Record{{Type: TypeEpoch, Epoch: 1}, {Type: TypeJobAccepted, Job: "f1", Experiment: "fig6", Key: "k1"}}
+	if err := j.Append(want...); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	stale := filepath.Join(dir, logName+".compact-123456")
+	if err := os.WriteFile(stale, []byte(Magic+"half a compaction"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rep := openClean(t, dir)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale compaction file survived Open (stat: %v)", err)
+	}
+	if rep.TruncatedBytes != 0 {
+		t.Fatalf("replay truncated %d bytes", rep.TruncatedBytes)
+	}
+	assertRecords(t, rep.Records, want)
+}
+
 // TestAppendFaultTearsTail arms the fabric.journal site: the poisoned
 // Append must report failure, leave a half-written batch, and the next
 // Open must truncate it back to the acknowledged prefix.

@@ -59,7 +59,9 @@ type rjob struct {
 // openJournal opens cfg.JournalDir (no-op when empty), replays the log,
 // re-adopts in-flight jobs, rehydrates failed ones, picks this
 // incarnation's epoch, and compacts the log down to what the next
-// recovery will need. Called from New before the reaper starts.
+// recovery will need. A log that replays empty has nothing to compact:
+// Rewrite appends the epoch record in place, with one sync that covers
+// the fresh log's magic too. Called from New before the reaper starts.
 func (c *Coordinator) openJournal() error {
 	if c.cfg.JournalDir == "" {
 		c.epoch = 1

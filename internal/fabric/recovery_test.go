@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -527,5 +528,40 @@ func TestJournalAppendFaultDegrades(t *testing.T) {
 	}
 	if got := c.Metrics().Get(mJournalErrors); got != 1 {
 		t.Fatalf("journal.errors = %d, want 1", got)
+	}
+}
+
+// TestFreshJournalOpensInPlace pins a fresh coordinator's start-up
+// write: over a log with no records, recovery appends the epoch record
+// in the log's own file instead of compacting it through a temp file
+// and a rename, and the log then holds exactly that record.
+func TestFreshJournalOpensInPlace(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(journal.Path(dir), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(journal.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Experiments: []experiments.Experiment{syntheticExperiment("fab-fresh")}, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	after, err := os.Stat(journal.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("a fresh journal was compacted into a new file")
+	}
+	recs, torn, err := journal.Read(journal.Path(dir))
+	if err != nil || torn != 0 || len(recs) != 1 || recs[0].Type != journal.TypeEpoch || recs[0].Epoch != 1 {
+		t.Fatalf("fresh journal holds %+v (%d torn bytes, %v), want one epoch-1 record", recs, torn, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("journal directory holds %d entries (%v), want the log alone", len(ents), err)
 	}
 }
