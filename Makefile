@@ -1,4 +1,5 @@
-# Development targets. `tier1` is the merge gate (see ROADMAP.md); `race`
+# Development targets. `tier1` is the merge gate (see ROADMAP.md), plus a
+# vet of the separate bench/ module, which `go build ./...` skips; `race`
 # is the fuller pre-merge check and `race-short` its fast CI variant;
 # `chaos` is the fault-injection sweep of DESIGN.md §10 (fixed seed;
 # set CHAOS_SEED to explore other schedules); `chaos-fabric` is the
@@ -62,6 +63,7 @@ PGO_EXPS = fig2 fig6 warmsweep
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) test ./...
 
 race:

@@ -245,11 +245,12 @@ func ablationOptions(variant string, procs int) (func(l *loopir.Loop) []cascade.
 	return nil, fmt.Errorf("unknown ablation configuration %q", variant)
 }
 
-// runAblationPoint runs a row's call cold: off a private prefix when the
-// row has one, else on its configured machine from its start state.
-func runAblationPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
-	if _, ok := ablationPrefix(ps); ok {
-		return coldRun(ablationPrefix, runPARMVRPointWarm)(ctx, ps)
+// runAblationPoint runs a row's call: off its prefix state when the row
+// has one (ablationPrefix), else on its configured machine from its
+// start state.
+func runAblationPoint(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+	if st != nil {
+		return runPARMVRPoint(ctx, st, ps)
 	}
 	if err := unreadByCall(ps); err != nil {
 		return PointResult{}, err
@@ -286,11 +287,10 @@ func runAblationPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
 
 func init() {
 	RegisterDecomposition("ablations", Decomposition{
-		Points:  ablationPoints,
-		Run:     runAblationPoint,
-		Merge:   ablationMerge,
-		Prefix:  ablationPrefix,
-		RunWarm: runPARMVRPointWarm,
+		Points: ablationPoints,
+		Prefix: ablationPrefix,
+		Run:    runAblationPoint,
+		Merge:  ablationMerge,
 	})
 }
 

@@ -71,7 +71,7 @@ func amdahlPoints(rc RunConfig) []PointSpec {
 // parallel phase amdahlParallelReps times, then the unparallelized loops
 // sequentially or, for the restructured strategy, cascaded. Its parts
 // are the parallel phase's cycles and the loops' cycles.
-func runAmdahlPoint(_ context.Context, ps PointSpec) (PointResult, error) {
+func runAmdahlPoint(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err

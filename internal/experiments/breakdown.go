@@ -94,9 +94,9 @@ func breakdownPoints(fig string) func(rc RunConfig) []PointSpec {
 	}
 }
 
-// runBreakdownPointWarm is a fig3-5 point's warm path: the PARMVR call
-// of a fig6 point, reported per loop as well.
-func runBreakdownPointWarm(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+// runBreakdownPoint runs a fig3-5 point off its cold-call prefix: the
+// PARMVR call of a fig6 point, reported per loop as well.
+func runBreakdownPoint(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	res, err := runPARMVRCall(ctx, st, ps)
 	if err != nil {
 		return PointResult{}, err
@@ -135,11 +135,10 @@ func init() {
 	for _, fig := range []int{3, 4, 5} {
 		name := fmt.Sprintf("fig%d", fig)
 		RegisterDecomposition(name, Decomposition{
-			Points:  breakdownPoints(name),
-			Run:     coldRun(parmvrPrefix, runBreakdownPointWarm),
-			Merge:   breakdownMerge(fig),
-			Prefix:  parmvrPrefix,
-			RunWarm: runBreakdownPointWarm,
+			Points: breakdownPoints(name),
+			Prefix: parmvrPrefix,
+			Run:    runBreakdownPoint,
+			Merge:  breakdownMerge(fig),
 		})
 	}
 }

@@ -91,7 +91,7 @@ func conflictsPoints(rc RunConfig) []PointSpec {
 // strategy other than sequential, or any chunk_kb, chunk_bytes, warmup,
 // n or variant, which would otherwise hash to a key of its own for the
 // plain point's bytes.
-func runConflictsPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
+func runConflictsPoint(ctx context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err

@@ -84,7 +84,7 @@ func fig7Points(rc RunConfig) []PointSpec {
 // plain point's bytes: procs other than the preset's (the run sets its
 // own processor count), a chunk_bytes, warmup or scale, or a chunk_kb
 // on the sequential baseline.
-func runFig7Point(_ context.Context, ps PointSpec) (PointResult, error) {
+func runFig7Point(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err

@@ -47,7 +47,7 @@ func galleryPoints(rc RunConfig) []PointSpec {
 // cascaded helpers, each on its own machine and arrays, and checks that
 // every cascaded run wrote exactly the sequential run's output. Its
 // parts are the sequential, prefetched and restructured runs.
-func runGalleryPoint(_ context.Context, ps PointSpec) (PointResult, error) {
+func runGalleryPoint(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err

@@ -85,10 +85,9 @@ func TestEveryExperimentDecomposed(t *testing.T) {
 // local path: RunDecomposed (with point progress reported to the end)
 // and the registry's run function (what cascade-sim and the server
 // call), both under the package's shared Holder, so PARMVR calls other
-// tests or experiments made at the scale are memo hits; and the warm
-// path over a fresh PrefixCache with the fabric's JSON round-trip on
-// every spec and result (points without a prefix take the cold path,
-// as on a worker), which simulates every point afresh.
+// tests or experiments made at the scale are memo hits; and a fresh
+// PrefixCache with the fabric's JSON round-trip on every spec and
+// result, as on a worker, which simulates every point afresh.
 func TestGoldenDecomposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweeps")

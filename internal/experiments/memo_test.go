@@ -17,7 +17,7 @@ import (
 // TestPrefixMemoAcrossSweeps is the call memo's differential test. fig6,
 // fig3, fig4, fig5 and fig2 at one scale run through one shared
 // PrefixCache, then again in reverse order through a fresh one. Every
-// point's JSON must equal a fresh cold d.Run of it, every merged result
+// point's JSON must equal a RunPoint of it off a private state, every merged result
 // must match golden.json, and the memo must show that fig3-5 simulated
 // no call of their own after fig6 (and fig3, fig4 none after fig5).
 func TestPrefixMemoAcrossSweeps(t *testing.T) {
@@ -35,7 +35,7 @@ func TestPrefixMemoAcrossSweeps(t *testing.T) {
 		specs, _ := Decompose(name, rc)
 		out := make([][]byte, len(specs))
 		if err := runIndices(ctx, len(specs), func(i int) error {
-			r, err := decompositions[name].Run(ctx, specs[i])
+			r, err := RunPoint(ctx, specs[i])
 			if err != nil {
 				return err
 			}
@@ -64,7 +64,7 @@ func TestPrefixMemoAcrossSweeps(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, cold[name][i]) {
-					t.Errorf("pass %d %s point %d: memoized JSON differs from cold d.Run:\n got %s\nwant %s",
+					t.Errorf("pass %d %s point %d: memoized JSON differs from a private-state RunPoint:\n got %s\nwant %s",
 						pass, name, i, got, cold[name][i])
 				}
 				results[i] = r

@@ -32,9 +32,9 @@ import (
 //
 // The golden tests in golden_test.go pin the merged bytes of every
 // experiment against hashes recorded from the whole-experiment drivers
-// the decompositions replaced, through RunDecomposed, the registry, the
-// warm path with a JSON round-trip of every spec and PointResult, and
-// (fig2, fig6) the reference engine.
+// the decompositions replaced, through RunDecomposed, the registry, a
+// fresh PrefixCache with a JSON round-trip of every spec and
+// PointResult, and (fig2, fig6) the reference engine.
 
 // PointSpec fully describes one simulation point of a decomposed sweep.
 // Every field that can influence the simulated result is here; the spec
@@ -190,20 +190,19 @@ func loopResults(names []string, rr []cascade.Result) []LoopResult {
 // distributable phases. Points and Merge run on the coordinating side; Run executes
 // anywhere.
 //
-// The optional warm-prefix pair declares the strategy-independent work a
-// point shares with its sweep siblings. Prefix maps a spec to its
-// resolved PrefixSpec (ok=false for points with no shareable prefix);
-// RunWarm executes the point's tail off a built PrefixState, and MUST
-// produce byte-identical results to Run — the worker substitutes it
-// freely whenever a cached prefix is at hand. RunWarm is called
-// concurrently on one state and must only read it.
+// Prefix declares the strategy-independent work a point shares with its
+// sweep siblings: it maps a spec to its resolved PrefixSpec (ok=false,
+// or a nil Prefix, for points with no shareable prefix). Run executes a
+// point off the built state of its prefix, and gets nil for a point
+// with none. Every point runs through one resolver (runSpec), which
+// takes the state from the caller's PrefixCache or builds a private one,
+// so a point's bytes cannot depend on where its state came from. Run is
+// called concurrently on one state and must only read it.
 type Decomposition struct {
 	Points func(rc RunConfig) []PointSpec
-	Run    func(ctx context.Context, ps PointSpec) (PointResult, error)
+	Prefix func(ps PointSpec) (PrefixSpec, bool)
+	Run    func(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error)
 	Merge  func(rc RunConfig, results []PointResult) (Renderable, error)
-
-	Prefix  func(ps PointSpec) (PrefixSpec, bool)
-	RunWarm func(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error)
 }
 
 // decompositions maps experiment name → decomposition. The built-ins
@@ -249,13 +248,37 @@ func Decompose(experiment string, rc RunConfig) ([]PointSpec, bool) {
 	return d.Points(rc), true
 }
 
-// RunPoint executes one spec, dispatching on its Experiment field.
+// RunPoint executes one spec, dispatching on its Experiment field. A
+// point that declares a prefix runs off a private state built for it.
 func RunPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
+	res, _, err := runSpec(ctx, nil, ps)
+	return res, err
+}
+
+// runSpec is the one point runner: RunDecomposed's pool, RunPoint and
+// the PrefixCache methods all run points through it. A point that
+// declares a prefix (prefixOf) runs off that prefix's state, taken from
+// c, or built privately when c is nil; warm reports that it declared
+// one. Any other point runs off a nil state.
+func runSpec(ctx context.Context, c *PrefixCache, ps PointSpec) (res PointResult, warm bool, err error) {
 	d, ok := decompositions[ps.Experiment]
 	if !ok {
-		return PointResult{}, fmt.Errorf("experiment %q has no point decomposition", ps.Experiment)
+		return PointResult{}, false, fmt.Errorf("experiment %q has no point decomposition", ps.Experiment)
 	}
-	return d.Run(ctx, ps)
+	var st *PrefixState
+	spec, warm := prefixOf(ps)
+	switch {
+	case !warm:
+	case c != nil:
+		st, err = c.state(ctx, spec)
+	default:
+		st, err = BuildPrefix(ctx, spec)
+	}
+	if err != nil {
+		return PointResult{}, warm, err
+	}
+	res, err = d.Run(ctx, st, ps)
+	return res, warm, err
 }
 
 // MergePoints assembles an experiment's result from its complete point
@@ -280,16 +303,16 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // RunDecomposed runs an experiment locally — decompose, run every point
 // through the experiment pool, merge — reporting point
 // progress through the context (see WithPointProgress). It returns
-// ok=false when the experiment has no decomposition. Points with a warm
-// path run it over the PrefixCache of ctx's Holder (see WithHolder), or
-// else over one the sweep owns, so each prefix group is built once per
+// ok=false when the experiment has no decomposition. Points that declare
+// a prefix run off the PrefixCache of ctx's Holder (see WithHolder), or
+// else off one the sweep owns, so each prefix group is built once per
 // holder or per sweep, exactly as on a fleet worker. The pool
 // takes its points from a PointQueue, as the fleet does, so a lane runs
 // a point of a built prefix or starts a new one before it waits on
 // another lane's build. This is
 // the single-node twin of the fabric's distributed path and the only
 // local driver of every experiment: both funnel through the same
-// Run, RunWarm and Merge, which is what makes "byte-identical to a
+// runSpec and Merge, which is what makes "byte-identical to a
 // single-node run" a testable statement rather than a hope.
 func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Renderable, bool, error) {
 	d, ok := decompositions[experiment]
@@ -303,10 +326,7 @@ func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Render
 	}
 	results := make([]PointResult, len(specs))
 	if err := runPool(ctx, len(specs), NewPointQueue(specs), func(i int) error {
-		r, warm, err := prefixes.RunPoint(ctx, specs[i])
-		if !warm {
-			r, err = d.Run(ctx, specs[i])
-		}
+		r, _, err := runSpec(ctx, prefixes, specs[i])
 		if err != nil {
 			return err
 		}
@@ -376,21 +396,6 @@ func parmvrPrefix(ps PointSpec) (PrefixSpec, bool) {
 	return PrefixSpec{Machine: ps.Machine, Procs: ps.Procs, Scale: ps.Scale}, true
 }
 
-// coldRun makes a decomposition's cold path out of its warm path: the
-// warm path off a private, freshly built prefix, so warm and cold are
-// byte-identical by construction.
-func coldRun(prefix func(PointSpec) (PrefixSpec, bool),
-	warm func(context.Context, *PrefixState, PointSpec) (PointResult, error)) func(context.Context, PointSpec) (PointResult, error) {
-	return func(ctx context.Context, ps PointSpec) (PointResult, error) {
-		spec, _ := prefix(ps)
-		st, err := BuildPrefix(ctx, spec)
-		if err != nil {
-			return PointResult{}, err
-		}
-		return warm(ctx, st, ps)
-	}
-}
-
 // runPARMVRCall is a point's PARMVR call off a cold-call prefix:
 // RunPARMVR on the point's own machine and dataset, with each loop's
 // prior-parallel distribution loaded from the prefix's capture instead
@@ -440,9 +445,9 @@ func unreadByCall(ps PointSpec) error {
 	return nil
 }
 
-// runPARMVRPointWarm is a fig2/fig6 point's warm path: the whole call's
-// raw measurements.
-func runPARMVRPointWarm(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+// runPARMVRPoint runs a fig2/fig6 point off its cold-call prefix:
+// the whole call's raw measurements.
+func runPARMVRPoint(ctx context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	res, err := runPARMVRCall(ctx, st, ps)
 	if err != nil {
 		return PointResult{}, err
@@ -453,18 +458,16 @@ func runPARMVRPointWarm(ctx context.Context, st *PrefixState, ps PointSpec) (Poi
 
 func init() {
 	RegisterDecomposition("fig2", Decomposition{
-		Points:  fig2Points,
-		Run:     coldRun(parmvrPrefix, runPARMVRPointWarm),
-		Merge:   fig2Merge,
-		Prefix:  parmvrPrefix,
-		RunWarm: runPARMVRPointWarm,
+		Points: fig2Points,
+		Prefix: parmvrPrefix,
+		Run:    runPARMVRPoint,
+		Merge:  fig2Merge,
 	})
 	RegisterDecomposition("fig6", Decomposition{
-		Points:  fig6Points,
-		Run:     coldRun(parmvrPrefix, runPARMVRPointWarm),
-		Merge:   fig6Merge,
-		Prefix:  parmvrPrefix,
-		RunWarm: runPARMVRPointWarm,
+		Points: fig6Points,
+		Prefix: parmvrPrefix,
+		Run:    runPARMVRPoint,
+		Merge:  fig6Merge,
 	})
 }
 

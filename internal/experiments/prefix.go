@@ -26,12 +26,11 @@ import (
 // so points of different sweeps that make the same call share one
 // simulation; a server's cache lives as long as the process (Holder).
 //
-// The contract that keeps the fabric's byte-identity guarantee intact:
-// RunWarm(BuildPrefix(Prefix(ps)), ps) must produce exactly the bytes
-// Run(ps) produces, for every point that declares a prefix. The
-// decompositions here satisfy it by construction — the cold Run path is
-// literally BuildPrefix followed by RunWarm on a private state — and the
-// equivalence tests in prefix_test.go and golden_test.go pin it.
+// A point runs off the same state whether a cache holds it or it is
+// built privately for that point alone (runSpec): a decomposition has
+// one Run, and a state is immutable once built. So a point's bytes do not
+// depend on where it runs or on what ran before it; the equivalence tests
+// in prefix_test.go and golden_test.go check it.
 
 // PrefixSpec is the serializable resolved description of a shared sweep
 // prefix. Everything that determines the post-prefix machine state is a
@@ -432,25 +431,20 @@ func (c *PrefixCache) evictLocked(keep string) {
 	}
 }
 
-// RunPoint executes one spec through the warm path when its
-// decomposition declares a prefix for it: the prefix state is fetched
-// from (or built into) the cache and the point runs its tail off it. ok
-// is false when the point has no warm path — the caller falls back to
-// the cold RunPoint. Points sharing a state run concurrently: RunWarm
-// only reads it.
+// RunPoint executes one spec off the state of its declared prefix,
+// fetched from (or built into) the cache. ok is false, and nothing runs,
+// when the point declares no prefix. Points sharing a state run
+// concurrently: a decomposition's Run only reads it.
 func (c *PrefixCache) RunPoint(ctx context.Context, ps PointSpec) (PointResult, bool, error) {
-	d, reg := decompositions[ps.Experiment]
-	if !reg || d.Prefix == nil || d.RunWarm == nil {
+	if _, ok := prefixOf(ps); !ok {
 		return PointResult{}, false, nil
 	}
-	spec, ok := d.Prefix(ps)
-	if !ok {
-		return PointResult{}, false, nil
-	}
-	st, err := c.state(ctx, spec)
-	if err != nil {
-		return PointResult{}, true, err
-	}
-	res, err := d.RunWarm(ctx, st, ps)
-	return res, true, err
+	return runSpec(ctx, c, ps)
+}
+
+// Run executes any spec: off the state of its declared prefix in the
+// cache, as RunPoint does, or, for a point with no prefix, on its own.
+// warm reports whether the point declared a prefix.
+func (c *PrefixCache) Run(ctx context.Context, ps PointSpec) (res PointResult, warm bool, err error) {
+	return runSpec(ctx, c, ps)
 }

@@ -11,11 +11,10 @@ import (
 	"time"
 )
 
-// warmOverWire runs every point of a decomposed experiment through the
-// warm path — PrefixCache fetch, then RunWarm — with the fabric's JSON
-// round-trip on both spec and result, then merges. Points of an
-// experiment without a warm path run cold, as a worker runs them. The byte comparison
-// against a cold driver is the warm fleet's core guarantee:
+// warmOverWire runs every point of a decomposed experiment through one
+// PrefixCache, as a worker runs them, with the fabric's JSON round-trip
+// on both spec and result, then merges. The byte comparison against a
+// driver without a shared cache is the warm fleet's core guarantee:
 // prefix reuse is a wall-clock optimization, never an observable one.
 func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string, rc RunConfig) Renderable {
 	t.Helper()
@@ -33,18 +32,9 @@ func warmOverWire(t *testing.T, ctx context.Context, c *PrefixCache, name string
 		if err := json.Unmarshal(sb, &spec); err != nil {
 			return err
 		}
-		r, warm, err := c.RunPoint(ctx, spec)
+		r, _, err := c.Run(ctx, spec)
 		if err != nil {
 			return err
-		}
-		if !warm {
-			if _, ok := prefixOf(spec); ok {
-				t.Errorf("%s point %d took the cold path", name, i)
-			}
-			r, err = RunPoint(ctx, spec)
-			if err != nil {
-				return err
-			}
 		}
 		rb, err := json.Marshal(r)
 		if err != nil {

@@ -95,7 +95,7 @@ func quickstartPoints(rc RunConfig) []PointSpec {
 // both cascaded helpers, each on a fresh machine and a fresh copy of the
 // arrays. Its parts are the three runs in Strategies order, each with
 // its registry snapshot.
-func runQuickstartPoint(ctx context.Context, ps PointSpec) (PointResult, error) {
+func runQuickstartPoint(ctx context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
 		return PointResult{}, err

@@ -55,7 +55,7 @@ func init() {
 	// The points simulate nothing: the table is configuration.
 	RegisterDecomposition("table1", Decomposition{
 		Points: table1Points,
-		Run: func(_ context.Context, ps PointSpec) (PointResult, error) {
+		Run: func(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 			return PointResult{Index: ps.Index}, nil
 		},
 		Merge: func(RunConfig, []PointResult) (Renderable, error) { return Table1(), nil },

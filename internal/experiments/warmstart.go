@@ -139,13 +139,13 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 	}, true
 }
 
-// warmsweepRunWarm measures one warm point off a built prefix: load the
+// runWarmsweepPoint measures one warm point off a built prefix: load the
 // capture into a private machine over a private dataset holding the
 // checkpointed values, run the steady-state call, count the components
 // it never accessed. Each point
 // has its own machine and dataset, so the points of one prefix run
 // concurrently.
-func warmsweepRunWarm(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
+func runWarmsweepPoint(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
 		return PointResult{}, err
@@ -206,11 +206,10 @@ func warmsweepMerge(rc RunConfig, results []PointResult) (Renderable, error) {
 
 func init() {
 	RegisterDecomposition("warmsweep", Decomposition{
-		Points:  warmsweepPoints,
-		Run:     coldRun(warmsweepPrefix, warmsweepRunWarm),
-		Merge:   warmsweepMerge,
-		Prefix:  warmsweepPrefix,
-		RunWarm: warmsweepRunWarm,
+		Points: warmsweepPoints,
+		Prefix: warmsweepPrefix,
+		Run:    runWarmsweepPoint,
+		Merge:  warmsweepMerge,
 	})
 }
 

@@ -49,7 +49,7 @@ func warmSweep(b *testing.B, cfg machine.Config, scale float64, points []WarmPoi
 	b.Helper()
 	st := buildWarmPrefix(b, cfg, scale, DefaultWarmupCalls)
 	for i, pt := range points {
-		if _, err := warmsweepRunWarm(context.Background(), st, warmSpec(i, cfg, scale, DefaultWarmupCalls, pt)); err != nil {
+		if _, err := runWarmsweepPoint(context.Background(), st, warmSpec(i, cfg, scale, DefaultWarmupCalls, pt)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -133,7 +133,7 @@ func TestWarmSweepBitIdentical(t *testing.T) {
 		t.Errorf("prefix key %q, PrefixKey %q (%v)", st.Key, key, err)
 	}
 	for i, pt := range points {
-		row, err := warmsweepRunWarm(context.Background(), st, warmSpec(i, cfg, warmTestScale, 1, pt))
+		row, err := runWarmsweepPoint(context.Background(), st, warmSpec(i, cfg, warmTestScale, 1, pt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestWarmPointsConcurrent(t *testing.T) {
 
 	want := make([][]byte, len(points))
 	for i, pt := range points {
-		r, err := warmsweepRunWarm(ctx, st, warmSpec(i, cfg, scale, DefaultWarmupCalls, pt))
+		r, err := runWarmsweepPoint(ctx, st, warmSpec(i, cfg, scale, DefaultWarmupCalls, pt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestWarmPointsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range points {
 				i := (k + g) % len(points)
-				r, err := warmsweepRunWarm(ctx, st, warmSpec(i, cfg, scale, DefaultWarmupCalls, points[i]))
+				r, err := runWarmsweepPoint(ctx, st, warmSpec(i, cfg, scale, DefaultWarmupCalls, points[i]))
 				if err == nil {
 					got[g][i], err = json.Marshal(r)
 				}

@@ -121,7 +121,7 @@ func TestLowestIndexErrorAcrossGroups(t *testing.T) {
 			}
 			return specs
 		},
-		Run: func(_ context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+		Run: func(_ context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
 			switch ps.Index {
 			case 2:
 				time.Sleep(30 * time.Millisecond)
@@ -135,7 +135,7 @@ func TestLowestIndexErrorAcrossGroups(t *testing.T) {
 			return fakeResult{Value: name}, nil
 		},
 		Prefix: func(ps experiments.PointSpec) (experiments.PrefixSpec, bool) {
-			return experiments.PrefixSpec{Machine: ps.Machine}, true
+			return experiments.PrefixSpec{Machine: ps.Machine, Procs: ps.Procs, Scale: 0.01}, true
 		},
 	})
 	const want = "stand-in failure at index 2"

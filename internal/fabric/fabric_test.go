@@ -52,7 +52,9 @@ func registerSweep(name string, points int, fn func(ctx context.Context, ps expe
 			}
 			return specs
 		},
-		Run: fn,
+		Run: func(ctx context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
+			return fn(ctx, ps)
+		},
 		Merge: func(rc experiments.RunConfig, rs []experiments.PointResult) (experiments.Renderable, error) {
 			var total int64
 			for _, r := range rs {

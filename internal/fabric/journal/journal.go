@@ -124,11 +124,12 @@ var ErrClosed = errors.New("journal closed")
 // Journal is an open write-ahead log. Appends are serialized
 // internally; one Journal is safe for concurrent use.
 type Journal struct {
-	dir  string
-	inj  *faults.Injector
-	mu   sync.Mutex
-	f    *os.File
-	size int64 // bytes durably framed (excludes any torn half-write)
+	dir    string
+	inj    *faults.Injector
+	mu     sync.Mutex
+	f      *os.File
+	size   int64 // bytes durably framed (excludes any torn half-write)
+	broken error // latched by an Append whose tear could not be cut
 }
 
 // Replay is what Open recovered from an existing log.
@@ -299,7 +300,10 @@ func frame(buf []byte, rec Record) ([]byte, error) {
 // Append durably writes a batch of records: all frames in one write,
 // one fsync. On return without error the batch survives a crash. With
 // SiteAppend armed and firing, only half the batch's bytes reach the
-// file and no sync happens — a genuine torn tail for recovery to repair.
+// file and no sync happens — a genuine torn tail, as a crash mid-write
+// leaves it. A failed write or sync cuts the file back to its last
+// intact frame, so later batches follow the acknowledged ones; if the
+// cut fails too, the journal refuses every later Append.
 func (j *Journal) Append(recs ...Record) error {
 	var buf []byte
 	for _, rec := range recs {
@@ -313,18 +317,28 @@ func (j *Journal) Append(recs ...Record) error {
 	if j.f == nil {
 		return ErrClosed
 	}
-	if err := j.inj.Fail(SiteAppend); err != nil {
+	if j.broken != nil {
+		return j.broken
+	}
+	var err error
+	if err = j.inj.Fail(SiteAppend); err != nil {
 		j.f.Write(buf[:len(buf)/2]) // the tear: half a batch, never synced
-		return fmt.Errorf("journal append: %w", err)
+	} else if _, err = j.f.Write(buf); err == nil {
+		if err = j.f.Sync(); err == nil {
+			j.size += int64(len(buf))
+			return nil
+		}
 	}
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("journal append: %w", err)
+	err = fmt.Errorf("journal append: %w", err)
+	cerr := j.f.Truncate(j.size)
+	if cerr == nil {
+		_, cerr = j.f.Seek(j.size, io.SeekStart)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal sync: %w", err)
+	if cerr != nil {
+		j.broken = fmt.Errorf("journal: a failed append left a tear that could not be cut: %w", cerr)
+		return errors.Join(err, j.broken)
 	}
-	j.size += int64(len(buf))
-	return nil
+	return err
 }
 
 // Rewrite compacts the log: the given records become its entire
@@ -403,7 +417,7 @@ func (j *Journal) Rewrite(recs []Record) error {
 }
 
 // untorn reports whether the file ends where its last intact frame does:
-// a failed Append leaves a half batch past it.
+// a failed Append whose tear could not be cut leaves bytes past it.
 func (j *Journal) untorn() bool {
 	info, err := j.f.Stat()
 	return err == nil && info.Size() == j.size

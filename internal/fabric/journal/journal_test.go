@@ -266,9 +266,10 @@ func TestOpenRemovesStaleCompaction(t *testing.T) {
 	assertRecords(t, rep.Records, want)
 }
 
-// TestAppendFaultTearsTail arms the fabric.journal site: the poisoned
-// Append must report failure, leave a half-written batch, and the next
-// Open must truncate it back to the acknowledged prefix.
+// TestAppendFaultTearsTail arms the fabric.journal site on the second of
+// five appends. The poisoned Append must report failure and cut its half
+// batch off again, so the four acknowledged appends around it replay
+// intact and nothing torn is left, on the live log and after a crash.
 func TestAppendFaultTearsTail(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(1)
@@ -277,38 +278,65 @@ func TestAppendFaultTearsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Type: TypeEpoch, Epoch: 1}); err != nil {
-		t.Fatalf("first append: %v", err)
+	var want []Record
+	for i := range 5 {
+		rec := Record{Type: TypePointAssigned, Job: "f1", Index: i, Epoch: 1}
+		if i != 1 {
+			if err := j.Append(rec); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			want = append(want, rec)
+			continue
+		}
+		// Asymmetric frames so half the batch's bytes land mid-frame: the
+		// second record's key pushes the cut point inside it.
+		err = j.Append(rec, Record{Type: TypePointAssigned, Job: "f1", Index: 9, Epoch: 1,
+			Key: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"})
+		if !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("poisoned append returned %v, want injected fault", err)
+		}
 	}
-	// Asymmetric frames so half the batch's bytes land mid-frame: the
-	// second record's key pushes the cut point inside it.
-	err = j.Append(
-		Record{Type: TypePointAssigned, Job: "f1", Index: 0, Epoch: 1},
-		Record{Type: TypePointAssigned, Job: "f1", Index: 1, Epoch: 1,
-			Key: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"},
-	)
-	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("poisoned append returned %v, want injected fault", err)
+	recs, torn, err := Read(Path(dir))
+	if err != nil || torn != 0 {
+		t.Fatalf("live log: %d torn bytes, %v", torn, err)
 	}
-	j.Kill() // crash without sync, as the fault site intends
+	assertRecords(t, recs, want)
+	j.Kill()
 
 	j2, rep, err := Open(dir, nil)
 	if err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}
 	defer j2.Close()
-	// The acknowledged prefix must survive; the unacknowledged batch
-	// must not survive whole (half its bytes were never written). A
-	// leading intact frame of the torn batch may legally be recovered —
-	// the contract is about acknowledged records only.
-	if len(rep.Records) == 0 || rep.Records[0].Type != TypeEpoch {
-		t.Fatalf("acknowledged epoch record lost: %+v", rep.Records)
+	if rep.TruncatedBytes != 0 {
+		t.Fatalf("recovery truncated %d bytes, want none", rep.TruncatedBytes)
 	}
-	if len(rep.Records) >= 3 {
-		t.Fatalf("entire poisoned batch recovered: %+v", rep.Records)
+	assertRecords(t, rep.Records, want)
+}
+
+// TestAppendLatchesUncutTear pins the journal's last line of defence: an
+// Append whose write fails and whose tear cannot be cut away either (the
+// descriptor refuses both) fails every Append after it, even once writes
+// work again, rather than frame records past a tear.
+func TestAppendLatchesUncutTear(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openClean(t, dir)
+	if err := j.Append(Record{Type: TypeEpoch, Epoch: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if rep.TruncatedBytes == 0 {
-		t.Fatal("half-written batch left no torn tail to truncate")
+	ro, err := os.Open(Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := j.f
+	j.f = ro // writes and truncates now fail
+	if err := j.Append(Record{Type: TypeJobAccepted, Job: "f1"}); err == nil {
+		t.Fatal("append through a read-only descriptor succeeded")
+	}
+	j.f = rw
+	if err := j.Append(Record{Type: TypeJobAccepted, Job: "f2"}); err == nil {
+		t.Fatal("append after an uncut tear succeeded, want the journal latched")
 	}
 }
 

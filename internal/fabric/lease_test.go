@@ -196,15 +196,14 @@ func TestWorkerDrainRetriesPoint(t *testing.T) {
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			return []experiments.PointSpec{{Machine: "PentiumPro", Procs: 1, Scale: 0.01, Experiment: name, N: rc.N}}
 		},
-		Run: run,
-		Merge: func(_ experiments.RunConfig, rs []experiments.PointResult) (experiments.Renderable, error) {
-			return fakeResult{Value: fmt.Sprintf("%s cycles=%d", name, rs[0].Cycles)}, nil
-		},
 		Prefix: func(ps experiments.PointSpec) (experiments.PrefixSpec, bool) {
 			return experiments.PrefixSpec{Machine: ps.Machine, Procs: ps.Procs, Scale: ps.Scale}, true
 		},
-		RunWarm: func(ctx context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
+		Run: func(ctx context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
 			return run(ctx, ps)
+		},
+		Merge: func(_ experiments.RunConfig, rs []experiments.PointResult) (experiments.Renderable, error) {
+			return fakeResult{Value: fmt.Sprintf("%s cycles=%d", name, rs[0].Cycles)}, nil
 		},
 	})
 	sA, err := server.New(server.Config{Workers: 4})

@@ -31,9 +31,10 @@ import (
 // addresses), and a verified point short-circuits through the cache
 // when the re-run reaches it (fabric.points.recovered). A completed
 // record whose result has vanished from the index is simply
-// re-dispatched (fabric.points.recovery_lost) — the journal is a
-// promise about bookkeeping, the cache about bytes, and recovery
-// trusts each only for its own half.
+// re-dispatched (fabric.points.recovery_lost), and its new lease closes
+// point_retried, since the point's one point_completed is already in
+// the log — the journal is a promise about bookkeeping, the cache about
+// bytes, and recovery trusts each only for its own half.
 //
 // Epoch fencing: point_assigned records carry the epoch that issued
 // the lease. Assignments from a previous epoch that never reached an
@@ -177,9 +178,11 @@ func (c *Coordinator) rehydrate(id string, r *rjob) error {
 	for idx, key := range r.done {
 		// Trust the journal's bookkeeping only as far as the index still
 		// holds the bytes: a verified point is reused (the re-run cache-
-		// hits it), a lost one re-dispatches from scratch.
+		// hits it), a lost one re-dispatches from scratch. Either way its
+		// completion is journaled already, so a re-run closes its lease
+		// point_retried (completePoint).
+		jdone[idx] = true
 		if _, ok := c.cache.Get(key); ok {
-			jdone[idx] = true
 			c.metrics.Inc(mPointsRecovered)
 		} else {
 			c.metrics.Inc(mPointsRecoveryLost)

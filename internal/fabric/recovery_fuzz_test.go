@@ -21,7 +21,9 @@ import (
 // job with a retried point, an in-flight one with a retried point and
 // an open lease, and a failed one. The fuzzer cuts it short and flips
 // up to three bits in what is left; the result cache holds every result
-// the history wrote, as a crash leaves it. Recovery must then
+// the history wrote, as a crash leaves it, less the point results the
+// fuzzer marks lost (bit i of lost drops the i-th point of f1 then f2).
+// Recovery must then
 //
 //   - refuse a damaged magic, and start over anything else;
 //   - forget every job whose merge it replayed, and merge no job twice;
@@ -63,6 +65,7 @@ func FuzzCoordinatorRecovery(f *testing.F) {
 		render []byte
 	}
 	cached := map[string][]byte{}
+	var pointKeys []string // the cached point results, in lost's bit order
 	jobs := map[string]*fuzzJob{}
 	for i, id := range []string{"f1", "f2", "f3"} {
 		p := server.JobParams{N: i + 1}.WithDefaults()
@@ -85,6 +88,7 @@ func FuzzCoordinatorRecovery(f *testing.F) {
 			val, _ := json.Marshal(res)
 			if id != "f3" {
 				cached[k] = val
+				pointKeys = append(pointKeys, k)
 			}
 		}
 		jobs[id] = j
@@ -142,18 +146,19 @@ func FuzzCoordinatorRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(uint16(len(full)), []byte(nil))
-	f.Add(uint16(0), []byte(nil))
-	f.Add(uint16(7), []byte(nil))
-	f.Add(uint16(len(journal.Magic)), []byte(nil))
+	f.Add(uint16(len(full)), []byte(nil), uint8(0))
+	f.Add(uint16(0), []byte(nil), uint8(0))
+	f.Add(uint16(7), []byte(nil), uint8(0))
+	f.Add(uint16(len(journal.Magic)), []byte(nil), uint8(0))
 	for _, i := range []int{1, 9, 10, 18, 19, 21, 22} {
-		f.Add(uint16(ends[i]), []byte(nil))   // just past a record
-		f.Add(uint16(ends[i]-3), []byte(nil)) // inside it
+		f.Add(uint16(ends[i]), []byte(nil), uint8(0))   // just past a record
+		f.Add(uint16(ends[i]-3), []byte(nil), uint8(0)) // inside it
 	}
-	f.Add(uint16(len(full)), []byte{0, byte(8 * (ends[12] + 2))})
-	f.Add(uint16(len(full)), []byte{0, 3})
+	f.Add(uint16(len(full)), []byte{0, byte(8 * (ends[12] + 2))}, uint8(0))
+	f.Add(uint16(len(full)), []byte{0, 3}, uint8(0))
+	f.Add(uint16(len(full)), []byte(nil), uint8(1<<3)) // f2's point 0 lost: completed, yet re-run
 
-	f.Fuzz(func(t *testing.T, cut uint16, flips []byte) {
+	f.Fuzz(func(t *testing.T, cut uint16, flips []byte, lost uint8) {
 		data := append([]byte(nil), full[:int(cut)%(len(full)+1)]...)
 		n := int64(len(data))
 		for k := 0; k+1 < len(flips) && k < 6 && n > 0; k += 2 {
@@ -177,7 +182,16 @@ func FuzzCoordinatorRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dropped := map[string]bool{}
+		for b, k := range pointKeys {
+			if lost>>b&1 == 1 {
+				dropped[k] = true
+			}
+		}
 		for k, v := range cached {
+			if dropped[k] {
+				continue
+			}
 			if err := cache.Put(k, v); err != nil {
 				t.Fatal(err)
 			}

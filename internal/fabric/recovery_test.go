@@ -565,3 +565,71 @@ func TestFreshJournalOpensInPlace(t *testing.T) {
 		t.Fatalf("journal directory holds %d entries (%v), want the log alone", len(ents), err)
 	}
 }
+
+// TestRecoveryLostPointCompletesOnce recovers a log holding one
+// point_completed of a two-point job over an empty result cache. The
+// lost point re-runs (fabric.points.recovery_lost), but its completion
+// is journaled already: the job finishes with exactly one
+// point_completed per point, and every lease closed.
+func TestRecoveryLostPointCompletesOnce(t *testing.T) {
+	const exp = "fab-recovery-lost"
+	registerSweep(exp, 2, nil)
+	url, stop := newWorker(t, "")
+	defer stop()
+
+	p := server.JobParams{N: 1}.WithDefaults()
+	jk, err := server.JobKey(exp, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, _ := experiments.Decompose(exp, p.RunConfig())
+	k0, err := canon.PointKey(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal(p)
+	dir := t.TempDir()
+	jn, _, err := journal.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append(
+		journal.Record{Type: journal.TypeEpoch, Epoch: 1},
+		journal.Record{Type: journal.TypeJobAccepted, Job: "f1", Experiment: exp, Params: raw, Key: server.RenderKey(jk, "json")},
+		journal.Record{Type: journal.TypePointAssigned, Job: "f1", Index: 0, Key: k0, Epoch: 1},
+		journal.Record{Type: journal.TypePointCompleted, Job: "f1", Index: 0, Key: k0},
+	); err != nil {
+		t.Fatal(err)
+	}
+	jn.Close()
+
+	c, err := New(Config{Experiments: []experiments.Experiment{syntheticExperiment(exp)},
+		CacheDir: t.TempDir(), JournalDir: dir, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	c.Register("w", url)
+	v := awaitDone(t, c, "f1")
+	if want := expectedRender(t, exp, p); !bytes.Equal(v.Result, want) {
+		t.Fatalf("recovered result %q, want %q", v.Result, want)
+	}
+	if got := c.Metrics().Get(mPointsRecoveryLost); got != 1 {
+		t.Fatalf("%s = %d, want 1", mPointsRecoveryLost, got)
+	}
+	checkConservation(t, c)
+	c.Shutdown(context.Background())
+
+	recs, _, err := journal.Read(journal.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := countRecords(recs, "f1")
+	if counts.completedByIndex[0] != 1 || counts.completedByIndex[1] != 1 || len(counts.completedByIndex) != 2 {
+		t.Fatalf("point_completed per index = %v, want one for each of 0 and 1", counts.completedByIndex)
+	}
+	if counts.assigned != counts.completed+counts.retried+counts.failed {
+		t.Fatalf("assigned %d != completed %d + retried %d + failed %d",
+			counts.assigned, counts.completed, counts.retried, counts.failed)
+	}
+}

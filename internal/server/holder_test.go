@@ -30,7 +30,7 @@ func standInSweep(name string, run func(ps experiments.PointSpec) error) experim
 			}
 			return specs
 		},
-		Run: func(_ context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+		Run: func(_ context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
 			if err := run(ps); err != nil {
 				return experiments.PointResult{}, err
 			}

@@ -53,7 +53,7 @@ func sweepExperiment(name string, n int, point func(ctx context.Context) error) 
 			}
 			return specs
 		},
-		Run: func(ctx context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+		Run: func(ctx context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
 			if err := point(ctx); err != nil {
 				return experiments.PointResult{}, err
 			}
@@ -113,7 +113,7 @@ func echoExperiment(name string) experiments.Experiment {
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			return []experiments.PointSpec{{Machine: "PentiumPro", Procs: 1, Experiment: name, N: rc.N}}
 		},
-		Run: func(_ context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+		Run: func(_ context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
 			return experiments.PointResult{Index: ps.Index}, nil
 		},
 		Merge: func(rc experiments.RunConfig, _ []experiments.PointResult) (experiments.Renderable, error) {

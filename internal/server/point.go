@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
-	"time"
 
 	"repro/internal/canon"
 	"repro/internal/experiments"
@@ -180,16 +178,13 @@ func (s *Server) acquirePointSlot(ctx context.Context) (release func(), ok bool)
 }
 
 // executePoint runs one spec under the server's run context and job
-// deadline, converting panics (an experiment bug, or the injected
-// SiteExpPanic) into typed errors — the same containment execute gives
-// a local job, so a poisoned point fails one request, not the worker.
-// A point whose decomposition declares a prefix runs off the built
-// prefix state in the server's prefix cache (packed machine captures,
-// built once per prefix and shared with local jobs), byte-identical to
-// a full run by the experiments layer's RunWarm contract; any other
-// point runs in full. A point cut short by the server's own shutdown
-// fails shutting_down, which a coordinator retries on another worker:
-// the point is sound, only this worker is going away.
+// deadline, under guard — the same containment runJob gives a local
+// job, so a poisoned point fails one request, not the worker. A point
+// whose decomposition declares a prefix runs off the prefix's state in
+// the server's prefix cache (packed machine captures, built once per
+// prefix and shared with local jobs). A point cut short by the server's
+// own shutdown fails shutting_down, which a coordinator retries on
+// another worker: the point is sound, only this worker is going away.
 func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.PointResult, err error) {
 	ctx := s.runCtx
 	if s.jobTimeout > 0 {
@@ -197,27 +192,15 @@ func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.Point
 		ctx, cancel = context.WithTimeout(ctx, s.jobTimeout)
 		defer cancel()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.Inc(mJobsPanics)
-			err = &codedError{code: CodePanic, err: fmt.Errorf("point panicked: %v\n%s", r, debug.Stack())}
-		}
-	}()
-	if s.faults.Check(SiteExpPanic) {
-		panic(fmt.Sprintf("injected panic (site %s)", SiteExpPanic))
-	}
-	var warm bool
-	if s.faults.Check(SiteExpStall) {
-		<-ctx.Done() // a point that never finishes until cancelled
-		err = ctx.Err()
-	} else if res, warm, err = s.prefixCache.RunPoint(ctx, spec); warm {
-		if err == nil {
+	err = guard(ctx, s.faults, "point", s.countPanic, func() error {
+		r, warm, err := s.prefixCache.Run(ctx, spec)
+		if warm && err == nil {
 			s.metrics.Inc(mPointsWarm)
 		}
 		s.publishPrefixStats()
-	} else {
-		res, err = experiments.RunPoint(ctx, spec)
-	}
+		res = r
+		return err
+	})
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled) && s.runCtx.Err() != nil:
@@ -227,12 +210,6 @@ func (s *Server) executePoint(spec experiments.PointSpec) (res experiments.Point
 		err = fmt.Errorf("point exceeded its %v deadline: %w", s.jobTimeout, err)
 	}
 	return res, err
-}
-
-// PointDeadline returns the execution deadline applied to shipped
-// points (0 = none); coordinators size their lease timeouts above it.
-func (s *Server) PointDeadline() time.Duration {
-	return s.jobTimeout
 }
 
 // publishPrefixStats mirrors the prefix cache's counters into the

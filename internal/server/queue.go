@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faults"
 )
 
 // Submit accepts one experiment job; JobCore.Submit resolves, keys and
@@ -150,7 +151,17 @@ func (s *Server) runJob(j *Job, drained func()) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	val, err := s.execute(ctx, j)
+	// The experiment's Run decomposes it, runs its points on the holder
+	// and merges them. The pool contains a panic in a point; guard one
+	// in a merge.
+	var val []byte
+	err := guard(ctx, s.faults, "experiment", s.countPanic, func() error {
+		r, err := s.exps[j.Experiment].Run(ctx, j.Params.RunConfig())
+		if err == nil {
+			val, err = RenderJSON(r)
+		}
+		return err
+	})
 	s.publishPrefixStats()
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && s.runCtx.Err() == nil {
 		s.metrics.Inc(mJobsTimeouts)
@@ -167,33 +178,33 @@ func (s *Server) runJob(j *Job, drained func()) {
 	s.metrics.Add(mTimeRun, time.Since(started).Nanoseconds())
 }
 
-// execute runs a job's experiment — its Run, which decomposes it, runs
-// its points on the server's holder and merges them — and renders the
-// result, converting a panic — in a merge, or the injected SiteExpPanic
-// — into an error carrying the stack. Panics in points are converted to
-// point errors by the experiments package's pool, so this recover plus
-// that one cover both panic surfaces.
-func (s *Server) execute(ctx context.Context, j *Job) (val []byte, err error) {
+// guard runs one unit of work — a job, a shipped point, or the replay of
+// either — behind the injected fault sites: SiteExpPanic panics, and
+// SiteExpStall waits for ctx, before run. A panic becomes a CodePanic
+// error with the stack, first line "<unit> panicked: <value>"
+// (ReproBundle.SameFailure compares it), after a call to panicked, if
+// not nil.
+func guard(ctx context.Context, inj *faults.Injector, unit string, panicked func(), run func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.Inc(mJobsPanics)
-			err = &codedError{code: CodePanic, err: fmt.Errorf("experiment panicked: %v\n%s", r, debug.Stack())}
+			if panicked != nil {
+				panicked()
+			}
+			err = &codedError{code: CodePanic, err: fmt.Errorf("%s panicked: %v\n%s", unit, r, debug.Stack())}
 		}
 	}()
-	if s.faults.Check(SiteExpPanic) {
+	if inj.Check(SiteExpPanic) {
 		panic(fmt.Sprintf("injected panic (site %s)", SiteExpPanic))
 	}
-	if s.faults.Check(SiteExpStall) {
-		<-ctx.Done() // a sweep that never dispatches another point
-		return nil, ctx.Err()
+	if inj.Check(SiteExpStall) {
+		<-ctx.Done()
+		return ctx.Err()
 	}
-	e := s.exps[j.Experiment]
-	r, err := e.Run(ctx, j.Params.RunConfig())
-	if err != nil {
-		return nil, err
-	}
-	return RenderJSON(r)
+	return run()
 }
+
+// countPanic counts one contained panic (jobs.panics).
+func (s *Server) countPanic() { s.metrics.Inc(mJobsPanics) }
 
 // Cache-write retry policy: transient disk failures (ENOSPC races,
 // network filesystems) get a few bounded, jittered, context-aware

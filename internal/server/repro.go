@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/canon"
@@ -205,36 +204,24 @@ func RunRepro(ctx context.Context, b *ReproBundle) error {
 	return replayUnit(ctx, b, inj)
 }
 
-// replayUnit mirrors executePoint/execute: injected panic and stall
-// sites first, then the real run, with panics contained into the same
-// error shape the serving path records.
-func replayUnit(ctx context.Context, b *ReproBundle, inj *faults.Injector) (err error) {
-	unit := "experiment"
+// replayUnit runs a bundle's point or experiment under the guard that
+// executePoint and runJob run it under, so a replayed failure has the
+// error shape the serving path recorded.
+func replayUnit(ctx context.Context, b *ReproBundle, inj *faults.Injector) error {
 	if b.Point != nil {
-		unit = "point"
+		return guard(ctx, inj, "point", nil, func() error {
+			_, err := experiments.RunPoint(ctx, *b.Point)
+			return err
+		})
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = &codedError{code: CodePanic, err: fmt.Errorf("%s panicked: %v\n%s", unit, r, debug.Stack())}
+	return guard(ctx, inj, "experiment", nil, func() error {
+		_, ok, err := experiments.RunDecomposed(ctx, b.Experiment, b.Params.RunConfig())
+		if !ok {
+			return &codedError{code: CodeNotFound,
+				err: fmt.Errorf("bundle experiment %q not in this build's registry", b.Experiment)}
 		}
-	}()
-	if inj.Check(SiteExpPanic) {
-		panic(fmt.Sprintf("injected panic (site %s)", SiteExpPanic))
-	}
-	if inj.Check(SiteExpStall) {
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	if b.Point != nil {
-		_, err = experiments.RunPoint(ctx, *b.Point)
 		return err
-	}
-	_, ok, err := experiments.RunDecomposed(ctx, b.Experiment, b.Params.RunConfig())
-	if !ok {
-		return &codedError{code: CodeNotFound,
-			err: fmt.Errorf("bundle experiment %q not in this build's registry", b.Experiment)}
-	}
-	return err
+	})
 }
 
 // SameFailure reports whether a replayed error matches a bundle's

@@ -35,7 +35,7 @@ func oneShot(name string, point func(ctx context.Context) error,
 		Points: func(rc experiments.RunConfig) []experiments.PointSpec {
 			return []experiments.PointSpec{{Machine: "PentiumPro", Procs: 1, Experiment: name, N: rc.N}}
 		},
-		Run: func(ctx context.Context, ps experiments.PointSpec) (experiments.PointResult, error) {
+		Run: func(ctx context.Context, _ *experiments.PrefixState, ps experiments.PointSpec) (experiments.PointResult, error) {
 			return experiments.PointResult{Index: ps.Index}, point(ctx)
 		},
 		Merge: func(rc experiments.RunConfig, _ []experiments.PointResult) (experiments.Renderable, error) {
