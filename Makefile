@@ -24,13 +24,18 @@
 # `bench-smoke` is the CI
 # keep-the-benchmarks-compiling pass: one iteration of the hot-path and
 # warm-start benchmarks at short-mode scale, a smoke test rather than a
-# measurement; `fuzz` runs every fuzz target for 60 s each, six in all,
-# from loop specs across engines to a coordinator recovered over a
-# damaged journal (nightly CI; the seed corpora alone run in every
-# `go test`);
+# measurement; `fuzz` runs every fuzz target for 60 s each, seven in all,
+# from loop specs across engines and equivalent cache captures to a
+# coordinator recovered over a damaged journal (nightly CI; the seed
+# corpora alone run in every `go test`);
 # `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
 # once at smoke size: every workload through the real CLI, server and
 # fleet binaries, each result checked against its golden hash (~25 s);
+# `bench-ab BASE=<rev> W=<workload> [N=<pairs>]` runs alternating pairs of
+# `bench/run.sh -workload W`, a `git archive` of BASE against this tree,
+# and prints every pair's wall_s, cpu_s and setup_s with each side's
+# median, quartiles and the change's win count (scripts/bench-ab.sh; a
+# measurement of minutes, in no CI job);
 # `examples` runs every program under examples/ with `go run` (nightly
 # CI; about 50 s on 2 vCPUs): they are the API-level drivers outside
 # cascade-sim, and quickstart and spmv exit nonzero when the cascaded
@@ -58,7 +63,7 @@ EXAMPLES = chunksweep future pic quickstart spmv
 RESULTS = ablations amdahl conflicts fig2 fig3 fig4 fig5 fig6 fig7 gallery table1
 PGO_EXPS = fig2 fig6 warmsweep
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke fuzz examples results results-check pgo fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-snapshot bench-fabric bench-smoke bench-e2e-smoke bench-ab fuzz examples results results-check pgo fmt
 
 tier1:
 	$(GO) build ./...
@@ -104,9 +109,13 @@ bench-smoke:
 bench-e2e-smoke:
 	cd bench && $(GO) test -count=1 ./e2e
 
+bench-ab:
+	bash scripts/bench-ab.sh -base $(BASE) -workload $(W) $(if $(N),-n $(N))
+
 fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzPointReply$$' -fuzztime 60s ./internal/fabric/
 	$(GO) test -run NONE -fuzz '^FuzzLoopSpecEngines$$' -fuzztime 60s ./internal/cascade/
+	$(GO) test -run NONE -fuzz '^FuzzCaptureEquivalence$$' -fuzztime 60s ./internal/cache/
 	$(GO) test -run NONE -fuzz '^FuzzPointRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJobRequest$$' -fuzztime 60s ./internal/server/
 	$(GO) test -run NONE -fuzz '^FuzzJournalOpen$$' -fuzztime 60s ./internal/fabric/journal/

@@ -127,22 +127,29 @@ func TestGoldenDecomposed(t *testing.T) {
 	}
 }
 
-// TestGoldenReferenceEngine pins fig2 and fig6 under the reference
-// interpreter: every point simulated by RunPARMVR on the reference
-// engine, each loop's prior parallel section simulated rather than
-// loaded, merged by the decomposition's own Merge. It is the oracle the
-// fast engine, the packed start states and the sweep driver all answer
-// to.
+// TestGoldenReferenceEngine pins fig2, fig6 and warmsweep under the
+// reference interpreter. Every fig2 and fig6 point is simulated by
+// RunPARMVR on the reference engine, each loop's prior parallel section
+// simulated rather than loaded; every warmsweep point runs its whole
+// prefix and its call on a fresh machine (freshWarmsweep), so neither a
+// capture nor the steady-state record answers it. Each sweep is merged
+// by the decomposition's own Merge. It is the oracle the fast engine,
+// the packed start states and the sweep driver all answer to.
 func TestGoldenReferenceEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweeps under the reference interpreter")
 	}
 	golden := loadGolden(t)
-	for _, name := range []string{"fig2", "fig6"} {
+	for _, name := range []string{"fig2", "fig6", "warmsweep"} {
 		for _, scale := range goldenScales {
 			rc := DefaultRunConfig()
 			rc.Scale = scale
-			merged := coldPointSweep(t, name, rc, machine.EngineReference)
+			var merged Renderable
+			if name == "warmsweep" {
+				merged = freshWarmsweep(t, rc, machine.EngineReference)
+			} else {
+				merged = coldPointSweep(t, name, rc, machine.EngineReference)
+			}
 			checkGolden(t, golden, fmt.Sprintf("%s scale=%g", name, scale), "reference engine", merged)
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/machine"
 )
 
 // warmOverWire runs every point of a decomposed experiment through one
@@ -73,7 +75,7 @@ func TestWarmsweepDecomposedMatchesDriver(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Scale = 0.02
 
-	want := renderIndented(t, freshWarmsweep(t, rc))
+	want := renderIndented(t, freshWarmsweep(t, rc, machine.EngineFast))
 
 	specs, _ := Decompose("warmsweep", rc)
 	results := make([]PointResult, len(specs))
@@ -298,6 +300,57 @@ func TestPrefixCacheLeaderCancelled(t *testing.T) {
 	// The finished state serves later callers without a rebuild.
 	if st, err := c.state(context.Background(), spec); err != nil || st != got.st {
 		t.Errorf("later caller got %v, %v; want the cached state", st, err)
+	}
+}
+
+// TestPrefixCacheKeepsBuildingEntry pins that eviction never drops a
+// prefix whose build is still running: under a 1-byte ceiling, a second
+// prefix that finishes first evicts nothing it cannot, the first one's
+// build lands in the cache, and the next request for it is a hit, so two
+// keys cost two builds.
+func TestPrefixCacheKeepsBuildingEntry(t *testing.T) {
+	c := NewPrefixCache(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	builds := map[float64]int{}
+	c.build = func(_ context.Context, spec PrefixSpec) (*PrefixState, error) {
+		mu.Lock()
+		builds[spec.Scale]++
+		firstSlow := spec.Scale == 0.01 && builds[spec.Scale] == 1
+		mu.Unlock()
+		if firstSlow {
+			close(started)
+			<-release
+		}
+		return &PrefixState{Spec: spec, mem: 100}, nil
+	}
+	slow := PrefixSpec{Machine: Machines()[0].Name, Procs: 2, Scale: 0.01}
+	fast := slow
+	fast.Scale = 0.02
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.state(context.Background(), slow)
+		first <- err
+	}()
+	<-started
+	if _, err := c.state(context.Background(), fast); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.state(context.Background(), slow); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if builds[0.01] != 1 || builds[0.02] != 1 {
+		t.Errorf("builds per scale %v, want one each", builds)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 {
+		t.Errorf("stats %+v, want 2 misses and 1 hit", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 
 	"repro/internal/canon"
 	"repro/internal/cascade"
@@ -144,11 +145,18 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 // checkpointed values, run the steady-state call, count the components
 // it never accessed. Each point
 // has its own machine and dataset, so the points of one prefix run
-// concurrently.
+// concurrently. A Sequential point off a prefix that holds a
+// steady-state record returns a copy of it instead: the record is that
+// same call, measured as the prefix's last warm-up call.
 func runWarmsweepPoint(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
 		return PointResult{}, err
+	}
+	if strat == Sequential && st.seq != nil {
+		res := *st.seq
+		res.Index, res.Metrics = ps.Index, maps.Clone(res.Metrics)
+		return res, nil
 	}
 	m, w, err := st.fork()
 	if err != nil {
@@ -158,10 +166,18 @@ func runWarmsweepPoint(_ context.Context, st *PrefixState, ps PointSpec) (PointR
 	if err != nil {
 		return PointResult{}, err
 	}
+	res := warmResult(m, results)
+	res.Index = ps.Index
+	return res, nil
+}
+
+// warmResult is the point result of a steady-state call run on m from a
+// loaded capture.
+func warmResult(m *machine.Machine, results []cascade.Result) PointResult {
 	return PointResult{
-		Index: ps.Index, Cycles: TotalCycles(results),
-		Metrics: MergeMetrics(results), Shared: len(m.UntouchedComponents()),
-	}, nil
+		Cycles: TotalCycles(results), Metrics: MergeMetrics(results),
+		Shared: len(m.UntouchedComponents()),
+	}
 }
 
 // warmsweepMerge rebuilds the Group of per-machine WarmSweepResults:

@@ -21,26 +21,15 @@ func warmTestParams() wave5.Params {
 	return wave5.DefaultParams().Scaled(warmTestScale)
 }
 
-// runWarmPointFresh measures a point the expensive way: a fresh machine
+// freshWarmPoint measures a point the expensive way: a fresh machine
 // runs the whole prefix (distribution + sequential warm-up calls) itself
 // and then the point's steady-state call. This is the ground truth the
-// warm sweep's forked rows must match bit for bit.
-func runWarmPointFresh(t *testing.T, cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) []cascade.Result {
-	t.Helper()
-	results, _, err := freshWarmPoint(cfg, p, warmupCalls, pt, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results
-}
-
-// freshWarmPoint is runWarmPointFresh, also returning how many machine
-// components the measured call never accessed when mark is set. The
-// machine runs the prefix itself; with mark, right before the measured
-// call it reloads a capture of its own caches, which leaves their
-// contents as they stand and only marks every component untouched, so
-// that UntouchedComponents reports what the call accessed, which is what
-// a warm point's Shared count reports.
+// warm sweep's rows must match bit for bit. With mark it also returns
+// how many machine components the measured call never accessed: right
+// before the measured call the machine reloads a capture of its own
+// caches, which leaves their contents as they stand and only marks every
+// component untouched, so that UntouchedComponents reports what the call
+// accessed, which is what a warm point's Shared count reports.
 func freshWarmPoint(cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint, mark bool) ([]cascade.Result, int, error) {
 	w, err := wave5.Build(p)
 	if err != nil {
@@ -67,9 +56,9 @@ func freshWarmPoint(cfg machine.Config, p wave5.Params, warmupCalls int, pt Warm
 }
 
 // freshWarmsweep is the warmsweep reference driver: every point of the
-// decomposition measured by freshWarmPoint — no shared prefix, no space
-// checkpoint — and merged by the decomposition's own Merge.
-func freshWarmsweep(t *testing.T, rc RunConfig) Renderable {
+// decomposition measured by freshWarmPoint on engine — no shared prefix,
+// no space checkpoint — and merged by the decomposition's own Merge.
+func freshWarmsweep(t *testing.T, rc RunConfig, engine machine.Engine) Renderable {
 	t.Helper()
 	specs, _ := Decompose("warmsweep", rc)
 	results := make([]PointResult, len(specs))
@@ -83,7 +72,7 @@ func freshWarmsweep(t *testing.T, rc RunConfig) Renderable {
 		if err != nil {
 			return err
 		}
-		rr, shared, err := freshWarmPoint(cfg.WithProcs(ps.Procs), rc.Params(), ps.Warmup,
+		rr, shared, err := freshWarmPoint(cfg.WithProcs(ps.Procs).WithEngine(engine), rc.Params(), ps.Warmup,
 			WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes}, true)
 		if err != nil {
 			return err
@@ -121,28 +110,98 @@ func buildWarmPrefix(tb testing.TB, cfg machine.Config, scale float64, warmupCal
 }
 
 // TestWarmSweepBitIdentical is the sweep-level differential: every point
-// forked off one built warm prefix equals a fresh machine running the
-// same prefix and point from scratch — cycles and full metrics snapshot.
+// off one built warm prefix equals a fresh machine running the same
+// prefix and point from scratch — cycles, full metrics snapshot and
+// shared-component count — after one warm-up call and after the default
+// two. With two, the prefix is steady, so the Sequential point is
+// answered from the prefix's record of its last warm-up call.
 func TestWarmSweepBitIdentical(t *testing.T) {
 	cfg := machine.PentiumPro(3)
 	p := warmTestParams()
 	points := DefaultWarmPoints(16 * 1024)
 
-	st := buildWarmPrefix(t, cfg, warmTestScale, 1)
-	if key, err := PrefixKey(cfg, p, 1); err != nil || st.Key != key {
-		t.Errorf("prefix key %q, PrefixKey %q (%v)", st.Key, key, err)
+	for _, warmup := range []int{1, DefaultWarmupCalls} {
+		st := buildWarmPrefix(t, cfg, warmTestScale, warmup)
+		if key, err := PrefixKey(cfg, p, warmup); err != nil || st.Key != key {
+			t.Errorf("warmup %d: prefix key %q, PrefixKey %q (%v)", warmup, st.Key, key, err)
+		}
+		if got, want := st.seq != nil, warmup >= 2; got != want {
+			t.Errorf("warmup %d: steady-state record stored %v, want %v", warmup, got, want)
+		}
+		for i, pt := range points {
+			row, err := runWarmsweepPoint(context.Background(), st, warmSpec(i, cfg, warmTestScale, warmup, pt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, shared, err := freshWarmPoint(cfg, p, warmup, pt, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := row.Cycles, TotalCycles(fresh); got != want {
+				t.Errorf("warmup %d, point %+v: warm cycles %d != fresh %d", warmup, pt, got, want)
+			}
+			if !reflect.DeepEqual(row.Metrics, MergeMetrics(fresh)) {
+				t.Errorf("warmup %d, point %+v: warm metrics differ from fresh", warmup, pt)
+			}
+			if row.Shared != shared || row.Index != i {
+				t.Errorf("warmup %d, point %+v: shared %d index %d, fresh shared %d index %d", warmup, pt, row.Shared, row.Index, shared, i)
+			}
+		}
 	}
-	for i, pt := range points {
-		row, err := runWarmsweepPoint(context.Background(), st, warmSpec(i, cfg, warmTestScale, 1, pt))
+}
+
+// TestWarmPrefixSteadyRecord pins the steady-state record of a warm
+// prefix. On both presets at scale 0.01, the default two warm-up calls
+// reach steady state, so the prefix stores the Sequential point's result
+// and counts it in MemBytes; its capture is byte for byte the one the
+// warm-up calls leave when run straight through; and a Sequential point
+// gets its own copy of the record, equal to a fork's measurement.
+// (TestWarmSweepBitIdentical checks that one warm-up call stores none.)
+func TestWarmPrefixSteadyRecord(t *testing.T) {
+	const scale = 0.01
+	ctx := context.Background()
+	for _, cfg := range Machines() {
+		st := buildWarmPrefix(t, cfg, scale, DefaultWarmupCalls)
+		if st.seq == nil {
+			t.Fatalf("%s: no steady-state record after %d warm-up calls", cfg.Name, DefaultWarmupCalls)
+		}
+		w, err := wave5.Build(wave5.DefaultParams().Scaled(scale))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := runWarmPointFresh(t, cfg, p, 1, pt)
-		if got, want := row.Cycles, TotalCycles(fresh); got != want {
-			t.Errorf("point %+v: warm cycles %d != fresh %d", pt, got, want)
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(row.Metrics, MergeMetrics(fresh)) {
-			t.Errorf("point %+v: warm metrics differ from fresh", pt)
+		if err := runWarmPrefix(ctx, m, w, DefaultWarmupCalls); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := m.Capture(); err != nil || !reflect.DeepEqual(c, st.warm) {
+			t.Errorf("%s: prefix capture differs from the warm-up calls run straight through (%v)", cfg.Name, err)
+		}
+		want := st.warm.MemBytes() + st.seq.memBytes()
+		for _, a := range w.Space.Arrays() {
+			want += int64(a.SizeBytes())
+		}
+		if st.MemBytes() != want {
+			t.Errorf("%s: MemBytes %d, want capture, space and record %d", cfg.Name, st.MemBytes(), want)
+		}
+		bare := &PrefixState{Spec: st.Spec, Key: st.Key, cfg: st.cfg, p: st.p, warm: st.warm, ck: st.ck}
+		spec := warmSpec(7, cfg, scale, DefaultWarmupCalls, WarmPoint{Strat: Sequential})
+		got, err := runWarmsweepPoint(ctx, st, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := runWarmsweepPoint(ctx, bare, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, forked) || got.Index != 7 {
+			t.Errorf("%s: recorded Sequential point %+v, forked %+v", cfg.Name, got, forked)
+		}
+		got.Metrics["scribble"] = 1
+		if _, ok := st.seq.Metrics["scribble"]; ok {
+			t.Errorf("%s: a returned point shares its metrics with the record", cfg.Name)
 		}
 	}
 }

@@ -80,6 +80,25 @@ func (m *Machine) LoadCapture(c *Capture) error {
 	return nil
 }
 
+// Equivalent reports whether c and o load machines that no run can tell
+// apart: the same structural configuration, and every processor's
+// hierarchy captures equivalent (cache.PackedState.Equivalent: the same
+// lines and TLB pages in the same LRU order, set by set, whatever ways
+// they occupy and however their ticks are numbered). A run from either
+// then makes the same accesses cost the same cycles and leaves the same
+// statistics.
+func (c *Capture) Equivalent(o *Capture) bool {
+	if stateCompatible(c.cfg, o.cfg) != nil || len(c.hiers) != len(o.hiers) {
+		return false
+	}
+	for i, h := range c.hiers {
+		if !h.Equivalent(o.hiers[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // MemBytes is the host memory the capture holds.
 func (c *Capture) MemBytes() int64 {
 	var n int64
