@@ -31,11 +31,12 @@
 # `bench-e2e-smoke` runs the end-to-end benchmark harness (bench/e2e)
 # once at smoke size: every workload through the real CLI, server and
 # fleet binaries, each result checked against its golden hash (~25 s);
-# `bench-ab BASE=<rev> W=<workload> [N=<pairs>]` runs alternating pairs of
-# `bench/run.sh -workload W`, a `git archive` of BASE against this tree,
-# and prints every pair's wall_s, cpu_s and setup_s with each side's
-# median, quartiles and the change's win count (scripts/bench-ab.sh; a
-# measurement of minutes, in no CI job);
+# `bench-ab BASE=<rev> W=<workload>[,<workload>...]|all [N=<pairs>]` runs
+# alternating pairs of `bench/run.sh -workload W`, a `git archive` of BASE
+# against this tree, and prints every pair's wall_s, cpu_s and setup_s
+# with each side's median, quartiles and the change's win count, one
+# workload after another (`all`: every workload in BENCHMARK.json;
+# scripts/bench-ab.sh; a measurement of minutes, in no CI job);
 # `examples` runs every program under examples/ with `go run` (nightly
 # CI; about 50 s on 2 vCPUs): they are the API-level drivers outside
 # cascade-sim, and quickstart and spmv exit nonzero when the cascaded

@@ -565,9 +565,9 @@ func TestRunPointFig7Totals(t *testing.T) {
 }
 
 // TestPointUsageErrors pins the -point refusals: each exits 1 with a
-// cascade-sim message on stderr, before anything is simulated. Fig7 and
-// conflicts specs naming a field their point does not read are refused
-// too.
+// cascade-sim message on stderr, before the point itself is simulated.
+// Fig7, conflicts and warmsweep specs naming a field their point does
+// not read are refused too (a warmsweep one once its prefix is built).
 func TestPointUsageErrors(t *testing.T) {
 	const spec = `{"experiment":"fig7","machine":"PentiumPro","procs":4,"strategy":"sequential","n":1024,"variant":"dense"}`
 	for _, tc := range []struct {
@@ -585,6 +585,7 @@ func TestPointUsageErrors(t *testing.T) {
 		{"fig7 sequential chunk_kb", []string{"-point", strings.Replace(spec, `"n":1024`, `"n":1024,"chunk_kb":8`, 1)}, "chunk_kb 8"},
 		{"conflicts chunk_kb", []string{"-point", `{"experiment":"conflicts","machine":"PentiumPro","procs":4,"strategy":"sequential","chunk_kb":8,"scale":0.01}`}, "chunk_kb 8"},
 		{"conflicts strategy", []string{"-point", `{"experiment":"conflicts","machine":"PentiumPro","procs":4,"strategy":"prefetched","chunk_kb":8,"scale":0.01}`}, `strategy "prefetched"`},
+		{"warmsweep chunk_kb", []string{"-point", `{"experiment":"warmsweep","machine":"PentiumPro","procs":4,"strategy":"restructured","chunk_kb":64,"scale":0.01,"warmup":2}`}, "chunk_kb 64"},
 	} {
 		stderr, code := runMain(t, tc.args...)
 		if code != 1 || !strings.Contains(stderr, "cascade-sim: ") || !strings.Contains(stderr, tc.want) {

@@ -46,16 +46,16 @@ func PointKey(spec interface{}) (string, error) {
 // PrefixSchema versions the warm-prefix key derivation: the content
 // address of a sweep's shared strategy-independent prefix (machine
 // configuration, dataset parameters, warm-up schedule). Workers use it to
-// share one sealed machine snapshot across every point of a job that
-// declares the same prefix; bump it whenever the prefix construction
-// changes meaning. v2: derivation moved to the canonical-JSON Key form
+// share one prefix, which holds one packed machine capture, across every
+// point of a job that declares the same prefix; bump it whenever the
+// prefix construction changes meaning. v2: derivation moved to the canonical-JSON Key form
 // and grew the distribute flag.
 const PrefixSchema = "cascade-prefix/v2"
 
 // PrefixKey derives the content address of a resolved warm-prefix
 // descriptor under PrefixSchema. The descriptor must determine the
 // post-prefix machine state completely — two equal keys promise
-// interchangeable snapshots.
+// interchangeable captures.
 func PrefixKey(desc interface{}) (string, error) {
 	return Key(PrefixSchema, desc)
 }

@@ -131,9 +131,9 @@ func TestPointKeySensitivity(t *testing.T) {
 
 // TestPrefixKeyGoldens pins the warm-prefix key derivation through the
 // real resolver (machine canonical bytes + dataset params + warm-up
-// schedule under PrefixSchema). Workers share sealed machine snapshots
-// across jobs keyed by these strings — accidental drift here is a silent
-// warm-cache invalidation fleet-wide, or stale snapshot hits if a
+// schedule under PrefixSchema). Workers share prefix captures across
+// jobs keyed by these strings — accidental drift here is a silent
+// warm-cache invalidation fleet-wide, or stale prefix hits if a
 // meaningful field stops being hashed.
 func TestPrefixKeyGoldens(t *testing.T) {
 	p := wave5.DefaultParams().Scaled(0.25)

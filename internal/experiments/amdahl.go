@@ -70,10 +70,23 @@ func amdahlPoints(rc RunConfig) []PointSpec {
 // runAmdahlPoint runs the application once on procs processors: the
 // parallel phase amdahlParallelReps times, then the unparallelized loops
 // sequentially or, for the restructured strategy, cascaded. Its parts
-// are the parallel phase's cycles and the loops' cycles.
+// are the parallel phase's cycles and the loops' cycles. A spec the
+// study has no run for is refused: a strategy other than sequential or
+// restructured, restructured on one processor (the standard run), or
+// any n, variant, chunk_bytes or warmup.
 func runAmdahlPoint(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
+		return PointResult{}, err
+	}
+	cascaded := ps.Strategy == Restructured.Token()
+	if !cascaded && ps.Strategy != Sequential.Token() {
+		return PointResult{}, fmt.Errorf("amdahl point: strategy %q: the study runs %q or %q", ps.Strategy, Sequential.Token(), Restructured.Token())
+	}
+	if cascaded && ps.Procs == 1 {
+		return PointResult{}, fmt.Errorf("amdahl point: %s on procs 1: one processor runs only the standard (%s) application", ps.Strategy, Sequential.Token())
+	}
+	if err := refuseUnread(ps, "the application run", "n", "variant", "chunk_bytes", "warmup"); err != nil {
 		return PointResult{}, err
 	}
 	w, err := wave5.Build(RunConfig{Scale: ps.Scale}.Params())
@@ -92,7 +105,6 @@ func runAmdahlPoint(_ context.Context, _ *PrefixState, ps PointSpec) (PointResul
 		}
 		par += r.Cycles
 	}
-	cascaded := ps.Strategy == Restructured.Token() && ps.Procs > 1
 	for _, l := range w.Loops {
 		if !cascaded {
 			loops += cascade.RunSequentialWarm(m, l).Cycles

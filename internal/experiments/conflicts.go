@@ -99,9 +99,8 @@ func runConflictsPoint(ctx context.Context, _ *PrefixState, ps PointSpec) (Point
 	if ps.Strategy != Sequential.Token() {
 		return PointResult{}, fmt.Errorf("conflicts point: strategy %q: classification runs sequentially (want %q)", ps.Strategy, Sequential.Token())
 	}
-	if ps.ChunkKB != 0 || ps.ChunkBytes != 0 || ps.Warmup != 0 || ps.N != 0 || ps.Variant != "" {
-		return PointResult{}, fmt.Errorf("conflicts point: chunk_kb %d, chunk_bytes %d, warmup %d, n %d, variant %q: classification reads none of them (want 0 and \"\")",
-			ps.ChunkKB, ps.ChunkBytes, ps.Warmup, ps.N, ps.Variant)
+	if err := refuseUnread(ps, "classification", "chunk_kb", "chunk_bytes", "warmup", "n", "variant"); err != nil {
+		return PointResult{}, err
 	}
 	loops, rr, err := classifyLoops(ctx, cfg.WithProcs(ps.Procs), wave5.DefaultParams().Scaled(ps.Scale))
 	if err != nil {

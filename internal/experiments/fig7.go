@@ -92,12 +92,13 @@ func runFig7Point(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult,
 	if ps.Procs != cfg.Procs {
 		return PointResult{}, fmt.Errorf("fig7 point: procs %d: the point runs %s's own processors (want %d)", ps.Procs, cfg.Name, cfg.Procs)
 	}
-	if ps.ChunkBytes != 0 || ps.Warmup != 0 || ps.Scale != 0 {
-		return PointResult{}, fmt.Errorf("fig7 point: chunk_bytes %d, warmup %d, scale %g: the synthetic loop reads none of them (want 0)",
-			ps.ChunkBytes, ps.Warmup, ps.Scale)
+	if err := refuseUnread(ps, "the synthetic loop", "chunk_bytes", "warmup", "scale"); err != nil {
+		return PointResult{}, err
 	}
-	if ps.Strategy == Sequential.Token() && ps.ChunkKB != 0 {
-		return PointResult{}, fmt.Errorf("fig7 point: chunk_kb %d: the sequential baseline reads no chunk budget (want 0)", ps.ChunkKB)
+	if ps.Strategy == Sequential.Token() {
+		if err := refuseUnread(ps, "the sequential baseline", "chunk_kb"); err != nil {
+			return PointResult{}, err
+		}
 	}
 	v, err := fig7Variant(ps.Variant, ps.N)
 	if err != nil {

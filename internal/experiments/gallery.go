@@ -46,10 +46,15 @@ func galleryPoints(rc RunConfig) []PointSpec {
 // runGalleryPoint runs one kernel sequentially and then under both
 // cascaded helpers, each on its own machine and arrays, and checks that
 // every cascaded run wrote exactly the sequential run's output. Its
-// parts are the sequential, prefetched and restructured runs.
+// parts are the sequential, prefetched and restructured runs. A spec
+// naming a strategy, scale, chunk_bytes or warmup is refused: the point
+// runs every strategy on its kernel at n elements.
 func runGalleryPoint(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
+		return PointResult{}, err
+	}
+	if err := refuseUnread(ps, "a kernel run", "strategy", "scale", "chunk_bytes", "warmup"); err != nil {
 		return PointResult{}, err
 	}
 	cfg = cfg.WithProcs(ps.Procs)

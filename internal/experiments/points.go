@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"unsafe"
 
 	"repro/internal/cache"
@@ -438,11 +439,34 @@ func runPARMVRCall(ctx context.Context, st *PrefixState, ps PointSpec) (PointRes
 // unreadByCall refuses a spec that sets a field no PARMVR call point
 // reads: chunk_bytes, warmup or n.
 func unreadByCall(ps PointSpec) error {
-	if ps.ChunkBytes != 0 || ps.Warmup != 0 || ps.N != 0 {
-		return fmt.Errorf("%s point: chunk_bytes %d, warmup %d, n %d: a PARMVR call reads none of them (want 0)",
-			ps.Experiment, ps.ChunkBytes, ps.Warmup, ps.N)
+	return refuseUnread(ps, "a PARMVR call", "chunk_bytes", "warmup", "n")
+}
+
+// refuseUnread refuses a spec that sets any of fields (PointSpec JSON
+// names) although reader, its point's run, never reads them: such a
+// spec would hash the plain point's bytes to a key of its own. The
+// error names every offending field with its value.
+func refuseUnread(ps PointSpec, reader string, fields ...string) error {
+	vals := map[string]any{
+		"strategy": ps.Strategy, "chunk_kb": ps.ChunkKB, "chunk_bytes": ps.ChunkBytes,
+		"scale": ps.Scale, "n": ps.N, "warmup": ps.Warmup, "variant": ps.Variant,
 	}
-	return nil
+	var set []string
+	for _, f := range fields {
+		v, ok := vals[f]
+		if !ok {
+			panic("refuseUnread: unknown field " + f)
+		}
+		if s, isStr := v.(string); isStr && s != "" {
+			set = append(set, fmt.Sprintf("%s %q", f, s))
+		} else if !isStr && fmt.Sprint(v) != "0" {
+			set = append(set, fmt.Sprintf("%s %v", f, v))
+		}
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s point: %s: not read by %s (want unset)", ps.Experiment, strings.Join(set, ", "), reader)
 }
 
 // runPARMVRPoint runs a fig2/fig6 point off its cold-call prefix:

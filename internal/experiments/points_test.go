@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -265,42 +266,85 @@ func TestRunPointRefusesUnreadFields(t *testing.T) {
 	}
 }
 
-// TestFig7AndConflictsRefuseUnreadFields pins that fig7 and conflicts
-// points, like the PARMVR call points, refuse spec fields they do not
-// read instead of returning the plain point's bytes under a key of
-// their own. Every refused spec passes Validate; the canonical specs
-// run in the golden tests.
+// TestFig7AndConflictsRefuseUnreadFields pins that points refuse spec
+// fields they do not read, like the PARMVR call points, instead of
+// returning the plain point's bytes under a key of their own or failing
+// on a field they do read: fig7, conflicts, warmsweep, amdahl, gallery,
+// quickstart and table1. Every refused spec passes Validate, and the
+// refusal names the field; the canonical specs run in the golden tests.
 func TestFig7AndConflictsRefuseUnreadFields(t *testing.T) {
 	ctx := context.Background()
-	rc := RunConfig{Scale: 0.01, N: 1 << 10}
+	rc := RunConfig{Scale: 0.01, N: 1 << 10, ChunkBytes: 64 << 10}
+	first := func(exp string) PointSpec {
+		specs, ok := Decompose(exp, rc)
+		if !ok {
+			t.Fatalf("no decomposition %q", exp)
+		}
+		return specs[0]
+	}
 	fig7, _ := Decompose("fig7", rc)
 	seq, casc := fig7[0], fig7[len(fig7)-1]
-	conf, _ := Decompose("conflicts", rc)
+	conf := first("conflicts")
+	warm, _ := Decompose("warmsweep", rc)
+	warmSeq, warmCasc := warm[0], warm[len(warm)-1]
+	amdahl, _ := Decompose("amdahl", rc)
+	amdahlSeq, amdahlCasc := amdahl[0], amdahl[2]
+	gal, qs, tab := first("gallery"), first("quickstart"), first("table1")
+	c := NewPrefixCache(0)
 	for _, tc := range []struct {
 		name string
 		base PointSpec
 		set  func(*PointSpec)
+		want string
 	}{
-		{"fig7 procs", casc, func(ps *PointSpec) { ps.Procs = 1 }},
-		{"fig7 chunk_bytes", casc, func(ps *PointSpec) { ps.ChunkBytes = 4096 }},
-		{"fig7 warmup", casc, func(ps *PointSpec) { ps.Warmup = 3 }},
-		{"fig7 scale", casc, func(ps *PointSpec) { ps.Scale = 7 }},
-		{"fig7 sequential chunk_kb", seq, func(ps *PointSpec) { ps.ChunkKB = 8 }},
-		{"conflicts no strategy", conf[0], func(ps *PointSpec) { ps.Strategy = "" }},
-		{"conflicts restructured", conf[0], func(ps *PointSpec) { ps.Strategy, ps.ChunkKB = Restructured.Token(), 64 }},
-		{"conflicts chunk_kb", conf[0], func(ps *PointSpec) { ps.ChunkKB = 64 }},
-		{"conflicts chunk_bytes", conf[0], func(ps *PointSpec) { ps.ChunkBytes = 4096 }},
-		{"conflicts warmup", conf[0], func(ps *PointSpec) { ps.Warmup = 3 }},
-		{"conflicts n", conf[0], func(ps *PointSpec) { ps.N = 7 }},
-		{"conflicts variant", conf[0], func(ps *PointSpec) { ps.Variant = ablNoTLB }},
+		{"fig7 procs", casc, func(ps *PointSpec) { ps.Procs = 1 }, "procs 1"},
+		{"fig7 chunk_bytes", casc, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"fig7 warmup", casc, func(ps *PointSpec) { ps.Warmup = 3 }, "warmup 3"},
+		{"fig7 scale", casc, func(ps *PointSpec) { ps.Scale = 7 }, "scale 7"},
+		{"fig7 sequential chunk_kb", seq, func(ps *PointSpec) { ps.ChunkKB = 8 }, "chunk_kb 8"},
+		{"conflicts no strategy", conf, func(ps *PointSpec) { ps.Strategy = "" }, `strategy ""`},
+		{"conflicts restructured", conf, func(ps *PointSpec) { ps.Strategy, ps.ChunkKB = Restructured.Token(), 64 }, `strategy "restructured"`},
+		{"conflicts chunk_kb", conf, func(ps *PointSpec) { ps.ChunkKB = 64 }, "chunk_kb 64"},
+		{"conflicts chunk_bytes", conf, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"conflicts warmup", conf, func(ps *PointSpec) { ps.Warmup = 3 }, "warmup 3"},
+		{"conflicts n", conf, func(ps *PointSpec) { ps.N = 7 }, "n 7"},
+		{"conflicts variant", conf, func(ps *PointSpec) { ps.Variant = ablNoTLB }, `variant "no-tlb"`},
+		{"warmsweep chunk_kb only", warmCasc, func(ps *PointSpec) { ps.ChunkBytes, ps.ChunkKB = 0, 64 }, "chunk_kb 64"},
+		{"warmsweep chunk_kb", warmCasc, func(ps *PointSpec) { ps.ChunkKB = 7 }, "chunk_kb 7"},
+		{"warmsweep n", warmSeq, func(ps *PointSpec) { ps.N = 5 }, "n 5"},
+		{"warmsweep variant", warmSeq, func(ps *PointSpec) { ps.Variant = ablNoTLB }, `variant "no-tlb"`},
+		{"warmsweep sequential chunk_bytes", warmSeq, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"amdahl prefetched", amdahlCasc, func(ps *PointSpec) { ps.Strategy = Prefetched.Token() }, `strategy "prefetched"`},
+		{"amdahl restructured on 1 proc", amdahlCasc, func(ps *PointSpec) { ps.Procs = 1 }, "procs 1"},
+		{"amdahl n", amdahlSeq, func(ps *PointSpec) { ps.N = 5 }, "n 5"},
+		{"amdahl variant", amdahlSeq, func(ps *PointSpec) { ps.Variant = ablNoTLB }, `variant "no-tlb"`},
+		{"amdahl chunk_bytes", amdahlSeq, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"amdahl warmup", amdahlSeq, func(ps *PointSpec) { ps.Warmup = 2 }, "warmup 2"},
+		{"gallery strategy", gal, func(ps *PointSpec) { ps.Strategy = Sequential.Token() }, `strategy "sequential"`},
+		{"gallery scale", gal, func(ps *PointSpec) { ps.Scale = 0.5 }, "scale 0.5"},
+		{"gallery chunk_bytes", gal, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"gallery warmup", gal, func(ps *PointSpec) { ps.Warmup = 2 }, "warmup 2"},
+		{"quickstart strategy", qs, func(ps *PointSpec) { ps.Strategy = Sequential.Token() }, `strategy "sequential"`},
+		{"quickstart variant", qs, func(ps *PointSpec) { ps.Variant = ablNoTLB }, `variant "no-tlb"`},
+		{"quickstart chunk_bytes", qs, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"quickstart warmup", qs, func(ps *PointSpec) { ps.Warmup = 2 }, "warmup 2"},
+		{"table1 strategy", tab, func(ps *PointSpec) { ps.Strategy = Sequential.Token() }, `strategy "sequential"`},
+		{"table1 chunk_kb", tab, func(ps *PointSpec) { ps.ChunkKB = 64 }, "chunk_kb 64"},
+		{"table1 chunk_bytes", tab, func(ps *PointSpec) { ps.ChunkBytes = 4096 }, "chunk_bytes 4096"},
+		{"table1 n", tab, func(ps *PointSpec) { ps.N = 5 }, "n 5"},
+		{"table1 warmup", tab, func(ps *PointSpec) { ps.Warmup = 2 }, "warmup 2"},
+		{"table1 variant", tab, func(ps *PointSpec) { ps.Variant = ablNoTLB }, `variant "no-tlb"`},
 	} {
 		ps := tc.base
 		tc.set(&ps)
 		if err := ps.Validate(); err != nil {
 			t.Fatalf("%s: %v, want a spec Validate passes", tc.name, err)
 		}
-		if r, err := RunPoint(ctx, ps); err == nil {
-			t.Errorf("%s: RunPoint ran it (%d cycles), want a refusal", tc.name, r.Cycles)
+		r, _, err := c.Run(ctx, ps)
+		if err == nil {
+			t.Errorf("%s: ran it (%d cycles), want a refusal", tc.name, r.Cycles)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a refusal naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -94,10 +94,14 @@ func quickstartPoints(rc RunConfig) []PointSpec {
 // runQuickstartPoint runs the scatter-add loop sequentially and under
 // both cascaded helpers, each on a fresh machine and a fresh copy of the
 // arrays. Its parts are the three runs in Strategies order, each with
-// its registry snapshot.
+// its registry snapshot. A spec naming a strategy, variant, chunk_bytes
+// or warmup is refused: the point runs every strategy on its one loop.
 func runQuickstartPoint(ctx context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
 	cfg, err := machineByName(ps.Machine)
 	if err != nil {
+		return PointResult{}, err
+	}
+	if err := refuseUnread(ps, "the scatter-add runs", "strategy", "variant", "chunk_bytes", "warmup"); err != nil {
 		return PointResult{}, err
 	}
 	cfg = cfg.WithProcs(ps.Procs)

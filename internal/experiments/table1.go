@@ -40,7 +40,7 @@ func sizeStr(bytes int) string {
 // table1Points has one point per machine, whose rows are its
 // configuration. Like every point of a machine, each carries the
 // machine's processor count and the job's scale, though the table
-// depends on neither.
+// depends on neither; runTable1Point refuses every other field.
 func table1Points(rc RunConfig) []PointSpec {
 	var specs []PointSpec
 	for _, cfg := range Machines() {
@@ -51,13 +51,19 @@ func table1Points(rc RunConfig) []PointSpec {
 	return specs
 }
 
+// runTable1Point simulates nothing: the table is configuration. It
+// refuses a spec naming any strategy, chunk budget, n, warmup or variant.
+func runTable1Point(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
+	if err := refuseUnread(ps, "the configuration table", "strategy", "chunk_kb", "chunk_bytes", "n", "warmup", "variant"); err != nil {
+		return PointResult{}, err
+	}
+	return PointResult{Index: ps.Index}, nil
+}
+
 func init() {
-	// The points simulate nothing: the table is configuration.
 	RegisterDecomposition("table1", Decomposition{
 		Points: table1Points,
-		Run: func(_ context.Context, _ *PrefixState, ps PointSpec) (PointResult, error) {
-			return PointResult{Index: ps.Index}, nil
-		},
-		Merge: func(RunConfig, []PointResult) (Renderable, error) { return Table1(), nil },
+		Run:    runTable1Point,
+		Merge:  func(RunConfig, []PointResult) (Renderable, error) { return Table1(), nil },
 	})
 }

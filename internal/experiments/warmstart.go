@@ -147,11 +147,21 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 // has its own machine and dataset, so the points of one prefix run
 // concurrently. A Sequential point off a prefix that holds a
 // steady-state record returns a copy of it instead: the record is that
-// same call, measured as the prefix's last warm-up call.
+// same call, measured as the prefix's last warm-up call. A spec naming
+// a chunk_kb, n or variant, or a Sequential point naming a chunk_bytes,
+// is refused: the point reads none of them.
 func runWarmsweepPoint(_ context.Context, st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
 		return PointResult{}, err
+	}
+	if err := refuseUnread(ps, "a warm point", "chunk_kb", "n", "variant"); err != nil {
+		return PointResult{}, err
+	}
+	if strat == Sequential {
+		if err := refuseUnread(ps, "a sequential warm point", "chunk_bytes"); err != nil {
+			return PointResult{}, err
+		}
 	}
 	if strat == Sequential && st.seq != nil {
 		res := *st.seq

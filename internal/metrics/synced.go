@@ -1,63 +1,31 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Synced is a concurrent-safe registry for the serving layer. A simulated
 // machine's registry is single-goroutine by design (see the package
 // comment), but the serving layer's registry is written from many
 // goroutines at once — HTTP handlers, queue workers, the cache — so it
-// goes through this wrapper instead. Names follow the same dotted
-// convention; metrics are created on first use.
-//
-// Internally writes are striped over a small fixed set of locked shards
-// so that concurrent producers do not serialize on one global mutex. A
-// counter may accumulate on several shards at once; Snapshot locks every
-// shard (in index order, so concurrent snapshots cannot deadlock) and
-// sums pointwise, which is exactly the single-registry total. Gauges
-// (Set/Max) and the With escape hatch always use shard 0, so last-write
-// and high-water-mark semantics stay exact. A name must be used
-// consistently as either a counter or a gauge, as before.
+// goes through this wrapper instead: one mutex over one Registry
+// (DESIGN.md §12 measured the traffic: far too little to contend on it).
+// Names follow the same dotted convention; metrics are created on first
+// use, and a name must be used consistently as either a counter or a
+// gauge.
 type Synced struct {
-	next   atomic.Uint64
-	shards [syncedShards]syncedShard
-}
-
-// syncedShards is deliberately small: enough stripes to take the serving
-// layer's handful of hot producers off one lock, few enough that the
-// all-shard Snapshot scrape stays cheap.
-const syncedShards = 8
-
-type syncedShard struct {
 	mu sync.Mutex
 	r  *Registry
-	_  [40]byte // pad to a cache line so shard locks don't false-share
 }
 
 // NewSynced returns an empty concurrent-safe registry.
 func NewSynced() *Synced {
-	s := &Synced{}
-	for i := range s.shards {
-		s.shards[i].r = NewRegistry()
-	}
-	return s
-}
-
-// shard picks the stripe for one counter update. Round-robin rather than
-// name-hashed: a single hot counter (every job bumps jobs.submitted)
-// still spreads across all stripes.
-func (s *Synced) shard() *syncedShard {
-	return &s.shards[s.next.Add(1)%syncedShards]
+	return &Synced{r: NewRegistry()}
 }
 
 // Add increases the named counter by d, creating it on first use.
 func (s *Synced) Add(name string, d int64) {
-	sh := s.shard()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.r.Counter(name).Add(d)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.r.Counter(name).Add(d)
 }
 
 // Inc increases the named counter by one, creating it on first use.
@@ -65,18 +33,16 @@ func (s *Synced) Inc(name string) { s.Add(name, 1) }
 
 // Set records the named gauge's current value, creating it on first use.
 func (s *Synced) Set(name string, v int64) {
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.r.Gauge(name).Set(v)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.r.Gauge(name).Set(v)
 }
 
 // Max raises the named gauge to v if v is larger (high-water-mark use).
 func (s *Synced) Max(name string, v int64) {
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.r.Gauge(name).Max(v)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.r.Gauge(name).Max(v)
 }
 
 // Value returns the named metric's current value from a fresh snapshot
@@ -86,46 +52,27 @@ func (s *Synced) Value(name string) int64 {
 }
 
 // Snapshot captures the current value of every metric, like
-// Registry.Snapshot but safe against concurrent writers. All shards are
-// locked together, so the result is a single point-in-time cut — the
-// same atomicity the one-mutex wrapper gave.
+// Registry.Snapshot but safe against concurrent writers: one
+// point-in-time cut under the lock.
 func (s *Synced) Snapshot() Snapshot {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	out := make(Snapshot)
-	for i := range s.shards {
-		for n, v := range s.shards[i].r.Snapshot() {
-			out[n] += v
-		}
-	}
-	for i := range s.shards {
-		s.shards[i].mu.Unlock()
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.r.Snapshot()
 }
 
-// ResetStats zeroes every metric, like Registry.ResetStats. Like
-// Snapshot, it holds every shard at once: no concurrent increment is
-// half-reset.
+// ResetStats zeroes every metric, like Registry.ResetStats, under the
+// lock, so no concurrent increment is half-reset.
 func (s *Synced) ResetStats() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	for i := range s.shards {
-		s.shards[i].r.ResetStats()
-	}
-	for i := range s.shards {
-		s.shards[i].mu.Unlock()
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.r.ResetStats()
 }
 
-// With runs f with shard 0's registry under its lock, for operations the
+// With runs f with the registry under the lock, for operations the
 // convenience methods don't cover (phase timers, bulk registration).
 // f must not retain the registry or any metric handle past its return.
 func (s *Synced) With(f func(r *Registry)) {
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f(sh.r)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(s.r)
 }

@@ -56,11 +56,10 @@ func TestSyncedWithAndReset(t *testing.T) {
 	}
 }
 
-// TestSyncedShardedDifferential is the sharding refactor's contract: a
-// single-goroutine operation sequence applied to both the sharded Synced
-// and a plain Registry must yield identical snapshots at every probe
-// point — shard striping may spread a counter across registries, but it
-// must never be observable.
+// TestSyncedShardedDifferential (named for the lock striping Synced once
+// had) is the wrapper's contract: a single-goroutine operation sequence
+// applied to both Synced and a plain Registry must yield identical
+// snapshots at every probe point — the wrapper must never be observable.
 func TestSyncedShardedDifferential(t *testing.T) {
 	s := NewSynced()
 	r := NewRegistry()
@@ -68,7 +67,7 @@ func TestSyncedShardedDifferential(t *testing.T) {
 		t.Helper()
 		got, want := s.Snapshot(), r.Snapshot()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("after %s: sharded snapshot diverges\nsharded %v\nplain   %v", step, got, want)
+			t.Fatalf("after %s: synced snapshot diverges\nsynced %v\nplain  %v", step, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -110,11 +109,10 @@ func TestSyncedShardedDifferential(t *testing.T) {
 	}
 }
 
-// TestSyncedSnapshotAtomicCut: Snapshot holds every shard at once, so a
-// scrape taken while writers bump two counters back-to-back under their
-// own coordination still sees the registry as a consistent whole — the
-// sum over all shards never double-counts or drops an increment that the
-// probe's own lock acquisition ordered before it.
+// TestSyncedSnapshotAtomicCut: Snapshot is one point-in-time cut under
+// the lock, so scrapes taken while writers keep bumping a counter never
+// see it go backwards, and the final value is at least the last one
+// observed.
 func TestSyncedSnapshotAtomicCut(t *testing.T) {
 	s := NewSynced()
 	stop := make(chan struct{})

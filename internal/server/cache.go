@@ -38,32 +38,19 @@ import (
 // leaves the entry memory-only (cache.write_errors), and Healthy
 // reports whether the most recent disk operation succeeded.
 //
-// The store is striped over cacheShards independently-locked shards
-// keyed by a hash of the full key (the fleet-load contention audit of
-// DESIGN.md §12): disk I/O happens under the owning shard's lock, so a
-// slow Put — milliseconds inside the filesystem — stalls only keys that
-// hash to the same shard instead of every concurrent lookup. Same-key
-// writers still serialize, which preserves the one invariant the disk
-// format relies on (two writers racing one key write identical bytes,
-// and the second sees the first's file).
+// One mutex guards the map and every disk read, write and quarantine
+// rename (DESIGN.md §12 measured the traffic: tens of operations per
+// second per process). Holding it across disk I/O keeps the invariant
+// the disk format relies on: two writers racing one key write identical
+// bytes, and the second sees the first's file.
 type Cache struct {
-	shards [cacheShards]cacheShard
-	dir    string // "" = memory only
+	mu  sync.Mutex
+	mem map[string][]byte
+	dir string // "" = memory only
 
 	m      *metrics.Synced                 // nil = unmetered (CLI use)
 	faults atomic.Pointer[faults.Injector] // nil = no injection
 	diskOK atomic.Bool                     // most recent disk I/O succeeded
-}
-
-// cacheShards is the stripe count: enough that a fleet of workers
-// probing the coordinator's index rarely collide, small enough that Len
-// and shard iteration stay trivial. Must be a power of two.
-const cacheShards = 16
-
-type cacheShard struct {
-	mu  sync.Mutex
-	mem map[string][]byte
-	_   [40]byte // pad to a cache line so shard locks don't false-share
 }
 
 // Fault-injection sites of the serving pipeline (see internal/faults).
@@ -140,29 +127,9 @@ func NewCache(dir string, m *metrics.Synced) (*Cache, error) {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
-	c := &Cache{dir: dir, m: m}
-	for i := range c.shards {
-		c.shards[i].mem = make(map[string][]byte)
-	}
+	c := &Cache{mem: make(map[string][]byte), dir: dir, m: m}
 	c.diskOK.Store(true)
 	return c, nil
-}
-
-// shard returns the stripe owning key: FNV-1a over the full key, masked
-// to the power-of-two shard count. The first two key characters also
-// pick the disk directory (see path), so hashing the whole key keeps
-// lock striping independent of directory sharding.
-func (c *Cache) shard(key string) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h&(cacheShards-1)]
 }
 
 // WithFaults attaches a fault injector to the cache's disk I/O sites
@@ -196,16 +163,15 @@ func (c *Cache) Healthy() bool {
 // other than the entry not existing; cache.corrupt counts quarantined
 // entries.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if v, ok := sh.mem[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.mem[key]; ok {
 		c.inc("cache.hits")
 		return v, true
 	}
 	if c.dir != "" {
 		if v, ok := c.diskGet(key); ok {
-			sh.mem[key] = v
+			c.mem[key] = v
 			c.inc("cache.hits")
 			c.inc("cache.disk_hits")
 			return v, true
@@ -216,9 +182,9 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // diskGet reads, verifies, and returns one disk entry. Callers must
-// hold the key's shard lock. Not-exist is a plain miss; any other read
-// error counts in cache.read_errors and marks the disk layer unhealthy;
-// a decode failure quarantines the entry. All three read as misses.
+// hold c.mu. Not-exist is a plain miss; any other read error counts in
+// cache.read_errors and marks the disk layer unhealthy; a decode
+// failure quarantines the entry. All three read as misses.
 func (c *Cache) diskGet(key string) ([]byte, bool) {
 	path := c.path(key)
 	raw, err := os.ReadFile(path)
@@ -294,11 +260,10 @@ func (c *Cache) PurgeQuarantine(ttl time.Duration) int {
 // still readable from memory: callers that already hold a computed
 // result should degrade (serve it) rather than fail.
 func (c *Cache) Put(key string, val []byte) error {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.mem[key]; !ok {
-		sh.mem[key] = val
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.mem[key]; !ok {
+		c.mem[key] = val
 		if c.m != nil {
 			c.m.Inc("cache.entries")
 			c.m.Add("cache.bytes", int64(len(val)))
@@ -316,8 +281,7 @@ func (c *Cache) Put(key string, val []byte) error {
 	return nil
 }
 
-// diskPut writes one checksummed entry. Callers must hold the key's
-// shard lock.
+// diskPut writes one checksummed entry. Callers must hold c.mu.
 func (c *Cache) diskPut(key string, val []byte) error {
 	if err := c.inj().Fail(SiteCacheWrite); err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -351,13 +315,9 @@ func (c *Cache) diskPut(key string, val []byte) error {
 
 // Len returns the number of in-memory entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].mem)
-		c.shards[i].mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.mem)
 }
 
 // path shards entries by the first two key characters so no single

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -300,6 +303,65 @@ func TestCachePutIdempotent(t *testing.T) {
 	}
 	if m.Value("cache.entries") != 1 || m.Value("cache.bytes") != 2 {
 		t.Errorf("entries/bytes = %d/%d, want 1/2", m.Value("cache.entries"), m.Value("cache.bytes"))
+	}
+}
+
+// TestCacheConcurrentDisk runs 8 goroutines that Put and Get 64
+// overlapping keys of one disk-backed cache (run it under -race). Every
+// Get is a miss or the exact bytes stored; afterwards the cache holds
+// each key once in memory and in the metrics, and every file on disk
+// decodes to its key's value.
+func TestCacheConcurrentDisk(t *testing.T) {
+	const goroutines, keys = 8, 64
+	key := func(i int) string { return fmt.Sprintf("%02x-conc-%d", i%16, i) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 100+i) }
+	dir := t.TempDir()
+	m := metrics.NewSynced()
+	c := NewCacheMust(t, dir, m)
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*keys)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < keys; j++ {
+				i := (j + 8*g) % keys
+				if err := c.Put(key(i), val(i)); err != nil {
+					errs <- err
+				}
+				r := (i + 1 + g) % keys
+				if v, ok := c.Get(key(r)); ok && !bytes.Equal(v, val(r)) {
+					errs <- fmt.Errorf("Get(%s) = %d bytes, want %d", key(r), len(v), len(val(r)))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if c.Len() != keys || m.Value("cache.entries") != keys {
+		t.Errorf("Len/cache.entries = %d/%d, want %d", c.Len(), m.Value("cache.entries"), keys)
+	}
+	for i := 0; i < keys; i++ {
+		raw, err := os.ReadFile(filepath.Join(dir, key(i)[:2], key(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := decodeEntry(raw); err != nil || !bytes.Equal(v, val(i)) {
+			t.Errorf("disk entry %s: %v, %d bytes", key(i), err, len(v))
+		}
+	}
+	files := 0
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files++
+		}
+		return nil
+	})
+	if files != keys {
+		t.Errorf("%d files on disk, want %d (no leftover temp files)", files, keys)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/cascade"
 	"repro/internal/experiments"
-	"repro/internal/machine"
 )
 
 // keySchema versions the cache-key derivation. Bump it whenever the
@@ -92,34 +91,6 @@ func (p JobParams) RunConfig() experiments.RunConfig {
 		ChunkBytes: p.ChunkKB * 1024,
 		N:          p.N,
 	}
-}
-
-// PointKey is the content address of one simulation point: a canonical
-// hash of the fully-resolved machine configuration, cascade options, and
-// a workload identifier (e.g. "parmvr@scale=1" or a loop name — whatever
-// string the caller uses, it must determine the workload's observable
-// memory behaviour). Identical semantic configurations hash equal
-// however they were built — field order, default-filled versus explicit,
-// fast versus reference engine — and any observable change hashes
-// different. See machine.Config.CanonicalBytes and
-// cascade.Options.CanonicalBytes for what "observable" means.
-func PointKey(cfg machine.Config, opts cascade.Options, workload string) (string, error) {
-	cb, err := cfg.CanonicalBytes()
-	if err != nil {
-		return "", fmt.Errorf("point key: machine config: %w", err)
-	}
-	ob, err := opts.CanonicalBytes()
-	if err != nil {
-		return "", fmt.Errorf("point key: options: %w", err)
-	}
-	h := sha256.New()
-	io.WriteString(h, keySchema+"\x00point\x00")
-	h.Write(cb)
-	h.Write([]byte{0})
-	h.Write(ob)
-	h.Write([]byte{0})
-	io.WriteString(h, workload)
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // JobKey is the content address of one experiment job: the experiment

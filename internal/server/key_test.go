@@ -1,6 +1,8 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/cascade"
@@ -17,33 +19,43 @@ func defaultOpts(t *testing.T) cascade.Options {
 	return opts
 }
 
-// TestPointKeySemanticEquality pins the cache-key invariant that makes
-// memoization sound: configurations with identical observable semantics
-// hash equal however they were constructed.
-func TestPointKeySemanticEquality(t *testing.T) {
-	base, err := PointKey(machine.PentiumPro(4), defaultOpts(t), "parmvr")
+// canonicalKey hashes the canonical bytes of a machine configuration and
+// cascade options, the parts of every key that describe the simulated
+// machine and options (JobKey folds each preset's and the default
+// options' bytes; prefix keys fold the machine's).
+func canonicalKey(t *testing.T, cfg machine.Config, opts cascade.Options) string {
+	t.Helper()
+	cb, err := cfg.CanonicalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ob, err := opts.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(cb)
+	h.Write([]byte{0})
+	h.Write(ob)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPointKeySemanticEquality pins the cache-key invariant that makes
+// memoization sound: configurations with identical observable semantics
+// have identical canonical bytes however they were constructed.
+func TestPointKeySemanticEquality(t *testing.T) {
+	base := canonicalKey(t, machine.PentiumPro(4), defaultOpts(t))
 
 	// Preset-built vs literal-built: the helper and a hand-spelled copy
 	// of the same machine are the same machine.
 	literal := machine.PentiumPro(4) // fields copied — a struct literal in effect
-	lk, err := PointKey(literal, defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lk != base {
+	if canonicalKey(t, literal, defaultOpts(t)) != base {
 		t.Error("copied config hashes differently")
 	}
 
 	// Engine choice is not observable: both engines produce bit-identical
 	// results, so a cached result from either must satisfy both.
-	refEng, err := PointKey(machine.PentiumPro(4).WithEngine(machine.EngineReference), defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refEng != base {
+	if canonicalKey(t, machine.PentiumPro(4).WithEngine(machine.EngineReference), defaultOpts(t)) != base {
 		t.Error("reference-engine config hashes differently from fast-engine config")
 	}
 
@@ -51,38 +63,24 @@ func TestPointKeySemanticEquality(t *testing.T) {
 	// builder default) equals one spelling DefaultChunkBytes out.
 	implicit := defaultOpts(t)
 	implicit.ChunkBytes = 0
-	ik, err := PointKey(machine.PentiumPro(4), implicit, "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
 	explicit := defaultOpts(t)
 	explicit.ChunkBytes = cascade.DefaultChunkBytes
-	ek, err := PointKey(machine.PentiumPro(4), explicit, "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ik, ek := canonicalKey(t, machine.PentiumPro(4), implicit), canonicalKey(t, machine.PentiumPro(4), explicit)
 	if ik != ek || ik != base {
 		t.Error("default-filled and explicit ChunkBytes hash differently")
 	}
 }
 
 // TestPointKeyObservableChanges pins the converse invariant: any
-// observable field change must produce a different key, else the cache
-// serves wrong results.
+// observable field change must change the canonical bytes, else the
+// cache serves wrong results.
 func TestPointKeyObservableChanges(t *testing.T) {
 	cfg := machine.PentiumPro(4)
 	opts := defaultOpts(t)
-	base, err := PointKey(cfg, opts, "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]string{"base": base}
-	check := func(label string, cfg machine.Config, opts cascade.Options, workload string) {
+	seen := map[string]string{"base": canonicalKey(t, cfg, opts)}
+	check := func(label string, cfg machine.Config, opts cascade.Options) {
 		t.Helper()
-		k, err := PointKey(cfg, opts, workload)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+		k := canonicalKey(t, cfg, opts)
 		for prev, pk := range seen {
 			if pk == k {
 				t.Errorf("%s collides with %s", label, prev)
@@ -91,49 +89,37 @@ func TestPointKeyObservableChanges(t *testing.T) {
 		seen[label] = k
 	}
 
-	check("procs", cfg.WithProcs(3), opts, "parmvr")
-	check("other machine", machine.R10000(8), opts, "parmvr")
+	check("procs", cfg.WithProcs(3), opts)
+	check("other machine", machine.R10000(8), opts)
 	smallL2 := cfg
 	smallL2.L2.Size /= 2
-	check("L2 size", smallL2, opts, "parmvr")
+	check("L2 size", smallL2, opts)
 	slowMem := cfg
 	slowMem.MemLatency++
-	check("memory latency", slowMem, opts, "parmvr")
+	check("memory latency", slowMem, opts)
 	noTLB := cfg
 	noTLB.TLB.Entries = 0
-	check("TLB", noTLB, opts, "parmvr")
+	check("TLB", noTLB, opts)
 
 	chunk := opts
 	chunk.ChunkBytes = 32 * 1024
-	check("chunk size", cfg, chunk, "parmvr")
+	check("chunk size", cfg, chunk)
 	noJump := opts
 	noJump.JumpOut = false
-	check("jump-out", cfg, noJump, "parmvr")
+	check("jump-out", cfg, noJump)
 	helper := opts
 	helper.Helper = cascade.HelperRestructure
-	check("helper", cfg, helper, "parmvr")
-
-	check("workload", cfg, opts, "parmvr@scale=0.5")
+	check("helper", cfg, helper)
 }
 
-// Golden keys, generated once from the current canonical serialization.
-// If one of these fails without an intentional semantic change, the key
-// derivation drifted — previously cached results would silently stop
+// goldenJobKey was generated once from the current canonical
+// serialization. If it fails without an intentional semantic change, the
+// key derivation drifted — previously cached results would silently stop
 // matching (or worse, a lax canonicalization change could alias distinct
 // configs). On an intentional change, bump keySchema and regenerate.
-const (
-	goldenPointKey = "c5ca8abeb40c3f7df796fd08baecf45bacc5bad0aa8adefe520c1b73d3fbb5cd"
-	goldenJobKey   = "35ac2887283f1fa8d217bac7edfe08c01adf0718c9a6707107ddbdd5bdb4ec9d"
-)
+const goldenJobKey = "35ac2887283f1fa8d217bac7edfe08c01adf0718c9a6707107ddbdd5bdb4ec9d"
 
 func TestGoldenKeys(t *testing.T) {
-	pk, err := PointKey(machine.PentiumPro(4), defaultOpts(t), "parmvr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pk != goldenPointKey {
-		t.Errorf("PointKey drifted:\n got %s\nwant %s\n(bump keySchema if this change is intentional)", pk, goldenPointKey)
-	}
 	jk, err := JobKey("fig2", JobParams{Scale: 1})
 	if err != nil {
 		t.Fatal(err)

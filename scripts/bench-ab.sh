@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Paired end-to-end benchmark runs: the working tree against a base
-# revision, on one workload of bench/run.sh.
+# revision, on workloads of bench/run.sh.
 #
-#   bash scripts/bench-ab.sh -base REV -workload W [-n 10]
-#   make bench-ab BASE=REV W=W [N=10]
+#   bash scripts/bench-ab.sh -base REV -workload W[,W2...] [-n 10]
+#   make bench-ab BASE=REV W=W[,W2...] [N=10]
+#
+# -workload takes one workload, a comma-separated list, or `all` for
+# every workload BENCHMARK.json names; each runs its N pairs and prints
+# its summary before the next starts.
 #
 # The base side is `git archive REV`, unpacked once under
 # .bench_build/ab/<rev>/ and built there by its own bench/run.sh; the
@@ -28,8 +32,13 @@ while [ $# -gt 0 ]; do
 	esac
 done
 if [ -z "$base" ] || [ -z "$workload" ]; then
-	echo "usage: bash scripts/bench-ab.sh -base REV -workload W [-n N]" >&2
+	echo "usage: bash scripts/bench-ab.sh -base REV -workload W[,W2...]|all [-n N]" >&2
 	exit 2
+fi
+if [ "$workload" = all ]; then
+	workloads=$(sed -n 's/.*{"name": *"\([^"]*\)", *"why".*/\1/p' "$root/BENCHMARK.json")
+else
+	workloads=${workload//,/ }
 fi
 
 rev=$(git -C "$root" rev-parse --short "$base^{commit}")
@@ -40,11 +49,10 @@ if [ ! -f "$basedir/.unpacked" ]; then
 	git -C "$root" archive "$rev" | tar -x -C "$basedir"
 	touch "$basedir/.unpacked"
 fi
-pairs="$root/.bench_build/ab/pairs-$rev-$workload.txt"
-: >"$pairs"
 
 # run DIR SEED prints the three end-to-end metrics of one run of DIR's
-# benchmark, space-separated, from the run's last (JSON) line.
+# benchmark on $workload, space-separated, from the run's last (JSON)
+# line.
 run() {
 	local last
 	last=$(bash "$1/bench/run.sh" -workload "$workload" -seed "$2" | tail -n 1)
@@ -57,47 +65,52 @@ run() {
 	done
 }
 
-echo "base $rev vs working tree, workload $workload, $n pairs"
-printf '%-5s %-6s %10s %10s %10s %10s %10s %10s\n' pair first \
-	wall_base wall_chg cpu_base cpu_chg setup_base setup_chg
-for i in $(seq 1 "$n"); do
-	if [ $((i % 2)) -eq 1 ]; then
-		first=base
-		b=$(run "$basedir" "$i")
-		c=$(run "$root" "$i")
-	else
-		first=change
-		c=$(run "$root" "$i")
-		b=$(run "$basedir" "$i")
-	fi
-	read -r bw bc bs <<<"$b"
-	read -r cw cc cs <<<"$c"
-	echo "$bw $cw $bc $cc $bs $cs" >>"$pairs"
-	printf '%-5s %-6s %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n' "$i" "$first" "$bw" "$cw" "$bc" "$cc" "$bs" "$cs"
-done
+for workload in $workloads; do
+	pairs="$root/.bench_build/ab/pairs-$rev-$workload.txt"
+	: >"$pairs"
+	echo "base $rev vs working tree, workload $workload, $n pairs"
+	printf '%-5s %-6s %10s %10s %10s %10s %10s %10s\n' pair first \
+		wall_base wall_chg cpu_base cpu_chg setup_base setup_chg
+	for i in $(seq 1 "$n"); do
+		if [ $((i % 2)) -eq 1 ]; then
+			first=base
+			b=$(run "$basedir" "$i")
+			c=$(run "$root" "$i")
+		else
+			first=change
+			c=$(run "$root" "$i")
+			b=$(run "$basedir" "$i")
+		fi
+		read -r bw bc bs <<<"$b"
+		read -r cw cc cs <<<"$c"
+		echo "$bw $cw $bc $cc $bs $cs" >>"$pairs"
+		printf '%-5s %-6s %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n' "$i" "$first" "$bw" "$cw" "$bc" "$cc" "$bs" "$cs"
+	done
 
-# Per metric: each side's median and quartiles (linear interpolation
-# between order statistics) and the change's wins.
-awk '
-function quant(a, k, q,   h, lo) {
-	h = (k - 1) * q + 1; lo = int(h)
-	return lo >= k ? a[k] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
-}
-function isort(a, k,   i, j, t) {
-	for (i = 2; i <= k; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-}
-{ k = NR; for (f = 1; f <= 6; f++) v[f, k] = $f }
-END {
-	split("wall_s cpu_s setup_s", name, " ")
-	printf "\n%-8s %-6s %10s %10s %10s %6s\n", "metric", "side", "q1", "median", "q3", "wins"
-	for (m = 1; m <= 3; m++) {
-		wins = 0
-		for (i = 1; i <= k; i++) {
-			b[i] = v[2 * m - 1, i]; c[i] = v[2 * m, i]
-			if (c[i] < b[i]) wins++
-		}
-		isort(b, k); isort(c, k)
-		printf "%-8s %-6s %10.4f %10.4f %10.4f\n", name[m], "base", quant(b, k, .25), quant(b, k, .5), quant(b, k, .75)
-		printf "%-8s %-6s %10.4f %10.4f %10.4f %3d/%d\n", "", "change", quant(c, k, .25), quant(c, k, .5), quant(c, k, .75), wins, k
+	# Per metric: each side's median and quartiles (linear interpolation
+	# between order statistics) and the change's wins.
+	awk '
+	function quant(a, k, q,   h, lo) {
+		h = (k - 1) * q + 1; lo = int(h)
+		return lo >= k ? a[k] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 	}
-}' "$pairs"
+	function isort(a, k,   i, j, t) {
+		for (i = 2; i <= k; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+	}
+	{ k = NR; for (f = 1; f <= 6; f++) v[f, k] = $f }
+	END {
+		split("wall_s cpu_s setup_s", name, " ")
+		printf "\n%-8s %-6s %10s %10s %10s %6s\n", "metric", "side", "q1", "median", "q3", "wins"
+		for (m = 1; m <= 3; m++) {
+			wins = 0
+			for (i = 1; i <= k; i++) {
+				b[i] = v[2 * m - 1, i]; c[i] = v[2 * m, i]
+				if (c[i] < b[i]) wins++
+			}
+			isort(b, k); isort(c, k)
+			printf "%-8s %-6s %10.4f %10.4f %10.4f\n", name[m], "base", quant(b, k, .25), quant(b, k, .5), quant(b, k, .75)
+			printf "%-8s %-6s %10.4f %10.4f %10.4f %3d/%d\n", "", "change", quant(c, k, .25), quant(c, k, .5), quant(c, k, .75), wins, k
+		}
+	}' "$pairs"
+	echo
+done
